@@ -6,31 +6,31 @@ the design and resamples centered residuals, which bakes in first-order
 correctness and homoskedasticity - it is provided as a foil.
 
 Replicate b draws its resampling indices from the dedicated substream
-``(seed, b)``, so draws are bit-reproducible regardless of how the
-replicates are scheduled across workers.
+``(seed, b)``.  Replicates are solved together in chunks of
+``max(1, CHUNK_ELEMENTS // n)``, starting at multiples of the chunk
+size, so replicate b's draw depends only on ``(seed, b)``: not on B,
+and not on which other replicates share its chunk.  Reruns with the
+same seed reproduce every draw bit-identically.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .core import Dataset, DesignMatrix, build_design
+from .core import Dataset, build_design
 from .exceptions import (
     CoefficientIndexError,
     DomainError,
     ExcessiveFailureError,
     FamilyError,
     InsufficientDrawsError,
-    LeanRegError,
 )
-from .fitting import GAUSSIAN, Family, fit_glm, fit_ols
+from .fitting import GAUSSIAN, Family, _chol_solve, fit_ols, fit_weighted, outer_rows
 from .rng import substream
 
 __all__ = [
@@ -44,6 +44,10 @@ __all__ = [
 
 FAILURE_THRESHOLD = 0.1
 MIN_DIAGNOSTIC_DRAWS = 10
+# Bound on a chunk's replicates times observations: it sets the peak
+# memory of the stacked solves, and a fixed chunk size keeps every
+# matrix product the same shape whatever B is.
+CHUNK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -74,15 +78,20 @@ class BootstrapDraws:
         return buf.getvalue()
 
 
-def _run_replicates(n_reps, worker, workers):
-    """Evaluate worker(b) for b = 0..n_reps-1, assembled by index."""
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, range(n_reps)))
-    return [worker(b) for b in range(n_reps)]
+def _chunks(B: int, n: int):
+    """Yield (chunk size, replicate indices) for chunks starting at multiples of the size."""
+    size = max(1, CHUNK_ELEMENTS // n)
+    for start in range(0, B, size):
+        yield size, range(start, min(start + size, B))
+
+
+def _resample(seed: int, b: int, n: int) -> np.ndarray:
+    """Resampling indices of replicate b: n draws with replacement from substream (seed, b)."""
+    return substream(seed, b).integers(0, n, size=n)
 
 
 def _collect(results, scheme, seed, ncol, labels) -> BootstrapDraws:
+    """Assemble per-replicate results (a draw or the error it raised), in replicate order."""
     rows = [r for r in results if not isinstance(r, Exception)]
     errors = [r for r in results if isinstance(r, Exception)]
     reasons: dict[str, int] = {}
@@ -112,39 +121,37 @@ def xy_bootstrap(
     family: Family,
     B: int,
     seed: int,
-    workers: int | None = None,
 ) -> BootstrapDraws:
     """Resample observation tuples with replacement and refit, B times.
 
-    Replicates whose resampled design is singular or whose fit fails to
-    converge are excluded and counted; more than 10% of them is an
-    error carrying the failure reasons.  An infeasible base problem
-    (e.g. a singular design that every resample inherits) therefore
-    surfaces as an excessive-failure error with the cause attached.
+    Replicate b is the sample refitted with weights equal to how often
+    each observation was drawn from substream ``(seed, b)``; all
+    replicates of a chunk are solved as one stack by
+    :func:`~leanreg.fitting.fit_weighted`.  Replicates whose resampled
+    design is singular or whose fit fails to converge are excluded and
+    counted; more than 10% of them is an error carrying the failure
+    reasons.  An infeasible base problem (e.g. a singular design that
+    every resample inherits) therefore surfaces as an excessive-failure
+    error with the cause attached.
     """
     if B < 1:
         raise DomainError("B must be at least 1")
     dm = build_design(ds)
-    y = ds.response
     x = dm.matrix
+    y = ds.response
     n = ds.n
-
-    def worker(b):
-        rng = substream(seed, b)
-        idx = rng.integers(0, n, size=n)
-        try:
-            dm_b = DesignMatrix(matrix=x[idx], column_labels=dm.column_labels)
-            if family.tag == "gaussian-identity":
-                fit_b = fit_ols(dm_b, y[idx])
-            else:
-                fit_b = fit_glm(dm_b, y[idx], family)
-            return fit_b.beta_hat
-        except LeanRegError as exc:
-            return exc
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # tiny resamples warn about dof
-        results = _run_replicates(B, worker, workers)
+    outer = outer_rows(x)
+    results = []
+    for size, reps in _chunks(B, n):
+        # Rows past the last replicate are padding: the sample itself.
+        w = np.ones((size, n))
+        for r, b in enumerate(reps):
+            w[r] = np.bincount(_resample(seed, b, n), minlength=n)
+        fits = fit_weighted(x, y, w, family, outer=outer)
+        results.extend(
+            beta if error is None else error
+            for beta, error in zip(fits.beta[: len(reps)], fits.errors)
+        )
     return _collect(results, "xy", seed, dm.ncol, dm.column_labels)
 
 
@@ -152,14 +159,15 @@ def residual_bootstrap(
     ds: Dataset,
     B: int,
     seed: int,
-    workers: int | None = None,
     family: Family = GAUSSIAN,
 ) -> BootstrapDraws:
     """Fix the design, resample centered OLS residuals, refit, B times.
 
     Defined for the gaussian-identity working model only; the scheme
     presupposes a correct homoskedastic linear mean, which is exactly
-    what makes it a foil rather than a robust tool.
+    what makes it a foil rather than a robust tool.  Every replicate
+    shares the design, so refit b is the fixed map ``(X'X)^-1 X'``
+    applied to ``y_b``, one matrix product per chunk.
     """
     if family.tag != "gaussian-identity":
         raise FamilyError(
@@ -175,17 +183,13 @@ def residual_bootstrap(
     centered = base.residuals - np.mean(base.residuals)
     x = dm.matrix
     n = ds.n
-
-    def worker(b):
-        rng = substream(seed, b)
-        idx = rng.integers(0, n, size=n)
-        y_b = base.fitted + centered[idx]
-        try:
-            return fit_ols(dm, y_b).beta_hat
-        except LeanRegError as exc:
-            return exc
-
-    results = _run_replicates(B, worker, workers)
+    solver = _chol_solve(x.T @ x, x.T).T
+    results = []
+    for size, reps in _chunks(B, n):
+        y_b = np.tile(base.fitted, (size, 1))
+        for r, b in enumerate(reps):
+            y_b[r] += centered[_resample(seed, b, n)]
+        results.extend((y_b @ solver)[: len(reps)])
     return _collect(results, "residual", seed, dm.ncol, dm.column_labels)
 
 

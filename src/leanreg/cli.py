@@ -2,10 +2,11 @@
 
 Subcommands: fit, bootstrap, predict, simulate, slopes.  Every run is
 reproducible: the seed is explicit or a fixed documented default, never
-wall clock, and identical flags produce byte-identical primary outputs
-regardless of --workers.  Exit codes: 0 success, 1 computational error,
-2 usage error.  No plotting happens in-process; diagnostics are emitted
-as plot-ready CSV.
+wall clock, and identical flags produce byte-identical primary outputs.
+Bootstrap replicate b depends only on (seed, b), not on the replicate
+count or on how replicates are chunked.  Exit codes: 0 success, 1
+computational error, 2 usage error.  No plotting happens in-process;
+diagnostics are emitted as plot-ready CSV.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def run_fit(args) -> int:
     sand = sandwich_cov(fit)
     boot_se = None
     if args.boot > 0:
-        draws = bt.xy_bootstrap(ds, family, args.boot, args.seed, workers=args.workers)
+        draws = bt.xy_bootstrap(ds, family, args.boot, args.seed)
         boot_se = bt.bootstrap_se(draws)
     table = coefficient_table(fit, conv, sand, boot_se)
     indicator = misspec_indicator(table, level=args.alpha)
@@ -111,7 +112,7 @@ def run_diagnostics(args) -> int:
         raise InsufficientDrawsError(
             f"normal-quantile diagnostics need B >= {bt.MIN_DIAGNOSTIC_DRAWS}, got {args.boot}"
         )
-    draws = bt.xy_bootstrap(ds, family, args.boot, args.seed, workers=args.workers)
+    draws = bt.xy_bootstrap(ds, family, args.boot, args.seed)
     reports = [
         bt.normality_diagnostic(draws, j) for j in range(draws.draws.shape[1])
     ]
@@ -243,7 +244,6 @@ def run_simulate(args) -> int:
         level=1.0 - args.alpha,
         B=args.boot,
         seed=args.seed,
-        workers=args.workers,
     )
     if args.format == "json":
         payload = {
@@ -351,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"miscoverage/significance level (default {DEFAULT_ALPHA})")
         sp.add_argument("--format", default="text", choices=["text", "json", "csv"])
         sp.add_argument("--out", default=None, help="output file (or directory)")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="parallel workers for replicate-level work")
 
     sp_fit = sub.add_parser("fit", help="fit a working model and report robust SEs")
     _add_data_flags(sp_fit)

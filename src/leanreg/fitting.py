@@ -17,11 +17,12 @@ import numpy as np
 from scipy import linalg as sla
 from scipy.special import expit
 
-from .core import Dataset, DesignMatrix, build_design, check_rank
+from .core import RANK_RTOL, Dataset, DesignMatrix, build_design, check_rank
 from .exceptions import (
     CoefficientIndexError,
     ConvergenceError,
     DimensionError,
+    DomainError,
     FamilyError,
     SeparationError,
     SingularSystemError,
@@ -37,6 +38,9 @@ __all__ = [
     "FitOptions",
     "fit_ols",
     "fit_glm",
+    "fit_weighted",
+    "WeightedFits",
+    "outer_rows",
     "fit_dataset",
     "predict_mean",
     "exp_coef",
@@ -142,14 +146,18 @@ class FitResult:
         }
 
 
+def _rank_error(min_eigenvalue: float) -> SingularSystemError:
+    return SingularSystemError(
+        "design matrix is rank deficient: smallest second-moment "
+        f"eigenvalue {min_eigenvalue:.3e}",
+        min_eigenvalue=min_eigenvalue,
+    )
+
+
 def _require_full_rank(dm: DesignMatrix):
     report = check_rank(dm)
     if not report.full_rank:
-        raise SingularSystemError(
-            "design matrix is rank deficient: smallest second-moment "
-            f"eigenvalue {report.min_eigenvalue:.3e}",
-            min_eigenvalue=report.min_eigenvalue,
-        )
+        raise _rank_error(report.min_eigenvalue)
     return report
 
 
@@ -195,23 +203,46 @@ def fit_ols(dm: DesignMatrix, y: np.ndarray) -> FitResult:
     )
 
 
-def _validate_support(family: Family, y: np.ndarray):
-    if family.tag == "bernoulli-logit":
-        if not np.all((y == 0.0) | (y == 1.0)):
-            raise FamilyError("bernoulli-logit requires a response coded exactly 0/1")
-    elif family.tag == "poisson-log":
-        if np.any(y < 0) or not np.all(y == np.floor(y)):
-            raise FamilyError("poisson-log requires nonnegative integer counts")
+_SUPPORT_MESSAGES = {
+    "bernoulli-logit": "bernoulli-logit requires a response coded exactly 0/1",
+    "poisson-log": "poisson-log requires nonnegative integer counts",
+}
 
 
-def _objective(family: Family, t: np.ndarray, y: np.ndarray) -> float:
-    # Sample mean of the family's per-observation loss.
+def _not_positive_definite() -> SingularSystemError:
+    return SingularSystemError("normal-equation matrix not positive definite")
+
+
+def _outside_support(family: Family, y: np.ndarray) -> np.ndarray:
+    """Mask of responses the (bernoulli or poisson) likelihood cannot take."""
     if family.tag == "bernoulli-logit":
-        return float(np.mean(np.logaddexp(0.0, t) - t * y))
+        return ~((y == 0.0) | (y == 1.0))
+    return (y < 0) | (y != np.floor(y))
+
+
+def _softplus(t: np.ndarray) -> np.ndarray:
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+
+def _loss_change(family: Family, t, mu, delta, y) -> np.ndarray:
+    """Per-observation loss change ``loss(t + delta) - loss(t)``; ``mu`` is the mean at ``t``.
+
+    Computed from the step ``delta`` itself, not as two losses
+    subtracted, so its sign holds even when the change is far below the
+    rounding error of the losses: near the optimum a Newton step lowers
+    the objective by far less than that, and a difference of rounded
+    objectives would accept or halve the step at random.
+    """
     if family.tag == "poisson-log":
-        with np.errstate(over="ignore"):
-            return float(np.mean(np.exp(t) - t * y))
-    return float(np.mean(0.5 * (y - t) ** 2))
+        return mu * np.expm1(delta) - delta * y
+    # softplus(t + delta) - softplus(t) = log1p(mu * expm1(delta)); for
+    # large |delta| the direct difference is accurate and cannot overflow.
+    far = np.abs(delta) > 1.0
+    if not far.any():
+        return np.log1p(mu * np.expm1(delta)) - delta * y
+    change = np.log1p(mu * np.expm1(np.clip(delta, -1.0, 1.0)))
+    change[far] = _softplus(t[far] + delta[far]) - _softplus(t[far])
+    return change - delta * y
 
 
 def _deviance(family: Family, mu: np.ndarray, y: np.ndarray) -> float:
@@ -226,11 +257,229 @@ def _deviance(family: Family, mu: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum((y - mu) ** 2))
 
 
-def _initial_beta(family: Family, ncol: int, y: np.ndarray) -> np.ndarray:
-    beta = np.zeros(ncol)
+def _is_spd(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _stacked_spd_solve(a: np.ndarray, b: np.ndarray, rows: np.ndarray):
+    """Solve ``a[r] z[r] = b[r]`` for the selected rows of a stack.
+
+    Returns ``(z, solved)``.  ``solved[r]`` says that row r was selected
+    and that ``a[r]`` passed LAPACK's Cholesky test for positive
+    definiteness, applied matrix by matrix so that no row's verdict
+    depends on another's.  Other rows are solved against the identity;
+    their ``z`` is meaningless.
+    """
+    eye = np.eye(a.shape[-1])
+    a = np.where(rows[:, None, None], a, eye)
+    try:
+        np.linalg.cholesky(a)
+        solved = rows.copy()
+    except np.linalg.LinAlgError:
+        solved = rows & np.array([_is_spd(matrix) for matrix in a])
+        a = np.where(solved[:, None, None], a, eye)
+    return np.linalg.solve(a, b[..., None])[..., 0], solved
+
+
+def outer_rows(x: np.ndarray) -> np.ndarray:
+    """Per-observation outer products: row i is vec(x_i x_i'), shape (n, k*k)."""
+    return (x[:, :, None] * x[:, None, :]).reshape(x.shape[0], -1)
+
+
+@dataclass(frozen=True)
+class WeightedFits:
+    """One working model fitted under each row of a weight matrix.
+
+    Row r of ``beta`` is the fit under weight row r.  When that fit
+    failed, ``errors[r]`` is the typed error a single fit would have
+    raised and ``beta[r]`` is meaningless; otherwise ``errors[r]`` is
+    None.
+    """
+
+    beta: np.ndarray
+    errors: tuple
+    iterations: np.ndarray
+    score_norm: np.ndarray
+
+
+def fit_weighted(
+    x: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    family: Family,
+    opts: FitOptions = FitOptions(),
+    outer: np.ndarray | None = None,
+) -> WeightedFits:
+    """Fit the working model once per row of the weight matrix ``w``.
+
+    Row r minimizes ``sum_i w[r, i] * loss(x_i' beta, y_i) / sum_i w[r, i]``.
+    All-ones weights give the sample fit; multinomial counts give the
+    refit on a resample that repeats observation i ``w[r, i]`` times.
+    Every row gets what a single fit gets: the rank check of its
+    weighted second-moment matrix under ``RANK_RTOL``, the support check
+    of the responses it uses, then an exact solve (gaussian) or Newton
+    iterations from the usual start value with step halving, the logit
+    separation bound and the convergence test of :func:`fit_glm`.
+
+    ``outer`` is :func:`outer_rows` of ``x``, for callers that reuse it.
+    All rows share each matrix product, so row r's result depends only
+    on ``w[r]`` and on the number of rows (BLAS may round a row
+    differently when the row count changes).  Rows that converge or
+    fail are therefore masked, never dropped.
+    """
+    m, n = w.shape
+    k = x.shape[1]
+    if n != x.shape[0] or y.shape[0] != n:
+        raise DimensionError(f"weights for {n} observations, design has {x.shape[0]} rows")
+    wsum = np.sum(w, axis=1)
+    if np.any(w < 0) or np.any(wsum <= 0):
+        raise DomainError("weights must be nonnegative with a positive sum in every row")
+    if outer is None:
+        outer = outer_rows(x)
+    gram = (w @ outer).reshape(m, k, k)
+    eigs = np.linalg.eigvalsh(gram / wsum[:, None, None])
+    errors: list = [None] * m
+    for r in np.flatnonzero(np.sum(eigs > RANK_RTOL * eigs[:, -1:], axis=1) < k):
+        errors[r] = _rank_error(float(eigs[r, 0]))
+    if family.tag == "gaussian-identity":
+        active = np.array([e is None for e in errors])
+        beta, solved = _stacked_spd_solve(gram, (w * y) @ x, active)
+        for r in np.flatnonzero(active & ~solved):
+            errors[r] = _not_positive_definite()
+        return WeightedFits(beta, tuple(errors), np.ones(m, dtype=int), np.zeros(m))
+
+    outside = _outside_support(family, y)
+    if outside.any():
+        for r in np.flatnonzero(np.any(w[:, outside] > 0, axis=1)):
+            if errors[r] is None:
+                errors[r] = FamilyError(_SUPPORT_MESSAGES[family.tag])
+    active = np.array([e is None for e in errors])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta, iterations, score_norm = _newton(x, y, w, wsum, outer, family, opts, active, errors)
+    return WeightedFits(beta, tuple(errors), iterations, score_norm)
+
+
+def _newton(x, y, w, wsum, outer, family, opts, active, errors):
+    """Newton/IRLS for every active row of ``w``; records failures in ``errors``.
+
+    Matrix products always take all m rows.  Elementwise work is done
+    only for the rows still iterating; the other rows of a product's
+    input hold stale values, which cannot change the live rows' results.
+    """
+    m, n = w.shape
+    k = x.shape[1]
+    logit = family.tag == "bernoulli-logit"
+    xt = np.ascontiguousarray(x.T)
+    # Unused observations get linear predictor 0: a single fit never
+    # evaluates them, so they must not overflow or turn 0 * inf into NaN.
+    used = (w > 0).astype(float)
+
+    def linear_predictor(b, rows):
+        return (b @ xt)[rows] * used[rows]
+
+    def score_sums(rows):
+        # sum_i w_i (mu_i - y_i) x_i for the given rows; zero elsewhere.
+        wr = np.zeros((m, n))
+        wr[rows] = w[rows] * (mu[rows] - y)
+        return wr @ x
+
+    everyone = np.arange(m)
+    score_scale = np.maximum(1.0, np.sum(w * np.abs(y), axis=1) / wsum)
+    beta = np.zeros((m, k))
     if family.tag == "poisson-log":
-        beta[0] = np.log(np.mean(y) + 0.5)
-    return beta
+        beta[:, 0] = np.log(np.sum(w * y, axis=1) / wsum + 0.5)
+    t = linear_predictor(beta, everyone)
+    mu = family.inverse_link(t)
+    # Whether each row's objective is finite (a poisson mean can overflow).
+    finite = np.all(np.isfinite(mu), axis=1)
+    scores = score_sums(everyone)
+    score_norm = np.max(np.abs(scores), axis=1) / wsum
+    iterations = np.zeros(m, dtype=int)
+
+    for it in range(1, opts.max_iter + 1):
+        live = np.flatnonzero(active)
+        if not live.size:
+            break
+        v = np.zeros((m, n))
+        v[live] = family.variance_fn(mu[live])
+        hessian = ((w * v) @ outer).reshape(m, k, k) / wsum[:, None, None]
+        grad = scores / wsum[:, None]
+        direction, solved = _stacked_spd_solve(hessian, grad, active)
+        retry = active & ~solved
+        if logit and retry.any():
+            # mu saturated to exactly 0/1 on enough points to break the
+            # solve; floor those weights just enough to keep the system
+            # solvable.  Flooring is deliberately a last resort: an
+            # unconditional floor damps divergence so much that the
+            # separation bound below would never be reached.
+            v = np.where(v <= 0.0, WEIGHT_FLOOR, v)
+            hessian = ((w * v) @ outer).reshape(m, k, k) / wsum[:, None, None]
+            floored, rescued = _stacked_spd_solve(hessian, grad, retry)
+            direction[rescued] = floored[rescued]
+            solved |= rescued
+        for r in np.flatnonzero(active & ~solved):
+            errors[r] = _not_positive_definite()
+        active = active & solved
+        live = np.flatnonzero(active)
+        direction = -direction
+
+        # Step halving, row by row: a row keeps its last candidate and
+        # its step is halved after every rejection.  A step is accepted
+        # when it does not raise the objective, or when the objective at
+        # the current iterate is not finite.
+        step = np.ones(m)
+        candidate = beta.copy()
+        pending = live
+        for _ in range(MAX_HALVINGS + 1):
+            move = step[:, None] * direction
+            change = _loss_change(family, t[pending], mu[pending], linear_predictor(move, pending), y)
+            change = np.sum(w[pending] * change, axis=1) / wsum[pending]
+            candidate[pending] = beta[pending] + move[pending]
+            rejected = ~((change <= 0.0) | ~finite[pending])
+            step[pending[rejected]] *= 0.5
+            pending = pending[rejected]
+            if not pending.size:
+                break
+
+        rel_change = np.max(np.abs(step[:, None] * direction), axis=1) / np.maximum(
+            1.0, np.max(np.abs(candidate), axis=1)
+        )
+        beta[live] = candidate[live]
+        t[live] = linear_predictor(beta, live)
+        mu[live] = family.inverse_link(t[live])
+        finite[live] = np.all(np.isfinite(mu[live]), axis=1)
+        scores = score_sums(live)
+        score_norm[live] = np.max(np.abs(scores[live]), axis=1) / wsum[live]
+        iterations[live] = it
+
+        if logit:
+            separated = active & (np.max(np.abs(beta), axis=1) > SEPARATION_BOUND)
+            for r in np.flatnonzero(separated):
+                errors[r] = SeparationError(
+                    "quasi-separation detected: |beta|_inf exceeded "
+                    f"{SEPARATION_BOUND} on the logit scale",
+                    last_beta=beta[r].copy(),
+                    score_norm=float(score_norm[r]),
+                    iterations=it,
+                )
+            active = active & ~separated
+        converged = (rel_change < opts.tol) & (score_norm <= opts.score_tol * score_scale)
+        active = active & ~converged
+
+    for r in np.flatnonzero(active):
+        errors[r] = ConvergenceError(
+            f"IRLS did not converge in {opts.max_iter} iterations "
+            f"(score norm {score_norm[r]:.3e})",
+            last_beta=beta[r].copy(),
+            score_norm=float(score_norm[r]),
+            iterations=opts.max_iter,
+        )
+    return beta, iterations, score_norm
 
 
 def fit_glm(
@@ -241,6 +490,7 @@ def fit_glm(
 ) -> FitResult:
     """Minimize the sample working-model cost by Newton/IRLS.
 
+    This is :func:`fit_weighted` with one all-ones weight row.
     Convergence requires both a relative coefficient change below
     ``opts.tol`` and a mean-score norm ``max_j |sum_i (mu_i - y_i)
     x_ij| / n`` at or below ``opts.score_tol * max(1, mean|y|)``.
@@ -249,6 +499,9 @@ def fit_glm(
 
     Raises
     ------
+    SingularSystemError
+        the design is rank deficient, or a Newton system is not
+        positive definite.
     SeparationError
         bernoulli coefficients diverge past the logit saturation bound.
     ConvergenceError
@@ -258,73 +511,13 @@ def fit_glm(
     y = np.asarray(y, dtype=float)
     if y.shape[0] != dm.n:
         raise DimensionError(f"response length {y.shape[0]} != design rows {dm.n}")
-    _require_full_rank(dm)
-    _validate_support(family, y)
-
     x = dm.matrix
-    n = dm.n
-    score_scale = max(1.0, float(np.mean(np.abs(y))))
-    beta = _initial_beta(family, dm.ncol, y)
+    fits = fit_weighted(x, y, np.ones((1, dm.n)), family, opts)
+    if fits.errors[0] is not None:
+        raise fits.errors[0]
+    beta = fits.beta[0]
     t = x @ beta
     mu = family.inverse_link(t)
-    obj = _objective(family, t, y)
-    score_norm = float(np.max(np.abs(x.T @ (mu - y)))) / n
-
-    iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
-        w = family.variance_fn(mu)
-        hessian = (x.T * w) @ x / n
-        grad = x.T @ (mu - y) / n
-        try:
-            direction = -_chol_solve(hessian, grad)
-        except SingularSystemError:
-            if family.tag != "bernoulli-logit":
-                raise
-            # mu saturated to exactly 0/1 on enough points to break the
-            # solve; floor those weights just enough to keep the system
-            # solvable.  Flooring is deliberately a last resort: an
-            # unconditional floor damps divergence so much that the
-            # separation bound below would never be reached.
-            w = np.where(w <= 0.0, WEIGHT_FLOOR, w)
-            hessian = (x.T * w) @ x / n
-            direction = -_chol_solve(hessian, grad)
-
-        step = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            candidate = beta + step * direction
-            cand_obj = _objective(family, x @ candidate, y)
-            if cand_obj <= obj or not np.isfinite(obj):
-                break
-            step *= 0.5
-
-        rel_change = float(
-            np.max(np.abs(step * direction)) / max(1.0, np.max(np.abs(candidate)))
-        )
-        beta = candidate
-        t = x @ beta
-        mu = family.inverse_link(t)
-        obj = cand_obj
-        score_norm = float(np.max(np.abs(x.T @ (mu - y)))) / n
-
-        if family.tag == "bernoulli-logit" and np.max(np.abs(beta)) > SEPARATION_BOUND:
-            raise SeparationError(
-                "quasi-separation detected: |beta|_inf exceeded "
-                f"{SEPARATION_BOUND} on the logit scale",
-                last_beta=beta,
-                score_norm=score_norm,
-                iterations=iterations,
-            )
-        if rel_change < opts.tol and score_norm <= opts.score_tol * score_scale:
-            break
-    else:
-        raise ConvergenceError(
-            f"IRLS did not converge in {opts.max_iter} iterations "
-            f"(score norm {score_norm:.3e})",
-            last_beta=beta,
-            score_norm=score_norm,
-            iterations=opts.max_iter,
-        )
-
     return FitResult(
         family=family,
         beta_hat=beta,
@@ -332,11 +525,11 @@ def fit_glm(
         residuals=y - mu,
         linear_predictor=t,
         converged=True,
-        iterations=iterations,
+        iterations=int(fits.iterations[0]),
         deviance_or_sse=_deviance(family, mu, y),
         design=dm,
         y=y,
-        score_norm=score_norm,
+        score_norm=float(fits.score_norm[0]),
     )
 
 

@@ -446,7 +446,6 @@ def coverage_experiment(
     B: int | None = None,
     seed: int = 0,
     family: Family = GAUSSIAN,
-    workers: int | None = None,
 ) -> list[CoverageResult]:
     """Monte Carlo check that CIs cover the population coefficients.
 
@@ -455,15 +454,11 @@ def coverage_experiment(
     exact population coefficient is inside.  Failed replications
     (singular resamples, non-convergence) are excluded and counted,
     with the same 10% tolerance as the bootstrap.  Replication r draws
-    from substream (seed, 0, r), so results do not depend on worker
-    count or scheduling.
+    its sample from substream (seed, 0, r) and its bootstrap seeds from
+    (seed, 1, r) and (seed, 2, r), so it depends only on (seed, r): not
+    on the number of replications.
     """
-    from .bootstrap import (
-        _run_replicates,
-        bootstrap_se,
-        residual_bootstrap,
-        xy_bootstrap,
-    )
+    from .bootstrap import bootstrap_se, residual_bootstrap, xy_bootstrap
 
     methods = list(methods)
     if not methods:
@@ -500,7 +495,7 @@ def coverage_experiment(
         except LeanRegError as exc:
             return exc
 
-    results_by_rep = _run_replicates(replications, replicate, workers)
+    results_by_rep = [replicate(r) for r in range(replications)]
 
     covered = {m: np.zeros(k) for m in methods}
     width = {m: np.zeros(k) for m in methods}

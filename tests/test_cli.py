@@ -89,7 +89,7 @@ class TestFit:
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
         assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2), "--workers", "4"]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -192,7 +192,7 @@ class TestSimulateSubcommand:
         assert lines[0] == "method,coefficient,level,coverage,mean_width,replications,mc_se"
         assert len(lines) == 5  # two methods x two coefficients
 
-    def test_seed_reproducibility_across_workers(self, tmp_path, capsys):
+    def test_seed_reproducibility(self, tmp_path, capsys):
         pop = {
             "support": [[-1.0], [1.0]],
             "probs": [0.5, 0.5],
@@ -207,7 +207,7 @@ class TestSimulateSubcommand:
                 "--reps", "60", "--methods", "xy-bootstrap", "--boot", "40",
                 "--seed", "3", "--format", "csv"]
         assert main(base + ["--out", str(out1)]) == 0
-        assert main(base + ["--out", str(out2), "--workers", "3"]) == 0
+        assert main(base + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_schema_error_exit_one(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from leanreg.exceptions import (
     CoefficientIndexError,
     ConvergenceError,
     DimensionError,
+    DomainError,
     FamilyError,
     SeparationError,
     SingularSystemError,
@@ -22,6 +23,7 @@ from leanreg.fitting import (
     fit_dataset,
     fit_glm,
     fit_ols,
+    fit_weighted,
     predict_mean,
 )
 from leanreg.population import make_population, population_beta, sample
@@ -175,6 +177,32 @@ class TestFitGlm:
         xm = fit.design.matrix
         scale = max(1.0, float(np.mean(np.abs(y))))
         assert np.max(np.abs(xm.T @ (fit.fitted - y))) / ds.n <= 1e-7 * scale
+
+
+class TestFitWeighted:
+    def test_rows_fail_independently_with_typed_errors(self):
+        # Row 0 leaves out the non-integer response; row 1 uses only
+        # x = 0 points, so its regressor is constant; row 2 uses the
+        # non-integer response.
+        x = np.column_stack([np.ones(5), [0.0, 0.0, 1.0, 2.0, 3.0]])
+        y = np.array([1.0, 2.0, 2.0, 3.0, 0.5])
+        w = np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [2.0, 1.0, 0.0, 0.0, 0.0], [1.0] * 5])
+        fits = fit_weighted(x, y, w, POISSON)
+        assert fits.errors[0] is None
+        assert isinstance(fits.errors[1], SingularSystemError)
+        assert isinstance(fits.errors[2], FamilyError)
+        single = fit_glm(DesignMatrix(x[:4], ("(Intercept)", "x")), y[:4], POISSON)
+        assert np.allclose(fits.beta[0], single.beta_hat, rtol=1e-10, atol=1e-12)
+
+    def test_malformed_weights_rejected(self):
+        x = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
+        y = np.array([0.0, 1.0, 1.0])
+        with pytest.raises(DomainError):
+            fit_weighted(x, y, np.array([[1.0, -1.0, 1.0]]), BERNOULLI)
+        with pytest.raises(DomainError):
+            fit_weighted(x, y, np.zeros((1, 3)), BERNOULLI)
+        with pytest.raises(DimensionError):
+            fit_weighted(x, y, np.ones((1, 4)), BERNOULLI)
 
 
 class TestConsistency:

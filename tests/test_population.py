@@ -268,12 +268,8 @@ class TestCoverageExperiment:
         kwargs = dict(n=100, replications=50, methods=["sandwich"], level=0.9, seed=77)
         a = coverage_experiment(self.linear_pop(), **kwargs)
         b = coverage_experiment(self.linear_pop(), **kwargs)
-        c = coverage_experiment(self.linear_pop(), workers=4, **kwargs)
         assert [(r.coverage, r.mean_width) for r in a] == [
             (r.coverage, r.mean_width) for r in b
-        ]
-        assert [(r.coverage, r.mean_width) for r in a] == [
-            (r.coverage, r.mean_width) for r in c
         ]
 
     def test_bootstrap_methods_run(self):
