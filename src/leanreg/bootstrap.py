@@ -22,15 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .core import Dataset, build_design
+from .core import Dataset, build_design, spd_solve
 from .exceptions import (
     CoefficientIndexError,
     DomainError,
     ExcessiveFailureError,
-    FamilyError,
     InsufficientDrawsError,
 )
-from .fitting import GAUSSIAN, Family, _chol_solve, fit_ols, fit_weighted, outer_rows
+from .fitting import Family, fit_ols, fit_weighted, outer_rows
 from .rng import substream
 
 __all__ = [
@@ -155,25 +154,15 @@ def xy_bootstrap(
     return _collect(results, "xy", seed, dm.ncol, dm.column_labels)
 
 
-def residual_bootstrap(
-    ds: Dataset,
-    B: int,
-    seed: int,
-    family: Family = GAUSSIAN,
-) -> BootstrapDraws:
+def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:
     """Fix the design, resample centered OLS residuals, refit, B times.
 
-    Defined for the gaussian-identity working model only; the scheme
-    presupposes a correct homoskedastic linear mean, which is exactly
-    what makes it a foil rather than a robust tool.  Every replicate
-    shares the design, so refit b is the fixed map ``(X'X)^-1 X'``
-    applied to ``y_b``, one matrix product per chunk.
+    Defined for the gaussian-identity (OLS) working model only; the
+    scheme presupposes a correct homoskedastic linear mean, which is
+    exactly what makes it a foil rather than a robust tool.  Every
+    replicate shares the design, so refit b is the fixed map
+    ``(X'X)^-1 X'`` applied to ``y_b``, one matrix product per chunk.
     """
-    if family.tag != "gaussian-identity":
-        raise FamilyError(
-            "the residual bootstrap applies only to the gaussian-identity "
-            f"(OLS) working model, not {family.tag!r}"
-        )
     if B < 1:
         raise DomainError("B must be at least 1")
     dm = build_design(ds)
@@ -183,7 +172,7 @@ def residual_bootstrap(
     centered = base.residuals - np.mean(base.residuals)
     x = dm.matrix
     n = ds.n
-    solver = _chol_solve(x.T @ x, x.T).T
+    solver = spd_solve(x.T @ x, x.T).T
     results = []
     for size, reps in _chunks(B, n):
         y_b = np.tile(base.fitted, (size, 1))

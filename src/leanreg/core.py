@@ -21,6 +21,7 @@ from .exceptions import (
     DataError,
     EmptyInputError,
     ParseError,
+    SingularSystemError,
 )
 
 __all__ = [
@@ -33,12 +34,15 @@ __all__ = [
     "write_csv",
     "build_design",
     "check_rank",
+    "numerical_rank",
+    "spd_solve",
+    "spd_solve_stack",
 ]
 
 INTERCEPT_LABEL = "(Intercept)"
 
-# Relative rank tolerance: an eigenvalue at or below RANK_RTOL times the
-# largest eigenvalue counts as zero.  Relative, so the test is scale-free.
+# Relative rank tolerance of numerical_rank, applied to the eigenvalues
+# of the column-equilibrated second moment, so it is scale-free.
 RANK_RTOL = 1e-10
 
 
@@ -157,7 +161,11 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class RankReport:
-    """Rank diagnostics of the second-moment matrix (1/n) sum x_i x_i'."""
+    """Rank diagnostics of the second-moment matrix (1/n) sum x_i x_i'.
+
+    The eigenvalues are those of its column-equilibrated form, which
+    :func:`numerical_rank` reads the rank from.
+    """
 
     rank: int
     min_eigenvalue: float
@@ -277,20 +285,89 @@ def build_design(ds: Dataset) -> DesignMatrix:
 
 
 def check_rank(dm: DesignMatrix) -> RankReport:
-    """Rank of (1/n) sum x_i x_i' with the relative tolerance RANK_RTOL.
+    """Rank of (1/n) sum x_i x_i' under the policy of :func:`numerical_rank`.
 
     Degenerate designs are reported, never raised.
     """
-    x = dm.matrix
-    second_moment = (x.T @ x) / x.shape[0]
-    eigs = np.linalg.eigvalsh(second_moment)
-    max_eig = float(eigs[-1])
-    min_eig = float(eigs[0])
-    tol = RANK_RTOL * max_eig
-    rank = int(np.sum(eigs > tol))
+    rank, eigs = numerical_rank(dm.matrix.T @ dm.matrix)
     return RankReport(
-        rank=rank,
-        min_eigenvalue=min_eig,
+        rank=int(rank),
+        min_eigenvalue=float(eigs[0]),
         full_rank=rank == dm.ncol,
-        max_eigenvalue=max_eig,
+        max_eigenvalue=float(eigs[-1]),
     )
+
+
+def numerical_rank(gram: np.ndarray):
+    """``(rank, ascending eigenvalues)`` of a Gram matrix or of each in a stack (m, k, k).
+
+    The package's one rank policy: an eigenvalue of the column-equilibrated
+    matrix ``D^-1/2 G D^-1/2``, ``D = diag(G)``, at or below ``RANK_RTOL``
+    times the largest counts as zero.  Equilibration makes the verdict
+    independent of column units and of positive multiples of ``G``; a zero
+    column makes ``G`` rank deficient.
+    """
+    d = np.diagonal(gram, axis1=-2, axis2=-1)
+    scale = 1.0 / np.sqrt(np.maximum(d, np.finfo(float).tiny))
+    eigs = np.linalg.eigvalsh(gram * scale[..., :, None] * scale[..., None, :])
+    return (eigs > RANK_RTOL * eigs[..., -1:]).sum(axis=-1), eigs
+
+
+def _cholesky_solve(lower: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """``a^-1 b`` (``a^-1`` if ``b`` is None) from the Cholesky factor(s) of ``a``."""
+    # Substitution with L, then with L'.  LAPACK's LU of a triangular
+    # matrix with a positive diagonal never swaps rows and has exact
+    # zero multipliers, so each solve is plain substitution, matrix by
+    # matrix; reversing rows and columns makes L upper triangular.
+    vector = b is not None and b.ndim == lower.ndim - 1
+    rhs = np.eye(lower.shape[-1]) if b is None else (b[..., None] if vector else b)
+    y = np.linalg.solve(lower[..., ::-1, ::-1], rhs[..., ::-1, :])[..., ::-1, :]
+    if b is None:
+        return np.swapaxes(y, -1, -2) @ y  # L^-T L^-1
+    z = np.linalg.solve(np.swapaxes(lower, -1, -2), y)
+    return z[..., 0] if vector else z
+
+
+def spd_solve(a: np.ndarray, b: np.ndarray | None = None, what: str = "normal-equation matrix"):
+    """Cholesky solve ``a z = b`` for one symmetric positive-definite ``a``.
+
+    ``b`` is a vector or a matrix; when it is None, ``a^-1`` is returned.
+    Raises :class:`SingularSystemError`, naming ``what``, when ``a`` is
+    not positive definite.
+    """
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        min_eig = float(numerical_rank(a)[1][0])
+        raise SingularSystemError(
+            f"{what} is not positive definite: smallest equilibrated eigenvalue {min_eig:.3e}",
+            min_eigenvalue=min_eig,
+        ) from None
+    return _cholesky_solve(lower, b)
+
+
+def _is_spd(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def spd_solve_stack(a: np.ndarray, b: np.ndarray, rows: np.ndarray):
+    """:func:`spd_solve` for the rows of a stack ``a`` (m, k, k), ``b`` (m, k) selected by ``rows``.
+
+    Returns ``(z, solved)``: ``solved[r]`` says that row r was selected
+    and that ``a[r]`` passed LAPACK's Cholesky test, applied matrix by
+    matrix so that no row's verdict depends on another's.  Other rows
+    are solved against the identity; their ``z`` is meaningless.
+    """
+    eye = np.eye(a.shape[-1])
+    a = np.where(rows[:, None, None], a, eye)
+    try:
+        lower = np.linalg.cholesky(a)
+        solved = rows.copy()
+    except np.linalg.LinAlgError:
+        solved = rows & np.array([_is_spd(matrix) for matrix in a])
+        lower = np.linalg.cholesky(np.where(solved[:, None, None], a, eye))
+    return _cholesky_solve(lower, b), solved

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .core import spd_solve
 from .exceptions import (
     ColumnError,
     DegreesOfFreedomError,
     DimensionError,
-    SingularSystemError,
 )
 from .fitting import FitResult
 
@@ -60,41 +60,28 @@ class CovarianceEstimate:
         return np.sqrt(np.maximum(np.diag(self.matrix), 0.0))
 
 
-def _inverse_spd(a: np.ndarray, what: str) -> np.ndarray:
-    try:
-        lower = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvalsh(a)
-        raise SingularSystemError(
-            f"{what} is singular: smallest eigenvalue {eigs[0]:.3e}",
-            min_eigenvalue=float(eigs[0]),
-        ) from None
-    inv = np.linalg.inv(lower)
-    return inv.T @ inv
-
-
-def _hessian_weights(fit: FitResult) -> np.ndarray:
-    return fit.family.variance_fn(fit.fitted)
+def _information(fit: FitResult) -> np.ndarray:
+    """sum_i v(mu_i) x_i x_i', the summed Hessian of the family loss."""
+    x = fit.design.matrix
+    return (x.T * fit.family.variance_fn(fit.fitted)) @ x
 
 
 def conventional_cov(fit: FitResult) -> CovarianceEstimate:
-    """Model-trusting covariance of beta_hat.
+    """Model-trusting covariance of beta_hat: phi * (sum v(mu_i) x x')^-1.
 
-    OLS: sigma2_hat * (sum x x')^-1 with sigma2_hat = SSE/(n-p-1).
-    GLM: inverse expected information (sum v(mu_i) x x')^-1.
+    The dispersion phi is SSE/(n-p-1) for OLS (where v = 1) and 1 for a
+    GLM, whose covariance is then the inverse expected information.
     """
     x = fit.design.matrix
     n, k = x.shape
-    if fit.family.tag == "gaussian-identity":
+    dispersion = 1.0
+    if fit.family.estimates_dispersion:
         if n <= k:
             raise DegreesOfFreedomError(
                 f"conventional OLS variance needs n > p+1 (n={n}, p+1={k})"
             )
-        sigma2 = float(fit.residuals @ fit.residuals) / (n - k)
-        cov = sigma2 * _inverse_spd(x.T @ x, "second-moment matrix")
-    else:
-        w = _hessian_weights(fit)
-        cov = _inverse_spd((x.T * w) @ x, "expected-information matrix")
+        dispersion = float(fit.residuals @ fit.residuals) / (n - k)
+    cov = dispersion * spd_solve(_information(fit), what="expected-information matrix")
     return CovarianceEstimate(matrix=cov, method="conventional", n=n)
 
 
@@ -108,14 +95,10 @@ def sandwich_cov(fit: FitResult) -> CovarianceEstimate:
     """
     x = fit.design.matrix
     n = x.shape[0]
-    if fit.family.tag == "gaussian-identity":
-        bread = (x.T @ x) / n
-    else:
-        w = _hessian_weights(fit)
-        bread = (x.T * w) @ x / n
+    bread = _information(fit) / n
     scores = x * fit.residuals[:, None]  # row i is (y_i - mu_i) x_i
     meat = (scores.T @ scores) / n
-    bread_inv = _inverse_spd(bread, "bread matrix")
+    bread_inv = spd_solve(bread, what="bread matrix")
     cov = bread_inv @ meat @ bread_inv / n
     cov = (cov + cov.T) / 2.0
     return CovarianceEstimate(matrix=cov, method="sandwich", n=n)

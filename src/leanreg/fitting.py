@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import linalg as sla
 from scipy.special import expit
 
-from .core import RANK_RTOL, Dataset, DesignMatrix, build_design, check_rank
+from .core import Dataset, DesignMatrix, build_design, numerical_rank, spd_solve, spd_solve_stack
 from .exceptions import (
     CoefficientIndexError,
     ConvergenceError,
@@ -57,24 +56,106 @@ WEIGHT_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class Family:
-    """Working-model family: tag, mean map, and variance function.
+    """Working-model family: every formula in which working models differ.
 
-    ``inverse_link`` maps the linear predictor to the mean scale;
-    ``variance_fn`` maps the mean to the curvature weight used by the
-    Newton step (and by the conventional covariance).
+    ``inverse_link`` maps the linear predictor to the mean, and
+    ``variance_fn`` the mean to the curvature weight of the Newton step
+    and both covariances; ``deviance(mu, y)`` is the fitted deviance (the
+    SSE for gaussian).  ``closed_form``: the loss is quadratic and the
+    normal equations minimize it exactly.  ``estimates_dispersion``: the
+    conventional covariance scales by SSE/(n-p-1).  The other fields
+    serve the Newton iterations: ``outside_support(y)`` masks responses
+    the likelihood cannot take (rejected with ``support_message``);
+    ``loss_change(t, mu, delta, y)`` is ``loss(t + delta) - loss(t)``
+    given the mean ``mu`` at ``t``; ``start(ybar)`` is the starting
+    intercept; ``weight_floor`` and ``separation_bound``, if set, floor
+    zero weights of a singular system and cap ``|beta|_inf``.
     """
 
     tag: str
     inverse_link: Callable[[np.ndarray], np.ndarray]
     variance_fn: Callable[[np.ndarray], np.ndarray]
+    deviance: Callable[[np.ndarray, np.ndarray], float]
+    closed_form: bool = False
+    estimates_dispersion: bool = False
+    outside_support: Callable[[np.ndarray], np.ndarray] | None = None
+    support_message: str = ""
+    loss_change: Callable[..., np.ndarray] | None = None
+    start: Callable[[np.ndarray], np.ndarray] = np.zeros_like
+    weight_floor: float | None = None
+    separation_bound: float | None = None
 
     def __repr__(self):
         return f"Family({self.tag!r})"
 
 
-GAUSSIAN = Family("gaussian-identity", lambda t: t, lambda mu: np.ones_like(mu))
-BERNOULLI = Family("bernoulli-logit", expit, lambda mu: mu * (1.0 - mu))
-POISSON = Family("poisson-log", np.exp, lambda mu: mu)
+def _softplus(t: np.ndarray) -> np.ndarray:
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+
+# The loss changes are computed from the step ``delta`` itself, not as
+# two losses subtracted, so their sign holds even when the change is far
+# below the rounding error of the losses: near the optimum a Newton step
+# lowers the objective by far less than that, and a difference of
+# rounded objectives would accept or halve the step at random.
+
+
+def _poisson_loss_change(t, mu, delta, y):
+    return mu * np.expm1(delta) - delta * y
+
+
+def _logit_loss_change(t, mu, delta, y):
+    # softplus(t + delta) - softplus(t) = log1p(mu * expm1(delta)); for
+    # large |delta| the direct difference is accurate and cannot overflow.
+    far = np.abs(delta) > 1.0
+    if not far.any():
+        return np.log1p(mu * np.expm1(delta)) - delta * y
+    change = np.log1p(mu * np.expm1(np.clip(delta, -1.0, 1.0)))
+    change[far] = _softplus(t[far] + delta[far]) - _softplus(t[far])
+    return change - delta * y
+
+
+def _logit_deviance(mu, y) -> float:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(y == 1.0, -np.log(mu), -np.log1p(-mu))
+    return float(2.0 * np.sum(terms))
+
+
+def _poisson_deviance(mu, y) -> float:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ylogy = np.where(y > 0, y * np.log(y / mu), 0.0)
+    return float(2.0 * np.sum(ylogy - (y - mu)))
+
+
+GAUSSIAN = Family(
+    "gaussian-identity",
+    inverse_link=lambda t: t,
+    variance_fn=np.ones_like,
+    deviance=lambda mu, y: float(np.sum((y - mu) ** 2)),
+    closed_form=True,
+    estimates_dispersion=True,
+)
+BERNOULLI = Family(
+    "bernoulli-logit",
+    inverse_link=expit,
+    variance_fn=lambda mu: mu * (1.0 - mu),
+    deviance=_logit_deviance,
+    outside_support=lambda y: ~((y == 0.0) | (y == 1.0)),
+    support_message="bernoulli-logit requires a response coded exactly 0/1",
+    loss_change=_logit_loss_change,
+    weight_floor=WEIGHT_FLOOR,
+    separation_bound=SEPARATION_BOUND,
+)
+POISSON = Family(
+    "poisson-log",
+    inverse_link=np.exp,
+    variance_fn=lambda mu: mu,
+    deviance=_poisson_deviance,
+    outside_support=lambda y: (y < 0) | (y != np.floor(y)),
+    support_message="poisson-log requires nonnegative integer counts",
+    loss_change=_poisson_loss_change,
+    start=lambda ybar: np.log(ybar + 0.5),
+)
 
 _FAMILIES = {
     "gaussian-identity": GAUSSIAN,
@@ -148,25 +229,10 @@ class FitResult:
 
 def _rank_error(min_eigenvalue: float) -> SingularSystemError:
     return SingularSystemError(
-        "design matrix is rank deficient: smallest second-moment "
-        f"eigenvalue {min_eigenvalue:.3e}",
+        "design matrix is rank deficient: smallest equilibrated "
+        f"second-moment eigenvalue {min_eigenvalue:.3e}",
         min_eigenvalue=min_eigenvalue,
     )
-
-
-def _require_full_rank(dm: DesignMatrix):
-    report = check_rank(dm)
-    if not report.full_rank:
-        raise _rank_error(report.min_eigenvalue)
-    return report
-
-
-def _chol_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        c = sla.cho_factor(a, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise SingularSystemError(f"normal-equation matrix not positive definite: {exc}") from None
-    return sla.cho_solve(c, b, check_finite=False)
 
 
 def fit_ols(dm: DesignMatrix, y: np.ndarray) -> FitResult:
@@ -178,15 +244,18 @@ def fit_ols(dm: DesignMatrix, y: np.ndarray) -> FitResult:
     y = np.asarray(y, dtype=float)
     if y.shape[0] != dm.n:
         raise DimensionError(f"response length {y.shape[0]} != design rows {dm.n}")
-    _require_full_rank(dm)
+    x = dm.matrix
+    gram = x.T @ x
+    rank, eigs = numerical_rank(gram)
+    if rank < dm.ncol:
+        raise _rank_error(float(eigs[0]))
     if dm.n <= dm.ncol:
         warnings.warn(
             f"n={dm.n} observations for {dm.ncol} coefficients: "
             "variance estimates will be unreliable",
             stacklevel=2,
         )
-    x = dm.matrix
-    beta = _chol_solve(x.T @ x, x.T @ y)
+    beta = spd_solve(gram, x.T @ y)
     fitted = x @ beta
     resid = y - fitted
     return FitResult(
@@ -203,86 +272,8 @@ def fit_ols(dm: DesignMatrix, y: np.ndarray) -> FitResult:
     )
 
 
-_SUPPORT_MESSAGES = {
-    "bernoulli-logit": "bernoulli-logit requires a response coded exactly 0/1",
-    "poisson-log": "poisson-log requires nonnegative integer counts",
-}
-
-
 def _not_positive_definite() -> SingularSystemError:
     return SingularSystemError("normal-equation matrix not positive definite")
-
-
-def _outside_support(family: Family, y: np.ndarray) -> np.ndarray:
-    """Mask of responses the (bernoulli or poisson) likelihood cannot take."""
-    if family.tag == "bernoulli-logit":
-        return ~((y == 0.0) | (y == 1.0))
-    return (y < 0) | (y != np.floor(y))
-
-
-def _softplus(t: np.ndarray) -> np.ndarray:
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-
-
-def _loss_change(family: Family, t, mu, delta, y) -> np.ndarray:
-    """Per-observation loss change ``loss(t + delta) - loss(t)``; ``mu`` is the mean at ``t``.
-
-    Computed from the step ``delta`` itself, not as two losses
-    subtracted, so its sign holds even when the change is far below the
-    rounding error of the losses: near the optimum a Newton step lowers
-    the objective by far less than that, and a difference of rounded
-    objectives would accept or halve the step at random.
-    """
-    if family.tag == "poisson-log":
-        return mu * np.expm1(delta) - delta * y
-    # softplus(t + delta) - softplus(t) = log1p(mu * expm1(delta)); for
-    # large |delta| the direct difference is accurate and cannot overflow.
-    far = np.abs(delta) > 1.0
-    if not far.any():
-        return np.log1p(mu * np.expm1(delta)) - delta * y
-    change = np.log1p(mu * np.expm1(np.clip(delta, -1.0, 1.0)))
-    change[far] = _softplus(t[far] + delta[far]) - _softplus(t[far])
-    return change - delta * y
-
-
-def _deviance(family: Family, mu: np.ndarray, y: np.ndarray) -> float:
-    if family.tag == "bernoulli-logit":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(y == 1.0, -np.log(mu), -np.log1p(-mu))
-        return float(2.0 * np.sum(terms))
-    if family.tag == "poisson-log":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ylogy = np.where(y > 0, y * np.log(y / mu), 0.0)
-        return float(2.0 * np.sum(ylogy - (y - mu)))
-    return float(np.sum((y - mu) ** 2))
-
-
-def _is_spd(a: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _stacked_spd_solve(a: np.ndarray, b: np.ndarray, rows: np.ndarray):
-    """Solve ``a[r] z[r] = b[r]`` for the selected rows of a stack.
-
-    Returns ``(z, solved)``.  ``solved[r]`` says that row r was selected
-    and that ``a[r]`` passed LAPACK's Cholesky test for positive
-    definiteness, applied matrix by matrix so that no row's verdict
-    depends on another's.  Other rows are solved against the identity;
-    their ``z`` is meaningless.
-    """
-    eye = np.eye(a.shape[-1])
-    a = np.where(rows[:, None, None], a, eye)
-    try:
-        np.linalg.cholesky(a)
-        solved = rows.copy()
-    except np.linalg.LinAlgError:
-        solved = rows & np.array([_is_spd(matrix) for matrix in a])
-        a = np.where(solved[:, None, None], a, eye)
-    return np.linalg.solve(a, b[..., None])[..., 0], solved
 
 
 def outer_rows(x: np.ndarray) -> np.ndarray:
@@ -320,10 +311,10 @@ def fit_weighted(
     All-ones weights give the sample fit; multinomial counts give the
     refit on a resample that repeats observation i ``w[r, i]`` times.
     Every row gets what a single fit gets: the rank check of its
-    weighted second-moment matrix under ``RANK_RTOL``, the support check
-    of the responses it uses, then an exact solve (gaussian) or Newton
-    iterations from the usual start value with step halving, the logit
-    separation bound and the convergence test of :func:`fit_glm`.
+    weighted second-moment matrix, the support check of the responses
+    it uses, then an exact solve (gaussian) or Newton iterations from
+    the usual start value with step halving, the logit separation bound
+    and the convergence test of :func:`fit_glm`.
 
     ``outer`` is :func:`outer_rows` of ``x``, for callers that reuse it.
     All rows share each matrix product, so row r's result depends only
@@ -341,22 +332,22 @@ def fit_weighted(
     if outer is None:
         outer = outer_rows(x)
     gram = (w @ outer).reshape(m, k, k)
-    eigs = np.linalg.eigvalsh(gram / wsum[:, None, None])
+    rank, eigs = numerical_rank(gram)
     errors: list = [None] * m
-    for r in np.flatnonzero(np.sum(eigs > RANK_RTOL * eigs[:, -1:], axis=1) < k):
+    for r in np.flatnonzero(rank < k):
         errors[r] = _rank_error(float(eigs[r, 0]))
-    if family.tag == "gaussian-identity":
+    if family.closed_form:
         active = np.array([e is None for e in errors])
-        beta, solved = _stacked_spd_solve(gram, (w * y) @ x, active)
+        beta, solved = spd_solve_stack(gram, (w * y) @ x, active)
         for r in np.flatnonzero(active & ~solved):
             errors[r] = _not_positive_definite()
         return WeightedFits(beta, tuple(errors), np.ones(m, dtype=int), np.zeros(m))
 
-    outside = _outside_support(family, y)
+    outside = family.outside_support(y)
     if outside.any():
         for r in np.flatnonzero(np.any(w[:, outside] > 0, axis=1)):
             if errors[r] is None:
-                errors[r] = FamilyError(_SUPPORT_MESSAGES[family.tag])
+                errors[r] = FamilyError(family.support_message)
     active = np.array([e is None for e in errors])
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -373,7 +364,6 @@ def _newton(x, y, w, wsum, outer, family, opts, active, errors):
     """
     m, n = w.shape
     k = x.shape[1]
-    logit = family.tag == "bernoulli-logit"
     xt = np.ascontiguousarray(x.T)
     # Unused observations get linear predictor 0: a single fit never
     # evaluates them, so they must not overflow or turn 0 * inf into NaN.
@@ -391,8 +381,7 @@ def _newton(x, y, w, wsum, outer, family, opts, active, errors):
     everyone = np.arange(m)
     score_scale = np.maximum(1.0, np.sum(w * np.abs(y), axis=1) / wsum)
     beta = np.zeros((m, k))
-    if family.tag == "poisson-log":
-        beta[:, 0] = np.log(np.sum(w * y, axis=1) / wsum + 0.5)
+    beta[:, 0] = family.start(np.sum(w * y, axis=1) / wsum)
     t = linear_predictor(beta, everyone)
     mu = family.inverse_link(t)
     # Whether each row's objective is finite (a poisson mean can overflow).
@@ -409,17 +398,17 @@ def _newton(x, y, w, wsum, outer, family, opts, active, errors):
         v[live] = family.variance_fn(mu[live])
         hessian = ((w * v) @ outer).reshape(m, k, k) / wsum[:, None, None]
         grad = scores / wsum[:, None]
-        direction, solved = _stacked_spd_solve(hessian, grad, active)
+        direction, solved = spd_solve_stack(hessian, grad, active)
         retry = active & ~solved
-        if logit and retry.any():
+        if family.weight_floor is not None and retry.any():
             # mu saturated to exactly 0/1 on enough points to break the
             # solve; floor those weights just enough to keep the system
             # solvable.  Flooring is deliberately a last resort: an
             # unconditional floor damps divergence so much that the
             # separation bound below would never be reached.
-            v = np.where(v <= 0.0, WEIGHT_FLOOR, v)
+            v = np.where(v <= 0.0, family.weight_floor, v)
             hessian = ((w * v) @ outer).reshape(m, k, k) / wsum[:, None, None]
-            floored, rescued = _stacked_spd_solve(hessian, grad, retry)
+            floored, rescued = spd_solve_stack(hessian, grad, retry)
             direction[rescued] = floored[rescued]
             solved |= rescued
         for r in np.flatnonzero(active & ~solved):
@@ -437,7 +426,7 @@ def _newton(x, y, w, wsum, outer, family, opts, active, errors):
         pending = live
         for _ in range(MAX_HALVINGS + 1):
             move = step[:, None] * direction
-            change = _loss_change(family, t[pending], mu[pending], linear_predictor(move, pending), y)
+            change = family.loss_change(t[pending], mu[pending], linear_predictor(move, pending), y)
             change = np.sum(w[pending] * change, axis=1) / wsum[pending]
             candidate[pending] = beta[pending] + move[pending]
             rejected = ~((change <= 0.0) | ~finite[pending])
@@ -457,12 +446,12 @@ def _newton(x, y, w, wsum, outer, family, opts, active, errors):
         score_norm[live] = np.max(np.abs(scores[live]), axis=1) / wsum[live]
         iterations[live] = it
 
-        if logit:
-            separated = active & (np.max(np.abs(beta), axis=1) > SEPARATION_BOUND)
+        if family.separation_bound is not None:
+            separated = active & (np.max(np.abs(beta), axis=1) > family.separation_bound)
             for r in np.flatnonzero(separated):
                 errors[r] = SeparationError(
                     "quasi-separation detected: |beta|_inf exceeded "
-                    f"{SEPARATION_BOUND} on the logit scale",
+                    f"{family.separation_bound} on the logit scale",
                     last_beta=beta[r].copy(),
                     score_norm=float(score_norm[r]),
                     iterations=it,
@@ -526,7 +515,7 @@ def fit_glm(
         linear_predictor=t,
         converged=True,
         iterations=int(fits.iterations[0]),
-        deviance_or_sse=_deviance(family, mu, y),
+        deviance_or_sse=family.deviance(mu, y),
         design=dm,
         y=y,
         score_norm=float(fits.score_norm[0]),
@@ -536,7 +525,7 @@ def fit_glm(
 def fit_dataset(ds: Dataset, family: Family = GAUSSIAN, opts: FitOptions = FitOptions()) -> FitResult:
     """Convenience front end: build the design and dispatch by family."""
     dm = build_design(ds)
-    if family.tag == "gaussian-identity":
+    if family.closed_form:
         return fit_ols(dm, ds.response)
     return fit_glm(dm, ds.response, family, opts)
 
@@ -560,7 +549,7 @@ def exp_coef(fit: FitResult, j: int, delta: float = 1.0) -> float:
     Only meaningful for the log link, where coefficients act as
     multipliers of the mean count.
     """
-    if fit.family.tag != "poisson-log":
+    if fit.family is not POISSON:
         raise FamilyError(
             f"exponentiated-coefficient multipliers require the poisson-log "
             f"family, not {fit.family.tag!r}"

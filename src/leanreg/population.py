@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .core import Dataset
+from .core import Dataset, numerical_rank, spd_solve
 from .covariance import conventional_cov, sandwich_cov
 from .exceptions import (
     CollinearPopulationError,
@@ -31,7 +31,7 @@ from .exceptions import (
     LeanRegError,
     PopulationSchemaError,
 )
-from .fitting import GAUSSIAN, Family, fit_dataset
+from .fitting import GAUSSIAN, fit_dataset
 from .rng import spawn_seed, substream
 
 __all__ = [
@@ -258,17 +258,17 @@ def population_beta(pop: DiscretePopulation) -> np.ndarray:
     """Best-approximation coefficients E[x x']^-1 E[x mu(x)] by exact sums.
 
     Mean-zero noise drops out of E[x y], so only the response surface
-    enters.
+    enters.  Singularity is judged by :func:`~leanreg.core.numerical_rank`.
     """
     b = pop.second_moment()
-    eigs = np.linalg.eigvalsh(b)
-    if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
+    rank, eigs = numerical_rank(b)
+    if rank < b.shape[0]:
         raise CollinearPopulationError(
             f"population second-moment matrix is singular "
-            f"(smallest eigenvalue {eigs[0]:.3e})"
+            f"(smallest equilibrated eigenvalue {eigs[0]:.3e})"
         )
     target = (pop.support.T * pop.probs) @ pop.mu_values
-    return np.linalg.solve(b, target)
+    return spd_solve(b, target, what="population second moment")
 
 
 @dataclass(frozen=True)
@@ -445,9 +445,8 @@ def coverage_experiment(
     level: float = 0.95,
     B: int | None = None,
     seed: int = 0,
-    family: Family = GAUSSIAN,
 ) -> list[CoverageResult]:
-    """Monte Carlo check that CIs cover the population coefficients.
+    """Monte Carlo check that OLS CIs cover :func:`population_beta`.
 
     For each replication: sample n observations, fit the working model,
     form beta_hat_j +- z * SE_j per method, and record whether the
@@ -478,7 +477,7 @@ def coverage_experiment(
     def replicate(r):
         ds = sample(pop, n, seed, rng=substream(seed, 0, r))
         try:
-            fit = fit_dataset(ds, family)
+            fit = fit_dataset(ds)
             ses = {}
             for m in methods:
                 if m == "conventional":
@@ -486,7 +485,7 @@ def coverage_experiment(
                 elif m == "sandwich":
                     ses[m] = sandwich_cov(fit).standard_errors()
                 elif m == "xy-bootstrap":
-                    draws = xy_bootstrap(ds, family, B, spawn_seed(seed, 1, r))
+                    draws = xy_bootstrap(ds, GAUSSIAN, B, spawn_seed(seed, 1, r))
                     ses[m] = bootstrap_se(draws)
                 else:
                     draws = residual_bootstrap(ds, B, spawn_seed(seed, 2, r))
@@ -541,14 +540,15 @@ def coverage_experiment(
 def population_sandwich_av(pop: DiscretePopulation) -> np.ndarray:
     """Exact asymptotic sandwich covariance B^-1 M B^-1 (per observation)."""
     dec = decompose(pop)
-    b_inv = np.linalg.inv(pop.second_moment())
+    b_inv = spd_solve(pop.second_moment(), what="population second moment")
     return b_inv @ dec.moments["E_delta2_XX"] @ b_inv
 
 
 def population_conventional_av(pop: DiscretePopulation) -> np.ndarray:
     """Homoskedasticity-pooled asymptotic covariance sigma_delta^2 B^-1."""
     dec = decompose(pop)
-    return dec.moments["sigma_delta2"] * np.linalg.inv(pop.second_moment())
+    b_inv = spd_solve(pop.second_moment(), what="population second moment")
+    return dec.moments["sigma_delta2"] * b_inv
 
 
 def normal_quadrature_law(points: int, mean: float = 0.0, sd: float = 1.0):

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, DesignMatrix, build_design
+from .core import Dataset, DesignMatrix, build_design, spd_solve
 from .exceptions import (
     DataError,
     DimensionError,
@@ -30,7 +29,7 @@ from .exceptions import (
     SingularSystemError,
     ZeroScaleError,
 )
-from .fitting import FitResult, fit_ols
+from .fitting import GAUSSIAN, FitResult, fit_ols
 from .rng import substream
 
 __all__ = [
@@ -45,20 +44,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PredictionBand:
-    """Fitted interval family: coefficients, scale, leverage kernel, K.
-
-    ``mean_fn`` maps the linear predictor to the response scale; it is
-    the identity for the OLS working model and the inverse link when
-    the opt-in GLM extension is used, keeping interval centers on the
-    same scale as the calibrated multipliers.
-    """
+    """Fitted OLS interval family: coefficients, scale, leverage kernel, K."""
 
     K: float
     sigma_hat: float
     xtx_inverse: np.ndarray  # (sum x_i x_i')^-1, unnormalized
     beta_hat: np.ndarray
     alpha: float
-    mean_fn: Callable | None = None
 
     def __post_init__(self):
         if self.K < 0:
@@ -66,22 +58,9 @@ class PredictionBand:
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must be in (0, 1), got {self.alpha}")
 
-    def center(self, linear: np.ndarray):
-        return linear if self.mean_fn is None else self.mean_fn(linear)
-
     def half_width(self, x: np.ndarray) -> float:
         lev = 1.0 + float(x @ self.xtx_inverse @ x)
         return self.K * self.sigma_hat * lev
-
-    def with_K(self, K: float) -> "PredictionBand":
-        return PredictionBand(
-            K=K,
-            sigma_hat=self.sigma_hat,
-            xtx_inverse=self.xtx_inverse,
-            beta_hat=self.beta_hat,
-            alpha=self.alpha,
-            mean_fn=self.mean_fn,
-        )
 
 
 def interval(band: PredictionBand, x) -> tuple[float, float]:
@@ -89,7 +68,7 @@ def interval(band: PredictionBand, x) -> tuple[float, float]:
     x = np.asarray(x, dtype=float)
     if x.shape != band.beta_hat.shape:
         raise DimensionError(f"point has shape {x.shape}, expected {band.beta_hat.shape}")
-    center = float(band.center(x @ band.beta_hat))
+    center = float(x @ band.beta_hat)
     half = band.half_width(x)
     return (center - half, center + half)
 
@@ -97,19 +76,19 @@ def interval(band: PredictionBand, x) -> tuple[float, float]:
 def _ols_scale_and_kernel(fit: FitResult):
     x = fit.design.matrix
     n, k = x.shape
-    if fit.family.tag == "gaussian-identity":
-        if n <= k:
-            raise DomainError("sigma_hat needs n > p+1 observations")
-        sigma2 = float(fit.residuals @ fit.residuals) / (n - k)
-    else:
-        # Artifact extension for GLMs (off by default in calibrate_K):
-        # response-scale RMS residual in place of the OLS estimate.
-        sigma2 = float(fit.residuals @ fit.residuals) / n
-    return math.sqrt(sigma2), np.linalg.inv(x.T @ x)
+    if n <= k:
+        raise DomainError("sigma_hat needs n > p+1 observations")
+    sigma2 = float(fit.residuals @ fit.residuals) / (n - k)
+    return math.sqrt(sigma2), spd_solve(x.T @ x)
 
 
 def make_band(fit: FitResult, alpha: float, K: float = 0.0) -> PredictionBand:
-    """Assemble the interval family for a fit (K to be calibrated)."""
+    """Assemble the interval family for an OLS fit (K to be calibrated)."""
+    if fit.family is not GAUSSIAN:
+        raise FamilyError(
+            "prediction intervals are defined for the OLS working model only, "
+            f"not {fit.family.tag!r}"
+        )
     sigma_hat, kernel = _ols_scale_and_kernel(fit)
     return PredictionBand(
         K=K,
@@ -117,7 +96,6 @@ def make_band(fit: FitResult, alpha: float, K: float = 0.0) -> PredictionBand:
         xtx_inverse=kernel,
         beta_hat=fit.beta_hat,
         alpha=alpha,
-        mean_fn=None if fit.family.tag == "gaussian-identity" else fit.family.inverse_link,
     )
 
 
@@ -135,38 +113,25 @@ def _order_statistic_K(k_values: np.ndarray, alpha: float) -> float:
     """
     n = k_values.shape[0]
     k_sorted = np.sort(k_values)
+    # covered[i]: the fraction of multipliers <= k_sorted[i].
+    covered = np.searchsorted(k_sorted, k_sorted, side="right") / n
     rank = math.ceil((1.0 - alpha) * n)
     rank = min(max(rank, 1), n)
-    k_hat = float(k_sorted[rank - 1])
-    coverage = float(np.sum(k_values <= k_hat)) / n
-    if coverage > 1.0 - alpha + 1.0 / n:
-        target = 1.0 - alpha - 1.0 / n
-        for candidate in np.unique(k_sorted):
-            if float(np.sum(k_values <= candidate)) / n >= target:
-                return float(candidate)
-    return k_hat
+    if covered[rank - 1] > 1.0 - alpha + 1.0 / n:
+        return float(k_sorted[np.argmax(covered >= 1.0 - alpha - 1.0 / n)])
+    return float(k_sorted[rank - 1])
 
 
-def calibrate_K(
-    fit: FitResult,
-    ds: Dataset,
-    alpha: float,
-    allow_glm: bool = False,
-) -> float:
+def calibrate_K(fit: FitResult, ds: Dataset, alpha: float) -> float:
     """Calibrate the multiplier on the training sample.
 
     Each observation's minimal covering multiplier is
     |y_i - yhat_i| / (sigma_hat * (1 + leverage_i)); the calibrated K
     is their ceil((1-alpha) n)-th smallest value, which pins training
-    coverage to 1 - alpha within 1/n.
+    coverage to 1 - alpha within 1/n.  Defined for OLS fits only.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    if fit.family.tag != "gaussian-identity" and not allow_glm:
-        raise FamilyError(
-            "interval calibration is defined for the OLS working model; "
-            "pass allow_glm=True to use the response-scale extension"
-        )
     band = make_band(fit, alpha)
     if band.sigma_hat == 0.0:
         raise ZeroScaleError(
@@ -252,7 +217,7 @@ def future_coverage(band: PredictionBand, testset: Dataset) -> float:
             f"{band.beta_hat.shape[0] - 1}"
         )
     x = build_design(testset).matrix
-    centers = band.center(x @ band.beta_hat)
+    centers = x @ band.beta_hat
     levs = 1.0 + np.einsum("ij,jk,ik->i", x, band.xtx_inverse, x)
     half = band.K * band.sigma_hat * levs
     inside = np.abs(testset.response - centers) <= half

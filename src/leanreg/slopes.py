@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DesignMatrix
+from .core import DesignMatrix, numerical_rank, spd_solve
 from .exceptions import (
     CoefficientIndexError,
     DomainError,
@@ -72,30 +72,26 @@ def adjust_regressor(dm: DesignMatrix, y, j: int) -> dict:
     """Residualize design column j on all other columns (intercept kept).
 
     Returns {"x_adj": adjusted column, "y_input": y unchanged}.  With a
-    single regressor this reduces to centering.
+    single regressor this reduces to centering.  The design must be of
+    full rank under :func:`~leanreg.core.numerical_rank`, as for the
+    OLS fit whose coefficient the adjustment reproduces.
     """
     if j == 0:
         raise CoefficientIndexError("column 0 is the intercept; adjust a regressor (j >= 1)")
     if not 1 <= j < dm.ncol:
         raise CoefficientIndexError(f"regressor index {j} out of range 1..{dm.ncol - 1}")
     x = dm.matrix
-    others = np.delete(x, j, axis=1)
-    target = x[:, j]
-    gram = others.T @ others
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 1e-10 * max(eigs[-1], 1.0):
+    gram = x.T @ x
+    rank, eigs = numerical_rank(gram)
+    if rank < dm.ncol:
         raise SingularSystemError(
-            "adjustment design is rank deficient after removing column "
-            f"{j} (smallest eigenvalue {eigs[0]:.3e})",
+            f"design is rank deficient, so column {j} cannot be adjusted for the "
+            f"remaining columns (smallest equilibrated eigenvalue {eigs[0]:.3e})",
             min_eigenvalue=float(eigs[0]),
         )
-    coef = np.linalg.solve(gram, others.T @ target)
-    x_adj = target - others @ coef
-    if float(np.max(np.abs(x_adj))) <= 1e-10 * max(1.0, float(np.max(np.abs(target)))):
-        raise SingularSystemError(
-            f"column {j} is collinear with the remaining columns",
-            min_eigenvalue=0.0,
-        )
+    others = np.delete(x, j, axis=1)
+    coef = spd_solve(np.delete(np.delete(gram, j, axis=0), j, axis=1), np.delete(gram[:, j], j))
+    x_adj = x[:, j] - others @ coef
     return {"x_adj": x_adj, "y_input": np.asarray(y, dtype=float)}
 
 

@@ -21,7 +21,6 @@ from leanreg.datasets import CHARGES_COLUMNS
 from leanreg.exceptions import (
     CoefficientIndexError,
     ExcessiveFailureError,
-    FamilyError,
     InsufficientDrawsError,
     LeanRegError,
 )
@@ -257,11 +256,6 @@ class TestResidualBootstrap:
         ds = Dataset([1.0, 2.0, 3.0, 4.0], [[0.0], [1.0], [2.0], [3.0]], ("x",))
         draws = residual_bootstrap(ds, B=30, seed=5)
         assert np.max(np.abs(draws.draws - np.array([1.0, 1.0]))) < 1e-10
-
-    def test_non_gaussian_family_rejected(self):
-        ds = Dataset([0.0, 1.0, 0.0, 1.0], [[-1.0], [-1.0], [1.0], [1.0]], ("x",))
-        with pytest.raises(FamilyError):
-            residual_bootstrap(ds, B=10, seed=0, family=BERNOULLI)
 
     def test_matches_xy_under_correct_specification(self):
         ds = sample(linear_pop(), 1000, seed=23)

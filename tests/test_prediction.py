@@ -139,7 +139,7 @@ class TestCalibrateK:
         with pytest.raises(DomainError):
             calibrate_K(fit, ds, alpha=0.0)
 
-    def test_glm_requires_opt_in(self):
+    def test_glm_fit_rejected(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(100)
         y = np.asarray(rng.poisson(np.exp(0.5 + 0.3 * x)), dtype=float)
@@ -147,12 +147,6 @@ class TestCalibrateK:
         fit = fit_glm(build_design(ds), y, POISSON)
         with pytest.raises(FamilyError):
             calibrate_K(fit, ds, alpha=0.1)
-        k = calibrate_K(fit, ds, alpha=0.1, allow_glm=True)
-        assert k > 0
-        # response-scale coherence: training coverage obeys the order
-        # statistic because interval centers match the calibrated scale
-        cov = future_coverage(make_band(fit, 0.1, K=k), ds)
-        assert 0.9 - 1.0 / 100 <= cov <= 0.9 + 1.0 / 100
 
 
 class TestCvCalibrateK:
