@@ -89,27 +89,38 @@ def _resample(seed: int, b: int, n: int) -> np.ndarray:
     return substream(seed, b).integers(0, n, size=n)
 
 
-def _collect(results, scheme, seed, ncol, labels) -> BootstrapDraws:
-    """Assemble per-replicate results (a draw or the error it raised), in replicate order."""
-    rows = [r for r in results if not isinstance(r, Exception)]
+def tolerate_failures(results, what: str) -> tuple[list, dict]:
+    """Split per-replicate results into the kept ones and failure counts.
+
+    ``results`` holds a value or the typed error each replicate raised,
+    in replicate order.  Returns the kept values, in order, and the
+    failure count per error type.  More than ``FAILURE_THRESHOLD`` of
+    failures raises an error carrying those counts.
+    """
+    kept = [r for r in results if not isinstance(r, Exception)]
     errors = [r for r in results if isinstance(r, Exception)]
     reasons: dict[str, int] = {}
     for e in errors:
         key = type(e).__name__
         reasons[key] = reasons.get(key, 0) + 1
-    b_total = len(results)
-    if len(errors) > FAILURE_THRESHOLD * b_total:
+    if len(errors) > FAILURE_THRESHOLD * len(results):
         raise ExcessiveFailureError(
-            f"{len(errors)} of {b_total} bootstrap replicates failed "
+            f"{len(errors)} of {len(results)} {what} failed "
             f"(threshold {FAILURE_THRESHOLD:.0%})",
             reasons=reasons,
         )
+    return kept, reasons
+
+
+def _collect(results, scheme, seed, ncol, labels) -> BootstrapDraws:
+    """Assemble per-replicate results (a draw or the error it raised), in replicate order."""
+    rows, reasons = tolerate_failures(results, "bootstrap replicates")
     draws = np.asarray(rows, dtype=float).reshape(len(rows), ncol)
     return BootstrapDraws(
         draws=draws,
         scheme=scheme,
         seed=seed,
-        failures=len(errors),
+        failures=len(results) - len(rows),
         failure_reasons=reasons,
         labels=labels,
     )

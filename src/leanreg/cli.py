@@ -60,14 +60,6 @@ def _load_dataset(args):
     return load_csv(_resolve_input(args.input), args.response, regressors)
 
 
-def _add_data_flags(sp):
-    sp.add_argument("--input", required=True, help="CSV file (or bundled dataset name)")
-    sp.add_argument("--response", required=True, help="response column name")
-    sp.add_argument(
-        "--regressors", required=True, help="comma-separated regressor column names"
-    )
-
-
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -142,13 +134,10 @@ def run_diagnostics(args) -> int:
 def run_predict(args) -> int:
     ds = _load_dataset(args)
     fit = fit_dataset(ds)
-    calibration = args.calibration
-    if args.folds is not None and calibration == "train":
-        calibration = f"cv:{args.folds}"
-    if calibration == "train":
+    if args.calibration == "train":
         k_hat = pred.calibrate_K(fit, ds, args.alpha)
     else:
-        folds = int(calibration.split(":", 1)[1])
+        folds = int(args.calibration.split(":", 1)[1])
         k_hat = pred.cv_calibrate_K(ds, args.alpha, folds, args.seed)
     band = pred.make_band(fit, args.alpha, K=k_hat)
 
@@ -166,7 +155,7 @@ def run_predict(args) -> int:
     summary = {
         "K_hat": k_hat,
         "alpha": args.alpha,
-        "calibration": calibration,
+        "calibration": args.calibration,
         "training_coverage": pred.future_coverage(band, ds),
         "sigma_hat": band.sigma_hat,
     }
@@ -328,91 +317,100 @@ def run_slopes(args) -> int:
 # ---------------------------------------------------------------- main
 
 
+def _calibration(value: str) -> str:
+    """Type of ``--calibration``: 'train' or 'cv:K' with integer K."""
+    kind, _, folds = value.partition(":")
+    if value != "train" and (kind != "cv" or not folds.isdigit()):
+        raise argparse.ArgumentTypeError("must be 'train' or 'cv:K' with integer K")
+    return value
+
+
+# Every flag, by name.  A subcommand registers exactly the flags its
+# run_* function reads, so no flag is accepted and then ignored.
+_FLAGS = {
+    "--input": dict(required=True, help="CSV file (or bundled dataset name)"),
+    "--response": dict(required=True, help="response column name"),
+    "--regressors": dict(required=True, help="comma-separated regressor column names"),
+    "--population": dict(required=True, help="population JSON file"),
+    "--n": dict(type=int, default=1000, help="sample size per replication"),
+    "--reps": dict(type=int, default=1000, help="number of replications"),
+    "--methods": dict(
+        default="conventional,sandwich",
+        help="comma list: conventional,sandwich,xy-bootstrap,residual-bootstrap",
+    ),
+    "--family": dict(
+        default="ols",
+        choices=["ols", "logit", "poisson"],
+        help="working-model family (default ols)",
+    ),
+    "--boot": dict(type=int, default=DEFAULT_B, metavar="B",
+                   help=f"bootstrap replicates (default {DEFAULT_B})"),
+    "--seed": dict(type=int, default=DEFAULT_SEED,
+                   help=f"RNG seed (default {DEFAULT_SEED})"),
+    "--alpha": dict(type=float, default=DEFAULT_ALPHA,
+                    help=f"miscoverage/significance level (default {DEFAULT_ALPHA})"),
+    "--format": dict(default="text", choices=["text", "json", "csv"]),
+    "--out": dict(default=None, help="output file (or directory)"),
+    "--calibration": dict(
+        type=_calibration,
+        default="train",
+        help="'train' or 'cv:K' for K-fold cross-validated calibration",
+    ),
+    "--coef": dict(type=int, default=1, help="coefficient for --pairs-out (default 1)"),
+    "--pairs-out": dict(default=None,
+                        help="write the full pair table (i,j,weight,slope) here"),
+}
+
+_DATA = ("--input", "--response", "--regressors")
+
+# name: (run function, help, flags).  slopes reads no --seed; it is
+# accepted so that one seed argument can be passed to every subcommand.
+_SUBCOMMANDS = {
+    "fit": (
+        run_fit,
+        "fit a working model and report robust SEs",
+        (*_DATA, "--family", "--boot", "--seed", "--alpha", "--format", "--out"),
+    ),
+    "bootstrap": (
+        run_diagnostics,
+        "x-y bootstrap draws and normal-quantile diagnostics",
+        (*_DATA, "--family", "--boot", "--seed", "--out"),
+    ),
+    "predict": (
+        run_predict,
+        "calibrated prediction intervals",
+        (*_DATA, "--seed", "--alpha", "--out", "--calibration"),
+    ),
+    "simulate": (
+        run_simulate,
+        "coverage or regressor-shift experiments on a population file",
+        ("--population", "--n", "--reps", "--methods",
+         "--boot", "--seed", "--alpha", "--format", "--out"),
+    ),
+    "slopes": (
+        run_slopes,
+        "pairwise-slope decomposition of the OLS coefficients",
+        (*_DATA, "--seed", "--format", "--out", "--coef", "--pairs-out"),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leanreg",
         description="Assumption-lean regression with misspecification-robust inference.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp, family=True):
-        if family:
-            sp.add_argument(
-                "--family",
-                default="ols",
-                choices=["ols", "logit", "poisson"],
-                help="working-model family (default ols)",
-            )
-        sp.add_argument("--boot", type=int, default=DEFAULT_B, metavar="B",
-                        help=f"bootstrap replicates (default {DEFAULT_B})")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"RNG seed (default {DEFAULT_SEED})")
-        sp.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
-                        help=f"miscoverage/significance level (default {DEFAULT_ALPHA})")
-        sp.add_argument("--format", default="text", choices=["text", "json", "csv"])
-        sp.add_argument("--out", default=None, help="output file (or directory)")
-
-    sp_fit = sub.add_parser("fit", help="fit a working model and report robust SEs")
-    _add_data_flags(sp_fit)
-    common(sp_fit)
-    sp_fit.set_defaults(func=run_fit)
-
-    sp_boot = sub.add_parser(
-        "bootstrap", help="x-y bootstrap draws and normal-quantile diagnostics"
-    )
-    _add_data_flags(sp_boot)
-    common(sp_boot)
-    sp_boot.set_defaults(func=run_diagnostics)
-
-    sp_pred = sub.add_parser("predict", help="calibrated prediction intervals")
-    _add_data_flags(sp_pred)
-    common(sp_pred, family=False)
-    sp_pred.add_argument(
-        "--calibration",
-        default="train",
-        help="'train' or 'cv:K' for K-fold cross-validated calibration",
-    )
-    sp_pred.add_argument(
-        "--folds", type=int, default=None,
-        help="shorthand for --calibration cv:FOLDS",
-    )
-    sp_pred.set_defaults(func=run_predict)
-
-    sp_sim = sub.add_parser(
-        "simulate", help="coverage or regressor-shift experiments on a population file"
-    )
-    sp_sim.add_argument("--population", required=True, help="population JSON file")
-    sp_sim.add_argument("--n", type=int, default=1000, help="sample size per replication")
-    sp_sim.add_argument("--reps", type=int, default=1000, help="number of replications")
-    sp_sim.add_argument(
-        "--methods",
-        default="conventional,sandwich",
-        help="comma list: conventional,sandwich,xy-bootstrap,residual-bootstrap",
-    )
-    common(sp_sim, family=False)
-    sp_sim.set_defaults(func=run_simulate)
-
-    sp_slopes = sub.add_parser(
-        "slopes", help="pairwise-slope decomposition of the OLS coefficients"
-    )
-    _add_data_flags(sp_slopes)
-    common(sp_slopes, family=False)
-    sp_slopes.add_argument("--coef", type=int, default=1,
-                           help="coefficient for --pairs-out (default 1)")
-    sp_slopes.add_argument("--pairs-out", default=None,
-                           help="write the full pair table (i,j,weight,slope) here")
-    sp_slopes.set_defaults(func=run_slopes)
-
+    for name, (func, help_text, flags) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "predict" and args.calibration != "train":
-        parts = args.calibration.split(":", 1)
-        if parts[0] != "cv" or len(parts) != 2 or not parts[1].isdigit():
-            parser.error("--calibration must be 'train' or 'cv:K' with integer K")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except LeanRegError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,33 +102,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.regressors.shape[1]
-
-    def to_json_dict(self) -> dict:
-        """JSON-ready dict: {response_name, names, response, regressors}."""
-        return {
-            "response_name": self.response_name,
-            "names": list(self.names),
-            "response": self.response.tolist(),
-            "regressors": self.regressors.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Dataset":
-        return cls(
-            response=np.asarray(obj["response"], dtype=float),
-            regressors=np.asarray(obj["regressors"], dtype=float).reshape(
-                len(obj["response"]), len(obj["names"])
-            ),
-            names=tuple(obj["names"]),
-            response_name=obj["response_name"],
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Dataset":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

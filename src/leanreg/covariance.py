@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,9 +180,6 @@ class CoefficientTable:
                 d["se_boot"] = r.se_boot
             rows.append(d)
         return {"rows": rows}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     def to_text(self) -> str:
         """Aligned plain-text table, 4 decimal places."""

@@ -34,7 +34,6 @@ __all__ = [
     "POISSON",
     "family_by_name",
     "FitResult",
-    "FitOptions",
     "fit_ols",
     "fit_glm",
     "fit_weighted",
@@ -45,12 +44,12 @@ __all__ = [
     "exp_coef",
 ]
 
-# IRLS defaults.
+# IRLS settings.
 MAX_ITER = 50
 COEF_TOL = 1e-9          # relative coefficient change
 SCORE_TOL = 1e-7         # scaled mean-score norm
 MAX_HALVINGS = 10
-SEPARATION_BOUND = 30.0  # |beta|_inf beyond which the logit has saturated
+SEPARATION_BOUND = 30.0  # max_i |x_i'beta| beyond which the logit has saturated
 WEIGHT_FLOOR = 1e-10
 
 
@@ -69,7 +68,8 @@ class Family:
     ``loss_change(t, mu, delta, y)`` is ``loss(t + delta) - loss(t)``
     given the mean ``mu`` at ``t``; ``start(ybar)`` is the starting
     intercept; ``weight_floor`` and ``separation_bound``, if set, floor
-    zero weights of a singular system and cap ``|beta|_inf``.
+    zero weights of a singular system and cap the largest absolute
+    linear predictor ``max_i |x_i'beta|`` of the observations used.
     """
 
     tag: str
@@ -176,13 +176,6 @@ def family_by_name(name: str) -> Family:
         raise FamilyError(
             f"unknown family {name!r}; expected one of ols|logit|poisson"
         ) from None
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    max_iter: int = MAX_ITER
-    tol: float = COEF_TOL
-    score_tol: float = SCORE_TOL
 
 
 @dataclass(frozen=True)
@@ -302,7 +295,6 @@ def fit_weighted(
     y: np.ndarray,
     w: np.ndarray,
     family: Family,
-    opts: FitOptions = FitOptions(),
     outer: np.ndarray | None = None,
 ) -> WeightedFits:
     """Fit the working model once per row of the weight matrix ``w``.
@@ -351,11 +343,11 @@ def fit_weighted(
     active = np.array([e is None for e in errors])
 
     with np.errstate(over="ignore", invalid="ignore"):
-        beta, iterations, score_norm = _newton(x, y, w, wsum, outer, family, opts, active, errors)
+        beta, iterations, score_norm = _newton(x, y, w, wsum, outer, family, active, errors)
     return WeightedFits(beta, tuple(errors), iterations, score_norm)
 
 
-def _newton(x, y, w, wsum, outer, family, opts, active, errors):
+def _newton(x, y, w, wsum, outer, family, active, errors):
     """Newton/IRLS for every active row of ``w``; records failures in ``errors``.
 
     Matrix products always take all m rows.  Elementwise work is done
@@ -390,7 +382,7 @@ def _newton(x, y, w, wsum, outer, family, opts, active, errors):
     score_norm = np.max(np.abs(scores), axis=1) / wsum
     iterations = np.zeros(m, dtype=int)
 
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         live = np.flatnonzero(active)
         if not live.size:
             break
@@ -447,26 +439,28 @@ def _newton(x, y, w, wsum, outer, family, opts, active, errors):
         iterations[live] = it
 
         if family.separation_bound is not None:
-            separated = active & (np.max(np.abs(beta), axis=1) > family.separation_bound)
+            # t is zero on unused observations, so this is the largest
+            # |x_i'beta| over the observations the row uses.
+            separated = active & (np.max(np.abs(t), axis=1) > family.separation_bound)
             for r in np.flatnonzero(separated):
                 errors[r] = SeparationError(
-                    "quasi-separation detected: |beta|_inf exceeded "
-                    f"{family.separation_bound} on the logit scale",
+                    "quasi-separation detected: a linear predictor |x_i'beta| "
+                    f"exceeded {family.separation_bound} on the logit scale",
                     last_beta=beta[r].copy(),
                     score_norm=float(score_norm[r]),
                     iterations=it,
                 )
             active = active & ~separated
-        converged = (rel_change < opts.tol) & (score_norm <= opts.score_tol * score_scale)
+        converged = (rel_change < COEF_TOL) & (score_norm <= SCORE_TOL * score_scale)
         active = active & ~converged
 
     for r in np.flatnonzero(active):
         errors[r] = ConvergenceError(
-            f"IRLS did not converge in {opts.max_iter} iterations "
+            f"IRLS did not converge in {MAX_ITER} iterations "
             f"(score norm {score_norm[r]:.3e})",
             last_beta=beta[r].copy(),
             score_norm=float(score_norm[r]),
-            iterations=opts.max_iter,
+            iterations=MAX_ITER,
         )
     return beta, iterations, score_norm
 
@@ -475,14 +469,13 @@ def fit_glm(
     dm: DesignMatrix,
     y: np.ndarray,
     family: Family,
-    opts: FitOptions = FitOptions(),
 ) -> FitResult:
     """Minimize the sample working-model cost by Newton/IRLS.
 
     This is :func:`fit_weighted` with one all-ones weight row.
     Convergence requires both a relative coefficient change below
-    ``opts.tol`` and a mean-score norm ``max_j |sum_i (mu_i - y_i)
-    x_ij| / n`` at or below ``opts.score_tol * max(1, mean|y|)``.
+    ``COEF_TOL`` and a mean-score norm ``max_j |sum_i (mu_i - y_i)
+    x_ij| / n`` at or below ``SCORE_TOL * max(1, mean|y|)``.
     Steps that fail to decrease the objective are halved up to
     ``MAX_HALVINGS`` times.
 
@@ -492,16 +485,17 @@ def fit_glm(
         the design is rank deficient, or a Newton system is not
         positive definite.
     SeparationError
-        bernoulli coefficients diverge past the logit saturation bound.
+        a bernoulli linear predictor ``|x_i'beta|`` diverges past the
+        logit saturation bound.
     ConvergenceError
-        no convergence within ``opts.max_iter``; carries the last
+        no convergence within ``MAX_ITER`` iterations; carries the last
         iterate and its score norm.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[0] != dm.n:
         raise DimensionError(f"response length {y.shape[0]} != design rows {dm.n}")
     x = dm.matrix
-    fits = fit_weighted(x, y, np.ones((1, dm.n)), family, opts)
+    fits = fit_weighted(x, y, np.ones((1, dm.n)), family)
     if fits.errors[0] is not None:
         raise fits.errors[0]
     beta = fits.beta[0]
@@ -522,12 +516,12 @@ def fit_glm(
     )
 
 
-def fit_dataset(ds: Dataset, family: Family = GAUSSIAN, opts: FitOptions = FitOptions()) -> FitResult:
+def fit_dataset(ds: Dataset, family: Family = GAUSSIAN) -> FitResult:
     """Convenience front end: build the design and dispatch by family."""
     dm = build_design(ds)
     if family.closed_form:
         return fit_ols(dm, ds.response)
-    return fit_glm(dm, ds.response, family, opts)
+    return fit_glm(dm, ds.response, family)
 
 
 def predict_mean(fit: FitResult, x) -> float:

@@ -27,7 +27,6 @@ from .covariance import conventional_cov, sandwich_cov
 from .exceptions import (
     CollinearPopulationError,
     DomainError,
-    ExcessiveFailureError,
     LeanRegError,
     PopulationSchemaError,
 )
@@ -53,7 +52,6 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-12
-FAILURE_THRESHOLD = 0.1
 
 NOISE_KINDS = ("none", "gaussian", "two_point", "bernoulli")
 
@@ -457,7 +455,7 @@ def coverage_experiment(
     (seed, 1, r) and (seed, 2, r), so it depends only on (seed, r): not
     on the number of replications.
     """
-    from .bootstrap import bootstrap_se, residual_bootstrap, xy_bootstrap
+    from .bootstrap import bootstrap_se, residual_bootstrap, tolerate_failures, xy_bootstrap
 
     methods = list(methods)
     if not methods:
@@ -467,6 +465,8 @@ def coverage_experiment(
             raise DomainError(f"unknown method {m!r}; expected one of {_COVERAGE_METHODS}")
     if not 0.0 < level < 1.0:
         raise DomainError(f"confidence level must be in (0, 1), got {level}")
+    if replications < 1:
+        raise DomainError(f"replications must be at least 1, got {replications}")
     if any(m.endswith("bootstrap") for m in methods) and not B:
         raise DomainError("bootstrap methods require a replicate count B")
 
@@ -494,32 +494,17 @@ def coverage_experiment(
         except LeanRegError as exc:
             return exc
 
-    results_by_rep = [replicate(r) for r in range(replications)]
-
-    covered = {m: np.zeros(k) for m in methods}
-    width = {m: np.zeros(k) for m in methods}
-    failures: dict[str, int] = {}
-    retained = 0
-    for result in results_by_rep:
-        if isinstance(result, Exception):
-            key = type(result).__name__
-            failures[key] = failures.get(key, 0) + 1
-            continue
-        beta_hat, ses = result
-        retained += 1
-        for m in methods:
-            half = z * ses[m]
-            covered[m] += (np.abs(beta_hat - beta_true) <= half).astype(float)
-            width[m] += 2.0 * half
-
-    n_failed = replications - retained
-    if n_failed > FAILURE_THRESHOLD * replications:
-        raise ExcessiveFailureError(
-            f"{n_failed} of {replications} coverage replications failed",
-            reasons=failures,
-        )
-    if retained == 0:
-        raise ExcessiveFailureError("no coverage replication succeeded", reasons=failures)
+    kept, _ = tolerate_failures(
+        [replicate(r) for r in range(replications)], "coverage replications"
+    )
+    retained = len(kept)
+    beta_hat = np.array([beta for beta, _ in kept])
+    covered, width = {}, {}
+    for m in methods:
+        half = z * np.array([ses[m] for _, ses in kept])
+        covered[m] = np.sum(np.abs(beta_hat - beta_true) <= half, axis=0)
+        # A running total in replication order: np.sum may sum pairwise.
+        width[m] = np.cumsum(2.0 * half, axis=0)[-1]
 
     results = []
     for m in methods:

@@ -10,17 +10,17 @@ stated error rate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .covariance import CoefficientTable
 from .exceptions import ColumnError, DomainError
 
-__all__ = ["MisspecIndicator", "misspec_indicator", "DEFAULT_RATIO_THRESHOLD"]
+__all__ = ["MisspecIndicator", "misspec_indicator", "RATIO_THRESHOLD"]
 
-# Heuristic default: no cutoff comes with the ratio, so the knob is
-# deliberately conservative and documented as such.
-DEFAULT_RATIO_THRESHOLD = 1.5
+# The ratio comes with no natural cutoff; this heuristic one is
+# deliberately conservative.  A ratio outside [1/RATIO_THRESHOLD,
+# RATIO_THRESHOLD] is flagged.
+RATIO_THRESHOLD = 1.5
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class MisspecIndicator:
     flagged: tuple[str, ...]
     decision_reversals: tuple[str, ...]
     level: float
-    ratio_threshold: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -40,17 +39,14 @@ class MisspecIndicator:
             "flagged": list(self.flagged),
             "decision_reversals": list(self.decision_reversals),
             "level": self.level,
-            "ratio_threshold": self.ratio_threshold,
+            "ratio_threshold": RATIO_THRESHOLD,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
     def to_text(self) -> str:
         lines = [
             "Misspecification indicator (indirect evidence, not a test):",
             f"  sandwich/conventional SE ratios "
-            f"(flag outside [{1 / self.ratio_threshold:.3g}, {self.ratio_threshold:.3g}]):",
+            f"(flag outside [{1 / RATIO_THRESHOLD:.3g}, {RATIO_THRESHOLD:.3g}]):",
         ]
         for label, ratio in zip(self.labels, self.ratios):
             mark = "  *" if label in self.flagged else ""
@@ -65,11 +61,7 @@ class MisspecIndicator:
         return "\n".join(lines) + "\n"
 
 
-def misspec_indicator(
-    table: CoefficientTable,
-    level: float = 0.05,
-    ratio_threshold: float = DEFAULT_RATIO_THRESHOLD,
-) -> MisspecIndicator:
+def misspec_indicator(table: CoefficientTable, level: float = 0.05) -> MisspecIndicator:
     """Compare SE columns and flag ratios and significance reversals.
 
     A reversal is ``p_conv < level <= p_sand`` or
@@ -77,8 +69,6 @@ def misspec_indicator(
     """
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
-    if ratio_threshold <= 1.0:
-        raise DomainError("ratio_threshold must exceed 1")
     labels, ratios, flagged, reversals = [], [], [], []
     for row in table.rows:
         if row.se_sand is None or row.se_conv is None:
@@ -89,7 +79,7 @@ def misspec_indicator(
             ratio = row.se_sand / row.se_conv
         labels.append(row.label)
         ratios.append(ratio)
-        if ratio == ratio and (ratio > ratio_threshold or ratio < 1.0 / ratio_threshold):
+        if ratio == ratio and (ratio > RATIO_THRESHOLD or ratio < 1.0 / RATIO_THRESHOLD):
             flagged.append(row.label)
         if (row.p_conv < level <= row.p_sand) or (row.p_sand < level <= row.p_conv):
             reversals.append(row.label)
@@ -99,5 +89,4 @@ def misspec_indicator(
         flagged=tuple(flagged),
         decision_reversals=tuple(reversals),
         level=level,
-        ratio_threshold=ratio_threshold,
     )

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, format parity, reproducibility."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -146,16 +147,6 @@ class TestPredictSubcommand:
         assert code == 0
         assert out.splitlines()[0] == "x,yhat,lower,upper"
 
-    def test_folds_flag_is_cv_shorthand(self, small_csv, tmp_path, capsys):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        base = ["predict", "--input", small_csv, "--response", "y",
-                "--regressors", "x", "--seed", "3"]
-        assert main(base + ["--calibration", "cv:4", "--out", str(out_a)]) == 0
-        assert main(base + ["--folds", "4", "--out", str(out_b)]) == 0
-        assert (out_a / "intervals.csv").read_bytes() == (out_b / "intervals.csv").read_bytes()
-        assert (out_a / "calibration.json").read_bytes() == (out_b / "calibration.json").read_bytes()
-
     def test_bad_calibration_flag_usage_error(self, small_csv):
         with pytest.raises(SystemExit) as exc_info:
             main(["predict", "--input", small_csv, "--response", "y",
@@ -234,6 +225,47 @@ class TestSlopesSubcommand:
         lines = pairs.read_text().splitlines()
         assert lines[0] == "i,j,weight,slope"
         assert len(lines) == 1 + 8 * 7
+
+
+class TestFlagSurface:
+    FLAGS = {
+        "fit": {"--input", "--response", "--regressors",
+                "--family", "--boot", "--seed", "--alpha", "--format", "--out"},
+        "bootstrap": {"--input", "--response", "--regressors",
+                      "--family", "--boot", "--seed", "--out"},
+        "predict": {"--input", "--response", "--regressors",
+                    "--seed", "--alpha", "--out", "--calibration"},
+        "simulate": {"--population", "--n", "--reps", "--methods",
+                     "--boot", "--seed", "--alpha", "--format", "--out"},
+        "slopes": {"--input", "--response", "--regressors",
+                   "--seed", "--format", "--out", "--coef", "--pairs-out"},
+    }
+
+    @pytest.mark.parametrize("subcommand", sorted(FLAGS))
+    def test_help_lists_exactly_the_flags_read(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main([subcommand, "--help"])
+        assert exc_info.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed - {"--help"} == self.FLAGS[subcommand]
+
+    @pytest.mark.parametrize(
+        "subcommand, flag, value",
+        [
+            ("bootstrap", "--alpha", "0.1"),
+            ("bootstrap", "--format", "json"),
+            ("predict", "--boot", "10"),
+            ("predict", "--format", "json"),
+            ("predict", "--folds", "4"),
+            ("slopes", "--boot", "10"),
+            ("slopes", "--alpha", "0.1"),
+        ],
+    )
+    def test_removed_flag_is_usage_error(self, small_csv, subcommand, flag, value):
+        with pytest.raises(SystemExit) as exc_info:
+            main([subcommand, "--input", small_csv, "--response", "y",
+                  "--regressors", "x", flag, value])
+        assert exc_info.value.code == 2
 
 
 class TestConsoleEntry:

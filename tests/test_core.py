@@ -104,13 +104,6 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match="finite"):
             Dataset([np.inf], [[1.0]], names=("x",))
 
-    def test_json_round_trip(self):
-        ds = Dataset([1.0, 2.0], [[3.0], [4.0]], names=("x",), response_name="z")
-        ds2 = Dataset.from_json(ds.to_json())
-        assert np.array_equal(ds.response, ds2.response)
-        assert np.array_equal(ds.regressors, ds2.regressors)
-        assert ds2.names == ("x",) and ds2.response_name == "z"
-
     def test_immutable(self):
         ds = Dataset([1.0], [[2.0]], names=("x",))
         with pytest.raises(ValueError):

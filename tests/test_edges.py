@@ -9,7 +9,7 @@ from leanreg.bootstrap import _collect, xy_bootstrap
 from leanreg.cli import main
 from leanreg.core import Dataset, build_design
 from leanreg.covariance import coefficient_table, conventional_cov, sandwich_cov
-from leanreg.exceptions import ExcessiveFailureError, SingularSystemError
+from leanreg.exceptions import DomainError, ExcessiveFailureError, SingularSystemError
 from leanreg.fitting import GAUSSIAN, fit_ols
 from leanreg.population import (
     coverage_experiment,
@@ -69,6 +69,25 @@ class TestCoverageExclusion:
             coverage_experiment(
                 pop, n=8, replications=200, methods=["sandwich"], level=0.9, seed=13
             )
+
+
+class TestCoverageReplicationCount:
+    def test_zero_replications_rejected(self, tmp_path, capsys):
+        pop = {
+            "support": [[-1.0], [1.0]],
+            "probs": [0.5, 0.5],
+            "mu": {"kind": "polynomial", "coefficients": [0.0, 1.0]},
+            "noise": {"kind": "gaussian", "sigma": 1.0},
+        }
+        with pytest.raises(DomainError, match="replications must be at least 1, got 0"):
+            coverage_experiment(
+                make_population(pop["support"], pop["probs"], pop["mu"], pop["noise"]),
+                n=10, replications=0, methods=["sandwich"],
+            )
+        path = tmp_path / "pop.json"
+        path.write_text(json.dumps(pop))
+        assert main(["simulate", "--population", str(path), "--reps", "0"]) == 1
+        assert "replications must be at least 1, got 0" in capsys.readouterr().err
 
 
 class TestPopulationFileCorners:

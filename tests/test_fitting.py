@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from leanreg import fitting
 from leanreg.core import Dataset, DesignMatrix, build_design
 from leanreg.exceptions import (
     CoefficientIndexError,
@@ -17,7 +18,6 @@ from leanreg.fitting import (
     BERNOULLI,
     GAUSSIAN,
     POISSON,
-    FitOptions,
     exp_coef,
     family_by_name,
     fit_dataset,
@@ -147,13 +147,14 @@ class TestFitGlm:
         with pytest.raises(FamilyError, match="integer"):
             fit_glm(build_design(ds), ds.response, POISSON)
 
-    def test_non_convergence_carries_iterate(self):
+    def test_non_convergence_carries_iterate(self, monkeypatch):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(200)
         y = (rng.random(200) < BERNOULLI.inverse_link(0.5 + x)).astype(float)
         ds = Dataset(y, x.reshape(-1, 1), names=("x",))
+        monkeypatch.setattr(fitting, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as exc_info:
-            fit_glm(build_design(ds), y, BERNOULLI, FitOptions(max_iter=1))
+            fit_glm(build_design(ds), y, BERNOULLI)
         assert exc_info.value.last_beta is not None
         assert exc_info.value.score_norm is not None
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from leanreg.core import Dataset, build_design, dataset_to_csv_text
 from leanreg.covariance import conventional_cov, sandwich_cov
 from leanreg.datasets import synthetic_charges
-from leanreg.exceptions import SeparationError
 from leanreg.fitting import family_by_name, fit_dataset, fit_ols
 from leanreg.prediction import calibrate_K, make_band
 
@@ -56,19 +55,13 @@ def _check_rescaled(family: str, j: int, c: float):
 class TestRegressorUnits:
     @PROPERTY
     @given(
-        family=st.sampled_from(["ols", "poisson"]),
+        family=st.sampled_from(["ols", "logit", "poisson"]),
         j=st.sampled_from([1, 2]),
         log_c=st.floats(-6.0, 6.0),
     )
     def test_rescaling_a_regressor_rescales_its_coefficient_and_ses(self, family, j, log_c):
         _check_rescaled(family, j, 10.0**log_c)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=SeparationError,
-        reason="ROADMAP item 2: SEPARATION_BOUND caps |beta|_inf, so shrinking "
-        "a logit regressor's units trips the separation check",
-    )
     def test_logit_regressor_scaled_down(self):
         _check_rescaled("logit", 1, 1e-3)
 

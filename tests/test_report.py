@@ -33,7 +33,7 @@ def published_table():
 
 class TestMisspecIndicator:
     def test_age_ratio_flagged(self):
-        ind = misspec_indicator(published_table(), level=0.05, ratio_threshold=1.5)
+        ind = misspec_indicator(published_table(), level=0.05)
         ratios = dict(zip(ind.labels, ind.ratios))
         assert ratios["Age"] == pytest.approx(0.0016 / 0.0006, rel=1e-12)
         assert ratios["Age"] > 2.6
