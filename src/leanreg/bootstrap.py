@@ -15,14 +15,12 @@ same seed reproduce every draw bit-identically.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .core import Dataset, build_design, spd_solve
+from .core import Dataset, build_design, csv_text, spd_solve
 from .exceptions import (
     CoefficientIndexError,
     DomainError,
@@ -69,12 +67,7 @@ class BootstrapDraws:
         return self.draws.shape[0]
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["replicate", *self.labels])
-        for i, row in enumerate(self.draws):
-            writer.writerow([i] + [repr(float(v)) for v in row])
-        return buf.getvalue()
+        return csv_text(["replicate", *self.labels], [range(self.b_retained), *self.draws.T])
 
 
 def _chunks(B: int, n: int):
@@ -214,12 +207,9 @@ class NormalityReport:
     qq_correlation: float
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["theoretical_quantile", "draw"])
-        for q, d in zip(self.theoretical_quantiles, self.sorted_draws):
-            writer.writerow([repr(float(q)), repr(float(d))])
-        return buf.getvalue()
+        return csv_text(
+            ["theoretical_quantile", "draw"], [self.theoretical_quantiles, self.sorted_draws]
+        )
 
 
 def normality_diagnostic(draws: BootstrapDraws, j: int) -> NormalityReport:

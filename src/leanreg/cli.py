@@ -12,8 +12,6 @@ diagnostics are emitted as plot-ready CSV.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from importlib import resources
@@ -21,9 +19,9 @@ from pathlib import Path
 
 from . import bootstrap as bt
 from . import prediction as pred
-from .core import build_design, load_csv
+from .core import build_design, csv_text, load_csv
 from .covariance import conventional_cov, coefficient_table, sandwich_cov
-from .exceptions import InsufficientDrawsError, LeanRegError
+from .exceptions import DomainError, InsufficientDrawsError, LeanRegError
 from .fitting import family_by_name, fit_dataset, fit_ols
 from .population import (
     coverage_experiment,
@@ -64,6 +62,17 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _emit(args, json, csv, text) -> None:
+    """Write the rendering ``--format`` selects; only that renderer runs."""
+    render = {"json": json, "csv": csv, "text": text}[args.format]
+    _write_output(render(), args.out)
+
+
+def _records_csv(fields, records) -> str:
+    """CSV with one column per field, read from each record by key."""
+    return csv_text(fields, [[r[f] for r in records] for f in fields])
+
+
 # ----------------------------------------------------------------- fit
 
 
@@ -80,17 +89,18 @@ def run_fit(args) -> int:
     table = coefficient_table(fit, conv, sand, boot_se)
     indicator = misspec_indicator(table, level=args.alpha)
 
-    if args.format == "json":
-        payload = {
-            "fit": fit.to_json_dict(),
-            "table": table.to_json_dict(),
-            "diagnostics": indicator.to_json_dict(),
-        }
-        _write_output(_json_dumps(payload), args.out)
-    elif args.format == "csv":
-        _write_output(table.to_csv_text(), args.out)
-    else:
-        _write_output(table.to_text() + "\n" + indicator.to_text(), args.out)
+    _emit(
+        args,
+        json=lambda: _json_dumps(
+            {
+                "fit": fit.to_json_dict(),
+                "table": table.to_json_dict(),
+                "diagnostics": indicator.to_json_dict(),
+            }
+        ),
+        csv=table.to_csv_text,
+        text=lambda: table.to_text() + "\n" + indicator.to_text(),
+    )
     return 0
 
 
@@ -109,12 +119,10 @@ def run_diagnostics(args) -> int:
         bt.normality_diagnostic(draws, j) for j in range(draws.draws.shape[1])
     ]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["coefficient", "label", "qq_correlation"])
-    for j, rep in enumerate(reports):
-        writer.writerow([j, draws.labels[j], repr(rep.qq_correlation)])
-    summary = buf.getvalue()
+    summary = csv_text(
+        ["coefficient", "label", "qq_correlation"],
+        [range(len(reports)), draws.labels, [rep.qq_correlation for rep in reports]],
+    )
 
     if args.out is None:
         sys.stdout.write(summary)
@@ -141,17 +149,13 @@ def run_predict(args) -> int:
         k_hat = pred.cv_calibrate_K(ds, args.alpha, folds, args.seed)
     band = pred.make_band(fit, args.alpha, K=k_hat)
 
+    # Point by point, so yhat and the bounds keep the bits of a one-point prediction.
     x = build_design(ds).matrix
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([*ds.names, "yhat", "lower", "upper"])
-    for i in range(ds.n):
-        lo, hi = pred.interval(band, x[i])
-        writer.writerow(
-            [repr(float(v)) for v in ds.regressors[i]]
-            + [repr(float(x[i] @ band.beta_hat)), repr(lo), repr(hi)]
-        )
-    intervals_csv = buf.getvalue()
+    lower, upper = zip(*(pred.interval(band, row) for row in x))
+    intervals_csv = csv_text(
+        [*ds.names, "yhat", "lower", "upper"],
+        [*ds.regressors.T, [float(row @ band.beta_hat) for row in x], lower, upper],
+    )
     summary = {
         "K_hat": k_hat,
         "alpha": args.alpha,
@@ -173,55 +177,50 @@ def run_predict(args) -> int:
 # ------------------------------------------------------------ simulate
 
 
-def _coverage_csv(results) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["method", "coefficient", "level", "coverage", "mean_width", "replications", "mc_se"]
-    )
-    for r in results:
-        writer.writerow(
-            [
-                r.method,
-                r.coefficient,
-                repr(r.level),
-                repr(r.coverage),
-                repr(r.mean_width),
-                r.replications,
-                repr(r.mc_se),
-            ]
-        )
-    return buf.getvalue()
+_COVERAGE_FIELDS = (
+    "method", "coefficient", "level", "coverage", "mean_width", "replications", "mc_se"
+)
+# Flags only a coverage experiment reads; a regressor-shift file rejects them.
+_COVERAGE_ONLY = ("--n", "--reps", "--methods", "--boot", "--alpha")
 
 
 def run_simulate(args) -> int:
     loaded = load_population_file(_resolve_input(args.population))
 
     if isinstance(loaded, dict):  # regressor-shift definition
+        ignored = [f for f in _COVERAGE_ONLY if getattr(args, f[2:]) != _FLAGS[f]["default"]]
+        if ignored:
+            raise DomainError(
+                f"{args.population} is a regressor-shift definition, which reads none of "
+                + ", ".join(ignored)
+            )
         res = regressor_shift_experiment(
             loaded["mu"], loaded["noise"], loaded["laws"][0], loaded["laws"][1]
         )
-        payload = {
-            "experiment": "regressor-shift",
-            "beta_1": [float(v) for v in res["beta_1"]],
-            "beta_2": [float(v) for v in res["beta_2"]],
-            "max_abs_difference": res["max_abs_difference"],
-        }
-        if args.format == "json":
-            _write_output(_json_dumps(payload), args.out)
-        elif args.format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["coefficient", "beta_law1", "beta_law2"])
-            for j, (b1, b2) in enumerate(zip(res["beta_1"], res["beta_2"])):
-                writer.writerow([j, repr(float(b1)), repr(float(b2))])
-            _write_output(buf.getvalue(), args.out)
-        else:
-            lines = ["regressor-shift experiment (same response surface, two laws)"]
-            for j, (b1, b2) in enumerate(zip(res["beta_1"], res["beta_2"])):
-                lines.append(f"  beta[{j}]: {b1:.4f} vs {b2:.4f}")
-            lines.append(f"  max abs difference: {res['max_abs_difference']:.4f}")
-            _write_output("\n".join(lines) + "\n", args.out)
+        beta_1, beta_2 = res["beta_1"], res["beta_2"]
+        _emit(
+            args,
+            json=lambda: _json_dumps(
+                {
+                    "experiment": "regressor-shift",
+                    "beta_1": [float(v) for v in beta_1],
+                    "beta_2": [float(v) for v in beta_2],
+                    "max_abs_difference": res["max_abs_difference"],
+                }
+            ),
+            csv=lambda: csv_text(
+                ["coefficient", "beta_law1", "beta_law2"], [range(len(beta_1)), beta_1, beta_2]
+            ),
+            text=lambda: "\n".join(
+                ["regressor-shift experiment (same response surface, two laws)"]
+                + [
+                    f"  beta[{j}]: {b1:.4f} vs {b2:.4f}"
+                    for j, (b1, b2) in enumerate(zip(beta_1, beta_2))
+                ]
+                + [f"  max abs difference: {res['max_abs_difference']:.4f}"]
+            )
+            + "\n",
+        )
         return 0
 
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -234,25 +233,17 @@ def run_simulate(args) -> int:
         B=args.boot,
         seed=args.seed,
     )
-    if args.format == "json":
-        payload = {
-            "experiment": "coverage",
-            "results": [
-                {
-                    "method": r.method,
-                    "coefficient": r.coefficient,
-                    "level": r.level,
-                    "coverage": r.coverage,
-                    "mean_width": r.mean_width,
-                    "replications": r.replications,
-                    "mc_se": r.mc_se,
-                }
-                for r in results
-            ],
-        }
-        _write_output(_json_dumps(payload), args.out)
-    else:
-        _write_output(_coverage_csv(results), args.out)
+    records = [{f: getattr(r, f) for f in _COVERAGE_FIELDS} for r in results]
+
+    def coverage_csv() -> str:
+        return _records_csv(_COVERAGE_FIELDS, records)
+
+    _emit(
+        args,
+        json=lambda: _json_dumps({"experiment": "coverage", "results": records}),
+        csv=coverage_csv,
+        text=coverage_csv,
+    )
     return 0
 
 
@@ -283,38 +274,34 @@ def run_slopes(args) -> int:
             pair_table_csv(adj["x_adj"], adj["y_input"]), encoding="utf-8"
         )
 
-    if args.format == "json":
-        _write_output(_json_dumps({"slopes": rows}), args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["coefficient", "label", "beta_pairwise", "beta_ols", "total_weight", "pair_count"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r["coefficient"],
-                    r["label"],
-                    repr(r["beta_pairwise"]),
-                    repr(r["beta_ols"]),
-                    repr(r["total_weight"]),
-                    r["pair_count"],
-                ]
-            )
-        _write_output(buf.getvalue(), args.out)
-    else:
-        lines = ["coefficients as distance-weighted averages of pairwise slopes"]
-        for r in rows:
-            lines.append(
+    _emit(
+        args,
+        json=lambda: _json_dumps({"slopes": rows}),
+        csv=lambda: _records_csv(
+            ("coefficient", "label", "beta_pairwise", "beta_ols", "total_weight", "pair_count"),
+            rows,
+        ),
+        text=lambda: "\n".join(
+            ["coefficients as distance-weighted averages of pairwise slopes"]
+            + [
                 f"  {r['label']}: beta = {r['beta_pairwise']:.4f} "
                 f"(OLS {r['beta_ols']:.4f}; {r['pair_count']} weighted pairs)"
-            )
-        _write_output("\n".join(lines) + "\n", args.out)
+                for r in rows
+            ]
+        )
+        + "\n",
+    )
     return 0
 
 
 # ---------------------------------------------------------------- main
+
+
+def _boot_count(value: str) -> int:
+    """Type of ``--boot``: a non-negative integer (0 skips the bootstrap in fit)."""
+    if not value.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _calibration(value: str) -> str:
@@ -343,7 +330,7 @@ _FLAGS = {
         choices=["ols", "logit", "poisson"],
         help="working-model family (default ols)",
     ),
-    "--boot": dict(type=int, default=DEFAULT_B, metavar="B",
+    "--boot": dict(type=_boot_count, default=DEFAULT_B, metavar="B",
                    help=f"bootstrap replicates (default {DEFAULT_B})"),
     "--seed": dict(type=int, default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED})"),

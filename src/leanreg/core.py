@@ -30,6 +30,7 @@ __all__ = [
     "INTERCEPT_LABEL",
     "RANK_RTOL",
     "load_csv",
+    "csv_text",
     "write_csv",
     "build_design",
     "check_rank",
@@ -216,35 +217,58 @@ def _read_csv(fh, response, regressors) -> Dataset:
     )
 
 
-def _format_value(v: float) -> str:
-    # repr() of a float is the shortest string that round-trips, so
-    # write -> read reproduces the doubles bit-identically.
-    if float(v).is_integer() and abs(v) < 1e15:
-        return str(int(v))
-    return repr(float(v))
+# Rows converted to builtin objects at a time by csv_text; bounds the
+# number of Python objects alive at once, whatever the table's length.
+CSV_BLOCK_ROWS = 4096
 
 
-def write_csv(ds: Dataset, path_or_buffer) -> None:
-    """Write a :class:`Dataset` back to CSV (round-trips bit-identically)."""
-    own = isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__")
-    fh = open(path_or_buffer, "w", newline="", encoding="utf-8") if own else path_or_buffer
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([ds.response_name, *ds.names])
-        for i in range(ds.n):
-            writer.writerow(
-                [_format_value(ds.response[i])]
-                + [_format_value(v) for v in ds.regressors[i]]
-            )
-    finally:
-        if own:
-            fh.close()
+def _column(c) -> np.ndarray:
+    a = np.asarray(c)
+    # numpy's fixed-width strings drop trailing NULs, so strings stay
+    # the Python objects they came in as.
+    return np.asarray(c, dtype=object) if a.dtype.kind == "U" else a
+
+
+def csv_text(header, columns) -> str:
+    """The one CSV format leanreg writes: a header row, then one row per index.
+
+    ``columns`` holds one sequence per header cell.  Lines end in a
+    bare line feed.  A float cell is the shortest string that
+    round-trips (``repr``), so reading the text back reproduces every
+    double bit-identically; ints and strings are written as they are.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    columns = [_column(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        block = [c[start : start + CSV_BLOCK_ROWS].tolist() for c in columns]
+        writer.writerows(zip(*block))
+    return buf.getvalue()
+
+
+def _dataset_cells(v: np.ndarray) -> np.ndarray:
+    # Whole numbers below 1e15 are written as integers, as a data file
+    # usually has them; every other value keeps its round-trip repr.
+    cells = v.astype(object)
+    whole = (v == np.trunc(v)) & (np.abs(v) < 1e15)
+    cells[whole] = v[whole].astype(np.int64)
+    return cells
 
 
 def dataset_to_csv_text(ds: Dataset) -> str:
-    buf = io.StringIO()
-    write_csv(ds, buf)
-    return buf.getvalue()
+    """A :class:`Dataset` as CSV text, response first (round-trips bit-identically)."""
+    return csv_text(
+        [ds.response_name, *ds.names],
+        [_dataset_cells(ds.response), *(_dataset_cells(c) for c in ds.regressors.T)],
+    )
+
+
+def write_csv(ds: Dataset, path) -> None:
+    """Write a :class:`Dataset` to the CSV file at ``path``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(dataset_to_csv_text(ds))
 
 
 def build_design(ds: Dataset) -> DesignMatrix:

@@ -11,14 +11,12 @@ divided by n.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .core import spd_solve
+from .core import csv_text, spd_solve
 from .exceptions import (
     ColumnError,
     DegreesOfFreedomError,
@@ -204,16 +202,12 @@ class CoefficientTable:
         return "\n".join(lines) + "\n"
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         cols = ["label", "coef", "se_conv", "p_conv"]
         if self.has_boot:
             cols.append("se_boot")
         cols += ["se_sand", "p_sand"]
-        writer.writerow(cols)
-        for r in self.rows:
-            writer.writerow([r.label] + [repr(float(v)) for v in self._row_values(r)])
-        return buf.getvalue()
+        values = np.array([self._row_values(r) for r in self.rows], dtype=float)
+        return csv_text(cols, [[r.label for r in self.rows], *values.T])
 
 
 def coefficient_table(

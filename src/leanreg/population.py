@@ -467,8 +467,8 @@ def coverage_experiment(
         raise DomainError(f"confidence level must be in (0, 1), got {level}")
     if replications < 1:
         raise DomainError(f"replications must be at least 1, got {replications}")
-    if any(m.endswith("bootstrap") for m in methods) and not B:
-        raise DomainError("bootstrap methods require a replicate count B")
+    if any(m.endswith("bootstrap") for m in methods) and (B is None or B < 1):
+        raise DomainError(f"bootstrap methods require a replicate count B >= 1, got {B}")
 
     z = float(ndtri(0.5 + level / 2.0))
     beta_true = population_beta(pop)

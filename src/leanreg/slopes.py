@@ -11,13 +11,11 @@ independent oracle for the normal-equation solver, not a fast path.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DesignMatrix, numerical_rank, spd_solve
+from .core import DesignMatrix, csv_text, numerical_rank, spd_solve
 from .exceptions import (
     CoefficientIndexError,
     DomainError,
@@ -106,21 +104,15 @@ def pairwise_slope_multiple(dm: DesignMatrix, y, j: int) -> PairwiseSlopeSummary
 
 
 def pair_table_csv(x, y) -> str:
-    """CSV of every contributing ordered pair: i, j, weight, slope."""
+    """CSV of every contributing ordered pair: i, j, weight, slope.
+
+    Pairs come in row-major order of (i, j); pairs with x_i == x_j,
+    the diagonal among them, carry zero weight and are left out.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["i", "j", "weight", "slope"])
-    n = x.shape[0]
-    for i in range(n):
-        for jj in range(n):
-            if i == jj:
-                continue
-            dx = x[i] - x[jj]
-            if dx == 0.0:
-                continue
-            writer.writerow(
-                [i, jj, repr(float(dx * dx)), repr(float((y[i] - y[jj]) / dx))]
-            )
-    return buf.getvalue()
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 0.0)
+    i, j = np.nonzero(dx)
+    d = dx[i, j]
+    return csv_text(["i", "j", "weight", "slope"], [i, j, d * d, (y[i] - y[j]) / d])

@@ -201,6 +201,29 @@ class TestSimulateSubcommand:
         assert main(base + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_shift_file_rejects_coverage_flags(self, capsys):
+        code, out, err = run_main(
+            ["simulate", "--population", "fig2.json", "--reps", "5", "--boot", "7",
+             "--alpha", "0.3", "--n", "3", "--methods", "bogus"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        for flag in ("--n", "--reps", "--methods", "--boot", "--alpha"):
+            assert flag in err
+
+    def test_shift_file_accepts_seed_format_out(self, tmp_path, capsys):
+        code, plain, _ = run_main(["simulate", "--population", "fig2.json"], capsys)
+        assert code == 0
+        out = tmp_path / "shift.txt"
+        code, _, _ = run_main(
+            ["simulate", "--population", "fig2.json", "--seed", "3", "--format", "text",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == plain
+
     def test_schema_error_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"support": [[0.0]], "probs": [1.0]}))

@@ -90,6 +90,42 @@ class TestCoverageReplicationCount:
         assert "replications must be at least 1, got 0" in capsys.readouterr().err
 
 
+class TestBootstrapReplicateCount:
+    @pytest.mark.parametrize("B", [None, 0, -5])
+    def test_bootstrap_method_needs_positive_B(self, B):
+        pop = make_population(
+            [[-1.0], [1.0]], [0.5, 0.5],
+            {"kind": "polynomial", "coefficients": [0.0, 1.0]},
+            {"kind": "gaussian", "sigma": 1.0},
+        )
+        with pytest.raises(DomainError, match=f"replicate count B >= 1, got {B}"):
+            coverage_experiment(pop, n=10, replications=5, methods=["xy-bootstrap"], B=B)
+
+    def test_zero_boot_in_simulate_is_computational_error(self, capsys):
+        argv = ["simulate", "--population", "quadratic.json", "--n", "50", "--reps", "20",
+                "--boot", "0", "--methods", "conventional,xy-bootstrap"]
+        assert main(argv) == 1
+        assert "replicate count B >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--input", "charges_synthetic.csv", "--response", "male",
+             "--regressors", "age,priors", "--family", "logit"],
+            ["bootstrap", "--input", "charges_synthetic.csv", "--response", "charges",
+             "--regressors", "age"],
+            ["simulate", "--population", "quadratic.json", "--n", "50", "--reps", "20",
+             "--methods", "conventional,xy-bootstrap"],
+        ],
+        ids=["fit", "bootstrap", "simulate"],
+    )
+    def test_negative_boot_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main([*argv, "--boot", "-5"])
+        assert exc_info.value.code == 2
+        assert "must be a non-negative integer" in capsys.readouterr().err
+
+
 class TestPopulationFileCorners:
     def test_per_point_noise_scales(self, tmp_path):
         obj = {

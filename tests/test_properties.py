@@ -1,18 +1,24 @@
-"""Property-based invariance tests: regressor units, row order, ties, bundled data."""
+"""Property-based invariance tests: regressor units, row order, ties, bundled data, CSV."""
 
+import csv
+import io
 import math
+import struct
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from leanreg.core import Dataset, build_design, dataset_to_csv_text
+from leanreg import core
+from leanreg.core import Dataset, build_design, csv_text, dataset_to_csv_text
 from leanreg.covariance import conventional_cov, sandwich_cov
 from leanreg.datasets import synthetic_charges
 from leanreg.fitting import family_by_name, fit_dataset, fit_ols
 from leanreg.prediction import calibrate_K, make_band
+from leanreg.slopes import pair_table_csv
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -124,3 +130,71 @@ class TestTiedCalibration:
 def test_synthetic_charges_reproduces_bundled_csv():
     path = resources.files("leanreg").joinpath("data", "charges_synthetic.csv")
     assert dataset_to_csv_text(synthetic_charges()) == path.read_text(encoding="utf-8")
+
+
+FLOAT64 = st.floats(allow_nan=False, width=64) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308 / 3, math.inf, -math.inf]
+)
+INT64 = st.integers(-(2**63), 2**63 - 1)
+# A carriage return is left out: csv.writer with "\n" line ends does not
+# quote a lone "\r", so such a cell does not read back as one cell.
+LABEL = st.text(alphabet=st.sampled_from(list('ab ,"\n\x00\u00e9')), max_size=6)
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+class TestCsvText:
+    @PROPERTY
+    @given(data=st.data(), block=st.integers(1, 5))
+    def test_round_trip_bit_for_bit(self, data, block):
+        n = data.draw(st.integers(0, 12))
+        floats = np.array(data.draw(st.lists(FLOAT64, min_size=n, max_size=n)), dtype=np.float64)
+        ints = np.array(data.draw(st.lists(INT64, min_size=n, max_size=n)), dtype=np.int64)
+        labels = data.draw(st.lists(LABEL, min_size=n, max_size=n))
+        header = data.draw(st.lists(LABEL, min_size=3, max_size=3))
+        with mock.patch.object(core, "CSV_BLOCK_ROWS", block):
+            text = csv_text(header, [labels, floats, ints])
+        assert "np.float64(" not in text
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows[0] == header
+        assert len(rows) == n + 1
+        for row, label, f, i in zip(rows[1:], labels, floats.tolist(), ints.tolist()):
+            assert row[0] == label
+            assert _bits(float(row[1])) == _bits(f)
+            assert int(row[2]) == i
+
+
+def _nested_loop_pair_table(x, y) -> str:
+    """The pair-table writer before vectorisation: one csv row per loop step."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["i", "j", "weight", "slope"])
+    n = x.shape[0]
+    for i in range(n):
+        for jj in range(n):
+            if i == jj:
+                continue
+            dx = x[i] - x[jj]
+            if dx == 0.0:
+                continue
+            writer.writerow([i, jj, repr(float(dx * dx)), repr(float((y[i] - y[jj]) / dx))])
+    return buf.getvalue()
+
+
+class TestPairTable:
+    @PROPERTY
+    @given(
+        levels=st.lists(st.floats(-1e3, 1e3, width=32), min_size=1, max_size=4, unique=True),
+        data=st.data(),
+    )
+    def test_matches_nested_loop_on_ties(self, levels, data):
+        # float32-representable levels keep every difference far from
+        # underflow, so no slope can overflow.
+        n = data.draw(st.integers(0, 30))
+        x = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+        y = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+        assert pair_table_csv(x, y) == _nested_loop_pair_table(x, y)
