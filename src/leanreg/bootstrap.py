@@ -28,7 +28,7 @@ from .exceptions import (
     InsufficientDrawsError,
 )
 from .fitting import Family, fit_ols, fit_weighted, outer_rows
-from .rng import substream
+from .rng import substreams
 
 __all__ = [
     "BootstrapDraws",
@@ -77,9 +77,9 @@ def _chunks(B: int, n: int):
         yield size, range(start, min(start + size, B))
 
 
-def _resample(seed: int, b: int, n: int) -> np.ndarray:
-    """Resampling indices of replicate b: n draws with replacement from substream (seed, b)."""
-    return substream(seed, b).integers(0, n, size=n)
+def _resamples(seed: int, B: int, n: int):
+    """Each replicate's resampling indices, in order: n draws with replacement from substream (seed, b)."""
+    return (rng.integers(0, n, size=n) for rng in substreams(seed, count=B))
 
 
 def tolerate_failures(results, what: str) -> tuple[list, dict]:
@@ -144,12 +144,13 @@ def xy_bootstrap(
     y = ds.response
     n = ds.n
     outer = outer_rows(x)
+    resamples = _resamples(seed, B, n)
     results = []
     for size, reps in _chunks(B, n):
         # Rows past the last replicate are padding: the sample itself.
         w = np.ones((size, n))
-        for r, b in enumerate(reps):
-            w[r] = np.bincount(_resample(seed, b, n), minlength=n)
+        for r, idx in zip(range(len(reps)), resamples):
+            w[r] = np.bincount(idx, minlength=n)
         fits = fit_weighted(x, y, w, family, outer=outer)
         results.extend(
             beta if error is None else error
@@ -177,11 +178,12 @@ def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:
     x = dm.matrix
     n = ds.n
     solver = spd_solve(x.T @ x, x.T).T
+    resamples = _resamples(seed, B, n)
     results = []
     for size, reps in _chunks(B, n):
         y_b = np.tile(base.fitted, (size, 1))
-        for r, b in enumerate(reps):
-            y_b[r] += centered[_resample(seed, b, n)]
+        for r, idx in zip(range(len(reps)), resamples):
+            y_b[r] += centered[idx]
         results.extend((y_b @ solver)[: len(reps)])
     return _collect(results, "residual", seed, dm.ncol, dm.column_labels)
 

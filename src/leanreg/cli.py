@@ -304,6 +304,14 @@ def _boot_count(value: str) -> int:
     return int(value)
 
 
+def _seed(value: str) -> int:
+    """Type of ``--seed``: a non-negative integer, of any size."""
+    seed = int(value)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def _calibration(value: str) -> str:
     """Type of ``--calibration``: 'train' or 'cv:K' with integer K."""
     kind, _, folds = value.partition(":")
@@ -332,7 +340,7 @@ _FLAGS = {
     ),
     "--boot": dict(type=_boot_count, default=DEFAULT_B, metavar="B",
                    help=f"bootstrap replicates (default {DEFAULT_B})"),
-    "--seed": dict(type=int, default=DEFAULT_SEED,
+    "--seed": dict(type=_seed, default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED})"),
     "--alpha": dict(type=float, default=DEFAULT_ALPHA,
                     help=f"miscoverage/significance level (default {DEFAULT_ALPHA})"),

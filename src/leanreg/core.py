@@ -37,6 +37,7 @@ __all__ = [
     "numerical_rank",
     "spd_solve",
     "spd_solve_stack",
+    "not_positive_definite",
 ]
 
 INTERCEPT_LABEL = "(Intercept)"
@@ -222,11 +223,19 @@ def _read_csv(fh, response, regressors) -> Dataset:
 CSV_BLOCK_ROWS = 4096
 
 
-def _column(c) -> np.ndarray:
-    a = np.asarray(c)
-    # numpy's fixed-width strings drop trailing NULs, so strings stay
-    # the Python objects they came in as.
-    return np.asarray(c, dtype=object) if a.dtype.kind == "U" else a
+def _write_quoting_cr(buf: io.StringIO, rows) -> None:
+    """Write ``rows`` to ``buf`` one by one as :func:`csv_text` does, quoting cells with a carriage return."""
+    # csv quotes a cell for the characters of the line terminator only,
+    # so a "\n" writer leaves a lone "\r" bare and the text reads back
+    # as two rows.  A "\r\n" writer quotes both; its terminator is
+    # swapped for the "\n" every line ends in.
+    row_buf = io.StringIO()
+    writer = csv.writer(row_buf, lineterminator="\r\n")
+    for row in rows:
+        row_buf.seek(0)
+        row_buf.truncate()
+        writer.writerow(row)
+        buf.write(row_buf.getvalue()[:-2] + "\n")
 
 
 def csv_text(header, columns) -> str:
@@ -235,16 +244,25 @@ def csv_text(header, columns) -> str:
     ``columns`` holds one sequence per header cell.  Lines end in a
     bare line feed.  A float cell is the shortest string that
     round-trips (``repr``), so reading the text back reproduces every
-    double bit-identically; ints and strings are written as they are.
+    double bit-identically; ints and strings are written as they are,
+    quoted where they hold a delimiter, quote, line feed or carriage
+    return.
     """
     buf = io.StringIO()
+    _write_quoting_cr(buf, [header])
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    columns = [_column(c) for c in columns]
+    arrays = [np.asarray(c) for c in columns]
+    text = [a.dtype.kind == "U" for a in arrays]
+    # numpy's fixed-width strings drop trailing NULs, so strings stay
+    # the Python objects they came in as.
+    columns = [np.asarray(c, dtype=object) if t else a for c, a, t in zip(columns, arrays, text)]
     n = len(columns[0]) if columns else 0
     for start in range(0, n, CSV_BLOCK_ROWS):
         block = [c[start : start + CSV_BLOCK_ROWS].tolist() for c in columns]
-        writer.writerows(zip(*block))
+        if any("\r" in str(v) for cells, t in zip(block, text) if t for v in cells):
+            _write_quoting_cr(buf, zip(*block))
+        else:
+            writer.writerows(zip(*block))
     return buf.getvalue()
 
 
@@ -334,12 +352,17 @@ def spd_solve(a: np.ndarray, b: np.ndarray | None = None, what: str = "normal-eq
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        min_eig = float(numerical_rank(a)[1][0])
-        raise SingularSystemError(
-            f"{what} is not positive definite: smallest equilibrated eigenvalue {min_eig:.3e}",
-            min_eigenvalue=min_eig,
-        ) from None
+        raise not_positive_definite(a, what) from None
     return _cholesky_solve(lower, b)
+
+
+def not_positive_definite(a: np.ndarray, what: str) -> SingularSystemError:
+    """The error :func:`spd_solve` raises for ``a``, naming ``what``."""
+    min_eig = float(numerical_rank(a)[1][0])
+    return SingularSystemError(
+        f"{what} is not positive definite: smallest equilibrated eigenvalue {min_eig:.3e}",
+        min_eigenvalue=min_eig,
+    )
 
 
 def _is_spd(a: np.ndarray) -> bool:
@@ -350,13 +373,15 @@ def _is_spd(a: np.ndarray) -> bool:
     return True
 
 
-def spd_solve_stack(a: np.ndarray, b: np.ndarray, rows: np.ndarray):
+def spd_solve_stack(a: np.ndarray, b: np.ndarray | None, rows: np.ndarray):
     """:func:`spd_solve` for the rows of a stack ``a`` (m, k, k), ``b`` (m, k) selected by ``rows``.
 
-    Returns ``(z, solved)``: ``solved[r]`` says that row r was selected
-    and that ``a[r]`` passed LAPACK's Cholesky test, applied matrix by
-    matrix so that no row's verdict depends on another's.  Other rows
-    are solved against the identity; their ``z`` is meaningless.
+    When ``b`` is None, each ``a[r]^-1`` is returned.  Returns ``(z,
+    solved)``: ``solved[r]`` says that row r was selected and that
+    ``a[r]`` passed LAPACK's Cholesky test, applied matrix by matrix so
+    that no row's verdict depends on another's.  Other rows are solved
+    against the identity; their ``z`` is meaningless.  Row r of ``z``
+    has the bits :func:`spd_solve` gives for ``a[r]`` alone.
     """
     eye = np.eye(a.shape[-1])
     a = np.where(rows[:, None, None], a, eye)

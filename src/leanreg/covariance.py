@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .core import csv_text, spd_solve
+from .core import csv_text, not_positive_definite, spd_solve_stack
 from .exceptions import (
     ColumnError,
     DegreesOfFreedomError,
     DimensionError,
 )
-from .fitting import FitResult
+from .fitting import Family, FitResult
 
 __all__ = [
     "CovarianceEstimate",
@@ -31,6 +31,9 @@ __all__ = [
     "InferenceSummary",
     "conventional_cov",
     "sandwich_cov",
+    "conventional_stack",
+    "sandwich_stack",
+    "standard_errors",
     "se_and_pvalues",
     "coefficient_table",
     "TABLE_HEADERS",
@@ -54,13 +57,81 @@ class CovarianceEstimate:
             raise DimensionError("covariance matrix must be square")
 
     def standard_errors(self) -> np.ndarray:
-        return np.sqrt(np.maximum(np.diag(self.matrix), 0.0))
+        return standard_errors(self.matrix)
 
 
-def _information(fit: FitResult) -> np.ndarray:
-    """sum_i v(mu_i) x_i x_i', the summed Hessian of the family loss."""
-    x = fit.design.matrix
-    return (x.T * fit.family.variance_fn(fit.fitted)) @ x
+def _information(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i v_i x_i x_i' of each design in a stack, the summed Hessian of the family loss."""
+    return (np.swapaxes(x, -1, -2) * v[..., None, :]) @ x
+
+
+def _stack_of_one(fit: FitResult):
+    """``(x, v, residuals)`` of one fit as stacks of one, for the stacked estimators."""
+    return (
+        fit.design.matrix[None],
+        fit.family.variance_fn(fit.fitted)[None],
+        fit.residuals[None],
+    )
+
+
+def _spd_inverses(a: np.ndarray, rows: np.ndarray, what: str):
+    """``(a[r]^-1 for every r, errors)``: the error of each selected row that is not positive definite."""
+    inverse, solved = spd_solve_stack(a, None, rows)
+    errors = [None] * len(rows)
+    for r in np.flatnonzero(rows & ~solved):
+        errors[r] = not_positive_definite(a[r], what)
+    return inverse, errors
+
+
+def standard_errors(cov: np.ndarray) -> np.ndarray:
+    """Square roots of the diagonal of each covariance in a stack, negatives read as 0."""
+    return np.sqrt(np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), 0.0))
+
+
+def conventional_stack(x, v, residuals, family: Family, rows: np.ndarray):
+    """:func:`conventional_cov` of each fit in a stack, selected by ``rows``.
+
+    ``x`` (m, n, k) holds the designs, ``v`` (m, n) the family variance
+    at each fitted mean and ``residuals`` (m, n) the residuals.  Returns
+    ``(cov, errors)``: row r has the bits ``conventional_cov`` gives for
+    that fit alone, or ``errors[r]`` is the typed error it raised.
+    Unselected rows have no error and a meaningless ``cov``.
+    """
+    m, n, k = x.shape
+    if family.estimates_dispersion:
+        if n <= k:
+            return np.zeros((m, k, k)), [
+                DegreesOfFreedomError(
+                    f"conventional OLS variance needs n > p+1 (n={n}, p+1={k})"
+                )
+                if selected
+                else None
+                for selected in rows
+            ]
+        # One dot product per row, as for a single fit.
+        dispersion = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0] / (n - k)
+    else:
+        dispersion = np.ones(m)
+    inverse, errors = _spd_inverses(_information(x, v), rows, "expected-information matrix")
+    return dispersion[:, None, None] * inverse, errors
+
+
+def sandwich_stack(x, v, residuals, rows: np.ndarray):
+    """:func:`sandwich_cov` of each fit in a stack, as :func:`conventional_stack` for the model-trusting one."""
+    n = x.shape[1]
+    bread = _information(x, v) / n
+    scores = x * residuals[..., None]  # row i is (y_i - mu_i) x_i
+    meat = (np.swapaxes(scores, -1, -2) @ scores) / n
+    bread_inv, errors = _spd_inverses(bread, rows, "bread matrix")
+    cov = bread_inv @ meat @ bread_inv / n
+    return (cov + np.swapaxes(cov, -1, -2)) / 2.0, errors
+
+
+def _one(stacked, method: str, n: int) -> CovarianceEstimate:
+    cov, errors = stacked
+    if errors[0] is not None:
+        raise errors[0]
+    return CovarianceEstimate(matrix=cov[0], method=method, n=n)
 
 
 def conventional_cov(fit: FitResult) -> CovarianceEstimate:
@@ -69,17 +140,8 @@ def conventional_cov(fit: FitResult) -> CovarianceEstimate:
     The dispersion phi is SSE/(n-p-1) for OLS (where v = 1) and 1 for a
     GLM, whose covariance is then the inverse expected information.
     """
-    x = fit.design.matrix
-    n, k = x.shape
-    dispersion = 1.0
-    if fit.family.estimates_dispersion:
-        if n <= k:
-            raise DegreesOfFreedomError(
-                f"conventional OLS variance needs n > p+1 (n={n}, p+1={k})"
-            )
-        dispersion = float(fit.residuals @ fit.residuals) / (n - k)
-    cov = dispersion * spd_solve(_information(fit), what="expected-information matrix")
-    return CovarianceEstimate(matrix=cov, method="conventional", n=n)
+    stacked = conventional_stack(*_stack_of_one(fit), fit.family, np.ones(1, dtype=bool))
+    return _one(stacked, "conventional", fit.n)
 
 
 def sandwich_cov(fit: FitResult) -> CovarianceEstimate:
@@ -90,15 +152,7 @@ def sandwich_cov(fit: FitResult) -> CovarianceEstimate:
     per-observation scores (mu_i - y_i) x_i; for OLS the score is
     -r_i x_i, so the meat is the residual-weighted second moment.
     """
-    x = fit.design.matrix
-    n = x.shape[0]
-    bread = _information(fit) / n
-    scores = x * fit.residuals[:, None]  # row i is (y_i - mu_i) x_i
-    meat = (scores.T @ scores) / n
-    bread_inv = spd_solve(bread, what="bread matrix")
-    cov = bread_inv @ meat @ bread_inv / n
-    cov = (cov + cov.T) / 2.0
-    return CovarianceEstimate(matrix=cov, method="sandwich", n=n)
+    return _one(sandwich_stack(*_stack_of_one(fit), np.ones(1, dtype=bool)), "sandwich", fit.n)
 
 
 @dataclass(frozen=True)

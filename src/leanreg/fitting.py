@@ -16,7 +16,14 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .core import Dataset, DesignMatrix, build_design, numerical_rank, spd_solve, spd_solve_stack
+from .core import (
+    Dataset,
+    DesignMatrix,
+    build_design,
+    not_positive_definite,
+    numerical_rank,
+    spd_solve_stack,
+)
 from .exceptions import (
     CoefficientIndexError,
     ConvergenceError,
@@ -35,6 +42,7 @@ __all__ = [
     "family_by_name",
     "FitResult",
     "fit_ols",
+    "fit_ols_stack",
     "fit_glm",
     "fit_weighted",
     "WeightedFits",
@@ -228,27 +236,50 @@ def _rank_error(min_eigenvalue: float) -> SingularSystemError:
     )
 
 
+def fit_ols_stack(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list]:
+    """Solve the normal equations of each design in a stack ``x`` (m, n, k), ``y`` (m, n).
+
+    Returns ``(beta, errors)``.  Row r gets what :func:`fit_ols` does
+    for ``(x[r], y[r])``, bit for bit: the rank check of its Gram
+    matrix, the warning when n <= k, and the Cholesky solve.
+    ``errors[r]`` is the typed error that fit raised, and then
+    ``beta[r]`` is zero; otherwise ``errors[r]`` is None.
+    """
+    _, n, k = x.shape
+    xt = np.swapaxes(x, -1, -2)
+    gram = xt @ x
+    rank, eigs = numerical_rank(gram)
+    full = rank == k
+    errors = [None if ok else _rank_error(float(eigs[r, 0])) for r, ok in enumerate(full)]
+    if n <= k:
+        for _ in range(np.count_nonzero(full)):
+            warnings.warn(
+                f"n={n} observations for {k} coefficients: "
+                "variance estimates will be unreliable",
+                stacklevel=3,
+            )
+    beta, solved = spd_solve_stack(gram, (xt @ y[..., None])[..., 0], full)
+    for r in np.flatnonzero(full & ~solved):
+        errors[r] = not_positive_definite(gram[r], "normal-equation matrix")
+    beta[~solved] = 0.0
+    return beta, errors
+
+
 def fit_ols(dm: DesignMatrix, y: np.ndarray) -> FitResult:
     """Solve the sample normal equations (sum x x') beta = sum x y.
 
     Uses the exact symmetric positive-definite (Cholesky) system; the
     residuals of the result are orthogonal to every design column.
+    This is :func:`fit_ols_stack` with a stack of one.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[0] != dm.n:
         raise DimensionError(f"response length {y.shape[0]} != design rows {dm.n}")
     x = dm.matrix
-    gram = x.T @ x
-    rank, eigs = numerical_rank(gram)
-    if rank < dm.ncol:
-        raise _rank_error(float(eigs[0]))
-    if dm.n <= dm.ncol:
-        warnings.warn(
-            f"n={dm.n} observations for {dm.ncol} coefficients: "
-            "variance estimates will be unreliable",
-            stacklevel=2,
-        )
-    beta = spd_solve(gram, x.T @ y)
+    beta, errors = fit_ols_stack(x[None], y[None])
+    if errors[0] is not None:
+        raise errors[0]
+    beta = beta[0]
     fitted = x @ beta
     resid = y - fitted
     return FitResult(

@@ -23,15 +23,15 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import Dataset, numerical_rank, spd_solve
-from .covariance import conventional_cov, sandwich_cov
+from .covariance import conventional_stack, sandwich_stack, standard_errors
 from .exceptions import (
     CollinearPopulationError,
     DomainError,
     LeanRegError,
     PopulationSchemaError,
 )
-from .fitting import GAUSSIAN, fit_dataset
-from .rng import spawn_seed, substream
+from .fitting import GAUSSIAN, fit_ols_stack
+from .rng import spawn_seeds, substream, substreams
 
 __all__ = [
     "NoiseLaw",
@@ -454,8 +454,22 @@ def coverage_experiment(
     its sample from substream (seed, 0, r) and its bootstrap seeds from
     (seed, 1, r) and (seed, 2, r), so it depends only on (seed, r): not
     on the number of replications.
+
+    Replications are fitted in blocks of the bootstrap's chunk size:
+    one stacked Gram, rank check and Cholesky solve per block, then the
+    stacked conventional and sandwich covariances.  Each replication
+    gets the bits, the warning and the typed error its own
+    :func:`~leanreg.fitting.fit_ols`, ``conventional_cov`` and
+    ``sandwich_cov`` would give it, so results do not depend on the
+    blocking.
     """
-    from .bootstrap import bootstrap_se, residual_bootstrap, tolerate_failures, xy_bootstrap
+    from .bootstrap import (
+        _chunks,
+        bootstrap_se,
+        residual_bootstrap,
+        tolerate_failures,
+        xy_bootstrap,
+    )
 
     methods = list(methods)
     if not methods:
@@ -467,36 +481,65 @@ def coverage_experiment(
         raise DomainError(f"confidence level must be in (0, 1), got {level}")
     if replications < 1:
         raise DomainError(f"replications must be at least 1, got {replications}")
+    if n < 1:
+        raise DomainError("sample size must be at least 1")
     if any(m.endswith("bootstrap") for m in methods) and (B is None or B < 1):
         raise DomainError(f"bootstrap methods require a replicate count B >= 1, got {B}")
 
     z = float(ndtri(0.5 + level / 2.0))
     beta_true = population_beta(pop)
     k = beta_true.shape[0]
+    samples = substreams(seed, 0, count=replications)
+    boot_seeds = {
+        m: spawn_seeds(seed, path, count=replications)
+        for m, path in (("xy-bootstrap", 1), ("residual-bootstrap", 2))
+        if m in methods
+    }
 
-    def replicate(r):
-        ds = sample(pop, n, seed, rng=substream(seed, 0, r))
+    def replication(r, ds, beta, error, analytic):
+        """Replication r's (beta_hat, SEs per method), or the first error it meets."""
+        if error is not None:
+            return error
+        ses = {}
         try:
-            fit = fit_dataset(ds)
-            ses = {}
             for m in methods:
-                if m == "conventional":
-                    ses[m] = conventional_cov(fit).standard_errors()
-                elif m == "sandwich":
-                    ses[m] = sandwich_cov(fit).standard_errors()
+                if m in analytic:
+                    se, failure = analytic[m]
+                    if failure is not None:
+                        return failure
+                    ses[m] = se
                 elif m == "xy-bootstrap":
-                    draws = xy_bootstrap(ds, GAUSSIAN, B, spawn_seed(seed, 1, r))
-                    ses[m] = bootstrap_se(draws)
+                    ses[m] = bootstrap_se(xy_bootstrap(ds, GAUSSIAN, B, boot_seeds[m][r]))
                 else:
-                    draws = residual_bootstrap(ds, B, spawn_seed(seed, 2, r))
-                    ses[m] = bootstrap_se(draws)
-            return fit.beta_hat, ses
+                    ses[m] = bootstrap_se(residual_bootstrap(ds, B, boot_seeds[m][r]))
         except LeanRegError as exc:
             return exc
+        return beta, ses
 
-    kept, _ = tolerate_failures(
-        [replicate(r) for r in range(replications)], "coverage replications"
-    )
+    results = []
+    for _, reps in _chunks(replications, n):
+        datasets = [sample(pop, n, seed, rng=rng) for _, rng in zip(reps, samples)]
+        x = np.empty((len(reps), n, k))
+        x[:, :, 0] = 1.0
+        x[:, :, 1:] = [ds.regressors for ds in datasets]
+        y = np.array([ds.response for ds in datasets])
+        beta, fit_errors = fit_ols_stack(x, y)
+        fitted = (x @ beta[..., None])[..., 0]
+        residuals = y - fitted
+        v = GAUSSIAN.variance_fn(fitted)
+        ok = np.array([e is None for e in fit_errors])
+        analytic = {}
+        if "conventional" in methods:
+            cov, errors = conventional_stack(x, v, residuals, GAUSSIAN, ok)
+            analytic["conventional"] = (standard_errors(cov), errors)
+        if "sandwich" in methods:
+            cov, errors = sandwich_stack(x, v, residuals, ok)
+            analytic["sandwich"] = (standard_errors(cov), errors)
+        for i, r in enumerate(reps):
+            row = {m: (se[i], errors[i]) for m, (se, errors) in analytic.items()}
+            results.append(replication(r, datasets[i], beta[i], fit_errors[i], row))
+
+    kept, _ = tolerate_failures(results, "coverage replications")
     retained = len(kept)
     beta_hat = np.array([beta for beta, _ in kept])
     covered, width = {}, {}
@@ -506,10 +549,10 @@ def coverage_experiment(
         # A running total in replication order: np.sum may sum pairwise.
         width[m] = np.cumsum(2.0 * half, axis=0)[-1]
 
-    results = []
+    coverage = []
     for m in methods:
         for j in range(k):
-            results.append(
+            coverage.append(
                 CoverageResult(
                     method=m,
                     coefficient=j,
@@ -519,7 +562,7 @@ def coverage_experiment(
                     replications=retained,
                 )
             )
-    return results
+    return coverage
 
 
 def population_sandwich_av(pop: DiscretePopulation) -> np.ndarray:

@@ -1,19 +1,174 @@
 """Deterministic random-number substreams.
 
 All randomness in leanreg flows through Philox (a counter-based
-generator) keyed by ``numpy.random.SeedSequence``.  A substream is
-addressed by an integer seed plus an index path, e.g. ``(seed, b)`` for
-bootstrap replicate ``b``.  Streams depend only on their address, never
-on execution order, so a replicate's draws depend only on its address:
-not on how many replicates a run makes or how they are grouped for
-computation.
+generator).  A substream is addressed by an integer seed plus an index
+path, e.g. ``(seed, b)`` for bootstrap replicate ``b``, and its Philox
+key is the one ``numpy.random.SeedSequence(seed, spawn_key=path)``
+derives.  Streams depend only on their address, never on execution
+order, so a replicate's draws depend only on its address: not on how
+many replicates a run makes or how they are grouped for computation.
+
+The key derivation is a port of ``SeedSequence``'s ``mix_entropy`` and
+``generate_state`` on uint32 words.  The same code runs on Python ints,
+for one address, and on uint32 arrays, for the last index of a whole
+range of addresses at once; the tests pin it to ``SeedSequence`` itself.
+Replicate loops draw from :func:`substreams`, which resets one Philox
+generator to each derived key instead of building a generator per
+replicate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["substream", "spawn_seed"]
+from .exceptions import DomainError
+
+__all__ = ["philox_keys", "substream", "substreams", "spawn_seed", "spawn_seeds"]
+
+# SeedSequence's constants (numpy/random/bit_generator.pyx).
+POOL_SIZE = 4
+MASK32 = 0xFFFFFFFF
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+XSHIFT = 16
+
+# Every operation below is written so that it is exact on Python ints
+# (masked to 32 bits) and on uint32 arrays (which wrap modulo 2^32, so
+# the mask changes nothing).
+
+
+def _hashmix(value, const: int):
+    """``(hashmix(value), next hash constant)``."""
+    value = value ^ const
+    const = const * MULT_A & MASK32
+    value = value * const & MASK32
+    return value ^ value >> XSHIFT, const
+
+
+def _mix(x, y):
+    result = (MIX_MULT_L * x - MIX_MULT_R * y) & MASK32
+    return result ^ result >> XSHIFT
+
+
+def _absorb(pool: list, const: int, word):
+    """Mix one entropy word past the first ``POOL_SIZE`` into every pool word."""
+    for dst in range(POOL_SIZE):
+        hashed, const = _hashmix(word, const)
+        pool[dst] = _mix(pool[dst], hashed)
+    return const
+
+
+def _words(value) -> list[int]:
+    """A non-negative integer as SeedSequence reads it: little-endian uint32 words."""
+    value = int(value)
+    if value < 0:
+        raise DomainError(f"seeds and stream indices must be non-negative, got {value}")
+    words = [value & MASK32]
+    while value := value >> 32:
+        words.append(value & MASK32)
+    return words
+
+
+def _prefix(seed, path) -> tuple[list[int], int]:
+    """Entropy pool and hash constant after mixing in ``(seed, *path)``."""
+    entropy = _words(seed)
+    # SeedSequence pads the seed's words to the pool size with zeros
+    # when a spawn key follows; without one, hashing the missing words
+    # as zeros gives the same pool, so padding is always exact.
+    entropy += [0] * (POOL_SIZE - len(entropy))
+    for k in path:
+        entropy += _words(k)
+    const = INIT_A
+    pool = []
+    for word in entropy[:POOL_SIZE]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in entropy[POOL_SIZE:]:
+        const = _absorb(pool, const, word)
+    return pool, const
+
+
+def _keys(pool: list):
+    """``generate_state(2, np.uint64)`` of a pool: the two 64-bit Philox key words."""
+    const = INIT_B
+    state = []
+    for i in range(4):  # four uint32 words, low word first
+        value = pool[i % POOL_SIZE] ^ const
+        const = const * MULT_B & MASK32
+        value = value * const & MASK32
+        state.append(np.asarray(value ^ value >> XSHIFT, dtype=np.uint64))
+    return [lo | hi << np.uint64(32) for lo, hi in (state[0:2], state[2:4])]
+
+
+def philox_keys(seed: int, path, indices) -> np.ndarray:
+    """Philox keys of the addresses ``(seed, *path, b)`` for each b in ``indices``, shape (m, 2).
+
+    Row i equals ``SeedSequence(seed, spawn_key=(*path, indices[i]))
+    .generate_state(2, np.uint64)``.  The pool after ``(seed, *path)`` is
+    shared; only the words of each b are mixed as arrays.  Each b must
+    be below 2^64; a negative seed, path entry or index raises
+    :class:`~leanreg.exceptions.DomainError`.
+    """
+    pool, const = _prefix(seed, path)
+    b = np.asarray(indices)
+    if b.size and (b.dtype.kind not in "iu" or b.min() < 0):
+        raise DomainError("stream indices must be non-negative integers below 2^64")
+    b = b.astype(np.uint64).ravel()
+    # b is one uint32 word, or two where b >= 2^32.
+    lo = (b & np.uint64(MASK32)).astype(np.uint32)
+    hi = (b >> np.uint64(32)).astype(np.uint32)
+    pool = [np.full(b.shape, p, dtype=np.uint32) for p in pool]
+    const = _absorb(pool, const, lo)
+    if hi.any():
+        extended = list(pool)
+        _absorb(extended, const, hi)
+        pool = [np.where(hi > 0, e, p) for e, p in zip(extended, pool)]
+    return np.stack(_keys(pool), axis=-1)
+
+
+def spawn_seed(seed: int, *path: int) -> int:
+    """Derive a child integer seed from ``(seed, *path)``.
+
+    Used when a sub-task (e.g. the bootstrap inside one coverage
+    replication) itself takes an integer seed: the child seed is a pure
+    function of the address, keeping the whole run reproducible.  It is
+    ``SeedSequence(seed, spawn_key=path).generate_state(1, np.uint64)[0]``,
+    the first word of the address's Philox key.
+    """
+    return int(_keys(_prefix(seed, path)[0])[0])
+
+
+def spawn_seeds(seed: int, *path: int, count: int) -> list[int]:
+    """``[spawn_seed(seed, *path, b) for b in range(count)]``, derived at once."""
+    return philox_keys(seed, path, np.arange(count))[:, 0].tolist()
+
+
+def _streams(keys):
+    """One generator, put in the state of a fresh Philox with each key in turn."""
+    # An integer seed spares the OS entropy a seedless Philox would
+    # draw; every draw comes after a reset.
+    gen = np.random.Generator(np.random.Philox(0))
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for key in keys:
+        state["state"]["key"] = key
+        gen.bit_generator.state = state
+        yield gen
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -22,16 +177,15 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     The same address always yields the same stream; distinct addresses
     yield statistically independent streams.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return next(_streams([np.array(_keys(_prefix(seed, path)[0]), dtype=np.uint64)]))
 
 
-def spawn_seed(seed: int, *path: int) -> int:
-    """Derive a child integer seed from ``(seed, *path)``.
+def substreams(seed: int, *path: int, count: int):
+    """Yield the generators of ``(seed, *path, b)`` for b = 0 .. count-1, in order.
 
-    Used when a sub-task (e.g. the bootstrap inside one coverage
-    replication) itself takes an integer seed: the child seed is a pure
-    function of the address, keeping the whole run reproducible.
+    Each yielded generator draws exactly what ``substream(seed, *path,
+    b)`` would.  It is one generator object, reset to the next key on
+    every step, so draw from it before advancing the iterator.  The
+    keys are derived (and the address validated) when this is called.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in path))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return _streams(philox_keys(seed, path, np.arange(count)))

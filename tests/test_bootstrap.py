@@ -33,7 +33,11 @@ from leanreg.population import (
     sample,
     uniform_grid_law,
 )
-from leanreg.rng import substream
+
+
+def stream(seed: int, *path: int) -> np.random.Generator:
+    """Substream (seed, *path), built from numpy's SeedSequence as the oracle."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
 
 
 def quadratic_pop():
@@ -129,7 +133,7 @@ def refit_each_replicate(ds, family, B, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # tiny resamples warn about dof
         for b in range(B):
-            idx = substream(seed, b).integers(0, ds.n, size=ds.n)
+            idx = stream(seed, b).integers(0, ds.n, size=ds.n)
             try:
                 dm_b = DesignMatrix(matrix=x[idx], column_labels=dm.column_labels)
                 if family is GAUSSIAN:
@@ -223,7 +227,7 @@ class TestStackedEngine:
         base = fit_ols(dm, ds.response)
         centered = base.residuals - np.mean(base.residuals)
         reference = np.array([
-            fit_ols(dm, base.fitted + centered[substream(1, b).integers(0, ds.n, size=ds.n)]).beta_hat
+            fit_ols(dm, base.fitted + centered[stream(1, b).integers(0, ds.n, size=ds.n)]).beta_hat
             for b in range(40)
         ])
         scale = np.max(np.abs(reference), axis=0)

@@ -126,6 +126,43 @@ class TestBootstrapReplicateCount:
         assert "must be a non-negative integer" in capsys.readouterr().err
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--input", "charges_synthetic.csv", "--response", "charges",
+             "--regressors", "age"],
+            ["bootstrap", "--input", "charges_synthetic.csv", "--response", "charges",
+             "--regressors", "age"],
+            ["predict", "--input", "charges_synthetic.csv", "--response", "charges",
+             "--regressors", "age"],
+            ["simulate", "--population", "quadratic.json", "--n", "50", "--reps", "20"],
+        ],
+        ids=["fit", "bootstrap", "predict", "simulate"],
+    )
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main([*argv, "--seed", "-3"])
+        assert exc_info.value.code == 2
+        assert "must be a non-negative integer" in capsys.readouterr().err
+
+    def test_seed_beyond_64_bits_accepted(self, capsys):
+        argv = ["simulate", "--population", "quadratic.json", "--n", "50", "--reps", "20",
+                "--seed", str(2**64 + 3), "--format", "csv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("method,")
+
+    def test_library_rejects_negative_seed(self):
+        ds = Dataset([1.0, 2.0, 2.5, 4.1], [[0.0], [1.0], [2.0], [3.0]], names=("x",))
+        with pytest.raises(DomainError, match="non-negative"):
+            xy_bootstrap(ds, GAUSSIAN, B=10, seed=-3)
+        with pytest.raises(DomainError, match="non-negative"):
+            coverage_experiment(
+                make_population([[-1.0], [1.0]], [0.5, 0.5], [0.0, 1.0]),
+                n=10, replications=5, methods=["sandwich"], seed=-3,
+            )
+
+
 class TestPopulationFileCorners:
     def test_per_point_noise_scales(self, tmp_path):
         obj = {

@@ -3,17 +3,27 @@ residual decomposition, orthogonality identities, sampling, and
 coverage experiments."""
 
 import json
+import warnings
+from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+from leanreg import bootstrap
+from leanreg.bootstrap import bootstrap_se, residual_bootstrap, xy_bootstrap
+from leanreg.covariance import conventional_cov, sandwich_cov
 from leanreg.exceptions import (
     CollinearPopulationError,
     DomainError,
+    ExcessiveFailureError,
+    LeanRegError,
     PopulationSchemaError,
 )
-from leanreg.fitting import fit_dataset
+from leanreg.fitting import GAUSSIAN, fit_dataset
 from leanreg.population import (
+    CoverageResult,
     check_orthogonality,
     coverage_experiment,
     decompose,
@@ -281,6 +291,147 @@ class TestCoverageExperiment:
         for r in results:
             assert 0.6 <= r.coverage <= 1.0
         assert {r.method for r in results} == {"xy-bootstrap", "residual-bootstrap"}
+
+
+def oracle_stream(seed, *path):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
+
+
+def oracle_seed(seed, *path):
+    return int(np.random.SeedSequence(seed, spawn_key=path).generate_state(1, np.uint64)[0])
+
+
+def replications_one_by_one(pop, n, count, methods, B, seed):
+    """Reference: coverage replications fitted one at a time, with no blocks.
+
+    Returns, per replication, ``(beta_hat, SEs per method)`` or the
+    error it raised, and the number of warnings it issued.
+    """
+    results, warned = [], []
+    for r in range(count):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ds = sample(pop, n, seed, rng=oracle_stream(seed, 0, r))
+            try:
+                fit = fit_dataset(ds)
+                ses = {}
+                for m in methods:
+                    if m == "conventional":
+                        ses[m] = conventional_cov(fit).standard_errors()
+                    elif m == "sandwich":
+                        ses[m] = sandwich_cov(fit).standard_errors()
+                    elif m == "xy-bootstrap":
+                        draws = xy_bootstrap(ds, GAUSSIAN, B, oracle_seed(seed, 1, r))
+                        ses[m] = bootstrap_se(draws)
+                    else:
+                        draws = residual_bootstrap(ds, B, oracle_seed(seed, 2, r))
+                        ses[m] = bootstrap_se(draws)
+                results.append((fit.beta_hat, ses))
+            except LeanRegError as exc:
+                results.append(exc)
+        warned.append(len(caught))
+    return results, warned
+
+
+def summarize(results, methods, beta_true, level):
+    """Reference: the coverage results of per-replication outcomes, summed in replication order."""
+    kept, _ = bootstrap.tolerate_failures(results, "coverage replications")
+    z = float(ndtri(0.5 + level / 2.0))
+    retained = len(kept)
+    beta_hat = np.array([beta for beta, _ in kept])
+    summary = []
+    for m in methods:
+        half = z * np.array([ses[m] for _, ses in kept])
+        covered = np.sum(np.abs(beta_hat - beta_true) <= half, axis=0)
+        width = np.cumsum(2.0 * half, axis=0)[-1]
+        for j in range(len(beta_true)):
+            summary.append(CoverageResult(
+                method=m, coefficient=j, level=level, coverage=float(covered[j] / retained),
+                mean_width=float(width[j] / retained), replications=retained,
+            ))
+    return summary
+
+
+def outcome(run):
+    """``(failure reasons, coverage results or None, warnings)`` of a coverage run."""
+    real = bootstrap.tolerate_failures
+    reasons = {}
+
+    def spy(results, what):
+        try:
+            kept, counts = real(results, what)
+        except ExcessiveFailureError as exc:
+            counts = exc.reasons
+            raise
+        finally:
+            if what == "coverage replications":
+                reasons.update(counts)
+        return kept, counts
+
+    with warnings.catch_warnings(record=True) as caught, mock.patch.object(
+        bootstrap, "tolerate_failures", spy
+    ):
+        warnings.simplefilter("always")
+        try:
+            results = run()
+        except ExcessiveFailureError:
+            results = None
+    return reasons, results, len(caught)
+
+
+def two_point_pop(p0):
+    return make_population(
+        [[0.0], [1.0]], [p0, 1.0 - p0],
+        {"kind": "polynomial", "coefficients": [0.0, 1.0]},
+        {"kind": "gaussian", "sigma": 1.0},
+    )
+
+
+def quadratic_pop():
+    sup, probs = normal_quadrature_law(31)
+    return make_population(sup, probs, quadratic_mu(), {"kind": "gaussian", "sigma": 1.0})
+
+
+# name: (population, n, methods, B, level, seed, CHUNK_ELEMENTS or None to keep it).
+# A smaller chunk bound makes small blocks, so cases with tiny n or
+# bootstrap methods cross several block edges at a modest cost.
+BLOCK_CASES = {
+    "analytic": (quadratic_pop, 200, ["sandwich", "conventional"], None, 0.95, 21, None),
+    "four_methods": (
+        quadratic_pop, 60,
+        ["conventional", "xy-bootstrap", "sandwich", "residual-bootstrap"], 20, 0.9, 22, 600,
+    ),
+    "singular_draws": (lambda: two_point_pop(0.7), 8, ["sandwich"], None, 0.9, 13, 64),
+    "threshold_breach": (lambda: two_point_pop(0.95), 8, ["sandwich"], None, 0.9, 13, 64),
+    "n_equals_k": (lambda: two_point_pop(0.5), 2, ["sandwich", "conventional"], None, 0.9, 5, 20),
+    "n_equals_k_sandwich": (lambda: two_point_pop(0.5), 2, ["sandwich"], None, 0.9, 5, 20),
+    "n_below_k": (lambda: two_point_pop(0.5), 1, ["sandwich"], None, 0.9, 5, 20),
+}
+
+
+class TestCoverageBlocks:
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_matches_replications_one_by_one(self, case):
+        make_pop, n, methods, B, level, seed, chunk_elements = BLOCK_CASES[case]
+        pop = make_pop()
+        chunk_elements = chunk_elements or bootstrap.CHUNK_ELEMENTS
+        c = max(1, chunk_elements // n)
+        counts = (1, c - 1, c, c + 1, 2 * c + 3)
+        beta_true = population_beta(pop)
+        # The bootstraps inside the replications are chunked by the same bound.
+        with mock.patch.object(bootstrap, "CHUNK_ELEMENTS", chunk_elements):
+            reference, warned = replications_one_by_one(pop, n, counts[-1], methods, B, seed)
+            for count in counts:
+                got = outcome(lambda: coverage_experiment(
+                    pop, n=n, replications=count, methods=methods, level=level, B=B, seed=seed,
+                ))
+                want = outcome(lambda: summarize(reference[:count], methods, beta_true, level))
+                assert got[0] == want[0]
+                if want[1] is None:
+                    assert got[1] is None
+                else:
+                    assert [astuple(r) for r in got[1]] == [astuple(r) for r in want[1]]
+                assert got[2] == sum(warned[:count])
 
 
 class TestQuadratureLaws:
