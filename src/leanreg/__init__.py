@@ -18,9 +18,7 @@ from .bootstrap import (
 from .core import (
     Dataset,
     DesignMatrix,
-    RankReport,
     build_design,
-    check_rank,
     load_csv,
     write_csv,
 )

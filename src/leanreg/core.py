@@ -1,17 +1,19 @@
-"""Data model: datasets, design matrices, and rank diagnostics.
+"""Data model, CSV text, and the one rank and SPD-solve policy.
 
 A :class:`Dataset` holds observed ``(y_i, x_i)`` tuples with explicit
 regressor/response designation; :func:`build_design` prepends the
-all-ones intercept column; :func:`check_rank` reports the rank of the
-sample second-moment matrix.  All types are immutable after
-construction and safe to share across threads.
+all-ones intercept column.  :func:`numerical_rank` is the package's one
+rank rule and :func:`spd_solve`/:func:`spd_solve_stack` its one
+Cholesky solve, whose failure is a :class:`SingularSystemError` naming
+the matrix.  All types are immutable after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,18 +28,15 @@ from .exceptions import (
 __all__ = [
     "Dataset",
     "DesignMatrix",
-    "RankReport",
     "INTERCEPT_LABEL",
     "RANK_RTOL",
     "load_csv",
     "csv_text",
     "write_csv",
     "build_design",
-    "check_rank",
     "numerical_rank",
     "spd_solve",
     "spd_solve_stack",
-    "not_positive_definite",
 ]
 
 INTERCEPT_LABEL = "(Intercept)"
@@ -131,20 +130,6 @@ class DesignMatrix:
     @property
     def ncol(self) -> int:
         return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
-class RankReport:
-    """Rank diagnostics of the second-moment matrix (1/n) sum x_i x_i'.
-
-    The eigenvalues are those of its column-equilibrated form, which
-    :func:`numerical_rank` reads the rank from.
-    """
-
-    rank: int
-    min_eigenvalue: float
-    full_rank: bool
-    max_eigenvalue: float = field(default=float("nan"))
 
 
 def load_csv(path, response: str, regressors: list[str]) -> Dataset:
@@ -298,20 +283,6 @@ def build_design(ds: Dataset) -> DesignMatrix:
     return DesignMatrix(matrix=m, column_labels=(INTERCEPT_LABEL, *ds.names))
 
 
-def check_rank(dm: DesignMatrix) -> RankReport:
-    """Rank of (1/n) sum x_i x_i' under the policy of :func:`numerical_rank`.
-
-    Degenerate designs are reported, never raised.
-    """
-    rank, eigs = numerical_rank(dm.matrix.T @ dm.matrix)
-    return RankReport(
-        rank=int(rank),
-        min_eigenvalue=float(eigs[0]),
-        full_rank=rank == dm.ncol,
-        max_eigenvalue=float(eigs[-1]),
-    )
-
-
 def numerical_rank(gram: np.ndarray):
     """``(rank, ascending eigenvalues)`` of a Gram matrix or of each in a stack (m, k, k).
 
@@ -347,48 +318,42 @@ def spd_solve(a: np.ndarray, b: np.ndarray | None = None, what: str = "normal-eq
 
     ``b`` is a vector or a matrix; when it is None, ``a^-1`` is returned.
     Raises :class:`SingularSystemError`, naming ``what``, when ``a`` is
-    not positive definite.
+    not positive definite.  This is :func:`spd_solve_stack` with a stack
+    of one.
     """
-    try:
-        lower = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise not_positive_definite(a, what) from None
-    return _cholesky_solve(lower, b)
+    rhs = None if b is None else b[None]
+    z, errors = spd_solve_stack(a[None], rhs, np.ones(1, dtype=bool), what)
+    if errors[0] is not None:
+        raise errors[0]
+    return z[0]
 
 
-def not_positive_definite(a: np.ndarray, what: str) -> SingularSystemError:
-    """The error :func:`spd_solve` raises for ``a``, naming ``what``."""
-    min_eig = float(numerical_rank(a)[1][0])
-    return SingularSystemError(
-        f"{what} is not positive definite: smallest equilibrated eigenvalue {min_eig:.3e}",
-        min_eigenvalue=min_eig,
-    )
-
-
-def _is_spd(a: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def spd_solve_stack(a: np.ndarray, b: np.ndarray | None, rows: np.ndarray):
+def spd_solve_stack(a: np.ndarray, b: np.ndarray | None, rows: np.ndarray, what: str):
     """:func:`spd_solve` for the rows of a stack ``a`` (m, k, k), ``b`` (m, k) selected by ``rows``.
 
     When ``b`` is None, each ``a[r]^-1`` is returned.  Returns ``(z,
-    solved)``: ``solved[r]`` says that row r was selected and that
-    ``a[r]`` passed LAPACK's Cholesky test, applied matrix by matrix so
-    that no row's verdict depends on another's.  Other rows are solved
-    against the identity; their ``z`` is meaningless.  Row r of ``z``
-    has the bits :func:`spd_solve` gives for ``a[r]`` alone.
+    errors)``: ``errors[r]`` is the error :func:`spd_solve` raises for
+    ``a[r]``, naming ``what``, when row r is selected and ``a[r]`` fails
+    LAPACK's Cholesky test, applied matrix by matrix so that no row's
+    verdict depends on another's; otherwise it is None.  Row r of ``z``
+    has the bits :func:`spd_solve` gives for ``a[r]`` alone when row r is
+    selected and has no error; other rows are meaningless.
     """
     eye = np.eye(a.shape[-1])
-    a = np.where(rows[:, None, None], a, eye)
+    errors = [None] * len(rows)
     try:
-        lower = np.linalg.cholesky(a)
-        solved = rows.copy()
+        lower = np.linalg.cholesky(np.where(rows[:, None, None], a, eye))
     except np.linalg.LinAlgError:
-        solved = rows & np.array([_is_spd(matrix) for matrix in a])
+        for r in np.flatnonzero(rows):
+            try:
+                np.linalg.cholesky(a[r])
+            except np.linalg.LinAlgError:
+                min_eig = float(numerical_rank(a[r])[1][0])
+                errors[r] = SingularSystemError(
+                    f"{what} is not positive definite: "
+                    f"smallest equilibrated eigenvalue {min_eig:.3e}",
+                    min_eigenvalue=min_eig,
+                )
+        solved = rows & np.array([e is None for e in errors])
         lower = np.linalg.cholesky(np.where(solved[:, None, None], a, eye))
-    return _cholesky_solve(lower, b), solved
+    return _cholesky_solve(lower, b), errors

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .core import csv_text, not_positive_definite, spd_solve_stack
+from .core import csv_text, spd_solve_stack
 from .exceptions import (
     ColumnError,
     DegreesOfFreedomError,
@@ -74,15 +74,6 @@ def _stack_of_one(fit: FitResult):
     )
 
 
-def _spd_inverses(a: np.ndarray, rows: np.ndarray, what: str):
-    """``(a[r]^-1 for every r, errors)``: the error of each selected row that is not positive definite."""
-    inverse, solved = spd_solve_stack(a, None, rows)
-    errors = [None] * len(rows)
-    for r in np.flatnonzero(rows & ~solved):
-        errors[r] = not_positive_definite(a[r], what)
-    return inverse, errors
-
-
 def standard_errors(cov: np.ndarray) -> np.ndarray:
     """Square roots of the diagonal of each covariance in a stack, negatives read as 0."""
     return np.sqrt(np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), 0.0))
@@ -112,7 +103,8 @@ def conventional_stack(x, v, residuals, family: Family, rows: np.ndarray):
         dispersion = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0] / (n - k)
     else:
         dispersion = np.ones(m)
-    inverse, errors = _spd_inverses(_information(x, v), rows, "expected-information matrix")
+    information = _information(x, v)
+    inverse, errors = spd_solve_stack(information, None, rows, "expected-information matrix")
     return dispersion[:, None, None] * inverse, errors
 
 
@@ -122,7 +114,7 @@ def sandwich_stack(x, v, residuals, rows: np.ndarray):
     bread = _information(x, v) / n
     scores = x * residuals[..., None]  # row i is (y_i - mu_i) x_i
     meat = (np.swapaxes(scores, -1, -2) @ scores) / n
-    bread_inv, errors = _spd_inverses(bread, rows, "bread matrix")
+    bread_inv, errors = spd_solve_stack(bread, None, rows, "bread matrix")
     cov = bread_inv @ meat @ bread_inv / n
     return (cov + np.swapaxes(cov, -1, -2)) / 2.0, errors
 

@@ -20,7 +20,6 @@ from .core import (
     Dataset,
     DesignMatrix,
     build_design,
-    not_positive_definite,
     numerical_rank,
     spd_solve_stack,
 )
@@ -139,7 +138,7 @@ GAUSSIAN = Family(
     "gaussian-identity",
     inverse_link=lambda t: t,
     variance_fn=np.ones_like,
-    deviance=lambda mu, y: float(np.sum((y - mu) ** 2)),
+    deviance=lambda mu, y: float((y - mu) @ (y - mu)),
     closed_form=True,
     estimates_dispersion=True,
 )
@@ -228,76 +227,64 @@ class FitResult:
         }
 
 
-def _rank_error(min_eigenvalue: float) -> SingularSystemError:
-    return SingularSystemError(
-        "design matrix is rank deficient: smallest equilibrated "
-        f"second-moment eigenvalue {min_eigenvalue:.3e}",
-        min_eigenvalue=min_eigenvalue,
-    )
+def _rank_errors(gram: np.ndarray) -> list:
+    """Per Gram matrix of a stack: the error of a rank-deficient one, else None."""
+    rank, eigs = numerical_rank(gram)
+    return [
+        None
+        if full
+        else SingularSystemError(
+            "design matrix is rank deficient: smallest equilibrated "
+            f"second-moment eigenvalue {eigs[r, 0]:.3e}",
+            min_eigenvalue=float(eigs[r, 0]),
+        )
+        for r, full in enumerate(rank == gram.shape[-1])
+    ]
+
+
+def _ok(errors) -> np.ndarray:
+    """Mask of the rows whose error is None."""
+    return np.array([e is None for e in errors], dtype=bool)
+
+
+def _record(errors: list, failed: list) -> np.ndarray:
+    """Copy each error of ``failed`` into ``errors``; the mask of the rows without one."""
+    ok = _ok(failed)
+    for r in np.flatnonzero(~ok):
+        errors[r] = failed[r]
+    return ok
 
 
 def fit_ols_stack(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list]:
     """Solve the normal equations of each design in a stack ``x`` (m, n, k), ``y`` (m, n).
 
-    Returns ``(beta, errors)``.  Row r gets what :func:`fit_ols` does
-    for ``(x[r], y[r])``, bit for bit: the rank check of its Gram
-    matrix, the warning when n <= k, and the Cholesky solve.
-    ``errors[r]`` is the typed error that fit raised, and then
+    Returns ``(beta, errors)``.  Row r gets what :func:`fit_glm` does
+    for the gaussian family on ``(x[r], y[r])``, bit for bit: the rank
+    check of its Gram matrix, the warning when n <= k, and the Cholesky
+    solve.  ``errors[r]`` is the typed error that fit raised, and then
     ``beta[r]`` is zero; otherwise ``errors[r]`` is None.
     """
     _, n, k = x.shape
     xt = np.swapaxes(x, -1, -2)
     gram = xt @ x
-    rank, eigs = numerical_rank(gram)
-    full = rank == k
-    errors = [None if ok else _rank_error(float(eigs[r, 0])) for r, ok in enumerate(full)]
+    errors = _rank_errors(gram)
     if n <= k:
-        for _ in range(np.count_nonzero(full)):
+        for _ in range(errors.count(None)):
             warnings.warn(
                 f"n={n} observations for {k} coefficients: "
                 "variance estimates will be unreliable",
                 stacklevel=3,
             )
-    beta, solved = spd_solve_stack(gram, (xt @ y[..., None])[..., 0], full)
-    for r in np.flatnonzero(full & ~solved):
-        errors[r] = not_positive_definite(gram[r], "normal-equation matrix")
-    beta[~solved] = 0.0
+    xty = (xt @ y[..., None])[..., 0]
+    beta, failed = spd_solve_stack(gram, xty, _ok(errors), "normal-equation matrix")
+    _record(errors, failed)
+    beta[~_ok(errors)] = 0.0
     return beta, errors
 
 
 def fit_ols(dm: DesignMatrix, y: np.ndarray) -> FitResult:
-    """Solve the sample normal equations (sum x x') beta = sum x y.
-
-    Uses the exact symmetric positive-definite (Cholesky) system; the
-    residuals of the result are orthogonal to every design column.
-    This is :func:`fit_ols_stack` with a stack of one.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != dm.n:
-        raise DimensionError(f"response length {y.shape[0]} != design rows {dm.n}")
-    x = dm.matrix
-    beta, errors = fit_ols_stack(x[None], y[None])
-    if errors[0] is not None:
-        raise errors[0]
-    beta = beta[0]
-    fitted = x @ beta
-    resid = y - fitted
-    return FitResult(
-        family=GAUSSIAN,
-        beta_hat=beta,
-        fitted=fitted,
-        residuals=resid,
-        linear_predictor=fitted,
-        converged=True,
-        iterations=1,
-        deviance_or_sse=float(resid @ resid),
-        design=dm,
-        y=y,
-    )
-
-
-def _not_positive_definite() -> SingularSystemError:
-    return SingularSystemError("normal-equation matrix not positive definite")
+    """The OLS fit: :func:`fit_glm` with the gaussian family."""
+    return fit_glm(dm, y, GAUSSIAN)
 
 
 def outer_rows(x: np.ndarray) -> np.ndarray:
@@ -355,15 +342,10 @@ def fit_weighted(
     if outer is None:
         outer = outer_rows(x)
     gram = (w @ outer).reshape(m, k, k)
-    rank, eigs = numerical_rank(gram)
-    errors: list = [None] * m
-    for r in np.flatnonzero(rank < k):
-        errors[r] = _rank_error(float(eigs[r, 0]))
+    errors = _rank_errors(gram)
     if family.closed_form:
-        active = np.array([e is None for e in errors])
-        beta, solved = spd_solve_stack(gram, (w * y) @ x, active)
-        for r in np.flatnonzero(active & ~solved):
-            errors[r] = _not_positive_definite()
+        beta, failed = spd_solve_stack(gram, (w * y) @ x, _ok(errors), "normal-equation matrix")
+        _record(errors, failed)
         return WeightedFits(beta, tuple(errors), np.ones(m, dtype=int), np.zeros(m))
 
     outside = family.outside_support(y)
@@ -371,7 +353,7 @@ def fit_weighted(
         for r in np.flatnonzero(np.any(w[:, outside] > 0, axis=1)):
             if errors[r] is None:
                 errors[r] = FamilyError(family.support_message)
-    active = np.array([e is None for e in errors])
+    active = _ok(errors)
 
     with np.errstate(over="ignore", invalid="ignore"):
         beta, iterations, score_norm = _newton(x, y, w, wsum, outer, family, active, errors)
@@ -421,8 +403,8 @@ def _newton(x, y, w, wsum, outer, family, active, errors):
         v[live] = family.variance_fn(mu[live])
         hessian = ((w * v) @ outer).reshape(m, k, k) / wsum[:, None, None]
         grad = scores / wsum[:, None]
-        direction, solved = spd_solve_stack(hessian, grad, active)
-        retry = active & ~solved
+        direction, failed = spd_solve_stack(hessian, grad, active, "Newton system")
+        retry = ~_ok(failed)
         if family.weight_floor is not None and retry.any():
             # mu saturated to exactly 0/1 on enough points to break the
             # solve; floor those weights just enough to keep the system
@@ -431,12 +413,10 @@ def _newton(x, y, w, wsum, outer, family, active, errors):
             # separation bound below would never be reached.
             v = np.where(v <= 0.0, family.weight_floor, v)
             hessian = ((w * v) @ outer).reshape(m, k, k) / wsum[:, None, None]
-            floored, rescued = spd_solve_stack(hessian, grad, retry)
+            floored, failed = spd_solve_stack(hessian, grad, retry, "Newton system")
+            rescued = retry & _ok(failed)
             direction[rescued] = floored[rescued]
-            solved |= rescued
-        for r in np.flatnonzero(active & ~solved):
-            errors[r] = _not_positive_definite()
-        active = active & solved
+        active = active & _record(errors, failed)
         live = np.flatnonzero(active)
         direction = -direction
 
@@ -501,20 +481,23 @@ def fit_glm(
     y: np.ndarray,
     family: Family,
 ) -> FitResult:
-    """Minimize the sample working-model cost by Newton/IRLS.
+    """Fit the working model of ``family`` to the sample: the one single-sample fit.
 
-    This is :func:`fit_weighted` with one all-ones weight row.
-    Convergence requires both a relative coefficient change below
-    ``COEF_TOL`` and a mean-score norm ``max_j |sum_i (mu_i - y_i)
-    x_ij| / n`` at or below ``SCORE_TOL * max(1, mean|y|)``.
-    Steps that fail to decrease the objective are halved up to
-    ``MAX_HALVINGS`` times.
+    A closed-form family solves the normal equations (sum x x') beta =
+    sum x y exactly, as :func:`fit_ols_stack` with a stack of one; the
+    residuals are orthogonal to every design column.  Other families
+    are :func:`fit_weighted` with one all-ones weight row, minimizing the
+    sample working-model cost by Newton/IRLS.  Convergence requires
+    both a relative coefficient change below ``COEF_TOL`` and a
+    mean-score norm ``max_j |sum_i (mu_i - y_i) x_ij| / n`` at or below
+    ``SCORE_TOL * max(1, mean|y|)``.  Steps that fail to decrease the
+    objective are halved up to ``MAX_HALVINGS`` times.
 
     Raises
     ------
     SingularSystemError
-        the design is rank deficient, or a Newton system is not
-        positive definite.
+        the design is rank deficient, or the normal-equation matrix or
+        a Newton system is not positive definite.
     SeparationError
         a bernoulli linear predictor ``|x_i'beta|`` diverges past the
         logit saturation bound.
@@ -526,10 +509,16 @@ def fit_glm(
     if y.shape[0] != dm.n:
         raise DimensionError(f"response length {y.shape[0]} != design rows {dm.n}")
     x = dm.matrix
-    fits = fit_weighted(x, y, np.ones((1, dm.n)), family)
-    if fits.errors[0] is not None:
-        raise fits.errors[0]
-    beta = fits.beta[0]
+    if family.closed_form:
+        beta, errors = fit_ols_stack(x[None], y[None])
+        iterations, score_norm = 1, 0.0
+    else:
+        fits = fit_weighted(x, y, np.ones((1, dm.n)), family)
+        beta, errors = fits.beta, fits.errors
+        iterations, score_norm = int(fits.iterations[0]), float(fits.score_norm[0])
+    if errors[0] is not None:
+        raise errors[0]
+    beta = beta[0]
     t = x @ beta
     mu = family.inverse_link(t)
     return FitResult(
@@ -539,20 +528,17 @@ def fit_glm(
         residuals=y - mu,
         linear_predictor=t,
         converged=True,
-        iterations=int(fits.iterations[0]),
+        iterations=iterations,
         deviance_or_sse=family.deviance(mu, y),
         design=dm,
         y=y,
-        score_norm=float(fits.score_norm[0]),
+        score_norm=score_norm,
     )
 
 
 def fit_dataset(ds: Dataset, family: Family = GAUSSIAN) -> FitResult:
-    """Convenience front end: build the design and dispatch by family."""
-    dm = build_design(ds)
-    if family.closed_form:
-        return fit_ols(dm, ds.response)
-    return fit_glm(dm, ds.response, family)
+    """Build the design of ``ds`` and fit it with :func:`fit_glm`."""
+    return fit_glm(build_design(ds), ds.response, family)
 
 
 def predict_mean(fit: FitResult, x) -> float:

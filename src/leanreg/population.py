@@ -79,6 +79,11 @@ class NoiseLaw:
             )
         s = np.asarray(self.scale, dtype=float)
         object.__setattr__(self, "scale", s)
+        if self.kind in ("gaussian", "two_point"):
+            param = "noise.sigma" if self.kind == "gaussian" else "noise.a"
+            _require_finite(s, param)
+            if np.any(s < 0):
+                raise PopulationSchemaError(f"{param} must be nonnegative", field=param)
 
     def variance(self, mu: np.ndarray) -> np.ndarray:
         """Exact conditional noise variance at each support point."""
@@ -104,6 +109,12 @@ class NoiseLaw:
         return None  # gaussian: handled analytically
 
 
+def _require_finite(values: np.ndarray, name: str) -> None:
+    """Reject NaN and infinite entries, which JSON files may spell NaN and Infinity."""
+    if not np.all(np.isfinite(values)):
+        raise PopulationSchemaError(f"{name} must be finite (no NaN or Infinity)", field=name)
+
+
 def _mu_values(mu, points: np.ndarray) -> np.ndarray:
     """Evaluate a response surface spec at raw regressor points (m, p)."""
     if callable(mu):
@@ -116,9 +127,11 @@ def _mu_values(mu, points: np.ndarray) -> np.ndarray:
                     "polynomial mu requires exactly one regressor", field="mu"
                 )
             coeffs = np.asarray(mu["coefficients"], dtype=float)
+            _require_finite(coeffs, "mu.coefficients")
             return np.polynomial.polynomial.polyval(points[:, 0], coeffs)
         if kind == "table":
             vals = np.asarray(mu["values"], dtype=float)
+            _require_finite(vals, "mu.values")
             if vals.shape[0] != points.shape[0]:
                 raise PopulationSchemaError(
                     "mu table length does not match support size", field="mu.values"
@@ -197,6 +210,8 @@ class DiscretePopulation:
             raise PopulationSchemaError(
                 "probs and mu must have one entry per support point", field="probs"
             )
+        for values, name in ((sup, "support"), (probs, "probs"), (mu, "mu")):
+            _require_finite(values, name)
         if np.any(probs < 0):
             raise PopulationSchemaError("probabilities must be nonnegative", field="probs")
         if abs(float(np.sum(probs)) - 1.0) > PROB_TOL:
@@ -238,6 +253,7 @@ def make_population(support, probs, mu, noise=None, names=(), response_name="y")
     pts = np.asarray(support, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
+    _require_finite(pts, "support")
     m = pts.shape[0]
     design = np.column_stack([np.ones(m), pts])
     mu_vals = _mu_values(mu, pts)
@@ -382,21 +398,29 @@ def _draw_noise(law: NoiseLaw, mu: np.ndarray, idx: np.ndarray, rng) -> np.ndarr
     return (u < mu[idx]).astype(float) - mu[idx]
 
 
-def sample(pop: DiscretePopulation, n: int, seed: int, rng=None) -> Dataset:
-    """Draw n i.i.d. observations; deterministic for a given seed."""
-    if n < 1:
-        raise DomainError("sample size must be at least 1")
-    if rng is None:
-        rng = substream(seed)
+def _draw(pop: DiscretePopulation, n: int, rng):
+    """``(idx, y)``: the support indices and responses of n i.i.d. draws from ``rng``."""
     idx = rng.choice(pop.m, size=n, p=pop.probs)
     eps = _draw_noise(pop.noise, pop.mu_values, idx, rng)
-    y = pop.mu_values[idx] + eps
+    return idx, pop.mu_values[idx] + eps
+
+
+def _dataset(pop: DiscretePopulation, idx: np.ndarray, y: np.ndarray) -> Dataset:
     return Dataset(
         response=y,
         regressors=pop.points[idx],
         names=pop.names,
         response_name=pop.response_name,
     )
+
+
+def sample(pop: DiscretePopulation, n: int, seed: int, rng=None) -> Dataset:
+    """Draw n i.i.d. observations; deterministic for a given seed."""
+    if n < 1:
+        raise DomainError("sample size must be at least 1")
+    if rng is None:
+        rng = substream(seed)
+    return _dataset(pop, *_draw(pop, n, rng))
 
 
 def regressor_shift_experiment(mu, noise, law1, law2) -> dict:
@@ -461,7 +485,8 @@ def coverage_experiment(
     gets the bits, the warning and the typed error its own
     :func:`~leanreg.fitting.fit_ols`, ``conventional_cov`` and
     ``sandwich_cov`` would give it, so results do not depend on the
-    blocking.
+    blocking.  A replication's sample stays support indices and
+    responses; only a bootstrap method makes it a :class:`Dataset`.
     """
     from .bootstrap import (
         _chunks,
@@ -483,7 +508,8 @@ def coverage_experiment(
         raise DomainError(f"replications must be at least 1, got {replications}")
     if n < 1:
         raise DomainError("sample size must be at least 1")
-    if any(m.endswith("bootstrap") for m in methods) and (B is None or B < 1):
+    bootstrapped = any(m.endswith("bootstrap") for m in methods)
+    if bootstrapped and (B is None or B < 1):
         raise DomainError(f"bootstrap methods require a replicate count B >= 1, got {B}")
 
     z = float(ndtri(0.5 + level / 2.0))
@@ -496,10 +522,11 @@ def coverage_experiment(
         if m in methods
     }
 
-    def replication(r, ds, beta, error, analytic):
+    def replication(r, idx, y, beta, error, analytic):
         """Replication r's (beta_hat, SEs per method), or the first error it meets."""
         if error is not None:
             return error
+        ds = _dataset(pop, idx, y) if bootstrapped else None
         ses = {}
         try:
             for m in methods:
@@ -518,11 +545,10 @@ def coverage_experiment(
 
     results = []
     for _, reps in _chunks(replications, n):
-        datasets = [sample(pop, n, seed, rng=rng) for _, rng in zip(reps, samples)]
-        x = np.empty((len(reps), n, k))
-        x[:, :, 0] = 1.0
-        x[:, :, 1:] = [ds.regressors for ds in datasets]
-        y = np.array([ds.response for ds in datasets])
+        draws = [_draw(pop, n, rng) for _, rng in zip(reps, samples)]
+        idx = np.array([d[0] for d in draws])
+        y = np.array([d[1] for d in draws])
+        x = pop.support[idx]  # support rows carry the leading 1
         beta, fit_errors = fit_ols_stack(x, y)
         fitted = (x @ beta[..., None])[..., 0]
         residuals = y - fitted
@@ -537,7 +563,7 @@ def coverage_experiment(
             analytic["sandwich"] = (standard_errors(cov), errors)
         for i, r in enumerate(reps):
             row = {m: (se[i], errors[i]) for m, (se, errors) in analytic.items()}
-            results.append(replication(r, datasets[i], beta[i], fit_errors[i], row))
+            results.append(replication(r, idx[i], y[i], beta[i], fit_errors[i], row))
 
     kept, _ = tolerate_failures(results, "coverage replications")
     retained = len(kept)

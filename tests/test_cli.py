@@ -232,6 +232,22 @@ class TestSimulateSubcommand:
         assert "mu" in err
 
 
+    def test_non_finite_population_value_exit_one(self, tmp_path, capsys):
+        # json reads NaN; the field is named and nothing else reaches stderr.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "mu": {"kind": "table", "values": [0.0, float("nan"), 1.0]},
+            "noise": {"kind": "none"},
+            "laws": [
+                {"support": [[0.0], [1.0], [2.0]], "probs": [0.25, 0.25, 0.5]},
+                {"support": [[0.0], [1.0], [2.0]], "probs": [0.5, 0.25, 0.25]},
+            ],
+        }))
+        code, out, err = run_main(["simulate", "--population", str(bad)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "leanreg: error: mu.values must be finite (no NaN or Infinity)\n"
+
 class TestSlopesSubcommand:
     def test_summary_and_pair_table(self, small_csv, tmp_path, capsys):
         pairs = tmp_path / "pairs.csv"

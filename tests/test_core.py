@@ -1,15 +1,16 @@
-"""Ingestion, design construction, and rank diagnostics."""
+"""Ingestion, design construction, the rank policy and the SPD solve."""
 
 import numpy as np
 import pytest
 
 from leanreg.core import (
     Dataset,
-    DesignMatrix,
     build_design,
-    check_rank,
     dataset_to_csv_text,
     load_csv,
+    numerical_rank,
+    spd_solve,
+    spd_solve_stack,
     write_csv,
 )
 from leanreg.exceptions import (
@@ -17,6 +18,7 @@ from leanreg.exceptions import (
     DataError,
     EmptyInputError,
     ParseError,
+    SingularSystemError,
 )
 
 
@@ -135,21 +137,25 @@ class TestBuildDesign:
         assert np.array_equal(dm.matrix[:, 1:], ds.regressors)
 
 
+def gram_rank(x):
+    """``(rank, ascending eigenvalues)`` of the second moment of the design ``x``."""
+    return numerical_rank(x.T @ x)
+
+
 class TestCheckRank:
+    """The rank of a design's second moment, under the one rank policy."""
+
     def test_duplicated_column_not_full_rank(self):
         x = np.array([[1.0, 2.0, 2.0], [1.0, 3.0, 3.0], [1.0, 5.0, 5.0]])
-        dm = DesignMatrix(x, ("(Intercept)", "a", "b"))
-        report = check_rank(dm)
-        assert not report.full_rank
-        assert report.rank == 2
+        rank, _ = gram_rank(x)
+        assert rank == 2
 
     def test_generic_design_full_rank(self):
         rng = np.random.default_rng(11)
         ds = Dataset(rng.standard_normal(30), rng.standard_normal((30, 2)), ("a", "b"))
-        report = check_rank(build_design(ds))
-        assert report.full_rank
-        assert report.rank == 3
-        assert report.min_eigenvalue > 0
+        rank, eigs = gram_rank(build_design(ds).matrix)
+        assert rank == 3
+        assert eigs[0] > 0
 
     def test_one_row_rank_deficient(self):
         # Oracle: eigendecomposition of the 1-row second-moment matrix.
@@ -157,23 +163,64 @@ class TestCheckRank:
         second = x.T @ x / 1
         eigs = np.linalg.eigvalsh(second)
         assert eigs[0] == pytest.approx(0.0, abs=1e-12)
-        report = check_rank(DesignMatrix(x, ("(Intercept)", "x")))
-        assert report.rank == 1
-        assert not report.full_rank
+        rank, _ = gram_rank(x)
+        assert rank == 1
 
     def test_invariant_under_row_permutation(self):
         rng = np.random.default_rng(3)
         x = np.column_stack([np.ones(40), rng.standard_normal((40, 2))])
-        dm = DesignMatrix(x, ("(Intercept)", "a", "b"))
         perm = rng.permutation(40)
-        dm2 = DesignMatrix(x[perm], dm.column_labels)
-        assert check_rank(dm).full_rank == check_rank(dm2).full_rank
-        assert check_rank(dm).rank == check_rank(dm2).rank
+        assert gram_rank(x)[0] == gram_rank(x[perm])[0] == 3
 
     def test_near_duplicate_column_flagged(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal(25)
         x = np.column_stack([np.ones(25), a, a + 1e-13 * rng.standard_normal(25)])
-        report = check_rank(DesignMatrix(x, ("(Intercept)", "a", "b")))
-        assert not report.full_rank
-        assert report.min_eigenvalue <= 1e-10 * report.max_eigenvalue
+        rank, eigs = gram_rank(x)
+        assert rank < 3
+        assert eigs[0] <= 1e-10 * eigs[-1]
+
+
+class TestSpdSolveStack:
+    @staticmethod
+    def mixed_stack():
+        """SPD, indefinite and singular matrices, with some rows left unselected."""
+        rng = np.random.default_rng(17)
+        k = 3
+        a = []
+        for kind in ("spd", "indefinite", "spd", "singular", "indefinite", "spd", "singular"):
+            m = rng.standard_normal((k, k))
+            if kind == "spd":
+                a.append(m @ m.T + 0.1 * np.eye(k))
+            elif kind == "indefinite":
+                a.append(m + m.T - 3.0 * np.eye(k))
+            else:
+                v = rng.standard_normal(k)
+                a.append(np.outer(v, v))
+        spd = np.array([True, False, True, False, False, True, False])
+        rows = np.array([True, True, False, True, False, True, True])
+        return np.array(a), rng.standard_normal((len(a), k)), rows, spd
+
+    @pytest.mark.parametrize("with_rhs", [True, False])
+    def test_selected_non_spd_rows_get_typed_errors(self, with_rhs):
+        a, b, rows, spd = self.mixed_stack()
+        z, errors = spd_solve_stack(a, b if with_rhs else None, rows, "test matrix")
+        assert len(errors) == len(rows)
+        for r in range(len(rows)):
+            if rows[r] and not spd[r]:
+                error = errors[r]
+                assert isinstance(error, SingularSystemError)
+                assert "test matrix" in str(error)
+                assert error.min_eigenvalue == numerical_rank(a[r])[1][0]
+            else:
+                assert errors[r] is None
+            if rows[r] and spd[r]:
+                want = spd_solve(a[r], b[r] if with_rhs else None, what="test matrix")
+                assert np.array_equal(z[r], want)
+
+    def test_all_spd_selection_has_no_errors(self):
+        a, b, rows, spd = self.mixed_stack()
+        z, errors = spd_solve_stack(a, b, spd, "test matrix")
+        assert errors == [None] * len(rows)
+        for r in np.flatnonzero(spd):
+            assert np.array_equal(z[r], spd_solve(a[r], b[r]))

@@ -167,7 +167,21 @@ class TestFitGlm:
             dm = build_design(ds)
             ols = fit_ols(dm, y)
             glm = fit_glm(dm, y, GAUSSIAN)
-            assert np.allclose(glm.beta_hat, ols.beta_hat, rtol=1e-8, atol=1e-12)
+            for name in ("beta_hat", "fitted", "residuals"):
+                assert np.array_equal(getattr(glm, name), getattr(ols, name))
+            # The SSE in the fit JSON is the residuals' dot product.
+            sse = float(ols.residuals @ ols.residuals)
+            assert glm.deviance_or_sse == ols.deviance_or_sse == sse
+
+    def test_singular_newton_system_reports_eigenvalue(self):
+        # The poisson fit drives mu at x = 0 and x = 1 to exactly zero, so
+        # the Newton system loses rank although the design has full rank.
+        dm = design_from([0.0, 1.0, 2.0])
+        with pytest.raises(SingularSystemError, match=(
+            "^Newton system is not positive definite: smallest equilibrated eigenvalue"
+        )) as exc_info:
+            fit_glm(dm, np.array([0.0, 0.0, 5.0]), POISSON)
+        assert exc_info.value.min_eigenvalue is not None
 
     def test_score_norm_small_at_convergence(self):
         rng = np.random.default_rng(41)

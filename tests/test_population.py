@@ -4,6 +4,7 @@ coverage experiments."""
 
 import json
 import warnings
+from importlib import resources
 from dataclasses import astuple
 from unittest import mock
 
@@ -448,6 +449,89 @@ class TestQuadratureLaws:
         sup, probs = uniform_grid_law(1.0, 3.0, 21)
         assert sup[0, 0] == 1.0 and sup[-1, 0] == 3.0
         assert np.all(probs == 1.0 / 21.0)
+
+
+GOOD_POPULATION = {
+    "support": [[0.0], [1.0], [2.0]],
+    "probs": [0.25, 0.25, 0.5],
+    "mu": {"kind": "table", "values": [0.0, 1.0, 4.0]},
+    "noise": {"kind": "gaussian", "sigma": 1.0},
+}
+
+NAN, INF = float("nan"), float("inf")
+
+# field: (key path in the population object, bad value).  json writes
+# these as NaN, Infinity and -Infinity, which Python's json reads back.
+NON_FINITE_CASES = {
+    "support-inf": ("support", ("support",), [[0.0], [INF], [2.0]]),
+    "support-nan": ("support", ("support",), [[0.0], [1.0], [NAN]]),
+    "probs-nan": ("probs", ("probs",), [0.25, NAN, 0.5]),
+    "probs-inf": ("probs", ("probs",), [INF, 0.25, 0.5]),
+    "mu-table-nan": ("mu.values", ("mu", "values"), [0.0, NAN, 4.0]),
+    "mu-coefficients-inf": (
+        "mu.coefficients", ("mu",), {"kind": "polynomial", "coefficients": [0.0, INF]}
+    ),
+    "sigma-nan": ("noise.sigma", ("noise", "sigma"), NAN),
+    "sigma-inf": ("noise.sigma", ("noise", "sigma"), [1.0, -INF, 1.0]),
+    "sigma-negative": ("noise.sigma", ("noise", "sigma"), -1),
+    "a-nan": ("noise.a", ("noise",), {"kind": "two_point", "a": [1.0, NAN, 1.0]}),
+    "a-negative": ("noise.a", ("noise",), {"kind": "two_point", "a": -0.5}),
+}
+
+
+def with_value(obj, path, value):
+    obj = json.loads(json.dumps(obj))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+def as_shift(obj):
+    """The shift definition whose first law is ``obj``'s regressor law."""
+    good = {"support": GOOD_POPULATION["support"], "probs": [0.5, 0.25, 0.25]}
+    law = {"support": obj["support"], "probs": obj["probs"]}
+    return {"mu": obj["mu"], "noise": obj["noise"], "laws": [law, good]}
+
+
+class TestNonFiniteSchema:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+    def test_plain_file_names_field(self, case, tmp_path):
+        field, path, value = NON_FINITE_CASES[case]
+        pop_path = tmp_path / "pop.json"
+        pop_path.write_text(json.dumps(with_value(GOOD_POPULATION, path, value)))
+        with pytest.raises(PopulationSchemaError) as exc_info:
+            load_population_file(pop_path)
+        assert exc_info.value.field == field
+        assert str(exc_info.value).startswith(field + " must be")
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+    def test_shift_file_names_field(self, case, tmp_path):
+        field, path, value = NON_FINITE_CASES[case]
+        shift_path = tmp_path / "shift.json"
+        shift_path.write_text(json.dumps(as_shift(with_value(GOOD_POPULATION, path, value))))
+        loaded = load_population_file(shift_path)
+        with pytest.raises(PopulationSchemaError) as exc_info:
+            regressor_shift_experiment(loaded["mu"], loaded["noise"], *loaded["laws"])
+        assert exc_info.value.field == field
+
+    def test_good_population_loads(self, tmp_path):
+        pop_path = tmp_path / "pop.json"
+        pop_path.write_text(json.dumps(GOOD_POPULATION))
+        load_population_file(pop_path)
+        shift_path = tmp_path / "shift.json"
+        shift_path.write_text(json.dumps(as_shift(GOOD_POPULATION)))
+        loaded = load_population_file(shift_path)
+        regressor_shift_experiment(loaded["mu"], loaded["noise"], *loaded["laws"])
+
+    @pytest.mark.parametrize("name", ["quadratic.json", "fig2.json"])
+    def test_bundled_files_load(self, name):
+        loaded = load_population_file(resources.files("leanreg").joinpath("data", name))
+        if isinstance(loaded, dict):
+            regressor_shift_experiment(loaded["mu"], loaded["noise"], *loaded["laws"])
+        else:
+            population_beta(loaded)
 
 
 class TestPopulationFile:
