@@ -143,18 +143,15 @@ def run_predict(args) -> int:
     ds = _load_dataset(args)
     fit = fit_dataset(ds)
     if args.calibration == "train":
-        k_hat = pred.calibrate_K(fit, ds, args.alpha)
+        k_hat = pred.calibrate_K(fit, args.alpha)
     else:
         folds = int(args.calibration.split(":", 1)[1])
         k_hat = pred.cv_calibrate_K(ds, args.alpha, folds, args.seed)
-    band = pred.make_band(fit, args.alpha, K=k_hat)
-
-    # Point by point, so yhat and the bounds keep the bits of a one-point prediction.
-    x = build_design(ds).matrix
-    lower, upper = zip(*(pred.interval(band, row) for row in x))
+    band = pred.make_band(fit, K=k_hat)
+    yhat, half = band.evaluate(fit.design.matrix)
     intervals_csv = csv_text(
         [*ds.names, "yhat", "lower", "upper"],
-        [*ds.regressors.T, [float(row @ band.beta_hat) for row in x], lower, upper],
+        [*ds.regressors.T, yhat, yhat - half, yhat + half],
     )
     summary = {
         "K_hat": k_hat,
@@ -269,9 +266,8 @@ def run_slopes(args) -> int:
         )
 
     if args.pairs_out is not None:
-        adj = adjust_regressor(dm, ds.response, args.coef)
         Path(args.pairs_out).write_text(
-            pair_table_csv(adj["x_adj"], adj["y_input"]), encoding="utf-8"
+            pair_table_csv(adjust_regressor(dm, args.coef), ds.response), encoding="utf-8"
         )
 
     _emit(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,16 +165,15 @@ def _read_csv(fh, response, regressors) -> Dataset:
     for name in wanted:
         if name not in header:
             raise ColumnError(f"column {name!r} not found in header {header}")
-    idx = {name: header.index(name) for name in wanted}
+    cols = [header.index(name) for name in wanted]
 
-    y_values: list[float] = []
-    x_rows: list[list[float]] = []
+    rows: list[list[float]] = []
     for rownum, row in enumerate(reader, start=1):
         if not row or all(not c.strip() for c in row):
             continue
-        parsed = {}
-        for name in wanted:
-            cell = row[idx[name]].strip() if idx[name] < len(row) else ""
+        values = []
+        for name, col in zip(wanted, cols):
+            cell = row[col].strip() if col < len(row) else ""
             try:
                 value = float(cell)
             except ValueError:
@@ -182,22 +182,21 @@ def _read_csv(fh, response, regressors) -> Dataset:
                     row=rownum,
                     column=name,
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ParseError(
                     f"non-finite value {cell!r} at row {rownum}, column {name!r}",
                     row=rownum,
                     column=name,
                 )
-            parsed[name] = value
-        y_values.append(parsed[response])
-        x_rows.append([parsed[name] for name in regressors])
+            values.append(value)
+        rows.append(values)
 
-    if not y_values:
+    if not rows:
         raise EmptyInputError("no data rows after the header")
-    reg = np.asarray(x_rows, dtype=float).reshape(len(y_values), len(regressors))
+    table = np.array(rows, dtype=float)
     return Dataset(
-        response=np.asarray(y_values, dtype=float),
-        regressors=reg,
+        response=table[:, 0],
+        regressors=table[:, 1:],
         names=tuple(regressors),
         response_name=response,
     )

@@ -128,7 +128,9 @@ def _mu_values(mu, points: np.ndarray) -> np.ndarray:
                 )
             coeffs = np.asarray(mu["coefficients"], dtype=float)
             _require_finite(coeffs, "mu.coefficients")
-            return np.polynomial.polynomial.polyval(points[:, 0], coeffs)
+            # Huge points overflow to inf; DiscretePopulation rejects it by name.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.polynomial.polynomial.polyval(points[:, 0], coeffs)
         if kind == "table":
             vals = np.asarray(mu["values"], dtype=float)
             _require_finite(vals, "mu.values")
@@ -213,14 +215,20 @@ class DiscretePopulation:
         for values, name in ((sup, "support"), (probs, "probs"), (mu, "mu")):
             _require_finite(values, name)
         if np.any(probs < 0):
-            raise PopulationSchemaError("probabilities must be nonnegative", field="probs")
+            raise PopulationSchemaError("probs must be nonnegative", field="probs")
         if abs(float(np.sum(probs)) - 1.0) > PROB_TOL:
             raise PopulationSchemaError(
-                f"probabilities sum to {float(np.sum(probs))!r}, not 1", field="probs"
+                f"probs sum to {float(np.sum(probs))!r}, not 1", field="probs"
             )
         if not np.all(sup[:, 0] == 1.0):
             raise PopulationSchemaError(
                 "support points must carry the leading 1", field="support"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.second_moment()
+        if not np.all(np.isfinite(gram)):
+            raise PopulationSchemaError(
+                "support is too large: its second moment E[x x'] overflows", field="support"
             )
 
     @property
@@ -430,7 +438,15 @@ def regressor_shift_experiment(mu, noise, law1, law2) -> dict:
     Under correct specification the two coefficient vectors coincide;
     under misspecification they generally differ.
     """
-    pops = [make_population(sup, pr, mu, noise) for sup, pr in (law1, law2)]
+    pops = []
+    for i, (sup, pr) in enumerate((law1, law2)):
+        try:
+            pops.append(make_population(sup, pr, mu, noise))
+        except PopulationSchemaError as exc:
+            if exc.field not in ("support", "probs"):
+                raise
+            # Every support or probs message starts with the field's name.
+            raise PopulationSchemaError(f"laws[{i}].{exc}", field=f"laws[{i}].{exc.field}") from None
     beta1, beta2 = (population_beta(p) for p in pops)
     return {
         "beta_1": beta1,

@@ -10,6 +10,10 @@ per-observation minimal covering multipliers).  Calibration, not
 normal theory, is what makes the coverage hold when the working model
 is only an approximation; the fixed normal-theory multiplier is not
 robust to misspecification.
+
+:meth:`PredictionBand.evaluate` is the formula's one evaluation:
+intervals, calibration and coverage all read centers and half widths
+from it, for a whole design at once.
 """
 
 from __future__ import annotations
@@ -50,58 +54,53 @@ class PredictionBand:
     sigma_hat: float
     xtx_inverse: np.ndarray  # (sum x_i x_i')^-1, unnormalized
     beta_hat: np.ndarray
-    alpha: float
 
     def __post_init__(self):
         if self.K < 0:
             raise DomainError("K must be nonnegative")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must be in (0, 1), got {self.alpha}")
 
-    def half_width(self, x: np.ndarray) -> float:
-        lev = 1.0 + float(x @ self.xtx_inverse @ x)
-        return self.K * self.sigma_hat * lev
+    def evaluate(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Centers and half widths of the band at the design rows x, shape (m, k).
+
+        Row i's half width is K * sigma_hat * (1 + x_i' xtx_inverse x_i).
+        With K = 1 it is sigma_hat * (1 + leverage_i) bit for bit, the
+        denominator of row i's covering multiplier.
+        """
+        x = np.asarray(x, dtype=float)
+        k = self.beta_hat.shape[0]
+        if x.ndim != 2 or x.shape[1] != k:
+            raise DimensionError(f"design rows have shape {x.shape}, expected (m, {k})")
+        lev = 1.0 + np.einsum("ij,jk,ik->i", x, self.xtx_inverse, x)
+        return x @ self.beta_hat, self.K * self.sigma_hat * lev
 
 
 def interval(band: PredictionBand, x) -> tuple[float, float]:
     """[lower, upper] at the design point x (leading 1 included)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != band.beta_hat.shape:
-        raise DimensionError(f"point has shape {x.shape}, expected {band.beta_hat.shape}")
-    center = float(x @ band.beta_hat)
-    half = band.half_width(x)
-    return (center - half, center + half)
+    center, half = band.evaluate(np.asarray(x, dtype=float)[np.newaxis])
+    return (float(center[0] - half[0]), float(center[0] + half[0]))
 
 
-def _ols_scale_and_kernel(fit: FitResult):
-    x = fit.design.matrix
-    n, k = x.shape
-    if n <= k:
-        raise DomainError("sigma_hat needs n > p+1 observations")
-    sigma2 = float(fit.residuals @ fit.residuals) / (n - k)
-    return math.sqrt(sigma2), spd_solve(x.T @ x)
+def make_band(fit: FitResult, K: float = 0.0) -> PredictionBand:
+    """Assemble the interval family for an OLS fit (K to be calibrated).
 
-
-def make_band(fit: FitResult, alpha: float, K: float = 0.0) -> PredictionBand:
-    """Assemble the interval family for an OLS fit (K to be calibrated)."""
+    sigma_hat is the residual standard deviation on n - (p+1) degrees
+    of freedom, so the fit needs n > p+1 observations.
+    """
     if fit.family is not GAUSSIAN:
         raise FamilyError(
             "prediction intervals are defined for the OLS working model only, "
             f"not {fit.family.tag!r}"
         )
-    sigma_hat, kernel = _ols_scale_and_kernel(fit)
+    x = fit.design.matrix
+    n, k = x.shape
+    if n <= k:
+        raise DomainError("sigma_hat needs n > p+1 observations")
     return PredictionBand(
         K=K,
-        sigma_hat=sigma_hat,
-        xtx_inverse=kernel,
+        sigma_hat=math.sqrt(float(fit.residuals @ fit.residuals) / (n - k)),
+        xtx_inverse=spd_solve(x.T @ x),
         beta_hat=fit.beta_hat,
-        alpha=alpha,
     )
-
-
-def _covering_multipliers(y, centers, scales):
-    # Smallest K putting each observation inside its own interval.
-    return np.abs(y - centers) / scales
 
 
 def _order_statistic_K(k_values: np.ndarray, alpha: float) -> float:
@@ -122,26 +121,25 @@ def _order_statistic_K(k_values: np.ndarray, alpha: float) -> float:
     return float(k_sorted[rank - 1])
 
 
-def calibrate_K(fit: FitResult, ds: Dataset, alpha: float) -> float:
-    """Calibrate the multiplier on the training sample.
+def calibrate_K(fit: FitResult, alpha: float) -> float:
+    """Calibrate the multiplier on the sample the fit was made on.
 
     Each observation's minimal covering multiplier is
     |y_i - yhat_i| / (sigma_hat * (1 + leverage_i)); the calibrated K
     is their ceil((1-alpha) n)-th smallest value, which pins training
-    coverage to 1 - alpha within 1/n.  Defined for OLS fits only.
+    coverage to 1 - alpha within 1/n.  The response is ``fit.y``.
+    Defined for OLS fits only.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    band = make_band(fit, alpha)
+    band = make_band(fit, K=1.0)
     if band.sigma_hat == 0.0:
         raise ZeroScaleError(
             "all residuals are zero: every K gives full coverage and "
             "calibration is vacuous"
         )
-    x = fit.design.matrix
-    levs = 1.0 + np.einsum("ij,jk,ik->i", x, band.xtx_inverse, x)
-    k_values = _covering_multipliers(ds.response, fit.fitted, band.sigma_hat * levs)
-    return _order_statistic_K(k_values, alpha)
+    centers, scales = band.evaluate(fit.design.matrix)
+    return _order_statistic_K(np.abs(fit.y - centers) / scales, alpha)
 
 
 def _fold_assignments(n: int, folds: int, seed: int) -> np.ndarray:
@@ -156,9 +154,8 @@ def cv_calibrate_K(ds: Dataset, alpha: float, folds: int, seed: int) -> float:
     """Cross-validated calibration: pool held-out covering multipliers.
 
     Each fold's multipliers are computed against the complement fit's
-    own scale and leverage kernel; the pooled order statistic replaces
-    the training one.  Fold assignment is a deterministic function of
-    the seed.
+    own band; the pooled order statistic replaces the training one.
+    Fold assignment is a deterministic function of the seed.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
@@ -188,19 +185,15 @@ def cv_calibrate_K(ds: Dataset, alpha: float, folds: int, seed: int) -> float:
             raise FoldError(
                 f"training fold {f} does not support a full-rank fit: {exc}"
             ) from None
-        sigma_hat, kernel = _ols_scale_and_kernel(fit)
-        x_held = x_all[held]
-        levs = 1.0 + np.einsum("ij,jk,ik->i", x_held, kernel, x_held)
-        centers = x_held @ fit.beta_hat
-        if sigma_hat == 0.0:
-            # Noiseless training fold: a zero-width kernel covers exactly
+        band = make_band(fit, K=1.0)
+        centers, scales = band.evaluate(x_all[held])
+        gaps = np.abs(ds.response[held] - centers)
+        if band.sigma_hat == 0.0:
+            # Noiseless training fold: a zero-width band covers exactly
             # the points it interpolates (K_i = 0) and no others.
-            gaps = np.abs(ds.response[held] - centers)
             pooled[held] = np.where(gaps == 0.0, 0.0, np.inf)
         else:
-            pooled[held] = _covering_multipliers(
-                ds.response[held], centers, sigma_hat * levs
-            )
+            pooled[held] = gaps / scales
     return _order_statistic_K(pooled, alpha)
 
 
@@ -211,14 +204,5 @@ def future_coverage(band: PredictionBand, testset: Dataset) -> float:
     regressor law the number is still computed but says nothing about
     the nominal level (a distribution-shift caveat, not an error).
     """
-    if testset.p + 1 != band.beta_hat.shape[0]:
-        raise DimensionError(
-            f"test set has {testset.p} regressors; the band expects "
-            f"{band.beta_hat.shape[0] - 1}"
-        )
-    x = build_design(testset).matrix
-    centers = x @ band.beta_hat
-    levs = 1.0 + np.einsum("ij,jk,ik->i", x, band.xtx_inverse, x)
-    half = band.K * band.sigma_hat * levs
-    inside = np.abs(testset.response - centers) <= half
-    return float(np.mean(inside))
+    centers, half = band.evaluate(build_design(testset).matrix)
+    return float(np.mean(np.abs(testset.response - centers) <= half))

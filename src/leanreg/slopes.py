@@ -66,13 +66,13 @@ def pairwise_slope_simple(x, y) -> PairwiseSlopeSummary:
     )
 
 
-def adjust_regressor(dm: DesignMatrix, y, j: int) -> dict:
+def adjust_regressor(dm: DesignMatrix, j: int) -> np.ndarray:
     """Residualize design column j on all other columns (intercept kept).
 
-    Returns {"x_adj": adjusted column, "y_input": y unchanged}.  With a
-    single regressor this reduces to centering.  The design must be of
-    full rank under :func:`~leanreg.core.numerical_rank`, as for the
-    OLS fit whose coefficient the adjustment reproduces.
+    Returns the adjusted column.  With a single regressor this reduces
+    to centering.  The design must be of full rank under
+    :func:`~leanreg.core.numerical_rank`, as for the OLS fit whose
+    coefficient the adjustment reproduces.
     """
     if j == 0:
         raise CoefficientIndexError("column 0 is the intercept; adjust a regressor (j >= 1)")
@@ -89,8 +89,7 @@ def adjust_regressor(dm: DesignMatrix, y, j: int) -> dict:
         )
     others = np.delete(x, j, axis=1)
     coef = spd_solve(np.delete(np.delete(gram, j, axis=0), j, axis=1), np.delete(gram[:, j], j))
-    x_adj = x[:, j] - others @ coef
-    return {"x_adj": x_adj, "y_input": np.asarray(y, dtype=float)}
+    return x[:, j] - others @ coef
 
 
 def pairwise_slope_multiple(dm: DesignMatrix, y, j: int) -> PairwiseSlopeSummary:
@@ -99,8 +98,7 @@ def pairwise_slope_multiple(dm: DesignMatrix, y, j: int) -> PairwiseSlopeSummary
     Adjustment centers the column, so the weighted pair average equals
     the coefficient from the full least-squares fit.
     """
-    adj = adjust_regressor(dm, y, j)
-    return pairwise_slope_simple(adj["x_adj"], adj["y_input"])
+    return pairwise_slope_simple(adjust_regressor(dm, j), y)
 
 
 def pair_table_csv(x, y) -> str:

@@ -224,8 +224,8 @@ def test_criterion_07_calibration_exactness_and_validity():
     for s in range(100):
         train = sample(pop, 2000, seed=7000 + s)
         fit = fit_dataset(train)
-        k_hat = calibrate_K(fit, train, alpha=0.05)
-        band = make_band(fit, 0.05, K=k_hat)
+        k_hat = calibrate_K(fit, alpha=0.05)
+        band = make_band(fit, K=k_hat)
         train_cov = future_coverage(band, train)
         max_training_dev = max(max_training_dev, abs(train_cov - 0.95) - 1.0 / 2000)
         test = sample(pop, 2000, seed=9000 + s)

@@ -1,14 +1,20 @@
 """CLI contract: subcommands, exit codes, format parity, reproducibility."""
 
+import csv
 import json
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from leanreg.cli import main
+from leanreg.core import csv_text, load_csv
+from leanreg.fitting import fit_dataset
+from leanreg.prediction import future_coverage, interval, make_band
 
+NAMES6 = [f"x{j}" for j in range(1, 7)]
 CSV_SMALL = "y,x\n1,0\n2.5,1\n2.9,2\n4.3,3\n5.1,4\n5.8,5\n7.4,6\n8.1,7\n"
 
 
@@ -147,6 +153,34 @@ class TestPredictSubcommand:
         assert code == 0
         assert out.splitlines()[0] == "x,yhat,lower,upper"
 
+    @pytest.mark.parametrize("calibration", ["train", "cv:5"])
+    def test_band_columns_match_the_library(self, tmp_path, calibration, capsys):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((300, 6))
+        y = x[:, 0] + 0.5 * x[:, 0] ** 2 + (1.0 + np.abs(x[:, 1])) * rng.standard_normal(300)
+        path = tmp_path / "wide.csv"
+        path.write_text(csv_text(["y", *NAMES6], [y, *x.T]), encoding="utf-8")
+        outdir = tmp_path / "pred"
+        code, _, _ = run_main(
+            ["predict", "--input", str(path), "--response", "y", "--regressors", ",".join(NAMES6),
+             "--calibration", calibration, "--out", str(outdir)],
+            capsys,
+        )
+        assert code == 0
+        with open(outdir / "intervals.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        cols = {name: np.array([float(r[j]) for r in rows[1:]]) for j, name in enumerate(rows[0])}
+        calib = json.loads((outdir / "calibration.json").read_text())
+
+        ds = load_csv(path, "y", NAMES6)
+        fit = fit_dataset(ds)
+        assert np.array_equal(cols["yhat"], fit.fitted)
+        band = make_band(fit, K=calib["K_hat"])
+        bounds = np.array([interval(band, row) for row in fit.design.matrix])
+        np.testing.assert_allclose(cols["lower"], bounds[:, 0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(cols["upper"], bounds[:, 1], rtol=1e-12, atol=0.0)
+        assert calib["training_coverage"] == future_coverage(band, ds)
+
     def test_bad_calibration_flag_usage_error(self, small_csv):
         with pytest.raises(SystemExit) as exc_info:
             main(["predict", "--input", small_csv, "--response", "y",
@@ -247,6 +281,31 @@ class TestSimulateSubcommand:
         assert code == 1
         assert out == ""
         assert err == "leanreg: error: mu.values must be finite (no NaN or Infinity)\n"
+
+    @pytest.mark.parametrize(
+        "mu, message",
+        [
+            ({"kind": "polynomial", "coefficients": [0.0, 1.0, 1.0]},
+             "mu must be finite (no NaN or Infinity)"),
+            ({"kind": "table", "values": [0.0, 1.0, 4.0]},
+             "support is too large: its second moment E[x x'] overflows"),
+        ],
+    )
+    def test_huge_population_value_exit_one(self, tmp_path, mu, message, capsys):
+        # Finite but huge: overflow is reported by name, and no numpy
+        # warning reaches stderr (pytest would raise it as an error).
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps({
+            "support": [[0.0], [1e200], [2.0]],
+            "probs": [0.25, 0.25, 0.5],
+            "mu": mu,
+            "noise": {"kind": "gaussian", "sigma": 1.0},
+        }))
+        code, out, err = run_main(["simulate", "--population", str(bad)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"leanreg: error: {message}\n"
+
 
 class TestSlopesSubcommand:
     def test_summary_and_pair_table(self, small_csv, tmp_path, capsys):

@@ -514,7 +514,25 @@ class TestNonFiniteSchema:
         loaded = load_population_file(shift_path)
         with pytest.raises(PopulationSchemaError) as exc_info:
             regressor_shift_experiment(loaded["mu"], loaded["noise"], *loaded["laws"])
+        if field in ("support", "probs"):  # a law's own field is named with its index
+            field = f"laws[0].{field}"
         assert exc_info.value.field == field
+        assert str(exc_info.value).startswith(field + " must be")
+
+    @pytest.mark.parametrize(
+        "mu, field",
+        [
+            ({"kind": "polynomial", "coefficients": [0.0, 1.0, 1.0]}, "mu"),
+            ({"kind": "table", "values": [0.0, 1.0, 4.0]}, "support"),
+        ],
+    )
+    def test_huge_support_names_field(self, mu, field):
+        # mu(1e200) or the second moment overflows; the overflow is
+        # reported by name, and leaks no numpy warning.
+        with pytest.raises(PopulationSchemaError) as exc_info:
+            make_population([[0.0], [1e200], [2.0]], [0.25, 0.25, 0.5], mu)
+        assert exc_info.value.field == field
+        assert str(exc_info.value).startswith(field + " ")
 
     def test_good_population_loads(self, tmp_path):
         pop_path = tmp_path / "pop.json"

@@ -42,7 +42,7 @@ def noisy_fixture(n=40, seed=0):
 class TestInterval:
     def test_zero_K_degenerate(self):
         ds, fit = noisy_fixture()
-        band = make_band(fit, alpha=0.1, K=0.0)
+        band = make_band(fit, K=0.0)
         lo, hi = interval(band, [1.0, 0.5])
         yhat = fit.beta_hat[0] + 0.5 * fit.beta_hat[1]
         assert lo == hi == pytest.approx(yhat)
@@ -51,15 +51,15 @@ class TestInterval:
         n = 8
         ds = Dataset(np.arange(float(n)), np.empty((n, 0)), names=())
         fit = fit_ols(build_design(ds), ds.response)
-        band = make_band(fit, alpha=0.1, K=1.0)
+        band = make_band(fit, K=1.0)
         lo, hi = interval(band, [1.0])
         half = (hi - lo) / 2.0
         assert half == pytest.approx(band.sigma_hat * (1.0 + 1.0 / n), rel=1e-12)
 
     def test_nestedness_in_K(self):
         ds, fit = noisy_fixture()
-        b1 = make_band(fit, alpha=0.1, K=1.0)
-        b2 = make_band(fit, alpha=0.1, K=2.0)
+        b1 = make_band(fit, K=1.0)
+        b2 = make_band(fit, K=2.0)
         for x in ([1.0, -2.0], [1.0, 0.0], [1.0, 3.0]):
             lo1, hi1 = interval(b1, x)
             lo2, hi2 = interval(b2, x)
@@ -67,7 +67,7 @@ class TestInterval:
 
     def test_dimension_mismatch(self):
         ds, fit = noisy_fixture()
-        band = make_band(fit, alpha=0.1, K=1.0)
+        band = make_band(fit, K=1.0)
         with pytest.raises(DimensionError):
             interval(band, [1.0, 2.0, 3.0])
 
@@ -90,16 +90,16 @@ class TestCalibrateK:
 
         grid = np.linspace(0.0, 2.0, 200001)
         oracle = next(k for k in grid if coverage_at(k) >= 0.75)
-        k_hat = calibrate_K(fit, ds, alpha=0.25)
+        k_hat = calibrate_K(fit, alpha=0.25)
         assert k_hat == pytest.approx(1.5 / (sigma * lev), abs=1e-12)
         assert abs(k_hat - oracle) < 1e-4
-        band = make_band(fit, 0.25, K=k_hat)
+        band = make_band(fit, K=k_hat)
         assert future_coverage(band, ds) == 0.75
 
     def test_tiny_alpha_covers_everything(self):
         ds, fit = noisy_fixture(n=25)
-        k_hat = calibrate_K(fit, ds, alpha=0.01)  # alpha < 1/n
-        band = make_band(fit, 0.01, K=k_hat)
+        k_hat = calibrate_K(fit, alpha=0.01)  # alpha < 1/n
+        band = make_band(fit, K=k_hat)
         assert future_coverage(band, ds) == 1.0
 
     def test_training_coverage_within_one_over_n(self):
@@ -111,8 +111,8 @@ class TestCalibrateK:
             y = x**2 + rng.standard_normal(n)
             ds = Dataset(y, x.reshape(-1, 1), names=("x",))
             fit = fit_ols(build_design(ds), y)
-            k_hat = calibrate_K(fit, ds, alpha)
-            cov = future_coverage(make_band(fit, alpha, K=k_hat), ds)
+            k_hat = calibrate_K(fit, alpha)
+            cov = future_coverage(make_band(fit, K=k_hat), ds)
             assert 1.0 - alpha - 1.0 / n <= cov <= 1.0 - alpha + 1.0 / n
 
     def test_tied_multipliers_fall_back_to_smallest_sufficient(self):
@@ -121,8 +121,8 @@ class TestCalibrateK:
         y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
         ds = Dataset(y, np.empty((6, 0)), names=())
         fit = fit_ols(build_design(ds), y)
-        k_hat = calibrate_K(fit, ds, alpha=0.5)
-        cov = future_coverage(make_band(fit, 0.5, K=k_hat), ds)
+        k_hat = calibrate_K(fit, alpha=0.5)
+        cov = future_coverage(make_band(fit, K=k_hat), ds)
         assert cov == 1.0  # jump: nothing between 0 and full coverage
 
     def test_zero_residuals_raise(self):
@@ -130,14 +130,14 @@ class TestCalibrateK:
         fit = fit_ols(build_design(ds), ds.response)
         if float(fit.residuals @ fit.residuals) == 0.0:
             with pytest.raises(ZeroScaleError):
-                calibrate_K(fit, ds, alpha=0.1)
+                calibrate_K(fit, alpha=0.1)
         else:
             pytest.skip("solver left nonzero rounding residuals")
 
     def test_alpha_domain(self):
         ds, fit = noisy_fixture()
         with pytest.raises(DomainError):
-            calibrate_K(fit, ds, alpha=0.0)
+            calibrate_K(fit, alpha=0.0)
 
     def test_glm_fit_rejected(self):
         rng = np.random.default_rng(11)
@@ -146,7 +146,7 @@ class TestCalibrateK:
         ds = Dataset(y, x.reshape(-1, 1), names=("x",))
         fit = fit_glm(build_design(ds), y, POISSON)
         with pytest.raises(FamilyError):
-            calibrate_K(fit, ds, alpha=0.1)
+            calibrate_K(fit, alpha=0.1)
 
 
 class TestCvCalibrateK:
@@ -168,7 +168,7 @@ class TestCvCalibrateK:
         for r in range(200):
             ds = sample(pop, 60, seed=1000 + r)
             fit = fit_dataset(ds)
-            k_train.append(calibrate_K(fit, ds, alpha=0.1))
+            k_train.append(calibrate_K(fit, alpha=0.1))
             k_cv.append(cv_calibrate_K(ds, alpha=0.1, folds=5, seed=r))
         assert np.median(k_cv) >= np.median(k_train)
 
@@ -218,10 +218,10 @@ class TestCalibrationBeatsNormalTheory:
         for s in range(30):
             train = sample(pop, 2000, seed=4000 + s)
             fit = fit_dataset(train)
-            k_hat = calibrate_K(fit, train, alpha=0.05)
+            k_hat = calibrate_K(fit, alpha=0.05)
             test = sample(pop, 2000, seed=14000 + s)
-            cal.append(future_coverage(make_band(fit, 0.05, K=k_hat), test))
-            fixed.append(future_coverage(make_band(fit, 0.05, K=z), test))
+            cal.append(future_coverage(make_band(fit, K=k_hat), test))
+            fixed.append(future_coverage(make_band(fit, K=z), test))
         cal, fixed = np.asarray(cal), np.asarray(fixed)
         cal_se = np.std(cal) / np.sqrt(len(cal))
         fixed_se = np.std(fixed) / np.sqrt(len(fixed))
@@ -234,8 +234,8 @@ class TestFutureCoverage:
         pop = quadratic_pop()
         train = sample(pop, 2000, seed=55)
         fit = fit_dataset(train)
-        k_hat = calibrate_K(fit, train, alpha=0.05)
-        band = make_band(fit, 0.05, K=k_hat)
+        k_hat = calibrate_K(fit, alpha=0.05)
+        band = make_band(fit, K=k_hat)
         test = sample(pop, 2000, seed=100055)
         assert 0.93 <= future_coverage(band, test) <= 0.97
 
@@ -245,7 +245,7 @@ class TestFutureCoverage:
         fit = fit_dataset(train)
         test = sample(pop, 500, seed=2)
         covs = [
-            future_coverage(make_band(fit, 0.05, K=k), test)
+            future_coverage(make_band(fit, K=k), test)
             for k in (0.0, 0.5, 1.0, 2.0, 4.0)
         ]
         assert all(a <= b for a, b in zip(covs, covs[1:]))
@@ -254,8 +254,8 @@ class TestFutureCoverage:
         pop = quadratic_pop()
         train = sample(pop, 1000, seed=3)
         fit = fit_dataset(train)
-        k_hat = calibrate_K(fit, train, alpha=0.05)
-        band = make_band(fit, 0.05, K=k_hat)
+        k_hat = calibrate_K(fit, alpha=0.05)
+        band = make_band(fit, K=k_hat)
         shifted = make_population(
             pop.points + 2.0, pop.probs,
             {"kind": "polynomial", "coefficients": [0.0, 0.0, 1.0]},
@@ -266,7 +266,7 @@ class TestFutureCoverage:
 
     def test_schema_mismatch(self):
         ds, fit = noisy_fixture()
-        band = make_band(fit, 0.1, K=1.0)
+        band = make_band(fit, K=1.0)
         other = Dataset([1.0], [[1.0, 2.0]], names=("a", "b"))
         with pytest.raises(DimensionError):
             future_coverage(band, other)

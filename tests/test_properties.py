@@ -117,12 +117,12 @@ class TestTiedCalibration:
         ds = Dataset(y, x.reshape(-1, 1), ("x",))
         assume(np.unique(x).size > 1)
         fit = fit_ols(build_design(ds), y)
-        band = make_band(fit, alpha)
+        band = make_band(fit)
         assume(band.sigma_hat > 0.0)
         design = fit.design.matrix
         levs = 1.0 + np.einsum("ij,jk,ik->i", design, band.xtx_inverse, design)
         k_values = np.abs(y - fit.fitted) / (band.sigma_hat * levs)
-        k_hat = calibrate_K(fit, ds, alpha)
+        k_hat = calibrate_K(fit, alpha)
         assert k_hat == _brute_force_K(k_values, alpha)
         assert np.mean(k_values <= k_hat) >= 1.0 - alpha - 1.0 / n
 
