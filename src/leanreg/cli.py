@@ -5,8 +5,8 @@ reproducible: the seed is explicit or a fixed documented default, never
 wall clock, and identical flags produce byte-identical primary outputs.
 Bootstrap replicate b depends only on (seed, b), not on the replicate
 count or on how replicates are chunked.  Exit codes: 0 success, 1
-computational error, 2 usage error.  No plotting happens in-process;
-diagnostics are emitted as plot-ready CSV.
+computational or file error, 2 usage error.  No plotting happens
+in-process; diagnostics are emitted as plot-ready CSV.
 """
 
 from __future__ import annotations
@@ -248,6 +248,8 @@ def run_simulate(args) -> int:
 
 
 def run_slopes(args) -> int:
+    if args.pairs_out is None and args.coef != _FLAGS["--coef"]["default"]:
+        raise DomainError("--coef selects the coefficient of --pairs-out, which is not given")
     ds = _load_dataset(args)
     dm = build_design(ds)
     fit = fit_ols(dm, ds.response)
@@ -308,6 +310,14 @@ def _seed(value: str) -> int:
     return seed
 
 
+def _alpha(value: str) -> float:
+    """Type of ``--alpha``: a level strictly between 0 and 1."""
+    alpha = float(value)
+    if not 0.0 < alpha < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value!r}")
+    return alpha
+
+
 def _calibration(value: str) -> str:
     """Type of ``--calibration``: 'train' or 'cv:K' with integer K."""
     kind, _, folds = value.partition(":")
@@ -338,7 +348,7 @@ _FLAGS = {
                    help=f"bootstrap replicates (default {DEFAULT_B})"),
     "--seed": dict(type=_seed, default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED})"),
-    "--alpha": dict(type=float, default=DEFAULT_ALPHA,
+    "--alpha": dict(type=_alpha, default=DEFAULT_ALPHA,
                     help=f"miscoverage/significance level (default {DEFAULT_ALPHA})"),
     "--format": dict(default="text", choices=["text", "json", "csv"]),
     "--out": dict(default=None, help="output file (or directory)"),
@@ -404,7 +414,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LeanRegError as exc:
+    except (LeanRegError, OSError) as exc:
         print(f"leanreg: error: {exc}", file=sys.stderr)
         return 1
 

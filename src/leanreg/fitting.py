@@ -327,10 +327,11 @@ def fit_weighted(
     and the convergence test of :func:`fit_glm`.
 
     ``outer`` is :func:`outer_rows` of ``x``, for callers that reuse it.
-    All rows share each matrix product, so row r's result depends only
-    on ``w[r]`` and on the number of rows (BLAS may round a row
-    differently when the row count changes).  Rows that converge or
-    fail are therefore masked, never dropped.
+    Every matrix product and elementwise pass takes all rows, so row r's
+    result depends only on ``w[r]``, on r and on the number of rows
+    (BLAS may round a row differently at another position or row
+    count).  Rows that converge or fail are therefore masked, never
+    dropped: they take zero steps until every row has stopped.
     """
     m, n = w.shape
     k = x.shape[1]
@@ -363,92 +364,36 @@ def fit_weighted(
 def _newton(x, y, w, wsum, outer, family, active, errors):
     """Newton/IRLS for every active row of ``w``; records failures in ``errors``.
 
-    Matrix products always take all m rows.  Elementwise work is done
-    only for the rows still iterating; the other rows of a product's
-    input hold stale values, which cannot change the live rows' results.
+    Every pass takes all m rows.  A row of each product and of each
+    elementwise pass depends only on that row, so a stopped row
+    reproduces its bits when it is evaluated again.  The mask ``active``
+    picks the rows that change: a stopped row gets a zero step and keeps
+    its iterate.
     """
-    m, n = w.shape
+    m = w.shape[0]
     k = x.shape[1]
     xt = np.ascontiguousarray(x.T)
     # Unused observations get linear predictor 0: a single fit never
     # evaluates them, so they must not overflow or turn 0 * inf into NaN.
     used = (w > 0).astype(float)
 
-    def linear_predictor(b, rows):
-        return (b @ xt)[rows] * used[rows]
+    def linear_predictor(b):
+        return (b @ xt) * used
 
-    def score_sums(rows):
-        # sum_i w_i (mu_i - y_i) x_i for the given rows; zero elsewhere.
-        wr = np.zeros((m, n))
-        wr[rows] = w[rows] * (mu[rows] - y)
-        return wr @ x
-
-    everyone = np.arange(m)
     score_scale = np.maximum(1.0, np.sum(w * np.abs(y), axis=1) / wsum)
     beta = np.zeros((m, k))
     beta[:, 0] = family.start(np.sum(w * y, axis=1) / wsum)
-    t = linear_predictor(beta, everyone)
-    mu = family.inverse_link(t)
-    # Whether each row's objective is finite (a poisson mean can overflow).
-    finite = np.all(np.isfinite(mu), axis=1)
-    scores = score_sums(everyone)
-    score_norm = np.max(np.abs(scores), axis=1) / wsum
     iterations = np.zeros(m, dtype=int)
+    rel_change = np.full(m, np.inf)  # the start value has not converged
 
-    for it in range(1, MAX_ITER + 1):
-        live = np.flatnonzero(active)
-        if not live.size:
-            break
-        v = np.zeros((m, n))
-        v[live] = family.variance_fn(mu[live])
-        hessian = ((w * v) @ outer).reshape(m, k, k) / wsum[:, None, None]
-        grad = scores / wsum[:, None]
-        direction, failed = spd_solve_stack(hessian, grad, active, "Newton system")
-        retry = ~_ok(failed)
-        if family.weight_floor is not None and retry.any():
-            # mu saturated to exactly 0/1 on enough points to break the
-            # solve; floor those weights just enough to keep the system
-            # solvable.  Flooring is deliberately a last resort: an
-            # unconditional floor damps divergence so much that the
-            # separation bound below would never be reached.
-            v = np.where(v <= 0.0, family.weight_floor, v)
-            hessian = ((w * v) @ outer).reshape(m, k, k) / wsum[:, None, None]
-            floored, failed = spd_solve_stack(hessian, grad, retry, "Newton system")
-            rescued = retry & _ok(failed)
-            direction[rescued] = floored[rescued]
-        active = active & _record(errors, failed)
-        live = np.flatnonzero(active)
-        direction = -direction
-
-        # Step halving, row by row: a row keeps its last candidate and
-        # its step is halved after every rejection.  A step is accepted
-        # when it does not raise the objective, or when the objective at
-        # the current iterate is not finite.
-        step = np.ones(m)
-        candidate = beta.copy()
-        pending = live
-        for _ in range(MAX_HALVINGS + 1):
-            move = step[:, None] * direction
-            change = family.loss_change(t[pending], mu[pending], linear_predictor(move, pending), y)
-            change = np.sum(w[pending] * change, axis=1) / wsum[pending]
-            candidate[pending] = beta[pending] + move[pending]
-            rejected = ~((change <= 0.0) | ~finite[pending])
-            step[pending[rejected]] *= 0.5
-            pending = pending[rejected]
-            if not pending.size:
-                break
-
-        rel_change = np.max(np.abs(step[:, None] * direction), axis=1) / np.maximum(
-            1.0, np.max(np.abs(candidate), axis=1)
-        )
-        beta[live] = candidate[live]
-        t[live] = linear_predictor(beta, live)
-        mu[live] = family.inverse_link(t[live])
-        finite[live] = np.all(np.isfinite(mu[live]), axis=1)
-        scores = score_sums(live)
-        score_norm[live] = np.max(np.abs(scores[live]), axis=1) / wsum[live]
-        iterations[live] = it
-
+    for it in range(MAX_ITER + 1):
+        t = linear_predictor(beta)
+        mu = family.inverse_link(t)
+        # Whether each row's objective is finite (a poisson mean can overflow).
+        finite = np.all(np.isfinite(mu), axis=1)
+        scores = (w * (mu - y)) @ x  # sum_i w_i (mu_i - y_i) x_i
+        score_norm = np.max(np.abs(scores), axis=1) / wsum
+        iterations[active] = it
         if family.separation_bound is not None:
             # t is zero on unused observations, so this is the largest
             # |x_i'beta| over the observations the row uses.
@@ -464,6 +409,49 @@ def _newton(x, y, w, wsum, outer, family, active, errors):
             active = active & ~separated
         converged = (rel_change < COEF_TOL) & (score_norm <= SCORE_TOL * score_scale)
         active = active & ~converged
+        if it == MAX_ITER or not active.any():
+            break
+
+        v = family.variance_fn(mu)
+        hessian = ((w * v) @ outer).reshape(m, k, k) / wsum[:, None, None]
+        grad = scores / wsum[:, None]
+        direction, failed = spd_solve_stack(hessian, grad, active, "Newton system")
+        retry = ~_ok(failed)
+        if family.weight_floor is not None and retry.any():
+            # mu saturated to exactly 0/1 on enough points to break the
+            # solve; floor those weights just enough to keep the system
+            # solvable.  Flooring is deliberately a last resort: an
+            # unconditional floor damps divergence so much that the
+            # separation bound above would never be reached.
+            v = np.where(v <= 0.0, family.weight_floor, v)
+            hessian = ((w * v) @ outer).reshape(m, k, k) / wsum[:, None, None]
+            floored, failed = spd_solve_stack(hessian, grad, retry, "Newton system")
+            rescued = retry & _ok(failed)
+            direction[rescued] = floored[rescued]
+        active = active & _record(errors, failed)
+        direction = np.where(active[:, None], -direction, 0.0)
+
+        # Step halving, row by row: a row keeps its last candidate and
+        # its step is halved after every rejection.  A step is accepted
+        # when it does not raise the objective, or when the objective at
+        # the current iterate is not finite.
+        step = np.ones(m)
+        candidate = beta.copy()
+        pending = active
+        for _ in range(MAX_HALVINGS + 1):
+            move = step[:, None] * direction
+            change = family.loss_change(t, mu, linear_predictor(move), y)
+            change = np.sum(w * change, axis=1) / wsum
+            candidate[pending] = beta[pending] + move[pending]
+            pending = pending & ~((change <= 0.0) | ~finite)
+            step[pending] *= 0.5
+            if not pending.any():
+                break
+
+        rel_change = np.max(np.abs(step[:, None] * direction), axis=1) / np.maximum(
+            1.0, np.max(np.abs(candidate), axis=1)
+        )
+        beta = candidate
 
     for r in np.flatnonzero(active):
         errors[r] = ConvergenceError(

@@ -324,6 +324,17 @@ class TestSlopesSubcommand:
         assert lines[0] == "i,j,weight,slope"
         assert len(lines) == 1 + 8 * 7
 
+    @pytest.mark.parametrize("coef", ["7", "0"])
+    def test_coef_without_pairs_out_rejected(self, small_csv, coef, capsys):
+        code, out, err = run_main(
+            ["slopes", "--input", small_csv, "--response", "y",
+             "--regressors", "x", "--coef", coef],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("leanreg: error: --coef")
+
 
 class TestFlagSurface:
     FLAGS = {
@@ -364,6 +375,41 @@ class TestFlagSurface:
             main([subcommand, "--input", small_csv, "--response", "y",
                   "--regressors", "x", flag, value])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("subcommand", ["fit", "predict", "simulate"])
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "nan"])
+    def test_alpha_outside_unit_interval_is_usage_error(
+        self, small_csv, subcommand, alpha, capsys
+    ):
+        data = (
+            ["--population", "quadratic.json", "--n", "50", "--reps", "2"]
+            if subcommand == "simulate"
+            else ["--input", small_csv, "--response", "y", "--regressors", "x"]
+        )
+        with pytest.raises(SystemExit) as exc_info:
+            main([subcommand, *data, "--alpha", alpha])
+        assert exc_info.value.code == 2
+        assert f"--alpha: must be in (0, 1), got {alpha!r}" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("case", ["input", "population", "out", "out-dir"])
+    def test_one_line_and_exit_one(self, small_csv, tmp_path, case, capsys):
+        data = ["--input", small_csv, "--response", "y", "--regressors", "x"]
+        existing = tmp_path / "existing"
+        existing.write_text("")
+        argv = {
+            "input": ["fit", "--input", str(tmp_path / "nope.csv"),
+                      "--response", "y", "--regressors", "x"],
+            "population": ["simulate", "--population", str(tmp_path / "nope.json")],
+            "out": ["fit", *data, "--boot", "0", "--out", str(tmp_path / "no" / "x.json")],
+            "out-dir": ["bootstrap", *data, "--boot", "20", "--out", str(existing)],
+        }[case]
+        code, out, err = run_main(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("leanreg: error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestConsoleEntry:

@@ -219,6 +219,76 @@ class TestFitWeighted:
         with pytest.raises(DimensionError):
             fit_weighted(x, y, np.ones((1, 4)), BERNOULLI)
 
+    @staticmethod
+    def assert_rows_independent(x, y, w, family):
+        # Row r of the stack has the bits of row r of a same-height stack
+        # in which every row is w[r], whatever the other rows do.  (BLAS
+        # may round a row differently at another position, so the row
+        # is compared at its own.)
+        fits = fit_weighted(x, y, w, family)
+        for r in range(w.shape[0]):
+            alone = fit_weighted(x, y, np.tile(w[r], (w.shape[0], 1)), family)
+            assert np.array_equal(fits.beta[r], alone.beta[r])
+            assert fits.iterations[r] == alone.iterations[r]
+            assert np.array_equal(fits.score_norm[r], alone.score_norm[r])
+            assert type(fits.errors[r]) is type(alone.errors[r])
+            assert str(fits.errors[r]) == str(alone.errors[r])
+        return fits
+
+    def test_logit_rows_are_bit_independent(self, monkeypatch):
+        # Observations: a logistic sample (30), a separable sample (10),
+        # a nearly separated sample (12) and one response outside {0, 1}.
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(30)
+        y_u = rng.random(30) < BERNOULLI.inverse_link(0.5 + 2.0 * u)
+        s = np.linspace(-2.0, 2.0, 10)
+        v = np.linspace(-2.0, 2.0, 12)
+        y_v = (v > 0) ^ np.isin(np.arange(12), [5, 6])
+        x = np.column_stack([np.ones(53), np.concatenate([u, s, v, [0.3]])])
+        y = np.concatenate([y_u, s > 0, y_v, [0.5]]).astype(float)
+        w = np.zeros((7, 53))
+        w[0, :30] = 1.0                         # converges in 6 iterations
+        w[1, :30] = rng.integers(0, 3, 30)      # halves a step
+        w[2, :12] = 1.0                         # halves a step, converges in 7
+        w[3, 30:40] = 1.0                       # separates at iteration 7
+        w[4, 40:52] = 1.0                       # would converge in 8
+        w[5, :30] = w[5, 52] = 1.0              # outside the support
+        w[6, 0] = 2.0                           # rank deficient
+        monkeypatch.setattr(fitting, "MAX_ITER", 7)
+        fits = self.assert_rows_independent(x, y, w, BERNOULLI)
+        assert [type(e).__name__ if e else None for e in fits.errors] == [
+            None, None, None, "SeparationError", "ConvergenceError",
+            "FamilyError", "SingularSystemError",
+        ]
+        assert fits.iterations.tolist()[:5] == [6, 6, 7, 7, 7]
+
+    def test_poisson_rows_are_bit_independent(self, monkeypatch):
+        # Observations: a poisson sample (30), counts exp(8 h) far from
+        # the start value (6), zero counts at x = 0 and 1 beside counts at
+        # x = 2 (4), and one non-integer count.
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(30)
+        h = np.linspace(0.0, 5.0, 6)
+        x = np.column_stack([np.ones(41), np.concatenate([u, h, [0.0, 1.0, 2.0, 2.0, 0.5]])])
+        y = np.concatenate([rng.poisson(np.exp(0.5 + 0.8 * u)), np.floor(np.exp(8.0 * h)),
+                            [0.0, 0.0, 5.0, 1.0, 1.5]])
+        w = np.zeros((8, 41))
+        w[0, :30] = 1.0                         # converges quickly
+        w[1, :30] = rng.integers(0, 3, 30)
+        w[2, 30:36] = 1.0                       # converges slowly
+        w[3, :36] = 1.0                         # halves a step
+        w[4, 36:39] = 1.0                       # singular Newton system
+        w[5, 36:38], w[5, 39] = 10.0, 1.0       # would diverge slowly
+        w[6, :30] = w[6, 40] = 1.0              # outside the support
+        w[7, 0] = 3.0                           # rank deficient
+        monkeypatch.setattr(fitting, "MAX_ITER", 40)
+        fits = self.assert_rows_independent(x, y, w, POISSON)
+        assert [type(e).__name__ if e else None for e in fits.errors] == [
+            None, None, None, None, "SingularSystemError", "ConvergenceError",
+            "FamilyError", "SingularSystemError",
+        ]
+        assert len(set(fits.iterations[:4].tolist())) >= 3
+
 
 class TestConsistency:
     def test_beta_hat_approaches_population_beta(self):
