@@ -12,7 +12,9 @@ in-process; diagnostics are emitted as plot-ready CSV.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -51,6 +53,32 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
+
+
+def _check_outputs(args) -> None:
+    """Raise, before any input is read, the OSError that writing an output would meet.
+
+    ``--out`` of ``bootstrap`` and ``predict`` is a directory, made with
+    its parents; every other output is a file in an existing directory.
+    Nothing is created here.
+    """
+    for flag in ("out", "pairs_out"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        directory = flag == "out" and args.subcommand in ("bootstrap", "predict")
+        target = Path(path)
+        if target.exists():
+            ok = target.is_dir() == directory
+            code = errno.EEXIST if directory else errno.EISDIR
+        else:
+            parent = target.parent
+            while directory and not parent.exists():  # missing parents are made
+                parent = parent.parent
+            ok = parent.is_dir()
+            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        if not ok:
+            raise OSError(code, os.strerror(code), path)
 
 
 def _load_dataset(args):
@@ -413,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (LeanRegError, OSError) as exc:
         print(f"leanreg: error: {exc}", file=sys.stderr)

@@ -9,8 +9,11 @@ enters the theory - the best-approximation coefficients, the
 decomposition of the population residual into nonlinearity plus noise,
 and the sandwich bread/meat - is an exact finite sum, not a simulation.
 
-Continuous regressor laws are represented by deterministic quadrature
-grids (see :func:`normal_quadrature_law`).
+A population is built from plain specs (see :func:`make_population`):
+the response surface is a polynomial or a table of values, and the
+noise a kind of :data:`NOISE_KINDS` with its scale.  Continuous
+regressor laws are represented by deterministic quadrature grids (see
+:func:`normal_quadrature_law`).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -53,132 +57,138 @@ __all__ = [
 
 PROB_TOL = 1e-12
 
-NOISE_KINDS = ("none", "gaussian", "two_point", "bernoulli")
+
+class NoiseKind(NamedTuple):
+    """One kind of mean-zero noise: the spec key of its per-point scale
+    (None if it has none), Var(eps | x) from (mu, scale), a draw of eps
+    from (rng, mu, scale), and whether mu must lie in [0, 1]."""
+
+    param: str | None
+    variance: Callable
+    draw: Callable
+    unit_mu: bool = False
+
+
+# E[eps | x] = 0 for every kind, by construction.
+NOISE_KINDS = {
+    "none": NoiseKind(None, lambda mu, s: np.zeros_like(mu), lambda rng, mu, s: np.zeros_like(mu)),
+    "gaussian": NoiseKind(  # eps ~ N(0, sigma^2)
+        "sigma", lambda mu, s: s**2, lambda rng, mu, s: rng.standard_normal(mu.shape[0]) * s
+    ),
+    "two_point": NoiseKind(  # eps = +-a with probability 1/2 each
+        "a", lambda mu, s: s**2,
+        lambda rng, mu, s: (rng.integers(0, 2, mu.shape[0]) * 2.0 - 1.0) * s,
+    ),
+    "bernoulli": NoiseKind(  # y = mu + eps is Bernoulli(mu)
+        None, lambda mu, s: mu * (1.0 - mu),
+        lambda rng, mu, s: (rng.random(mu.shape[0]) < mu).astype(float) - mu, unit_mu=True,
+    ),
+}
 
 
 @dataclass(frozen=True)
 class NoiseLaw:
-    """Mean-zero conditional noise, one scale parameter per support point.
-
-    kind:
-      none       eps = 0
-      gaussian   eps ~ N(0, scale_k^2)
-      two_point  eps = +-scale_k with probability 1/2 each
-      bernoulli  y = mu_k + eps is Bernoulli(mu_k); requires mu_k in [0,1]
-
-    Every kind has E[eps | x_k] = 0 by construction.
-    """
+    """Mean-zero conditional noise: a kind of :data:`NOISE_KINDS` and its
+    scale at each support point (zeros for a kind without a scale)."""
 
     kind: str
-    scale: np.ndarray  # per-point sigma (gaussian), a (two_point); unused otherwise
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise PopulationSchemaError(
-                f"unknown noise kind {self.kind!r}", field="noise.kind"
-            )
-        s = np.asarray(self.scale, dtype=float)
-        object.__setattr__(self, "scale", s)
-        if self.kind in ("gaussian", "two_point"):
-            param = "noise.sigma" if self.kind == "gaussian" else "noise.a"
-            _require_finite(s, param)
-            if np.any(s < 0):
-                raise PopulationSchemaError(f"{param} must be nonnegative", field=param)
+    scale: np.ndarray
 
     def variance(self, mu: np.ndarray) -> np.ndarray:
         """Exact conditional noise variance at each support point."""
-        if self.kind == "none":
-            return np.zeros_like(mu)
-        if self.kind == "bernoulli":
-            return mu * (1.0 - mu)
-        return self.scale**2
-
-    def atoms(self, mu_k: float, k: int):
-        """(value, probability) atoms of eps at support point k.
-
-        Gaussian noise has no finite atoms; its exact conditional mean
-        (zero) and variance enter the moment sums analytically instead.
-        """
-        if self.kind == "none":
-            return [(0.0, 1.0)]
-        if self.kind == "two_point":
-            a = float(self.scale[k]) if self.scale.ndim else float(self.scale)
-            return [(a, 0.5), (-a, 0.5)]
-        if self.kind == "bernoulli":
-            return [(1.0 - mu_k, mu_k), (-mu_k, 1.0 - mu_k)]
-        return None  # gaussian: handled analytically
+        return NOISE_KINDS[self.kind].variance(mu, self.scale)
 
 
-def _require_finite(values: np.ndarray, name: str) -> None:
-    """Reject NaN and infinite entries, which JSON files may spell NaN and Infinity."""
-    if not np.all(np.isfinite(values)):
+def _floats(value, name: str, *ndims: int) -> np.ndarray:
+    """``value`` as a finite float array of one of the dimensions ``ndims``.
+
+    Anything else (text, true/false, an object, a ragged list, the wrong
+    nesting, or NaN and Infinity, which JSON files may spell) is a
+    schema error naming the field ``name``.
+    """
+    try:
+        arr = np.asarray(value)
+        arr = None if arr.dtype.kind in "USb" else arr.astype(float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim not in ndims:
+        shapes = {0: "a number", 1: "a list of numbers", 2: "a list of equal-length number lists"}
+        expected = " or ".join(shapes[d] for d in ndims)
+        raise PopulationSchemaError(f"{name} must be {expected}", field=name)
+    if not np.all(np.isfinite(arr)):
         raise PopulationSchemaError(f"{name} must be finite (no NaN or Infinity)", field=name)
+    return arr
+
+
+def _fields(obj, where: str, required=(), optional=()) -> list:
+    """The values of an object's ``required`` then ``optional`` keys (None when absent).
+
+    ``obj`` must be a JSON object with every required key and no key
+    outside the two lists; ``where`` ("", "noise.", "laws[0].") prefixes
+    the field each error names.
+    """
+    if not isinstance(obj, dict):
+        raise PopulationSchemaError(f"{where[:-1]} must hold a JSON object", field=where[:-1])
+    for key in obj:
+        if key not in required and key not in optional:
+            raise PopulationSchemaError(
+                f"unknown field {where + key!r} (expected {', '.join((*required, *optional))})",
+                field=where + key,
+            )
+    for key in required:
+        if key not in obj:
+            raise PopulationSchemaError(f"missing field {where + key!r}", field=where + key)
+    return [obj.get(key) for key in (*required, *optional)]
 
 
 def _mu_values(mu, points: np.ndarray) -> np.ndarray:
     """Evaluate a response surface spec at raw regressor points (m, p)."""
-    if callable(mu):
-        return np.asarray([float(mu(row)) for row in points], dtype=float)
-    if isinstance(mu, dict):
-        kind = mu.get("kind")
-        if kind == "polynomial":
-            if points.shape[1] != 1:
-                raise PopulationSchemaError(
-                    "polynomial mu requires exactly one regressor", field="mu"
-                )
-            coeffs = np.asarray(mu["coefficients"], dtype=float)
-            _require_finite(coeffs, "mu.coefficients")
-            # Huge points overflow to inf; DiscretePopulation rejects it by name.
-            with np.errstate(over="ignore", invalid="ignore"):
-                return np.polynomial.polynomial.polyval(points[:, 0], coeffs)
-        if kind == "table":
-            vals = np.asarray(mu["values"], dtype=float)
-            _require_finite(vals, "mu.values")
-            if vals.shape[0] != points.shape[0]:
-                raise PopulationSchemaError(
-                    "mu table length does not match support size", field="mu.values"
-                )
-            return vals
+    if not isinstance(mu, dict):
+        return _floats(mu, "mu", 1)
+    kind = mu.get("kind")
+    numbers = {"polynomial": "coefficients", "table": "values"}  # the key each kind reads
+    key = numbers.get(kind) if isinstance(kind, str) else None
+    if key is None:
         raise PopulationSchemaError(f"unknown mu kind {kind!r}", field="mu.kind")
-    return np.asarray(mu, dtype=float)
+    values = _floats(_fields(mu, "mu.", ("kind", key))[1], f"mu.{key}", 1)
+    if key == "values":
+        if values.shape[0] != points.shape[0]:
+            raise PopulationSchemaError(
+                "mu table length does not match support size", field="mu.values"
+            )
+        return values
+    if points.shape[1] != 1:
+        raise PopulationSchemaError("polynomial mu requires exactly one regressor", field="mu")
+    # Huge points overflow to inf; DiscretePopulation rejects it by name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.polynomial.polynomial.polyval(points[:, 0], values)
 
 
 def _noise_from_spec(noise, m: int, mu: np.ndarray) -> NoiseLaw:
-    if isinstance(noise, NoiseLaw):
-        law = noise
-    elif noise is None:
-        law = NoiseLaw("none", np.zeros(m))
-    elif isinstance(noise, dict):
-        kind = noise.get("kind", "none")
-        if kind in ("none", "bernoulli"):
-            law = NoiseLaw(kind, np.zeros(m))
-        elif kind in ("gaussian", "two_point"):
-            param = "sigma" if kind == "gaussian" else "a"
-            raw = np.asarray(noise.get(param, 1.0), dtype=float)
-            try:
-                scale = np.broadcast_to(raw, (m,)).copy()
-            except ValueError:
-                raise PopulationSchemaError(
-                    f"noise {param} has {raw.size} entries for {m} support points",
-                    field=f"noise.{param}",
-                ) from None
-            law = NoiseLaw(kind, scale)
-        else:
+    noise = {} if noise is None else noise
+    if not isinstance(noise, dict):
+        raise PopulationSchemaError("noise must hold a JSON object", field="noise")
+    kind = noise.get("kind", "none")
+    rules = NOISE_KINDS.get(kind) if isinstance(kind, str) else None
+    if rules is None:
+        raise PopulationSchemaError(f"unknown noise kind {kind!r}", field="noise.kind")
+    _fields(noise, "noise.", optional=("kind",) if rules.param is None else ("kind", rules.param))
+    scale = np.zeros(m)
+    if rules.param is not None:
+        param = f"noise.{rules.param}"
+        raw = _floats(noise.get(rules.param, 1.0), param, 0, 1)
+        if raw.size not in (1, m):
             raise PopulationSchemaError(
-                f"unknown noise kind {kind!r}", field="noise.kind"
+                f"noise {rules.param} has {raw.size} entries for {m} support points", field=param
             )
-    else:
-        raise PopulationSchemaError("noise must be a dict or NoiseLaw", field="noise")
-    if law.kind in ("gaussian", "two_point") and law.scale.shape != (m,):
+        if np.any(raw < 0):
+            raise PopulationSchemaError(f"{param} must be nonnegative", field=param)
+        scale = np.broadcast_to(raw, (m,)).copy()
+    if rules.unit_mu and (np.any(mu < 0.0) or np.any(mu > 1.0)):
         raise PopulationSchemaError(
-            "noise scale must be a scalar or one value per support point",
-            field="noise",
+            f"{kind} noise requires mu values in [0, 1]", field="mu"
         )
-    if law.kind == "bernoulli" and (np.any(mu < 0.0) or np.any(mu > 1.0)):
-        raise PopulationSchemaError(
-            "bernoulli noise requires mu values in [0, 1]", field="mu"
-        )
-    return law
+    return NoiseLaw(kind, scale)
 
 
 @dataclass(frozen=True)
@@ -195,12 +205,11 @@ class DiscretePopulation:
     mu_values: np.ndarray    # (m,)
     noise: NoiseLaw
     names: tuple[str, ...] = field(default=())
-    response_name: str = "y"
 
     def __post_init__(self):
-        sup = np.atleast_2d(np.asarray(self.support, dtype=float))
-        probs = np.asarray(self.probs, dtype=float)
-        mu = np.asarray(self.mu_values, dtype=float)
+        sup = _floats(self.support, "support", 2)
+        probs = _floats(self.probs, "probs", 1)
+        mu = _floats(self.mu_values, "mu", 1)
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "mu_values", mu)
@@ -212,8 +221,6 @@ class DiscretePopulation:
             raise PopulationSchemaError(
                 "probs and mu must have one entry per support point", field="probs"
             )
-        for values, name in ((sup, "support"), (probs, "probs"), (mu, "mu")):
-            _require_finite(values, name)
         if np.any(probs < 0):
             raise PopulationSchemaError("probs must be nonnegative", field="probs")
         if abs(float(np.sum(probs)) - 1.0) > PROB_TOL:
@@ -251,28 +258,26 @@ class DiscretePopulation:
         return self.noise.variance(self.mu_values)
 
 
-def make_population(support, probs, mu, noise=None, names=(), response_name="y") -> DiscretePopulation:
+def make_population(support, probs, mu, noise=None, names=()) -> DiscretePopulation:
     """Construct a population from raw regressor points (no leading 1).
 
-    ``mu`` may be a callable on raw points, a spec dict
-    ({kind: polynomial|table, ...}), or an explicit value array.
-    ``noise`` may be None, a NoiseLaw, or a spec dict.
+    ``mu`` may be a spec dict ({kind: polynomial|table, ...}) or an
+    explicit value array; ``noise`` may be None (no noise) or a spec
+    dict ({kind: a key of NOISE_KINDS, plus its scale parameter}).
     """
-    pts = np.asarray(support, dtype=float)
+    pts = _floats(support, "support", 1, 2)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
-    _require_finite(pts, "support")
     m = pts.shape[0]
     design = np.column_stack([np.ones(m), pts])
     mu_vals = _mu_values(mu, pts)
     law = _noise_from_spec(noise, m, mu_vals)
     return DiscretePopulation(
         support=design,
-        probs=np.asarray(probs, dtype=float),
+        probs=probs,
         mu_values=mu_vals,
         noise=law,
         names=tuple(names),
-        response_name=response_name,
     )
 
 
@@ -310,8 +315,8 @@ class PopulationDecomposition:
 def decompose(pop: DiscretePopulation, beta: np.ndarray | None = None) -> PopulationDecomposition:
     """Exact decomposition delta = eta + eps at the population.
 
-    All reported moments are finite sums over support points (times
-    noise atoms where the law has them); nothing is simulated.
+    All reported moments are finite sums over support points; nothing
+    is simulated.
     """
     if beta is None:
         beta = population_beta(pop)
@@ -320,16 +325,9 @@ def decompose(pop: DiscretePopulation, beta: np.ndarray | None = None) -> Popula
     w = pop.probs
     x = pop.support
 
+    # Every noise law has E[eps | x] = 0, so its moments are exact zeros.
     e_eps = 0.0
     e_x_eps = np.zeros(x.shape[1])
-    for k in range(pop.m):
-        atoms = pop.noise.atoms(float(pop.mu_values[k]), k)
-        if atoms is None:
-            continue  # gaussian: conditional mean is exactly 0
-        cond_mean = math.fsum(v * q for v, q in atoms)
-        e_eps += w[k] * cond_mean
-        e_x_eps += w[k] * cond_mean * x[k]
-
     e_eta = float(w @ eta)
     e_x_eta = (x.T * w) @ eta
     noise_var = pop.noise_variance()
@@ -338,8 +336,8 @@ def decompose(pop: DiscretePopulation, beta: np.ndarray | None = None) -> Popula
 
     moments = {
         "E_eta": e_eta,
-        "E_eps": float(e_eps),
-        "E_delta": e_eta + float(e_eps),
+        "E_eps": e_eps,
+        "E_delta": e_eta + e_eps,
         "E_X_eta": e_x_eta,
         "E_X_eps": e_x_eps,
         "E_X_delta": e_x_eta + e_x_eps,
@@ -393,33 +391,16 @@ def check_orthogonality(
     return OrthogonalityReport(checks=tuple(checks), tolerance=tolerance)
 
 
-def _draw_noise(law: NoiseLaw, mu: np.ndarray, idx: np.ndarray, rng) -> np.ndarray:
-    if law.kind == "none":
-        return np.zeros(idx.shape[0])
-    if law.kind == "gaussian":
-        return rng.standard_normal(idx.shape[0]) * law.scale[idx]
-    if law.kind == "two_point":
-        signs = rng.integers(0, 2, idx.shape[0]) * 2.0 - 1.0
-        return signs * law.scale[idx]
-    # bernoulli: y = 1 with probability mu
-    u = rng.random(idx.shape[0])
-    return (u < mu[idx]).astype(float) - mu[idx]
-
-
 def _draw(pop: DiscretePopulation, n: int, rng):
     """``(idx, y)``: the support indices and responses of n i.i.d. draws from ``rng``."""
     idx = rng.choice(pop.m, size=n, p=pop.probs)
-    eps = _draw_noise(pop.noise, pop.mu_values, idx, rng)
-    return idx, pop.mu_values[idx] + eps
+    mu = pop.mu_values[idx]
+    eps = NOISE_KINDS[pop.noise.kind].draw(rng, mu, pop.noise.scale[idx])
+    return idx, mu + eps
 
 
 def _dataset(pop: DiscretePopulation, idx: np.ndarray, y: np.ndarray) -> Dataset:
-    return Dataset(
-        response=y,
-        regressors=pop.points[idx],
-        names=pop.names,
-        response_name=pop.response_name,
-    )
+    return Dataset(response=y, regressors=pop.points[idx], names=pop.names)
 
 
 def sample(pop: DiscretePopulation, n: int, seed: int, rng=None) -> Dataset:
@@ -641,18 +622,13 @@ def uniform_grid_law(lo: float, hi: float, points: int):
     return support.reshape(-1, 1), probs
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise PopulationSchemaError(f"missing field {key!r}", field=f"{where}{key}")
-    return obj[key]
-
-
 def load_population_file(path) -> DiscretePopulation | dict:
     """Load a population (or shift-experiment) definition from JSON.
 
-    A plain population is {support, probs, mu, noise}; a shift
+    A plain population is {support, probs, mu, noise, names}; a shift
     definition is {mu, noise, laws: [{support, probs}, ...]} and is
-    returned as a dict with key "laws".
+    returned as a dict with key "laws".  ``noise`` and ``names`` may be
+    left out; any other key is a schema error naming it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -661,26 +637,19 @@ def load_population_file(path) -> DiscretePopulation | dict:
             raise PopulationSchemaError(f"invalid JSON: {exc}", field="") from None
     if not isinstance(obj, dict):
         raise PopulationSchemaError("population file must hold a JSON object", field="")
-    mu = _require(obj, "mu", "")
-    noise = obj.get("noise")
     if "laws" in obj:
-        laws = obj["laws"]
+        mu, laws, noise = _fields(obj, "", ("mu", "laws"), ("noise",))
         if not isinstance(laws, list) or len(laws) != 2:
             raise PopulationSchemaError(
                 "shift definition needs exactly two laws", field="laws"
             )
-        parsed = []
-        for i, law in enumerate(laws):
-            sup = _require(law, "support", f"laws[{i}].")
-            pr = _require(law, "probs", f"laws[{i}].")
-            parsed.append((np.asarray(sup, dtype=float), np.asarray(pr, dtype=float)))
-        return {"mu": mu, "noise": noise, "laws": parsed}
-    support = _require(obj, "support", "")
-    probs = _require(obj, "probs", "")
-    return make_population(
-        np.asarray(support, dtype=float),
-        np.asarray(probs, dtype=float),
-        mu,
-        noise,
-        names=tuple(obj.get("names", ())),
+        laws = [
+            tuple(_fields(law, f"laws[{i}].", ("support", "probs"))) for i, law in enumerate(laws)
+        ]
+        return {"mu": mu, "noise": noise, "laws": laws}
+    support, probs, mu, noise, names = _fields(
+        obj, "", ("support", "probs", "mu"), ("noise", "names")
     )
+    if names is not None and not isinstance(names, list):
+        raise PopulationSchemaError("names must be a list of regressor names", field="names")
+    return make_population(support, probs, mu, noise, names=tuple(names or ()))

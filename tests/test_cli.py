@@ -1,7 +1,9 @@
 """CLI contract: subcommands, exit codes, format parity, reproducibility."""
 
 import csv
+import errno
 import json
+import os
 import re
 import subprocess
 import sys
@@ -410,6 +412,65 @@ class TestFileErrors:
         assert out == ""
         assert err.startswith("leanreg: error: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("work started before the outputs were checked")
+
+
+class TestOutputsCheckedFirst:
+    """An output the run could not write fails the run before any input is read.
+
+    Every loader, fit and bootstrap the CLI calls is replaced by
+    :func:`refuse`, so reaching one fails the test.  Permission bits do
+    not stop root, so the destinations are a missing directory and a
+    path through a regular file.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        from leanreg import bootstrap, cli
+
+        for name in ("load_csv", "load_population_file", "fit_dataset", "fit_ols"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(bootstrap, "xy_bootstrap", refuse)
+
+    @pytest.mark.parametrize(
+        "subcommand, flag, dest, code",
+        [
+            ("fit", "--out", "missing/x.json", errno.ENOENT),
+            ("fit", "--out", "file/x.json", errno.ENOTDIR),
+            ("fit", "--out", ".", errno.EISDIR),
+            ("bootstrap", "--out", "file/sub", errno.ENOTDIR),
+            ("bootstrap", "--out", "file/a/b", errno.ENOTDIR),
+            ("bootstrap", "--out", "file", errno.EEXIST),
+            ("predict", "--out", "file/sub", errno.ENOTDIR),
+            ("simulate", "--out", "missing/x.json", errno.ENOENT),
+            ("slopes", "--out", "file/x.json", errno.ENOTDIR),
+            ("slopes", "--pairs-out", "missing/pairs.csv", errno.ENOENT),
+        ],
+    )
+    def test_fails_before_work(self, tmp_path, monkeypatch, capsys, subcommand, flag, dest, code):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        data = (["--population", "quadratic.json"] if subcommand == "simulate"
+                else ["--input", "charges_synthetic.csv", "--response", "charges",
+                      "--regressors", "age"])
+        exit_code, out, err = run_main([subcommand, *data, flag, dest], capsys)
+        assert exit_code == 1
+        assert out == ""
+        # The message writing the output would have given.
+        assert err == f"leanreg: error: [Errno {code}] {os.strerror(code)}: {dest!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_no_file_written_when_another_output_fails(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["slopes", "--input", "charges_synthetic.csv", "--response", "charges",
+                "--regressors", "age", "--pairs-out", "pairs.csv", "--out", "missing/x.json"]
+        code, _, err = run_main(argv, capsys)
+        assert code == 1
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConsoleEntry:

@@ -14,6 +14,7 @@ from scipy.special import ndtri
 
 from leanreg import bootstrap
 from leanreg.bootstrap import bootstrap_se, residual_bootstrap, xy_bootstrap
+from leanreg.cli import main
 from leanreg.covariance import conventional_cov, sandwich_cov
 from leanreg.exceptions import (
     CollinearPopulationError,
@@ -610,3 +611,149 @@ class TestPopulationFile:
         ds = sample(pop, 50_000, seed=5)
         fit = fit_dataset(ds)
         assert np.max(np.abs(fit.beta_hat - population_beta(pop))) < 0.05
+
+
+# field: (key path in the population object, value).  A key no one reads
+# is an error, so a typo cannot silently change the population.
+UNKNOWN_KEY_CASES = {
+    "top-level-typo": ("nosie", ("nosie",), {"kind": "gaussian", "sigma": 1.0}),
+    "gaussian-takes-no-a": ("noise.a", ("noise", "a"), 0.01),
+    "none-takes-no-sigma": ("noise.sigma", ("noise",), {"kind": "none", "sigma": 3}),
+    "bernoulli-takes-no-sigma": ("noise.sigma", ("noise", "sigma"), 1.0),
+    "table-takes-no-coefficients": ("mu.coefficients", ("mu", "coefficients"), [0.0, 1.0]),
+    "polynomial-takes-no-values": (
+        "mu.values", ("mu",), {"kind": "polynomial", "coefficients": [0.0], "values": [1.0]}
+    ),
+}
+
+# field: (key path, value) of values that are not what the field holds.
+MALFORMED_CASES = {
+    "support-text": ("support", ("support",), [["a"], [1.0], [2.0]]),
+    "support-ragged": ("support", ("support",), [[0.0], [1.0, 2.0], [2.0]]),
+    "support-object": ("support", ("support",), {"x": [0.0, 1.0, 2.0]}),
+    "support-too-deep": ("support", ("support",), [[[0.0]], [[1.0]], [[2.0]]]),
+    "probs-text": ("probs", ("probs",), ["a", "b", "c"]),
+    "probs-numeric-text": ("probs", ("probs",), ["0.25", "0.25", "0.5"]),
+    "probs-true-false": ("probs", ("probs",), [True, False, False]),
+    "probs-scalar": ("probs", ("probs",), 1.0),
+    "sigma-text": ("noise.sigma", ("noise", "sigma"), "big"),
+    "sigma-nested": ("noise.sigma", ("noise", "sigma"), [[1.0], [1.0], [1.0]]),
+    "coefficients-text": (
+        "mu.coefficients", ("mu",), {"kind": "polynomial", "coefficients": [0.0, "x"]}
+    ),
+    "values-object": ("mu.values", ("mu", "values"), {"a": 1}),
+    "mu-scalar": ("mu", ("mu",), 3.0),
+    "names-number": ("names", ("names",), 5),
+}
+
+# Bernoulli noise needs mu in [0, 1].
+GOOD_BERNOULLI = {**GOOD_POPULATION, "mu": {"kind": "table", "values": [0.0, 0.5, 1.0]},
+                  "noise": {"kind": "bernoulli"}}
+
+
+def schema_error(obj, tmp_path):
+    """The PopulationSchemaError that loading (and, for a shift file, running) ``obj`` raises."""
+    path = tmp_path / "pop.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(PopulationSchemaError) as exc_info:
+        loaded = load_population_file(path)
+        regressor_shift_experiment(loaded["mu"], loaded["noise"], *loaded["laws"])
+    return exc_info.value
+
+
+class TestSchemaStrictness:
+    @pytest.mark.parametrize("case", sorted(UNKNOWN_KEY_CASES))
+    def test_unknown_key_names_field(self, case, tmp_path):
+        field, path, value = UNKNOWN_KEY_CASES[case]
+        base = GOOD_BERNOULLI if case.startswith("bernoulli") else GOOD_POPULATION
+        exc = schema_error(with_value(base, path, value), tmp_path)
+        assert exc.field == field
+        assert str(exc).startswith(f"unknown field {field!r} (expected ")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
+    def test_malformed_value_names_field(self, case, tmp_path):
+        field, path, value = MALFORMED_CASES[case]
+        exc = schema_error(with_value(GOOD_POPULATION, path, value), tmp_path)
+        assert exc.field == field
+        assert field in str(exc)
+
+    @pytest.mark.parametrize(
+        "case", sorted(c for c in MALFORMED_CASES if MALFORMED_CASES[c][0] in ("support", "probs"))
+    )
+    def test_shift_law_value_keeps_law_prefix(self, case, tmp_path):
+        field, path, value = MALFORMED_CASES[case]
+        exc = schema_error(as_shift(with_value(GOOD_POPULATION, path, value)), tmp_path)
+        assert exc.field == f"laws[0].{field}"
+        assert str(exc).startswith(f"laws[0].{field} must be ")
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda obj: obj | {"nosie": None}, "nosie"),
+            (lambda obj: obj | {"support": [[0.0]]}, "support"),
+            (lambda obj: {**obj, "laws": [5, obj["laws"][1]]}, "laws[0]"),
+            (lambda obj: {**obj, "laws": [{**obj["laws"][0], "weights": [1]}, obj["laws"][1]]},
+             "laws[0].weights"),
+            (lambda obj: {**obj, "laws": [obj["laws"][0], {"support": [[0.0]]}]}, "laws[1].probs"),
+        ],
+    )
+    def test_shift_file_keys(self, mutate, field, tmp_path):
+        exc = schema_error(mutate(as_shift(GOOD_POPULATION)), tmp_path)
+        assert exc.field == field
+        assert field in str(exc)
+
+    @pytest.mark.parametrize(
+        "case", ["support-ragged", "support-object", "mu-scalar", "sigma-text", "top-level-typo"]
+    )
+    def test_cli_reports_one_line(self, case, tmp_path, capsys):
+        field, path, value = {**MALFORMED_CASES, **UNKNOWN_KEY_CASES}[case]
+        pop_path = tmp_path / "pop.json"
+        pop_path.write_text(json.dumps(with_value(GOOD_POPULATION, path, value)))
+        assert main(["simulate", "--population", str(pop_path), "--n", "20", "--reps", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("leanreg: error: ") and captured.err.count("\n") == 1
+        assert field in captured.err
+
+
+# kind: (noise spec, eps drawn from (rng, mu, scale) by the kind's law,
+# written here independently of population.NOISE_KINDS).
+DRAW_ORACLES = {
+    "none": ({"kind": "none"}, lambda rng, mu, s: np.zeros(mu.shape[0])),
+    "gaussian": (
+        {"kind": "gaussian", "sigma": [0.5, 1.0, 2.0]},
+        lambda rng, mu, s: rng.standard_normal(mu.shape[0]) * s,
+    ),
+    "two_point": (
+        {"kind": "two_point", "a": [0.5, 1.0, 2.0]},
+        lambda rng, mu, s: np.where(rng.integers(0, 2, mu.shape[0]) == 1, s, -s),
+    ),
+    "bernoulli": (
+        {"kind": "bernoulli"},
+        lambda rng, mu, s: np.where(rng.random(mu.shape[0]) < mu, 1.0, 0.0) - mu,
+    ),
+}
+
+
+class TestNoiseDraws:
+    @pytest.mark.parametrize("kind", sorted(DRAW_ORACLES))
+    def test_sample_matches_independent_draw(self, kind):
+        noise, draw = DRAW_ORACLES[kind]
+        points, probs, mu = [[-1.0], [0.5], [2.0]], [0.2, 0.3, 0.5], [0.2, 0.5, 0.9]
+        pop = make_population(points, probs, {"kind": "table", "values": mu}, noise)
+        n, seed = 20_000, 7
+        ds = sample(pop, n, seed, rng=oracle_stream(seed, 0, 3))
+
+        rng = oracle_stream(seed, 0, 3)
+        idx = rng.choice(3, size=n, p=probs)
+        scale = np.asarray(noise.get("sigma", noise.get("a", [0.0] * 3)))[idx]
+        mu_at = np.asarray(mu)[idx]
+        y = mu_at + draw(rng, mu_at, scale)
+        assert np.array_equal(ds.regressors[:, 0], np.asarray(points)[idx, 0])
+        assert np.array_equal(ds.response, y)
+
+        # eps is centred at every support point, within 4 Monte Carlo SEs.
+        eps = ds.response - mu_at
+        for k, var in enumerate(pop.noise_variance()):
+            at_k = eps[idx == k]
+            assert abs(at_k.mean()) <= 4.0 * np.sqrt(var / at_k.size)

@@ -1,0 +1,44 @@
+"""Source-level guards on the library's structure."""
+
+import ast
+from importlib import resources
+
+# Per-kind rules live in tables (fitting.Family, population.NOISE_KINDS);
+# a comparison on a family tag or a noise kind would be a second home
+# for them.  numpy's ``dtype.kind`` codes are not such a kind.
+SWITCH_ATTRS = {"tag", "kind"}
+SWITCH_OPS = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+
+
+def is_switch_operand(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in SWITCH_ATTRS
+        and not (isinstance(node.value, ast.Attribute) and node.value.attr == "dtype")
+    )
+
+
+def kind_switches(source: str, filename: str) -> list[str]:
+    """``file:line`` of each comparison of a ``.tag`` or ``.kind`` by ==, !=, in or not in."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if (
+            isinstance(node, ast.Compare)
+            and any(isinstance(op, SWITCH_OPS) for op in node.ops)
+            and any(is_switch_operand(o) for o in (node.left, *node.comparators))
+        ):
+            found.append(f"{filename}:{node.lineno}")
+    return found
+
+
+def test_no_tag_or_kind_switches():
+    spellings = "\n".join([
+        "a.kind == 'x'", "'x' != b.tag", "c.kind in ('x', 'y')", "d.tag not in T",
+        "e.kind is None", "f.kind < 2", "g.name == 'x'", "kind == 'x'", "h.dtype.kind == 'U'",
+    ])
+    assert kind_switches(spellings, "s.py") == ["s.py:1", "s.py:2", "s.py:3", "s.py:4"]
+
+    found = []
+    for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
+        found += kind_switches(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
