@@ -24,7 +24,6 @@ from .core import (
 )
 from .covariance import (
     CoefficientTable,
-    CovarianceEstimate,
     coefficient_table,
     conventional_cov,
     sandwich_cov,

@@ -15,6 +15,7 @@ same seed reproduce every draw bit-identically.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .exceptions import (
     ExcessiveFailureError,
     InsufficientDrawsError,
 )
-from .fitting import Family, fit_ols, fit_weighted, outer_rows
+from .fitting import Family, check_support, fit_ols, fit_weighted, outer_rows
 from .rng import substreams
 
 __all__ = [
@@ -87,19 +88,18 @@ def tolerate_failures(results, what: str) -> tuple[list, dict]:
 
     ``results`` holds a value or the typed error each replicate raised,
     in replicate order.  Returns the kept values, in order, and the
-    failure count per error type.  More than ``FAILURE_THRESHOLD`` of
-    failures raises an error carrying those counts.
+    failure count per error type, in the order first seen.  More than
+    ``FAILURE_THRESHOLD`` of failures raises an error that names and
+    carries those counts.
     """
     kept = [r for r in results if not isinstance(r, Exception)]
     errors = [r for r in results if isinstance(r, Exception)]
-    reasons: dict[str, int] = {}
-    for e in errors:
-        key = type(e).__name__
-        reasons[key] = reasons.get(key, 0) + 1
+    reasons = dict(Counter(type(e).__name__ for e in errors))
     if len(errors) > FAILURE_THRESHOLD * len(results):
+        causes = ", ".join(f"{name} {count}" for name, count in reasons.items())
         raise ExcessiveFailureError(
             f"{len(errors)} of {len(results)} {what} failed "
-            f"(threshold {FAILURE_THRESHOLD:.0%})",
+            f"(threshold {FAILURE_THRESHOLD:.0%}): {causes}",
             reasons=reasons,
         )
     return kept, reasons
@@ -132,13 +132,15 @@ def xy_bootstrap(
     replicates of a chunk are solved as one stack by
     :func:`~leanreg.fitting.fit_weighted`.  Replicates whose resampled
     design is singular or whose fit fails to converge are excluded and
-    counted; more than 10% of them is an error carrying the failure
+    counted; more than 10% of them is an error naming the failure
     reasons.  An infeasible base problem (e.g. a singular design that
     every resample inherits) therefore surfaces as an excessive-failure
-    error with the cause attached.
+    error with the cause attached.  A response outside the family's
+    support is a ``FamilyError`` before any replicate is fitted.
     """
     if B < 1:
         raise DomainError("B must be at least 1")
+    check_support(ds.response, family)
     dm = build_design(ds)
     x = dm.matrix
     y = ds.response
@@ -228,7 +230,8 @@ def normality_diagnostic(draws: BootstrapDraws, j: int) -> NormalityReport:
         )
     values = np.sort(draws.draws[:, j])
     quantiles = ndtri((np.arange(1, m + 1) - 0.5) / m)
-    corr = float(np.corrcoef(values, quantiles)[0, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # constant draws: NaN
+        corr = float(np.corrcoef(values, quantiles)[0, 1])
     return NormalityReport(
         coefficient=j,
         sorted_draws=values,

@@ -392,45 +392,44 @@ _FLAGS = {
 
 _DATA = ("--input", "--response", "--regressors")
 
-# name: (run function, help, flags).  slopes reads no --seed; it is
-# accepted so that one seed argument can be passed to every subcommand.
-_SUBCOMMANDS = {
-    "fit": (
-        run_fit,
-        "fit a working model and report robust SEs",
-        (*_DATA, "--family", "--boot", "--seed", "--alpha", "--format", "--out"),
-    ),
-    "bootstrap": (
-        run_diagnostics,
-        "x-y bootstrap draws and normal-quantile diagnostics",
-        (*_DATA, "--family", "--boot", "--seed", "--out"),
-    ),
-    "predict": (
-        run_predict,
-        "calibrated prediction intervals",
-        (*_DATA, "--seed", "--alpha", "--out", "--calibration"),
-    ),
-    "simulate": (
-        run_simulate,
-        "coverage or regressor-shift experiments on a population file",
-        ("--population", "--n", "--reps", "--methods",
-         "--boot", "--seed", "--alpha", "--format", "--out"),
-    ),
-    "slopes": (
-        run_slopes,
-        "pairwise-slope decomposition of the OLS coefficients",
-        (*_DATA, "--seed", "--format", "--out", "--coef", "--pairs-out"),
-    ),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leanreg",
         description="Assumption-lean regression with misspecification-robust inference.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (func, help_text, flags) in _SUBCOMMANDS.items():
+    # name: (run function, help, flags), looked up per call so that a
+    # replaced run_* is the one main calls.  slopes reads no --seed; it is
+    # accepted so that one seed argument can be passed to every subcommand.
+    subcommands = {
+        "fit": (
+            run_fit,
+            "fit a working model and report robust SEs",
+            (*_DATA, "--family", "--boot", "--seed", "--alpha", "--format", "--out"),
+        ),
+        "bootstrap": (
+            run_diagnostics,
+            "x-y bootstrap draws and normal-quantile diagnostics",
+            (*_DATA, "--family", "--boot", "--seed", "--out"),
+        ),
+        "predict": (
+            run_predict,
+            "calibrated prediction intervals",
+            (*_DATA, "--seed", "--alpha", "--out", "--calibration"),
+        ),
+        "simulate": (
+            run_simulate,
+            "coverage or regressor-shift experiments on a population file",
+            ("--population", "--n", "--reps", "--methods",
+             "--boot", "--seed", "--alpha", "--format", "--out"),
+        ),
+        "slopes": (
+            run_slopes,
+            "pairwise-slope decomposition of the OLS coefficients",
+            (*_DATA, "--seed", "--format", "--out", "--coef", "--pairs-out"),
+        ),
+    }
+    for name, (func, help_text, flags) in subcommands.items():
         sp = sub.add_parser(name, help=help_text)
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])

@@ -25,10 +25,7 @@ from .exceptions import (
 from .fitting import Family, FitResult
 
 __all__ = [
-    "CovarianceEstimate",
-    "CoefficientRow",
     "CoefficientTable",
-    "InferenceSummary",
     "conventional_cov",
     "sandwich_cov",
     "conventional_stack",
@@ -36,28 +33,14 @@ __all__ = [
     "standard_errors",
     "se_and_pvalues",
     "coefficient_table",
+    "table_from_published",
     "TABLE_HEADERS",
 ]
 
 TABLE_HEADERS = ("Coeff", "SE", "p-value", "Boot.SE", "Sand.SE", "Sand-p")
-
-
-@dataclass(frozen=True)
-class CovarianceEstimate:
-    """(p+1) x (p+1) covariance of beta_hat plus its method tag."""
-
-    matrix: np.ndarray
-    method: str  # conventional | sandwich | bootstrap
-    n: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError("covariance matrix must be square")
-
-    def standard_errors(self) -> np.ndarray:
-        return standard_errors(self.matrix)
+# The table's column fields, which are also its CSV and JSON keys, in
+# TABLE_HEADERS order.
+_COLUMNS = ("coef", "se_conv", "p_conv", "se_boot", "se_sand", "p_sand")
 
 
 def _information(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -119,190 +102,141 @@ def sandwich_stack(x, v, residuals, rows: np.ndarray):
     return (cov + np.swapaxes(cov, -1, -2)) / 2.0, errors
 
 
-def _one(stacked, method: str, n: int) -> CovarianceEstimate:
+def _one(stacked) -> np.ndarray:
     cov, errors = stacked
     if errors[0] is not None:
         raise errors[0]
-    return CovarianceEstimate(matrix=cov[0], method=method, n=n)
+    return cov[0]
 
 
-def conventional_cov(fit: FitResult) -> CovarianceEstimate:
-    """Model-trusting covariance of beta_hat: phi * (sum v(mu_i) x x')^-1.
+def conventional_cov(fit: FitResult) -> np.ndarray:
+    """Model-trusting (k, k) covariance of beta_hat: phi * (sum v(mu_i) x x')^-1.
 
     The dispersion phi is SSE/(n-p-1) for OLS (where v = 1) and 1 for a
     GLM, whose covariance is then the inverse expected information.
     """
-    stacked = conventional_stack(*_stack_of_one(fit), fit.family, np.ones(1, dtype=bool))
-    return _one(stacked, "conventional", fit.n)
+    return _one(conventional_stack(*_stack_of_one(fit), fit.family, np.ones(1, dtype=bool)))
 
 
-def sandwich_cov(fit: FitResult) -> CovarianceEstimate:
-    """Heteroskedasticity/misspecification-consistent covariance.
+def sandwich_cov(fit: FitResult) -> np.ndarray:
+    """Heteroskedasticity/misspecification-consistent (k, k) covariance.
 
     (1/n) * bread^-1 meat bread^-1, with bread the mean per-observation
     Hessian of the family loss and meat the mean outer product of
     per-observation scores (mu_i - y_i) x_i; for OLS the score is
     -r_i x_i, so the meat is the residual-weighted second moment.
     """
-    return _one(sandwich_stack(*_stack_of_one(fit), np.ones(1, dtype=bool)), "sandwich", fit.n)
+    return _one(sandwich_stack(*_stack_of_one(fit), np.ones(1, dtype=bool)))
 
 
-@dataclass(frozen=True)
-class InferenceSummary:
-    """Per-coefficient standard errors and two-sided normal p-values."""
+def se_and_pvalues(fit: FitResult, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(se, p)``: SE_j = sqrt(cov_jj); p_j = 2(1 - Phi(|beta_j| / SE_j)).
 
-    se: np.ndarray
-    p: np.ndarray
-    degenerate: np.ndarray  # True where SE == 0
-
-
-def se_and_pvalues(fit: FitResult, cov: CovarianceEstimate) -> InferenceSummary:
-    """SE_j = sqrt(cov_jj); p_j = 2(1 - Phi(|beta_j| / SE_j)).
-
-    Zero SEs are flagged: p is 0 for a nonzero coefficient (the
+    A zero SE is degenerate: p is 0 for a nonzero coefficient (the
     degenerate limit) and 1 for a zero coefficient.
     """
     beta = fit.beta_hat
-    if cov.matrix.shape[0] != beta.shape[0]:
+    k = beta.shape[0]
+    if np.shape(cov) != (k, k):
         raise DimensionError("covariance dimension does not match coefficients")
-    se = cov.standard_errors()
+    se = standard_errors(cov)
     degenerate = se == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(degenerate, np.where(beta == 0.0, 0.0, np.inf), np.abs(beta) / se)
-    p = 2.0 * ndtr(-z)
-    return InferenceSummary(se=se, p=p, degenerate=degenerate)
-
-
-@dataclass(frozen=True)
-class CoefficientRow:
-    label: str
-    coef: float
-    se_conv: float
-    p_conv: float
-    se_sand: float
-    p_sand: float
-    se_boot: float | None = None
+    return se, 2.0 * ndtr(-z)
 
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Per-coefficient report, intercept first, one row per coefficient."""
+    """Per-coefficient report, intercept first: the labels and one float
+    array per column, in ``TABLE_HEADERS`` order.
 
-    rows: tuple[CoefficientRow, ...]
+    ``se_boot`` is None when there is no bootstrap column; in a
+    published table, NaN marks a row without a bootstrap SE.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
+    labels: tuple[str, ...]
+    coef: np.ndarray
+    se_conv: np.ndarray
+    p_conv: np.ndarray
+    se_boot: np.ndarray | None
+    se_sand: np.ndarray
+    p_sand: np.ndarray
 
-    @property
-    def has_boot(self) -> bool:
-        return any(r.se_boot is not None for r in self.rows)
+    def _columns(self) -> list[tuple[str, str, np.ndarray]]:
+        """``(key, header, values)`` of each column the table has, in table order."""
+        return [
+            (key, header, getattr(self, key))
+            for key, header in zip(_COLUMNS, TABLE_HEADERS)
+            if getattr(self, key) is not None
+        ]
 
     def headers(self) -> tuple[str, ...]:
-        if self.has_boot:
-            return TABLE_HEADERS
-        return tuple(h for h in TABLE_HEADERS if h != "Boot.SE")
-
-    def _row_values(self, r: CoefficientRow) -> list[float]:
-        vals = [r.coef, r.se_conv, r.p_conv]
-        if self.has_boot:
-            vals.append(float("nan") if r.se_boot is None else r.se_boot)
-        vals += [r.se_sand, r.p_sand]
-        return vals
+        return tuple(header for _, header, _ in self._columns())
 
     def to_json_dict(self) -> dict:
-        rows = []
-        for r in self.rows:
-            d = {
-                "label": r.label,
-                "coef": r.coef,
-                "se_conv": r.se_conv,
-                "p_conv": r.p_conv,
-                "se_sand": r.se_sand,
-                "p_sand": r.p_sand,
-            }
-            if self.has_boot:
-                d["se_boot"] = r.se_boot
-            rows.append(d)
-        return {"rows": rows}
+        """One object per coefficient, ``se_boot`` last and null where a row has none."""
+        columns = {key: values for key, _, values in self._columns() if key != "se_boot"}
+        if self.se_boot is not None:
+            columns["se_boot"] = np.where(np.isnan(self.se_boot), None, self.se_boot)
+        keys = ("label", *columns)
+        values = zip(self.labels, *(v.tolist() for v in columns.values()))
+        return {"rows": [dict(zip(keys, row)) for row in values]}
 
     def to_text(self) -> str:
         """Aligned plain-text table, 4 decimal places."""
-        headers = self.headers()
-        label_width = max(len(r.label) for r in self.rows)
-        cells = [[f"{v:.4f}" for v in self._row_values(r)] for r in self.rows]
-        widths = [
-            max(len(h), max(len(row[i]) for row in cells))
-            for i, h in enumerate(headers)
-        ]
-        lines = [
-            " " * label_width
-            + "  "
-            + "  ".join(h.rjust(w) for h, w in zip(headers, widths))
-        ]
-        for r, row in zip(self.rows, cells):
-            lines.append(
-                r.label.ljust(label_width)
-                + "  "
-                + "  ".join(c.rjust(w) for c, w in zip(row, widths))
-            )
-        return "\n".join(lines) + "\n"
+        columns = [[header, *np.char.mod("%.4f", v)] for _, header, v in self._columns()]
+        columns = [np.char.rjust(cells, max(map(len, cells))) for cells in columns]
+        label_width = max(map(len, self.labels))
+        return "".join(
+            label.ljust(label_width) + "  " + "  ".join(cells) + "\n"
+            for label, *cells in zip(("", *self.labels), *columns)
+        )
 
     def to_csv_text(self) -> str:
-        cols = ["label", "coef", "se_conv", "p_conv"]
-        if self.has_boot:
-            cols.append("se_boot")
-        cols += ["se_sand", "p_sand"]
-        values = np.array([self._row_values(r) for r in self.rows], dtype=float)
-        return csv_text(cols, [[r.label for r in self.rows], *values.T])
+        columns = self._columns()
+        return csv_text(
+            ["label", *(key for key, _, _ in columns)],
+            [self.labels, *(values for _, _, values in columns)],
+        )
 
 
 def coefficient_table(
     fit: FitResult,
-    conv: CovarianceEstimate,
-    sand: CovarianceEstimate,
+    conv: np.ndarray,
+    sand: np.ndarray,
     boot_se: np.ndarray | None = None,
 ) -> CoefficientTable:
-    """Assemble the per-coefficient report from one fit's estimates."""
-    k = fit.beta_hat.shape[0]
-    for cov in (conv, sand):
-        if cov.matrix.shape[0] != k:
-            raise DimensionError("covariance dimension does not match the fit")
-    if boot_se is not None and len(boot_se) != k:
+    """Assemble the per-coefficient report from one fit's covariances."""
+    se_conv, p_conv = se_and_pvalues(fit, conv)
+    se_sand, p_sand = se_and_pvalues(fit, sand)
+    if boot_se is not None and len(boot_se) != len(se_conv):
         raise DimensionError("bootstrap SE vector does not match the fit")
-    conv_inf = se_and_pvalues(fit, conv)
-    sand_inf = se_and_pvalues(fit, sand)
-    rows = []
-    for j, label in enumerate(fit.design.column_labels):
-        rows.append(
-            CoefficientRow(
-                label=label,
-                coef=float(fit.beta_hat[j]),
-                se_conv=float(conv_inf.se[j]),
-                p_conv=float(conv_inf.p[j]),
-                se_sand=float(sand_inf.se[j]),
-                p_sand=float(sand_inf.p[j]),
-                se_boot=None if boot_se is None else float(boot_se[j]),
-            )
-        )
-    return CoefficientTable(rows=tuple(rows))
+    return CoefficientTable(
+        labels=tuple(fit.design.column_labels),
+        coef=fit.beta_hat,
+        se_conv=se_conv,
+        p_conv=p_conv,
+        se_boot=None if boot_se is None else np.asarray(boot_se, dtype=float),
+        se_sand=se_sand,
+        p_sand=p_sand,
+    )
 
 
 def table_from_published(rows: list[dict]) -> CoefficientTable:
-    """Build a table from already-published numbers (no fit required)."""
-    built = []
-    for r in rows:
-        missing = {"label", "coef", "se_conv", "p_conv", "se_sand", "p_sand"} - set(r)
-        if missing:
-            raise ColumnError(f"published row missing columns: {sorted(missing)}")
-        built.append(
-            CoefficientRow(
-                label=r["label"],
-                coef=r["coef"],
-                se_conv=r["se_conv"],
-                p_conv=r["p_conv"],
-                se_sand=r["se_sand"],
-                p_sand=r["p_sand"],
-                se_boot=r.get("se_boot"),
-            )
-        )
-    return CoefficientTable(rows=tuple(built))
+    """Build a table from already-published numbers (no fit required).
+
+    Every row needs a label and each column but ``se_boot``; a missing
+    or None value is a :class:`ColumnError`, not a NaN.
+    """
+    columns = {key: [r.get(key) for r in rows] for key in ("label", *_COLUMNS)}
+    boot = columns.pop("se_boot")
+    missing = sorted(key for key, values in columns.items() if None in values)
+    if missing:
+        raise ColumnError(f"published row missing columns: {missing}")
+    labels = tuple(columns.pop("label"))
+    return CoefficientTable(
+        labels=labels,
+        se_boot=None if all(v is None for v in boot) else np.asarray(boot, dtype=float),
+        **{key: np.asarray(values, dtype=float) for key, values in columns.items()},
+    )

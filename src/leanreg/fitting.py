@@ -44,6 +44,7 @@ __all__ = [
     "fit_ols_stack",
     "fit_glm",
     "fit_weighted",
+    "check_support",
     "WeightedFits",
     "outer_rows",
     "fit_dataset",
@@ -321,10 +322,10 @@ def fit_weighted(
     All-ones weights give the sample fit; multinomial counts give the
     refit on a resample that repeats observation i ``w[r, i]`` times.
     Every row gets what a single fit gets: the rank check of its
-    weighted second-moment matrix, the support check of the responses
-    it uses, then an exact solve (gaussian) or Newton iterations from
-    the usual start value with step halving, the logit separation bound
-    and the convergence test of :func:`fit_glm`.
+    weighted second-moment matrix, then an exact solve (gaussian) or
+    Newton iterations from the usual start value with step halving, the
+    logit separation bound and the convergence test of :func:`fit_glm`.
+    The responses' support is the caller's to check (:func:`check_support`).
 
     ``outer`` is :func:`outer_rows` of ``x``, for callers that reuse it.
     Every matrix product and elementwise pass takes all rows, so row r's
@@ -349,11 +350,6 @@ def fit_weighted(
         _record(errors, failed)
         return WeightedFits(beta, tuple(errors), np.ones(m, dtype=int), np.zeros(m))
 
-    outside = family.outside_support(y)
-    if outside.any():
-        for r in np.flatnonzero(np.any(w[:, outside] > 0, axis=1)):
-            if errors[r] is None:
-                errors[r] = FamilyError(family.support_message)
     active = _ok(errors)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -464,6 +460,12 @@ def _newton(x, y, w, wsum, outer, family, active, errors):
     return beta, iterations, score_norm
 
 
+def check_support(y: np.ndarray, family: Family) -> None:
+    """Raise ``FamilyError`` if a response lies outside the support of ``family``."""
+    if family.outside_support is not None and family.outside_support(y).any():
+        raise FamilyError(family.support_message)
+
+
 def fit_glm(
     dm: DesignMatrix,
     y: np.ndarray,
@@ -483,6 +485,8 @@ def fit_glm(
 
     Raises
     ------
+    FamilyError
+        a response lies outside the family's support; checked first.
     SingularSystemError
         the design is rank deficient, or the normal-equation matrix or
         a Newton system is not positive definite.
@@ -496,6 +500,7 @@ def fit_glm(
     y = np.asarray(y, dtype=float)
     if y.shape[0] != dm.n:
         raise DimensionError(f"response length {y.shape[0]} != design rows {dm.n}")
+    check_support(y, family)
     x = dm.matrix
     if family.closed_form:
         beta, errors = fit_ols_stack(x[None], y[None])

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .covariance import CoefficientTable
-from .exceptions import ColumnError, DomainError
+from .exceptions import DomainError
 
 __all__ = ["MisspecIndicator", "misspec_indicator", "RATIO_THRESHOLD"]
 
@@ -69,24 +71,20 @@ def misspec_indicator(table: CoefficientTable, level: float = 0.05) -> MisspecIn
     """
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
-    labels, ratios, flagged, reversals = [], [], [], []
-    for row in table.rows:
-        if row.se_sand is None or row.se_conv is None:
-            raise ColumnError(f"row {row.label!r} is missing an SE column")
-        if row.se_conv <= 0.0 or row.se_sand <= 0.0:
-            ratio = float("nan") if row.se_sand == row.se_conv else float("inf")
-        else:
-            ratio = row.se_sand / row.se_conv
-        labels.append(row.label)
-        ratios.append(ratio)
-        if ratio == ratio and (ratio > RATIO_THRESHOLD or ratio < 1.0 / RATIO_THRESHOLD):
-            flagged.append(row.label)
-        if (row.p_conv < level <= row.p_sand) or (row.p_sand < level <= row.p_conv):
-            reversals.append(row.label)
+    se_conv, se_sand, p_conv, p_sand = table.se_conv, table.se_sand, table.p_conv, table.p_sand
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(
+            (se_conv <= 0.0) | (se_sand <= 0.0),
+            np.where(se_sand == se_conv, np.nan, np.inf),
+            se_sand / se_conv,
+        )
+    flagged = (ratios > RATIO_THRESHOLD) | (ratios < 1.0 / RATIO_THRESHOLD)
+    reversed_ = ((p_conv < level) & (level <= p_sand)) | ((p_sand < level) & (level <= p_conv))
+    labels = np.array(table.labels, dtype=object)
     return MisspecIndicator(
-        labels=tuple(labels),
-        ratios=tuple(ratios),
-        flagged=tuple(flagged),
-        decision_reversals=tuple(reversals),
+        labels=tuple(table.labels),
+        ratios=tuple(ratios.tolist()),
+        flagged=tuple(labels[flagged]),
+        decision_reversals=tuple(labels[reversed_]),
         level=level,
     )

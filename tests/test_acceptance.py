@@ -16,6 +16,7 @@ from leanreg.core import Dataset, build_design
 from leanreg.covariance import (
     conventional_cov,
     sandwich_cov,
+    standard_errors,
     table_from_published,
 )
 from leanreg.fitting import BERNOULLI, GAUSSIAN, fit_dataset, fit_glm, fit_ols
@@ -127,8 +128,8 @@ def test_criterion_03_sandwich_collapse():
         ds = sample(pop, 5000, seed=300 + s)
         fit = fit_dataset(ds)
         ratio = (
-            sandwich_cov(fit).standard_errors()[1]
-            / conventional_cov(fit).standard_errors()[1]
+            standard_errors(sandwich_cov(fit))[1]
+            / standard_errors(conventional_cov(fit))[1]
         )
         hits += 0.9 <= ratio <= 1.1
     announce(3, hits >= 190, f"slope SE ratio in [0.9, 1.1] for {hits}/200 seeds")
@@ -142,8 +143,8 @@ def test_criterion_04_sandwich_inflation_and_coverage():
         ds = sample(pop, 5000, seed=1300 + s)
         fit = fit_dataset(ds)
         ratio = (
-            sandwich_cov(fit).standard_errors()[1]
-            / conventional_cov(fit).standard_errors()[1]
+            standard_errors(sandwich_cov(fit))[1]
+            / standard_errors(conventional_cov(fit))[1]
         )
         hits += abs(ratio - target) <= 0.15
     results = coverage_experiment(
@@ -173,7 +174,7 @@ def test_criterion_05_bootstrap_sandwich_agreement_and_foil():
     for s in range(50):
         ds = sample(pop, 1000, seed=2500 + s)
         fit = fit_dataset(ds)
-        se_sand = sandwich_cov(fit).standard_errors()[1]
+        se_sand = standard_errors(sandwich_cov(fit))[1]
         se_boot = bootstrap_se(xy_bootstrap(ds, GAUSSIAN, 1000, seed=5500 + s))[1]
         hits += abs(se_boot / se_sand - 1.0) <= 0.15
 
@@ -188,7 +189,7 @@ def test_criterion_05_bootstrap_sandwich_agreement_and_foil():
     )
     ds = sample(het_pop, 2000, seed=606)
     fit = fit_dataset(ds)
-    se_sand = sandwich_cov(fit).standard_errors()[1]
+    se_sand = standard_errors(sandwich_cov(fit))[1]
     se_resid = bootstrap_se(residual_bootstrap(ds, 1000, seed=707))[1]
     foil_gap = abs(se_resid / se_sand - 1.0)
     ok = hits >= 45 and foil_gap > 0.20
@@ -330,7 +331,7 @@ def test_criterion_09_glm_functional_consistency():
     beta_oracle = _population_logit_beta(pop)
     ds = sample(pop, 100_000, seed=9090)
     fit = fit_glm(build_design(ds), ds.response, BERNOULLI)
-    se = sandwich_cov(fit).standard_errors()
+    se = standard_errors(sandwich_cov(fit))
     gaps = np.abs(fit.beta_hat - beta_oracle) / se
     announce(
         9,

@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from leanreg import bootstrap
 from leanreg.bootstrap import (
     CHUNK_ELEMENTS,
     FAILURE_THRESHOLD,
@@ -13,16 +14,20 @@ from leanreg.bootstrap import (
     bootstrap_se,
     normality_diagnostic,
     residual_bootstrap,
+    tolerate_failures,
     xy_bootstrap,
 )
 from leanreg.core import Dataset, DesignMatrix, build_design, load_csv
-from leanreg.covariance import sandwich_cov
+from leanreg.covariance import sandwich_cov, standard_errors
 from leanreg.datasets import CHARGES_COLUMNS
 from leanreg.exceptions import (
     CoefficientIndexError,
+    ConvergenceError,
     ExcessiveFailureError,
+    FamilyError,
     InsufficientDrawsError,
     LeanRegError,
+    SingularSystemError,
 )
 from leanreg.fitting import BERNOULLI, GAUSSIAN, POISSON, fit_dataset, fit_glm, fit_ols
 from leanreg.population import (
@@ -69,7 +74,32 @@ class TestXyBootstrap:
         ds = Dataset([2.0], [[1.0]], names=("x",))
         with pytest.raises(ExcessiveFailureError) as exc_info:
             xy_bootstrap(ds, GAUSSIAN, B=20, seed=0)
-        assert "SingularSystemError" in exc_info.value.reasons
+        assert exc_info.value.reasons == {"SingularSystemError": 20}
+        assert str(exc_info.value) == (
+            "20 of 20 bootstrap replicates failed (threshold 10%): SingularSystemError 20"
+        )
+
+    def test_failure_message_names_each_cause_in_order_first_seen(self):
+        results = [1.0, ConvergenceError("a"), SingularSystemError("b"), ConvergenceError("c")]
+        with pytest.raises(ExcessiveFailureError) as exc_info:
+            tolerate_failures(results, "things")
+        assert str(exc_info.value) == (
+            "3 of 4 things failed (threshold 10%): ConvergenceError 2, SingularSystemError 1"
+        )
+
+    @pytest.mark.parametrize("family, bad", [(BERNOULLI, 2.0), (POISSON, 0.5)])
+    def test_response_outside_support_rejected_before_any_fit(self, monkeypatch, family, bad):
+        # One bad response among 500: most resamples would leave it out.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted a response outside the support")
+
+        monkeypatch.setattr(bootstrap, "fit_weighted", no_fit)
+        rng = np.random.default_rng(3)
+        y = (rng.random(500) < 0.5).astype(float)
+        y[17] = bad
+        ds = Dataset(y, rng.standard_normal((500, 1)), names=("x",))
+        with pytest.raises(FamilyError, match=family.support_message):
+            xy_bootstrap(ds, family, B=200, seed=1)
 
     def test_bit_identical_rerun(self):
         ds = sample(linear_pop(), 300, seed=5)
@@ -87,7 +117,7 @@ class TestXyBootstrap:
         ds = sample(quadratic_pop(), 1000, seed=17)
         draws = xy_bootstrap(ds, GAUSSIAN, B=1000, seed=88)
         se_boot = bootstrap_se(draws)
-        se_sand = sandwich_cov(fit_dataset(ds)).standard_errors()
+        se_sand = standard_errors(sandwich_cov(fit_dataset(ds)))
         assert abs(se_boot[1] / se_sand[1] - 1.0) < 0.15
 
     def test_bernoulli_replicates(self):
@@ -286,7 +316,7 @@ class TestResidualBootstrap:
         n = 2000
         ds = sample(pop, n, seed=31)
         se_resid = bootstrap_se(residual_bootstrap(ds, B=1000, seed=12))
-        se_sand = sandwich_cov(fit_dataset(ds)).standard_errors()
+        se_sand = standard_errors(sandwich_cov(fit_dataset(ds)))
         assert abs(se_resid[1] / se_sand[1] - 1.0) > 0.20
         pooled_se = np.sqrt(population_conventional_av(pop)[1, 1] / n)
         assert abs(se_resid[1] / pooled_se - 1.0) < 0.15
@@ -321,7 +351,7 @@ class TestConvergenceAcrossSampleSizes:
                 se_b = bootstrap_se(
                     xy_bootstrap(ds, GAUSSIAN, 1000, seed=7 * n + r)
                 )[1]
-                se_s = sandwich_cov(fit_dataset(ds)).standard_errors()[1]
+                se_s = standard_errors(sandwich_cov(fit_dataset(ds)))[1]
                 gaps.append(se_b / se_s - 1.0)
             gaps = np.asarray(gaps)
             assert np.median(np.abs(gaps)) < 0.05
@@ -371,6 +401,11 @@ class TestNormalityDiagnostic:
         draws = BootstrapDraws(np.ones((5, 1)), "xy", 0, 0)
         with pytest.raises(InsufficientDrawsError):
             normality_diagnostic(draws, 0)
+
+    def test_constant_draws_nan_without_warning(self):
+        # The suite turns warnings into errors, so a leaked RuntimeWarning fails here.
+        draws = BootstrapDraws(np.full((20, 1), 3.0), "xy", 0, 0)
+        assert np.isnan(normality_diagnostic(draws, 0).qq_correlation)
 
     def test_index_out_of_range(self):
         draws = BootstrapDraws(np.ones((20, 2)), "xy", 0, 0)

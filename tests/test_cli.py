@@ -128,6 +128,21 @@ class TestBootstrapSubcommand:
         assert code == 1
         assert "B >= 10" in err
 
+    def test_response_outside_support_is_the_support_error(self, tmp_path, capsys):
+        # Most resamples leave the one 2.0 out; it is still the error reported.
+        rng = np.random.default_rng(4)
+        y = (rng.random(500) < 0.5).astype(float)
+        y[250] = 2.0
+        path = tmp_path / "binary.csv"
+        path.write_text(csv_text(["y", "x"], [y, rng.standard_normal(500)]), encoding="utf-8")
+        code, out, err = run_main(
+            ["bootstrap", "--input", str(path), "--response", "y", "--regressors", "x",
+             "--family", "logit", "--boot", "200"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == "leanreg: error: bernoulli-logit requires a response coded exactly 0/1\n"
+
 
 class TestPredictSubcommand:
     def test_intervals_and_calibration_files(self, small_csv, tmp_path, capsys):
@@ -259,6 +274,18 @@ class TestSimulateSubcommand:
         )
         assert code == 0
         assert out.read_text(encoding="utf-8") == plain
+
+    def test_excessive_failures_name_their_cause(self, capsys):
+        code, out, err = run_main(
+            ["simulate", "--population", "quadratic.json", "--n", "50", "--reps", "20",
+             "--methods", "xy-bootstrap", "--boot", "1"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "leanreg: error: 20 of 20 coverage replications failed (threshold 10%): "
+            "InsufficientDrawsError 20\n"
+        )
 
     def test_schema_error_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -471,6 +498,23 @@ class TestOutputsCheckedFirst:
         assert code == 1
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, subcommand",
+    [("run_fit", "fit"), ("run_diagnostics", "bootstrap"), ("run_predict", "predict"),
+     ("run_simulate", "simulate"), ("run_slopes", "slopes")],
+)
+def test_main_calls_the_run_function_bound_at_call_time(monkeypatch, name, subcommand):
+    # Tracing or instrumentation replaces leanreg.cli.run_* after import.
+    from leanreg import cli
+
+    calls = []
+    monkeypatch.setattr(cli, name, lambda args: calls.append(args.subcommand) or 7)
+    data = (["--population", "p.json"] if subcommand == "simulate"
+            else ["--input", "d.csv", "--response", "y", "--regressors", "x"])
+    assert main([subcommand, *data]) == 7
+    assert calls == [subcommand]
 
 
 class TestConsoleEntry:

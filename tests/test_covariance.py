@@ -5,12 +5,12 @@ import pytest
 
 from leanreg.core import Dataset, DesignMatrix, build_design
 from leanreg.covariance import (
-    CovarianceEstimate,
     TABLE_HEADERS,
     coefficient_table,
     conventional_cov,
     sandwich_cov,
     se_and_pvalues,
+    standard_errors,
     table_from_published,
 )
 from leanreg.exceptions import DegreesOfFreedomError, DimensionError
@@ -37,14 +37,14 @@ class TestConventional:
         ds = Dataset([1.0, 2.0, 3.0, 4.0], [[0.0], [1.0], [2.0], [3.0]], names=("x",))
         fit = fit_ols(build_design(ds), ds.response)
         cov = conventional_cov(fit)
-        assert np.max(np.abs(cov.matrix)) < 1e-24
+        assert np.max(np.abs(cov)) < 1e-24
 
     def test_intercept_only_two_points(self):
         # sigma2 = sum r^2 / (n-1) = 2, var(b0) = sigma2 / n = 1.
         ds = Dataset([0.0, 2.0], np.empty((2, 0)), names=())
         fit = fit_ols(build_design(ds), ds.response)
         cov = conventional_cov(fit)
-        assert cov.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert cov[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_dof_error(self):
         ds = Dataset([0.0, 2.0], [[1.0], [2.0]], names=("x",))
@@ -56,7 +56,7 @@ class TestConventional:
     def test_symmetry_and_nonnegative_diagonal(self):
         _, fit = ols_fixture(3)
         for cov in (conventional_cov(fit), sandwich_cov(fit)):
-            m = cov.matrix
+            m = cov
             assert np.max(np.abs(m - m.T)) <= 1e-12 * max(np.max(np.abs(m)), 1e-300)
             assert np.all(np.diag(m) >= 0)
 
@@ -80,9 +80,9 @@ class TestSandwich:
             y=np.array([1.0, -1.0]),
         )
         cov = sandwich_cov(fit)
-        assert cov.matrix[1, 1] == pytest.approx(0.5, abs=1e-12)
-        assert cov.matrix[0, 0] == pytest.approx(0.5, abs=1e-12)
-        assert cov.matrix[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert cov[1, 1] == pytest.approx(0.5, abs=1e-12)
+        assert cov[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert cov[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_collapse_under_homoskedastic_linear_truth(self):
         pop = make_population(
@@ -94,8 +94,8 @@ class TestSandwich:
         ds = sample(pop, 5000, seed=99)
         fit = fit_dataset(ds)
         ratio = (
-            sandwich_cov(fit).standard_errors()[1]
-            / conventional_cov(fit).standard_errors()[1]
+            standard_errors(sandwich_cov(fit))[1]
+            / standard_errors(conventional_cov(fit))[1]
         )
         assert 0.9 <= ratio <= 1.1
 
@@ -114,18 +114,18 @@ class TestSandwich:
         ds = sample(pop, 5000, seed=7)
         fit = fit_dataset(ds)
         ratio = (
-            sandwich_cov(fit).standard_errors()[1]
-            / conventional_cov(fit).standard_errors()[1]
+            standard_errors(sandwich_cov(fit))[1]
+            / standard_errors(conventional_cov(fit))[1]
         )
         assert abs(ratio - np.sqrt(11.0 / 3.0)) < 0.15
 
     def test_reordering_invariance(self):
         ds, fit = ols_fixture(5)
-        cov = sandwich_cov(fit).matrix
+        cov = sandwich_cov(fit)
         rng = np.random.default_rng(6)
         perm = rng.permutation(ds.n)
         ds2 = Dataset(ds.response[perm], ds.regressors[perm], ds.names)
-        cov2 = sandwich_cov(fit_ols(build_design(ds2), ds2.response)).matrix
+        cov2 = sandwich_cov(fit_ols(build_design(ds2), ds2.response))
         assert np.max(np.abs(cov - cov2)) <= 1e-12 * np.max(np.abs(cov))
 
     def test_rescaling_transforms_both_estimators(self):
@@ -137,8 +137,8 @@ class TestSandwich:
         fit2 = fit_ols(build_design(ds2), ds2.response)
         j = 2  # design column of the rescaled regressor
         for estimator in (conventional_cov, sandwich_cov):
-            m1 = estimator(fit).matrix
-            m2 = estimator(fit2).matrix
+            m1 = estimator(fit)
+            m2 = estimator(fit2)
             assert m2[j, j] == pytest.approx(m1[j, j] / c**2, rel=1e-10)
             assert m2[0, j] == pytest.approx(m1[0, j] / c, rel=1e-10)
 
@@ -158,8 +158,8 @@ class TestSandwich:
             ds = sample(pop, 5000, seed=2100 + s)
             fit = fit_glm(build_design(ds), ds.response, BERNOULLI)
             ratio = (
-                sandwich_cov(fit).standard_errors()[1]
-                / conventional_cov(fit).standard_errors()[1]
+                standard_errors(sandwich_cov(fit))[1]
+                / standard_errors(conventional_cov(fit))[1]
             )
             hits += 0.85 <= ratio <= 1.15
         assert hits >= 45
@@ -168,27 +168,27 @@ class TestSandwich:
 class TestSeAndPvalues:
     def test_zero_coefficient_gives_p_one(self):
         _, fit = ols_fixture(1)
-        cov = CovarianceEstimate(np.eye(3) * 0.04, "conventional", fit.n)
+        cov = np.eye(3) * 0.04
         patched = _with_beta(fit, np.array([0.0, 1.0, -1.0]))
-        inf = se_and_pvalues(patched, cov)
-        assert inf.p[0] == pytest.approx(1.0)
-        assert inf.se.tolist() == [0.2, 0.2, 0.2]
+        se, p = se_and_pvalues(patched, cov)
+        assert p[0] == pytest.approx(1.0)
+        assert se.tolist() == [0.2, 0.2, 0.2]
 
     def test_z_1_96_gives_p_05(self):
         _, fit = ols_fixture(1)
-        cov = CovarianceEstimate(np.eye(3), "conventional", fit.n)
+        cov = np.eye(3)
         patched = _with_beta(fit, np.array([1.959963984540054, 0.0, 0.0]))
-        inf = se_and_pvalues(patched, cov)
-        assert inf.p[0] == pytest.approx(0.05, abs=1e-6)
+        _, p = se_and_pvalues(patched, cov)
+        assert p[0] == pytest.approx(0.05, abs=1e-6)
 
     def test_degenerate_se_flagged(self):
         _, fit = ols_fixture(1)
-        cov = CovarianceEstimate(np.zeros((3, 3)), "conventional", fit.n)
+        cov = np.zeros((3, 3))
         patched = _with_beta(fit, np.array([1.0, 0.0, 2.0]))
-        inf = se_and_pvalues(patched, cov)
-        assert inf.degenerate.all()
-        assert inf.p[0] == 0.0 and inf.p[2] == 0.0
-        assert inf.p[1] == 1.0
+        se, p = se_and_pvalues(patched, cov)
+        assert (se == 0.0).all()
+        assert p[0] == 0.0 and p[2] == 0.0
+        assert p[1] == 1.0
 
 
 def _with_beta(fit, beta):
@@ -211,15 +211,15 @@ class TestCoefficientTable:
         ds = Dataset([1.0, 2.0, 3.0, 4.0], [[0.0], [1.0], [2.0], [3.0]], names=("x",))
         fit = fit_ols(build_design(ds), ds.response)
         table = coefficient_table(fit, conventional_cov(fit), sandwich_cov(fit))
-        assert len(table.rows) == 2
-        assert table.rows[0].label == "(Intercept)"
+        assert len(table.labels) == 2
+        assert table.labels[0] == "(Intercept)"
         text = table.to_text()
         assert "Coeff" in text and "Sand-p" in text
 
     def test_two_rows_intercept_first(self):
         _, fit = ols_fixture(2, p=1)
         table = coefficient_table(fit, conventional_cov(fit), sandwich_cov(fit))
-        assert [r.label for r in table.rows] == ["(Intercept)", "x0"]
+        assert table.labels == ("(Intercept)", "x0")
 
     def test_header_columns_match_report_layout(self):
         _, fit = ols_fixture(2, p=1)
@@ -239,7 +239,7 @@ class TestCoefficientTable:
 
     def test_dimension_mismatch(self):
         _, fit = ols_fixture(2, p=1)
-        bad = CovarianceEstimate(np.eye(5), "conventional", fit.n)
+        bad = np.eye(5)
         with pytest.raises(DimensionError):
             coefficient_table(fit, bad, sandwich_cov(fit))
 
@@ -250,7 +250,16 @@ class TestCoefficientTable:
                  "p_conv": 0.0, "se_sand": 0.05, "p_sand": 0.0, "se_boot": 0.05},
             ]
         )
-        assert table.has_boot
+        assert table.se_boot is not None
         assert "1.8800" in table.to_text()
         csv_text = table.to_csv_text()
         assert csv_text.splitlines()[0] == "label,coef,se_conv,p_conv,se_boot,se_sand,p_sand"
+
+    def test_published_row_without_boot_se(self):
+        row = {"label": "x", "coef": 1.0, "se_conv": 0.1, "p_conv": 0.5, "se_sand": 0.2, "p_sand": 0.6}
+        table = table_from_published([{**row, "label": "w", "se_boot": 0.3}, row])
+        assert list(table.to_json_dict()["rows"][1].items()) == [*row.items(), ("se_boot", None)]
+        assert table.to_text().splitlines()[2].split() == [
+            "x", "1.0000", "0.1000", "0.5000", "nan", "0.2000", "0.6000"
+        ]
+        assert table.to_csv_text().splitlines()[2] == "x,1.0,0.1,0.5,nan,0.2,0.6"

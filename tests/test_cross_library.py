@@ -28,9 +28,9 @@ def test_ols_and_covariances_match():
     ref_robust = sm.OLS(y, design).fit(cov_type="HC0")
     ref_plain = sm.OLS(y, design).fit()
     assert np.allclose(fit.beta_hat, ref_robust.params, atol=1e-12)
-    assert np.allclose(lr.sandwich_cov(fit).matrix, ref_robust.cov_HC0, atol=1e-14)
+    assert np.allclose(lr.sandwich_cov(fit), ref_robust.cov_HC0, atol=1e-14)
     assert np.allclose(
-        lr.conventional_cov(fit).matrix, ref_plain.cov_params(), atol=1e-14
+        lr.conventional_cov(fit), ref_plain.cov_params(), atol=1e-14
     )
 
 
@@ -42,7 +42,7 @@ def test_logit_coefficients_and_information():
     ref = sm.GLM(y, design, family=sm.families.Binomial()).fit()
     assert np.allclose(fit.beta_hat, ref.params, atol=1e-8)
     assert np.allclose(
-        lr.conventional_cov(fit).matrix, ref.cov_params(), atol=1e-8
+        lr.conventional_cov(fit), ref.cov_params(), atol=1e-8
     )
 
 
@@ -52,4 +52,4 @@ def test_poisson_coefficients_and_sandwich():
     fit = lr.fit_dataset(lr.Dataset(y, x, names=("a", "b")), lr.POISSON)
     ref = sm.GLM(y, design, family=sm.families.Poisson()).fit(cov_type="HC0")
     assert np.allclose(fit.beta_hat, ref.params, atol=1e-10)
-    assert np.allclose(lr.sandwich_cov(fit).matrix, ref.cov_params(), atol=1e-14)
+    assert np.allclose(lr.sandwich_cov(fit), ref.cov_params(), atol=1e-14)

@@ -8,7 +8,7 @@ import pytest
 from leanreg.bootstrap import _collect, xy_bootstrap
 from leanreg.cli import main
 from leanreg.core import Dataset, build_design
-from leanreg.covariance import coefficient_table, conventional_cov, sandwich_cov
+from leanreg.covariance import coefficient_table, conventional_cov, sandwich_cov, standard_errors
 from leanreg.exceptions import DomainError, ExcessiveFailureError, SingularSystemError
 from leanreg.fitting import GAUSSIAN, fit_ols
 from leanreg.population import (
@@ -213,7 +213,7 @@ class TestRenderingStability:
         fit = fit_ols(build_design(ds), ds.response)
         assert fit.beta_hat == pytest.approx([0.93, 0.98], abs=1e-12)
         conv = conventional_cov(fit)
-        assert conv.standard_errors() == pytest.approx(
+        assert standard_errors(conv) == pytest.approx(
             [np.sqrt(0.109 * 0.7), np.sqrt(0.109 * 0.2)], rel=1e-10
         )
         table = coefficient_table(fit, conv, sandwich_cov(fit))

@@ -27,7 +27,7 @@ from leanreg.fitting import (
     predict_mean,
 )
 from leanreg.population import make_population, population_beta, sample
-from leanreg.covariance import sandwich_cov
+from leanreg.covariance import sandwich_cov, standard_errors
 
 
 def design_from(x):
@@ -147,6 +147,17 @@ class TestFitGlm:
         with pytest.raises(FamilyError, match="integer"):
             fit_glm(build_design(ds), ds.response, POISSON)
 
+    @pytest.mark.parametrize("family, y", [(BERNOULLI, 2.0), (POISSON, -1.0)])
+    def test_support_checked_before_any_fit(self, monkeypatch, family, y):
+        # The regressor is constant, so a fit would fail on the rank check.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted a response outside the support")
+
+        monkeypatch.setattr(fitting, "fit_weighted", no_fit)
+        ds = Dataset([0.0, 1.0, y], [[1.0], [1.0], [1.0]], names=("x",))
+        with pytest.raises(FamilyError, match=family.support_message):
+            fit_glm(build_design(ds), ds.response, family)
+
     def test_non_convergence_carries_iterate(self, monkeypatch):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(200)
@@ -198,14 +209,15 @@ class TestFitWeighted:
     def test_rows_fail_independently_with_typed_errors(self):
         # Row 0 leaves out the non-integer response; row 1 uses only
         # x = 0 points, so its regressor is constant; row 2 uses the
-        # non-integer response.
+        # non-integer response, which is fitted like any other (the
+        # callers check the support before any fit).
         x = np.column_stack([np.ones(5), [0.0, 0.0, 1.0, 2.0, 3.0]])
         y = np.array([1.0, 2.0, 2.0, 3.0, 0.5])
         w = np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [2.0, 1.0, 0.0, 0.0, 0.0], [1.0] * 5])
         fits = fit_weighted(x, y, w, POISSON)
         assert fits.errors[0] is None
         assert isinstance(fits.errors[1], SingularSystemError)
-        assert isinstance(fits.errors[2], FamilyError)
+        assert fits.errors[2] is None
         single = fit_glm(DesignMatrix(x[:4], ("(Intercept)", "x")), y[:4], POISSON)
         assert np.allclose(fits.beta[0], single.beta_hat, rtol=1e-10, atol=1e-12)
 
@@ -252,13 +264,13 @@ class TestFitWeighted:
         w[2, :12] = 1.0                         # halves a step, converges in 7
         w[3, 30:40] = 1.0                       # separates at iteration 7
         w[4, 40:52] = 1.0                       # would converge in 8
-        w[5, :30] = w[5, 52] = 1.0              # outside the support
+        w[5, :30] = w[5, 52] = 1.0              # outside the support, fitted all the same
         w[6, 0] = 2.0                           # rank deficient
         monkeypatch.setattr(fitting, "MAX_ITER", 7)
         fits = self.assert_rows_independent(x, y, w, BERNOULLI)
         assert [type(e).__name__ if e else None for e in fits.errors] == [
             None, None, None, "SeparationError", "ConvergenceError",
-            "FamilyError", "SingularSystemError",
+            None, "SingularSystemError",
         ]
         assert fits.iterations.tolist()[:5] == [6, 6, 7, 7, 7]
 
@@ -279,13 +291,13 @@ class TestFitWeighted:
         w[3, :36] = 1.0                         # halves a step
         w[4, 36:39] = 1.0                       # singular Newton system
         w[5, 36:38], w[5, 39] = 10.0, 1.0       # would diverge slowly
-        w[6, :30] = w[6, 40] = 1.0              # outside the support
+        w[6, :30] = w[6, 40] = 1.0              # outside the support, fitted all the same
         w[7, 0] = 3.0                           # rank deficient
         monkeypatch.setattr(fitting, "MAX_ITER", 40)
         fits = self.assert_rows_independent(x, y, w, POISSON)
         assert [type(e).__name__ if e else None for e in fits.errors] == [
             None, None, None, None, "SingularSystemError", "ConvergenceError",
-            "FamilyError", "SingularSystemError",
+            None, "SingularSystemError",
         ]
         assert len(set(fits.iterations[:4].tolist())) >= 3
 
@@ -308,7 +320,7 @@ class TestConsistency:
         assert gaps[0] > gaps[1] > gaps[2]
         ds = sample(pop, 10000, seed=404)
         fit = fit_dataset(ds)
-        se = sandwich_cov(fit).standard_errors()
+        se = standard_errors(sandwich_cov(fit))
         assert np.all(np.abs(fit.beta_hat - beta_p) <= 5.0 * se)
 
 

@@ -15,7 +15,7 @@ from scipy.special import ndtri
 from leanreg import bootstrap
 from leanreg.bootstrap import bootstrap_se, residual_bootstrap, xy_bootstrap
 from leanreg.cli import main
-from leanreg.covariance import conventional_cov, sandwich_cov
+from leanreg.covariance import conventional_cov, sandwich_cov, standard_errors
 from leanreg.exceptions import (
     CollinearPopulationError,
     DomainError,
@@ -319,9 +319,9 @@ def replications_one_by_one(pop, n, count, methods, B, seed):
                 ses = {}
                 for m in methods:
                     if m == "conventional":
-                        ses[m] = conventional_cov(fit).standard_errors()
+                        ses[m] = standard_errors(conventional_cov(fit))
                     elif m == "sandwich":
-                        ses[m] = sandwich_cov(fit).standard_errors()
+                        ses[m] = standard_errors(sandwich_cov(fit))
                     elif m == "xy-bootstrap":
                         draws = xy_bootstrap(ds, GAUSSIAN, B, oracle_seed(seed, 1, r))
                         ses[m] = bootstrap_se(draws)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from leanreg import core
 from leanreg.core import Dataset, build_design, csv_text, dataset_to_csv_text
-from leanreg.covariance import conventional_cov, sandwich_cov
+from leanreg.covariance import conventional_cov, sandwich_cov, standard_errors
 from leanreg.datasets import synthetic_charges
 from leanreg.fitting import family_by_name, fit_dataset, fit_ols
 from leanreg.prediction import calibrate_K, make_band
@@ -43,8 +43,8 @@ def _estimates(ds: Dataset, family: str):
     fit = fit_dataset(ds, family_by_name(family))
     return (
         fit.beta_hat,
-        conventional_cov(fit).standard_errors(),
-        sandwich_cov(fit).standard_errors(),
+        standard_errors(conventional_cov(fit)),
+        standard_errors(sandwich_cov(fit)),
     )
 
 

@@ -85,6 +85,14 @@ class TestMisspecIndicator:
             table_from_published([{"label": "x", "coef": 1.0,
                                    "se_conv": 0.1, "p_conv": 0.5}])
 
+    @pytest.mark.parametrize("column", ["label", "coef", "se_conv", "p_conv", "se_sand", "p_sand"])
+    def test_none_value_is_a_missing_column(self, column):
+        # A None would otherwise become a NaN without a word.
+        rows = [dict(row) for row in PUBLISHED_ROWS]
+        rows[2][column] = None
+        with pytest.raises(ColumnError, match=column):
+            table_from_published(rows)
+
     def test_level_domain(self):
         with pytest.raises(DomainError):
             misspec_indicator(published_table(), level=1.0)

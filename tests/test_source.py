@@ -1,6 +1,7 @@
 """Source-level guards on the library's structure."""
 
 import ast
+import importlib
 from importlib import resources
 
 # Per-kind rules live in tables (fitting.Family, population.NOISE_KINDS);
@@ -42,3 +43,21 @@ def test_no_tag_or_kind_switches():
     for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
         found += kind_switches(path.read_text(encoding="utf-8"), path.name)
     assert found == []
+
+
+
+def test_exports_resolve():
+    # A name deleted from a module but left in its __all__, or among the
+    # package's imports, would linger as a stale export.
+    package = importlib.import_module("leanreg")
+    unresolved = []
+    for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
+        stem = path.name[: -len(".py")]
+        module = package if stem == "__init__" else importlib.import_module(f"leanreg.{stem}")
+        unresolved += [f"{stem}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        if stem == "__init__":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = [a.asname or a.name for node in tree.body
+                        if isinstance(node, ast.ImportFrom) for a in node.names]
+            unresolved += [f"__init__.{n}" for n in imported if not hasattr(package, n)]
+    assert unresolved == []
