@@ -37,10 +37,12 @@ __all__ = [
     "xy_bootstrap",
     "residual_bootstrap",
     "bootstrap_se",
+    "check_se_draws",
     "normality_diagnostic",
 ]
 
 FAILURE_THRESHOLD = 0.1
+MIN_SE_DRAWS = 2
 MIN_DIAGNOSTIC_DRAWS = 10
 # Bound on a chunk's replicates times observations: it sets the peak
 # memory of the stacked solves, and a fixed chunk size keeps every
@@ -190,12 +192,17 @@ def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:
     return _collect(results, "residual", seed, dm.ncol, dm.column_labels)
 
 
+def check_se_draws(count: int) -> None:
+    """Raise the error :func:`bootstrap_se` gives for ``count`` draws, if they are too few."""
+    if count < MIN_SE_DRAWS:
+        raise InsufficientDrawsError(
+            f"bootstrap SE needs at least {MIN_SE_DRAWS} retained draws, have {count}"
+        )
+
+
 def bootstrap_se(draws: BootstrapDraws) -> np.ndarray:
     """Coordinatewise sample standard deviation of the retained draws."""
-    if draws.b_retained < 2:
-        raise InsufficientDrawsError(
-            f"bootstrap SE needs at least 2 retained draws, have {draws.b_retained}"
-        )
+    check_se_draws(draws.b_retained)
     return np.std(draws.draws, axis=0, ddof=1)
 
 

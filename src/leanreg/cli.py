@@ -26,6 +26,7 @@ from .covariance import conventional_cov, coefficient_table, sandwich_cov
 from .exceptions import DomainError, InsufficientDrawsError, LeanRegError
 from .fitting import family_by_name, fit_dataset, fit_ols
 from .population import (
+    COVERAGE_METHODS,
     coverage_experiment,
     load_population_file,
     regressor_shift_experiment,
@@ -105,6 +106,8 @@ def _records_csv(fields, records) -> str:
 
 
 def run_fit(args) -> int:
+    if args.boot > 0:  # B replicates give at most B draws: check before any work
+        bt.check_se_draws(args.boot)
     ds = _load_dataset(args)
     family = family_by_name(args.family)
     fit = fit_dataset(ds, family)
@@ -210,6 +213,10 @@ _COVERAGE_ONLY = ("--n", "--reps", "--methods", "--boot", "--alpha")
 
 
 def run_simulate(args) -> int:
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    paths = [COVERAGE_METHODS[m][1] for m in methods if m in COVERAGE_METHODS]
+    if args.boot > 0 and any(p is not None for p in paths):  # as in run_fit
+        bt.check_se_draws(args.boot)
     loaded = load_population_file(_resolve_input(args.population))
 
     if isinstance(loaded, dict):  # regressor-shift definition
@@ -248,7 +255,6 @@ def run_simulate(args) -> int:
         )
         return 0
 
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     results = coverage_experiment(
         loaded,
         n=args.n,
@@ -363,9 +369,9 @@ _FLAGS = {
     "--population": dict(required=True, help="population JSON file"),
     "--n": dict(type=int, default=1000, help="sample size per replication"),
     "--reps": dict(type=int, default=1000, help="number of replications"),
-    "--methods": dict(
-        default="conventional,sandwich",
-        help="comma list: conventional,sandwich,xy-bootstrap,residual-bootstrap",
+    "--methods": dict(  # by default, the methods without a bootstrap
+        default=",".join(m for m, (_, path) in COVERAGE_METHODS.items() if path is None),
+        help="comma list: " + ",".join(COVERAGE_METHODS),
     ),
     "--family": dict(
         default="ols",

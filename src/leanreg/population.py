@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
+from . import bootstrap
 from .core import Dataset, numerical_rank, spd_solve
 from .covariance import conventional_stack, sandwich_stack, standard_errors
 from .exceptions import (
@@ -453,7 +454,16 @@ class CoverageResult:
         return math.sqrt(max(c * (1.0 - c), 0.0) / self.replications)
 
 
-_COVERAGE_METHODS = ("conventional", "sandwich", "xy-bootstrap", "residual-bootstrap")
+# Each coverage method's SEs come from (estimate, seed path).  With path
+# None, estimate(x, v, residuals, rows) is the stacked covariance of a
+# block's fits; otherwise estimate(ds, B, seed) bootstraps one
+# replication's sample with the seed of address (seed, path, r).
+COVERAGE_METHODS = {
+    "conventional": (lambda x, v, res, rows: conventional_stack(x, v, res, GAUSSIAN, rows), None),
+    "sandwich": (sandwich_stack, None),
+    "xy-bootstrap": (lambda ds, B, s: bootstrap.xy_bootstrap(ds, GAUSSIAN, B, s), 1),
+    "residual-bootstrap": (lambda ds, B, s: bootstrap.residual_bootstrap(ds, B, s), 2),
+}
 
 
 def coverage_experiment(
@@ -469,123 +479,86 @@ def coverage_experiment(
 
     For each replication: sample n observations, fit the working model,
     form beta_hat_j +- z * SE_j per method, and record whether the
-    exact population coefficient is inside.  Failed replications
-    (singular resamples, non-convergence) are excluded and counted,
-    with the same 10% tolerance as the bootstrap.  Replication r draws
-    its sample from substream (seed, 0, r) and its bootstrap seeds from
-    (seed, 1, r) and (seed, 2, r), so it depends only on (seed, r): not
-    on the number of replications.
+    exact population coefficient is inside.  A replication fails with
+    the first error it meets, from its fit and then from each method in
+    ``methods`` order; failed ones are excluded and counted, with the
+    same 10% tolerance as the bootstrap.  Replication r draws its sample
+    from substream (seed, 0, r) and a bootstrap's seed from (seed, path,
+    r), with the path of :data:`COVERAGE_METHODS`, so it depends only on
+    (seed, r): not on the number of replications.
 
     Replications are fitted in blocks of the bootstrap's chunk size:
-    one stacked Gram, rank check and Cholesky solve per block, then the
-    stacked conventional and sandwich covariances.  Each replication
-    gets the bits, the warning and the typed error its own
-    :func:`~leanreg.fitting.fit_ols`, ``conventional_cov`` and
-    ``sandwich_cov`` would give it, so results do not depend on the
-    blocking.  A replication's sample stays support indices and
-    responses; only a bootstrap method makes it a :class:`Dataset`.
+    one stacked Gram, rank check and Cholesky solve per block.  Each
+    method then takes the rows still without an error, solving their
+    stacked covariances together or bootstrapping each sample.  Every
+    replication gets the bits, warnings and typed error its own fit,
+    covariances and bootstraps would give it, so results do not depend
+    on the blocking.  A replication's sample stays support indices and
+    responses; only a bootstrap makes it a :class:`Dataset`.
     """
-    from .bootstrap import (
-        _chunks,
-        bootstrap_se,
-        residual_bootstrap,
-        tolerate_failures,
-        xy_bootstrap,
-    )
-
     methods = list(methods)
     if not methods:
         raise DomainError("methods must be nonempty")
     for m in methods:
-        if m not in _COVERAGE_METHODS:
-            raise DomainError(f"unknown method {m!r}; expected one of {_COVERAGE_METHODS}")
+        if m not in COVERAGE_METHODS:
+            raise DomainError(f"unknown method {m!r}; expected one of {tuple(COVERAGE_METHODS)}")
     if not 0.0 < level < 1.0:
         raise DomainError(f"confidence level must be in (0, 1), got {level}")
     if replications < 1:
         raise DomainError(f"replications must be at least 1, got {replications}")
     if n < 1:
         raise DomainError("sample size must be at least 1")
-    bootstrapped = any(m.endswith("bootstrap") for m in methods)
-    if bootstrapped and (B is None or B < 1):
-        raise DomainError(f"bootstrap methods require a replicate count B >= 1, got {B}")
+    estimators = [COVERAGE_METHODS[m] for m in methods]
+    if any(path is not None for _, path in estimators):
+        if B is None or B < 1:
+            raise DomainError(f"bootstrap methods require a replicate count B >= 1, got {B}")
+        bootstrap.check_se_draws(B)
 
     z = float(ndtri(0.5 + level / 2.0))
     beta_true = population_beta(pop)
-    k = beta_true.shape[0]
     samples = substreams(seed, 0, count=replications)
-    boot_seeds = {
-        m: spawn_seeds(seed, path, count=replications)
-        for m, path in (("xy-bootstrap", 1), ("residual-bootstrap", 2))
-        if m in methods
-    }
-
-    def replication(r, idx, y, beta, error, analytic):
-        """Replication r's (beta_hat, SEs per method), or the first error it meets."""
-        if error is not None:
-            return error
-        ds = _dataset(pop, idx, y) if bootstrapped else None
-        ses = {}
-        try:
-            for m in methods:
-                if m in analytic:
-                    se, failure = analytic[m]
-                    if failure is not None:
-                        return failure
-                    ses[m] = se
-                elif m == "xy-bootstrap":
-                    ses[m] = bootstrap_se(xy_bootstrap(ds, GAUSSIAN, B, boot_seeds[m][r]))
-                else:
-                    ses[m] = bootstrap_se(residual_bootstrap(ds, B, boot_seeds[m][r]))
-        except LeanRegError as exc:
-            return exc
-        return beta, ses
-
-    results = []
-    for _, reps in _chunks(replications, n):
+    seeds = [None if p is None else spawn_seeds(seed, p, count=replications) for _, p in estimators]
+    results, betas, ses = [], [], []
+    for _, reps in bootstrap._chunks(replications, n):
         draws = [_draw(pop, n, rng) for _, rng in zip(reps, samples)]
         idx = np.array([d[0] for d in draws])
         y = np.array([d[1] for d in draws])
         x = pop.support[idx]  # support rows carry the leading 1
-        beta, fit_errors = fit_ols_stack(x, y)
+        beta, errors = fit_ols_stack(x, y)
         fitted = (x @ beta[..., None])[..., 0]
         residuals = y - fitted
         v = GAUSSIAN.variance_fn(fitted)
-        ok = np.array([e is None for e in fit_errors])
-        analytic = {}
-        if "conventional" in methods:
-            cov, errors = conventional_stack(x, v, residuals, GAUSSIAN, ok)
-            analytic["conventional"] = (standard_errors(cov), errors)
-        if "sandwich" in methods:
-            cov, errors = sandwich_stack(x, v, residuals, ok)
-            analytic["sandwich"] = (standard_errors(cov), errors)
-        for i, r in enumerate(reps):
-            row = {m: (se[i], errors[i]) for m, (se, errors) in analytic.items()}
-            results.append(replication(r, idx[i], y[i], beta[i], fit_errors[i], row))
+        se = np.zeros((len(reps), len(methods), beta.shape[1]))
+        for i, (estimate, path) in enumerate(estimators):
+            rows = np.array([e is None for e in errors])
+            if path is None:
+                cov, failed = estimate(x, v, residuals, rows)
+                se[:, i] = standard_errors(cov)
+                errors = [f if e is None else e for e, f in zip(errors, failed)]
+                continue
+            for r in np.flatnonzero(rows):
+                try:
+                    boot = estimate(_dataset(pop, idx[r], y[r]), B, seeds[i][reps[r]])
+                    se[r, i] = bootstrap.bootstrap_se(boot)
+                except LeanRegError as exc:
+                    errors[r] = exc
+        results.extend(r if e is None else e for r, e in zip(reps, errors))
+        betas.append(beta)
+        ses.append(se)
 
-    kept, _ = tolerate_failures(results, "coverage replications")
+    kept, _ = bootstrap.tolerate_failures(results, "coverage replications")
     retained = len(kept)
-    beta_hat = np.array([beta for beta, _ in kept])
-    covered, width = {}, {}
-    for m in methods:
-        half = z * np.array([ses[m] for _, ses in kept])
-        covered[m] = np.sum(np.abs(beta_hat - beta_true) <= half, axis=0)
-        # A running total in replication order: np.sum may sum pairwise.
-        width[m] = np.cumsum(2.0 * half, axis=0)[-1]
-
-    coverage = []
-    for m in methods:
-        for j in range(k):
-            coverage.append(
-                CoverageResult(
-                    method=m,
-                    coefficient=j,
-                    level=level,
-                    coverage=float(covered[m][j] / retained),
-                    mean_width=float(width[m][j] / retained),
-                    replications=retained,
-                )
-            )
-    return coverage
+    beta_hat = np.concatenate(betas)[kept]
+    half = z * np.concatenate(ses)[kept]  # (replication, method, coefficient)
+    hits = np.abs(beta_hat[:, None] - beta_true) <= half
+    coverage = np.sum(hits, axis=0) / retained
+    # A running total in replication order: np.sum may sum pairwise.
+    mean_width = np.cumsum(2.0 * half, axis=0)[-1] / retained
+    return [
+        CoverageResult(m, j, level, float(coverage[i, j]), float(mean_width[i, j]), retained)
+        for i, m in enumerate(methods)
+        for j in range(beta_true.shape[0])
+    ]
 
 
 def population_sandwich_av(pop: DiscretePopulation) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import DomainError
 
-__all__ = ["philox_keys", "substream", "substreams", "spawn_seed", "spawn_seeds"]
+__all__ = ["philox_keys", "substream", "substreams", "spawn_seeds"]
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx).
 POOL_SIZE = 4
@@ -135,20 +135,15 @@ def philox_keys(seed: int, path, indices) -> np.ndarray:
     return np.stack(_keys(pool), axis=-1)
 
 
-def spawn_seed(seed: int, *path: int) -> int:
-    """Derive a child integer seed from ``(seed, *path)``.
-
-    Used when a sub-task (e.g. the bootstrap inside one coverage
-    replication) itself takes an integer seed: the child seed is a pure
-    function of the address, keeping the whole run reproducible.  It is
-    ``SeedSequence(seed, spawn_key=path).generate_state(1, np.uint64)[0]``,
-    the first word of the address's Philox key.
-    """
-    return int(_keys(_prefix(seed, path)[0])[0])
-
-
 def spawn_seeds(seed: int, *path: int, count: int) -> list[int]:
-    """``[spawn_seed(seed, *path, b) for b in range(count)]``, derived at once."""
+    """Child integer seeds of the addresses ``(seed, *path, b)`` for b = 0 .. count-1.
+
+    For a sub-task that itself takes an integer seed (the bootstrap
+    inside one coverage replication), child b is the first word of
+    address b's Philox key, ``SeedSequence(seed, spawn_key=(*path,
+    b)).generate_state(1, np.uint64)[0]``: a pure function of the
+    address, so the whole run stays reproducible.
+    """
     return philox_keys(seed, path, np.arange(count))[:, 0].tolist()
 
 

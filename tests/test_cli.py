@@ -275,16 +275,25 @@ class TestSimulateSubcommand:
         assert code == 0
         assert out.read_text(encoding="utf-8") == plain
 
-    def test_excessive_failures_name_their_cause(self, capsys):
+    def test_excessive_failures_name_their_cause(self, tmp_path, capsys):
+        # Most samples of 8 draw x = 0 only, a singular design.
+        pop = {
+            "support": [[0.0], [1.0]],
+            "probs": [0.95, 0.05],
+            "mu": {"kind": "polynomial", "coefficients": [0.0, 1.0]},
+            "noise": {"kind": "gaussian", "sigma": 1.0},
+        }
+        pop_path = tmp_path / "pop.json"
+        pop_path.write_text(json.dumps(pop))
         code, out, err = run_main(
-            ["simulate", "--population", "quadratic.json", "--n", "50", "--reps", "20",
-             "--methods", "xy-bootstrap", "--boot", "1"],
+            ["simulate", "--population", str(pop_path), "--n", "8", "--reps", "200",
+             "--methods", "sandwich", "--seed", "13"],
             capsys,
         )
         assert (code, out) == (1, "")
         assert err == (
-            "leanreg: error: 20 of 20 coverage replications failed (threshold 10%): "
-            "InsufficientDrawsError 20\n"
+            "leanreg: error: 146 of 200 coverage replications failed (threshold 10%): "
+            "SingularSystemError 146\n"
         )
 
     def test_schema_error_exit_one(self, tmp_path, capsys):
@@ -498,6 +507,41 @@ class TestOutputsCheckedFirst:
         assert code == 1
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOneBootstrapReplicate:
+    """B = 1 can give no bootstrap SE, so it fails before any input is read."""
+
+    MESSAGE = "leanreg: error: bootstrap SE needs at least 2 retained draws, have 1\n"
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        from leanreg import bootstrap, cli
+
+        for name in ("load_csv", "load_population_file", "fit_dataset", "coverage_experiment"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(bootstrap, "xy_bootstrap", refuse)
+
+    @pytest.mark.parametrize("methods", ["xy-bootstrap", "sandwich,residual-bootstrap"])
+    def test_simulate(self, methods, capsys):
+        argv = ["simulate", "--population", "quadratic.json", "--n", "50", "--reps", "20",
+                "--methods", methods, "--boot", "1"]
+        assert run_main(argv, capsys) == (1, "", self.MESSAGE)
+
+    def test_fit(self, capsys):
+        argv = ["fit", "--input", "charges_synthetic.csv", "--response", "charges",
+                "--regressors", "age", "--boot", "1"]
+        assert run_main(argv, capsys) == (1, "", self.MESSAGE)
+
+
+def test_simulate_help_names_every_coverage_method(monkeypatch, capsys):
+    from leanreg.population import COVERAGE_METHODS
+
+    monkeypatch.setenv("COLUMNS", "200")  # keep the help's lines unwrapped
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    listed = re.search(r"comma list: (\S+)", capsys.readouterr().out).group(1)
+    assert listed.split(",") == list(COVERAGE_METHODS)
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from leanreg.exceptions import (
     CollinearPopulationError,
     DomainError,
     ExcessiveFailureError,
+    InsufficientDrawsError,
     LeanRegError,
     PopulationSchemaError,
 )
@@ -276,6 +277,15 @@ class TestCoverageExperiment:
                 methods=["xy-bootstrap"], level=0.95, seed=0,
             )
 
+    def test_one_bootstrap_replicate_rejected_before_sampling(self):
+        message = "^bootstrap SE needs at least 2 retained draws, have 1$"
+        with mock.patch("leanreg.population._draw", side_effect=AssertionError):
+            with pytest.raises(InsufficientDrawsError, match=message):
+                coverage_experiment(
+                    self.linear_pop(), n=50, replications=5,
+                    methods=["sandwich", "residual-bootstrap"], B=1, seed=0,
+                )
+
     def test_determinism(self):
         kwargs = dict(n=100, replications=50, methods=["sandwich"], level=0.9, seed=77)
         a = coverage_experiment(self.linear_pop(), **kwargs)
@@ -408,6 +418,7 @@ BLOCK_CASES = {
     "n_equals_k": (lambda: two_point_pop(0.5), 2, ["sandwich", "conventional"], None, 0.9, 5, 20),
     "n_equals_k_sandwich": (lambda: two_point_pop(0.5), 2, ["sandwich"], None, 0.9, 5, 20),
     "n_below_k": (lambda: two_point_pop(0.5), 1, ["sandwich"], None, 0.9, 5, 20),
+    "boot_first_singular": (lambda: two_point_pop(0.7), 8, ["xy-bootstrap", "sandwich"], 20, 0.9, 13, 64),
 }
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leanreg.exceptions import DomainError
-from leanreg.rng import philox_keys, spawn_seed, spawn_seeds, substream, substreams
+from leanreg.rng import philox_keys, spawn_seeds, substream, substreams
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 SEEDS = st.integers(0, 2**128 - 1)
@@ -57,7 +57,6 @@ class TestKeyPort:
     @PROPERTY
     @given(seed=SEEDS, path=PATHS)
     def test_one_address_matches_seed_sequence(self, seed, path):
-        assert spawn_seed(seed, *path) == int(oracle(seed, *path).generate_state(1, np.uint64)[0])
         assert_same_draws(draws(substream(seed, *path)), draws(oracle_stream(seed, *path)))
 
     @PROPERTY
@@ -78,14 +77,13 @@ class TestAddressDomain:
         [
             lambda: substream(-1),
             lambda: substream(3, 0, -2),
-            lambda: spawn_seed(-5, 1),
             lambda: substreams(-1, count=3),
             lambda: substreams(4, -1, count=3),
             lambda: spawn_seeds(7, -2, count=3),
             lambda: philox_keys(1, (), [0, -1]),
             lambda: philox_keys(1, (), [2**64]),
         ],
-        ids=["seed", "path", "spawn_seed", "substreams_seed", "substreams_path",
+        ids=["seed", "path", "substreams_seed", "substreams_path",
              "spawn_seeds_path", "index", "index_beyond_64_bits"],
     )
     def test_rejected_with_domain_error(self, call):

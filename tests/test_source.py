@@ -61,3 +61,24 @@ def test_exports_resolve():
                         if isinstance(node, ast.ImportFrom) for a in node.names]
             unresolved += [f"__init__.{n}" for n in imported if not hasattr(package, n)]
     assert unresolved == []
+
+
+def local_imports(source: str, filename: str) -> list[str]:
+    """``file:line`` of each import statement inside a function."""
+    functions = [node for node in ast.walk(ast.parse(source, filename))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    lines = {inner.lineno for node in functions for inner in ast.walk(node)
+             if isinstance(inner, (ast.Import, ast.ImportFrom))}
+    return [f"{filename}:{line}" for line in sorted(lines)]
+
+
+def test_no_imports_inside_functions():
+    # A module's dependencies are read at its top, and a function-local
+    # import can hide a cycle until the function first runs.
+    spellings = "import a\ndef f():\n    from . import b\n    def g():\n        import c\n"
+    assert local_imports(spellings, "s.py") == ["s.py:3", "s.py:5"]
+
+    found = []
+    for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
+        found += local_imports(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
