@@ -32,7 +32,7 @@ from .population import (
     regressor_shift_experiment,
 )
 from .report import misspec_indicator
-from .slopes import adjust_regressor, pair_table_csv, pairwise_slope_multiple
+from .slopes import adjust_regressor, check_regressor_index, pair_table_csv, pairwise_slope_multiple
 
 DEFAULT_SEED = 20150701
 DEFAULT_B = 1000
@@ -82,9 +82,12 @@ def _check_outputs(args) -> None:
             raise OSError(code, os.strerror(code), path)
 
 
+def _regressors(args) -> list[str]:
+    return [c.strip() for c in args.regressors.split(",") if c.strip()]
+
+
 def _load_dataset(args):
-    regressors = [c.strip() for c in args.regressors.split(",") if c.strip()]
-    return load_csv(_resolve_input(args.input), args.response, regressors)
+    return load_csv(_resolve_input(args.input), args.response, _regressors(args))
 
 
 def _json_dumps(obj) -> str:
@@ -139,12 +142,12 @@ def run_fit(args) -> int:
 
 
 def run_diagnostics(args) -> int:
-    ds = _load_dataset(args)
-    family = family_by_name(args.family)
     if args.boot < bt.MIN_DIAGNOSTIC_DRAWS:
         raise InsufficientDrawsError(
             f"normal-quantile diagnostics need B >= {bt.MIN_DIAGNOSTIC_DRAWS}, got {args.boot}"
         )
+    ds = _load_dataset(args)
+    family = family_by_name(args.family)
     draws = bt.xy_bootstrap(ds, family, args.boot, args.seed)
     reports = [
         bt.normality_diagnostic(draws, j) for j in range(draws.draws.shape[1])
@@ -171,12 +174,14 @@ def run_diagnostics(args) -> int:
 
 
 def run_predict(args) -> int:
+    if args.calibration != "train":
+        folds = int(args.calibration.split(":", 1)[1])
+        pred.check_folds(folds)
     ds = _load_dataset(args)
     fit = fit_dataset(ds)
     if args.calibration == "train":
         k_hat = pred.calibrate_K(fit, args.alpha)
     else:
-        folds = int(args.calibration.split(":", 1)[1])
         k_hat = pred.cv_calibrate_K(ds, args.alpha, folds, args.seed)
     band = pred.make_band(fit, K=k_hat)
     yhat, half = band.evaluate(fit.design.matrix)
@@ -284,6 +289,8 @@ def run_simulate(args) -> int:
 def run_slopes(args) -> int:
     if args.pairs_out is None and args.coef != _FLAGS["--coef"]["default"]:
         raise DomainError("--coef selects the coefficient of --pairs-out, which is not given")
+    if args.pairs_out is not None:
+        check_regressor_index(args.coef, len(_regressors(args)))
     ds = _load_dataset(args)
     dm = build_design(ds)
     fit = fit_ols(dm, ds.response)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import bootstrap
-from .core import Dataset, numerical_rank, spd_solve
+from .core import Dataset
 from .covariance import conventional_stack, sandwich_stack, standard_errors
 from .exceptions import (
     CollinearPopulationError,
@@ -35,7 +35,7 @@ from .exceptions import (
     LeanRegError,
     PopulationSchemaError,
 )
-from .fitting import GAUSSIAN, fit_ols_stack
+from .fitting import GAUSSIAN, fit_ols_stack, fit_weighted
 from .rng import spawn_seeds, substream, substreams
 
 __all__ = [
@@ -232,9 +232,11 @@ class DiscretePopulation:
             raise PopulationSchemaError(
                 "support points must carry the leading 1", field="support"
             )
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = self.second_moment()
-        if not np.all(np.isfinite(gram)):
+        # population_beta forms x x' at every support point, even one of
+        # probability 0; |x_j x_k| <= max(x_j^2, x_k^2) bounds each product.
+        with np.errstate(over="ignore"):
+            squares = sup * sup
+        if not np.all(np.isfinite(squares)):
             raise PopulationSchemaError(
                 "support is too large: its second moment E[x x'] overflows", field="support"
             )
@@ -244,16 +246,8 @@ class DiscretePopulation:
         return self.support.shape[0]
 
     @property
-    def p(self) -> int:
-        return self.support.shape[1] - 1
-
-    @property
     def points(self) -> np.ndarray:
         return self.support[:, 1:]
-
-    def second_moment(self) -> np.ndarray:
-        """E[x x'] as an exact finite sum."""
-        return (self.support.T * self.probs) @ self.support
 
     def noise_variance(self) -> np.ndarray:
         return self.noise.variance(self.mu_values)
@@ -285,18 +279,17 @@ def make_population(support, probs, mu, noise=None, names=()) -> DiscretePopulat
 def population_beta(pop: DiscretePopulation) -> np.ndarray:
     """Best-approximation coefficients E[x x']^-1 E[x mu(x)] by exact sums.
 
-    Mean-zero noise drops out of E[x y], so only the response surface
-    enters.  Singularity is judged by :func:`~leanreg.core.numerical_rank`.
+    The OLS fit of the support points weighted by their probabilities,
+    by the x-y bootstrap's kernel :func:`~leanreg.fitting.fit_weighted`.
+    Mean-zero noise drops out of E[x y], so only the response surface enters.
     """
-    b = pop.second_moment()
-    rank, eigs = numerical_rank(b)
-    if rank < b.shape[0]:
+    fits = fit_weighted(pop.support, pop.mu_values, pop.probs[None], GAUSSIAN)
+    if fits.errors[0] is not None:
         raise CollinearPopulationError(
             f"population second-moment matrix is singular "
-            f"(smallest equilibrated eigenvalue {eigs[0]:.3e})"
+            f"(smallest equilibrated eigenvalue {fits.errors[0].min_eigenvalue:.3e})"
         )
-    target = (pop.support.T * pop.probs) @ pop.mu_values
-    return spd_solve(b, target, what="population second moment")
+    return fits.beta[0]
 
 
 @dataclass(frozen=True)
@@ -364,9 +357,6 @@ class OrthogonalityReport:
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> tuple[MomentCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
 
 def check_orthogonality(
     pop: DiscretePopulation,
@@ -404,13 +394,11 @@ def _dataset(pop: DiscretePopulation, idx: np.ndarray, y: np.ndarray) -> Dataset
     return Dataset(response=y, regressors=pop.points[idx], names=pop.names)
 
 
-def sample(pop: DiscretePopulation, n: int, seed: int, rng=None) -> Dataset:
+def sample(pop: DiscretePopulation, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. observations; deterministic for a given seed."""
     if n < 1:
         raise DomainError("sample size must be at least 1")
-    if rng is None:
-        rng = substream(seed)
-    return _dataset(pop, *_draw(pop, n, rng))
+    return _dataset(pop, *_draw(pop, n, substream(seed)))
 
 
 def regressor_shift_experiment(mu, noise, law1, law2) -> dict:
@@ -559,20 +547,6 @@ def coverage_experiment(
         for i, m in enumerate(methods)
         for j in range(beta_true.shape[0])
     ]
-
-
-def population_sandwich_av(pop: DiscretePopulation) -> np.ndarray:
-    """Exact asymptotic sandwich covariance B^-1 M B^-1 (per observation)."""
-    dec = decompose(pop)
-    b_inv = spd_solve(pop.second_moment(), what="population second moment")
-    return b_inv @ dec.moments["E_delta2_XX"] @ b_inv
-
-
-def population_conventional_av(pop: DiscretePopulation) -> np.ndarray:
-    """Homoskedasticity-pooled asymptotic covariance sigma_delta^2 B^-1."""
-    dec = decompose(pop)
-    b_inv = spd_solve(pop.second_moment(), what="population second moment")
-    return dec.moments["sigma_delta2"] * b_inv
 
 
 def normal_quadrature_law(points: int, mean: float = 0.0, sd: float = 1.0):

@@ -150,6 +150,12 @@ def _fold_assignments(n: int, folds: int, seed: int) -> np.ndarray:
     return assign
 
 
+def check_folds(folds: int) -> None:
+    """Raise the error :func:`cv_calibrate_K` gives for fewer than 2 folds."""
+    if folds < 2:
+        raise DomainError("cross-validation needs at least 2 folds")
+
+
 def cv_calibrate_K(ds: Dataset, alpha: float, folds: int, seed: int) -> float:
     """Cross-validated calibration: pool held-out covering multipliers.
 
@@ -159,8 +165,7 @@ def cv_calibrate_K(ds: Dataset, alpha: float, folds: int, seed: int) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    if folds < 2:
-        raise DomainError("cross-validation needs at least 2 folds")
+    check_folds(folds)
     n = ds.n
     if folds > n:
         raise FoldError(f"{folds} folds for {n} observations")

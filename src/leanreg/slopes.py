@@ -66,6 +66,14 @@ def pairwise_slope_simple(x, y) -> PairwiseSlopeSummary:
     )
 
 
+def check_regressor_index(j: int, p: int) -> None:
+    """Raise :class:`CoefficientIndexError` unless j names one of p regressors (1..p)."""
+    if j == 0:
+        raise CoefficientIndexError("column 0 is the intercept; adjust a regressor (j >= 1)")
+    if not 1 <= j <= p:
+        raise CoefficientIndexError(f"regressor index {j} out of range 1..{p}")
+
+
 def adjust_regressor(dm: DesignMatrix, j: int) -> np.ndarray:
     """Residualize design column j on all other columns (intercept kept).
 
@@ -74,10 +82,7 @@ def adjust_regressor(dm: DesignMatrix, j: int) -> np.ndarray:
     :func:`~leanreg.core.numerical_rank`, as for the OLS fit whose
     coefficient the adjustment reproduces.
     """
-    if j == 0:
-        raise CoefficientIndexError("column 0 is the intercept; adjust a regressor (j >= 1)")
-    if not 1 <= j < dm.ncol:
-        raise CoefficientIndexError(f"regressor index {j} out of range 1..{dm.ncol - 1}")
+    check_regressor_index(j, dm.ncol - 1)
     x = dm.matrix
     gram = x.T @ x
     rank, eigs = numerical_rank(gram)

@@ -1,0 +1,29 @@
+"""Exact asymptotic OLS covariances of a finite population: oracles for the tests.
+
+Every moment is a finite sum over the support points, and the bread is
+inverted with :func:`leanreg.core.spd_solve`; nothing is simulated.
+"""
+
+import numpy as np
+
+from leanreg.core import spd_solve
+from leanreg.population import DiscretePopulation, decompose
+
+
+def second_moment(pop: DiscretePopulation) -> np.ndarray:
+    """E[x x'] as an exact finite sum."""
+    return (pop.support.T * pop.probs) @ pop.support
+
+
+def population_sandwich_av(pop: DiscretePopulation) -> np.ndarray:
+    """Exact asymptotic sandwich covariance B^-1 M B^-1 (per observation)."""
+    dec = decompose(pop)
+    b_inv = spd_solve(second_moment(pop), what="population second moment")
+    return b_inv @ dec.moments["E_delta2_XX"] @ b_inv
+
+
+def population_conventional_av(pop: DiscretePopulation) -> np.ndarray:
+    """Homoskedasticity-pooled asymptotic covariance sigma_delta^2 B^-1."""
+    dec = decompose(pop)
+    b_inv = spd_solve(second_moment(pop), what="population second moment")
+    return dec.moments["sigma_delta2"] * b_inv

@@ -33,11 +33,11 @@ from leanreg.fitting import BERNOULLI, GAUSSIAN, POISSON, fit_dataset, fit_glm, 
 from leanreg.population import (
     make_population,
     normal_quadrature_law,
-    population_conventional_av,
-    population_sandwich_av,
     sample,
     uniform_grid_law,
 )
+
+from population_oracles import population_conventional_av, population_sandwich_av
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:

@@ -534,6 +534,40 @@ class TestOneBootstrapReplicate:
         assert run_main(argv, capsys) == (1, "", self.MESSAGE)
 
 
+class TestFlagErrorsBeforeInput:
+    """An error the flags alone decide is raised before any input is read.
+
+    A bad ``--coef`` is such an error too: it is checked against the
+    number of ``--regressors``, so it wins over a column missing from
+    the input.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_input(self, monkeypatch):
+        from leanreg import cli
+
+        monkeypatch.setattr(cli, "load_csv", refuse)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["bootstrap", "--boot", "5"], "normal-quantile diagnostics need B >= 10, got 5"),
+            (["predict", "--calibration", "cv:1"], "cross-validation needs at least 2 folds"),
+            (["slopes", "--coef", "9", "--pairs-out", "pairs.csv"],
+             "regressor index 9 out of range 1..6"),
+            (["slopes", "--coef", "0", "--pairs-out", "pairs.csv"],
+             "column 0 is the intercept; adjust a regressor (j >= 1)"),
+        ],
+        ids=["bootstrap-boot-5", "predict-cv-1", "slopes-coef-9", "slopes-coef-0"],
+    )
+    def test_exit_one_before_input(self, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.chdir(tmp_path)
+        argv = [flags[0], "--input", "missing.csv", "--response", "y",
+                "--regressors", ",".join(NAMES6), *flags[1:]]
+        assert run_main(argv, capsys) == (1, "", f"leanreg: error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_help_names_every_coverage_method(monkeypatch, capsys):
     from leanreg.population import COVERAGE_METHODS
 

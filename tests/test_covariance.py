@@ -18,10 +18,10 @@ from leanreg.fitting import BERNOULLI, GAUSSIAN, FitResult, fit_dataset, fit_glm
 from leanreg.population import (
     make_population,
     normal_quadrature_law,
-    population_conventional_av,
-    population_sandwich_av,
     sample,
 )
+
+from population_oracles import population_conventional_av, population_sandwich_av
 
 
 def ols_fixture(seed=0, n=60, p=2):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from leanreg import bootstrap
+from leanreg import bootstrap, population
 from leanreg.bootstrap import bootstrap_se, residual_bootstrap, xy_bootstrap
 from leanreg.cli import main
 from leanreg.covariance import conventional_cov, sandwich_cov, standard_errors
@@ -88,9 +88,19 @@ class TestPopulationBeta:
         assert population_beta(pop) == pytest.approx([-1.0 / 3.0, 2.0], abs=1e-12)
 
     def test_collinear_population_rejected(self):
-        pop = make_population([[1.0], [1.0]], [0.5, 0.5], {"kind": "table", "values": [0.0, 1.0]})
-        with pytest.raises(CollinearPopulationError):
+        # Every entry point that needs the population coefficients
+        # raises the same error; the coverage experiment before it samples.
+        mu = {"kind": "table", "values": [0.0, 1.0]}
+        collinear = ([[1.0], [1.0]], [0.5, 0.5])
+        pop = make_population(*collinear, mu)
+        singular = "^population second-moment matrix is singular "
+        with pytest.raises(CollinearPopulationError, match=singular):
             population_beta(pop)
+        with mock.patch.object(population, "_draw", side_effect=AssertionError("sampled")):
+            with pytest.raises(CollinearPopulationError, match=singular):
+                coverage_experiment(pop, n=10, replications=2, methods=["sandwich"])
+        with pytest.raises(CollinearPopulationError, match=singular):
+            regressor_shift_experiment(mu, None, collinear, ([[0.0], [1.0]], [0.5, 0.5]))
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(12)
@@ -146,14 +156,14 @@ class TestOrthogonality:
         rng = np.random.default_rng(100)
         for _ in range(60):
             report = check_orthogonality(random_population(rng), tolerance=1e-12)
-            assert report.all_pass, report.failures()
+            assert report.all_pass, [c for c in report.checks if not c.passed]
 
     def test_negative_control_perturbed_beta(self):
         pop = make_population([[0.0], [1.0], [2.0]], THIRDS, quadratic_mu())
         beta = population_beta(pop) + 0.1
         report = check_orthogonality(pop, tolerance=1e-12, beta=beta)
         assert not report.all_pass
-        names = [c.name for c in report.failures()]
+        names = [c.name for c in report.checks if not c.passed]
         assert any("delta" in n for n in names)
 
     def test_two_point_noise_exact(self):
@@ -313,6 +323,11 @@ def oracle_seed(seed, *path):
     return int(np.random.SeedSequence(seed, spawn_key=path).generate_state(1, np.uint64)[0])
 
 
+def replication_sample(pop, n, seed, r):
+    """Replication r's sample: n draws from the oracle stream (seed, 0, r)."""
+    return population._dataset(pop, *population._draw(pop, n, oracle_stream(seed, 0, r)))
+
+
 def replications_one_by_one(pop, n, count, methods, B, seed):
     """Reference: coverage replications fitted one at a time, with no blocks.
 
@@ -323,7 +338,7 @@ def replications_one_by_one(pop, n, count, methods, B, seed):
     for r in range(count):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ds = sample(pop, n, seed, rng=oracle_stream(seed, 0, r))
+            ds = replication_sample(pop, n, seed, r)
             try:
                 fit = fit_dataset(ds)
                 ses = {}
@@ -546,6 +561,12 @@ class TestNonFiniteSchema:
         assert exc_info.value.field == field
         assert str(exc_info.value).startswith(field + " ")
 
+    def test_support_product_overflow_rejected(self):
+        # x x' overflows at a point of probability 0, where E[x x'] is finite.
+        with pytest.raises(PopulationSchemaError, match="^support is too large") as exc_info:
+            make_population([[0.0], [1e160], [2.0]], [0.5, 0.0, 0.5], [0.0, 1.0, 4.0])
+        assert exc_info.value.field == "support"
+
     def test_good_population_loads(self, tmp_path):
         pop_path = tmp_path / "pop.json"
         pop_path.write_text(json.dumps(GOOD_POPULATION))
@@ -753,7 +774,7 @@ class TestNoiseDraws:
         points, probs, mu = [[-1.0], [0.5], [2.0]], [0.2, 0.3, 0.5], [0.2, 0.5, 0.9]
         pop = make_population(points, probs, {"kind": "table", "values": mu}, noise)
         n, seed = 20_000, 7
-        ds = sample(pop, n, seed, rng=oracle_stream(seed, 0, 3))
+        ds = replication_sample(pop, n, seed, 3)
 
         rng = oracle_stream(seed, 0, 3)
         idx = rng.choice(3, size=n, p=probs)

@@ -82,3 +82,43 @@ def test_no_imports_inside_functions():
     for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
         found += local_imports(path.read_text(encoding="utf-8"), path.name)
     assert found == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def unused_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each unused module-level function or class.
+
+    ``sources`` maps module names to their text.  A definition is used
+    when its module's ``__all__`` lists it, or when any of the modules
+    refers to its name as a name, an attribute or an import.
+    """
+    trees = {stem: ast.parse(text, f"{stem}.py") for stem, text in sources.items()}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    used = ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            | {n.name for n in nodes if isinstance(n, ast.alias)})
+    found = []
+    for stem, tree in trees.items():
+        exported = [ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+        public = set(exported[0]) if exported else set()
+        found += [f"{stem}.{node.name}" for node in tree.body
+                  if isinstance(node, DEFINITIONS) and node.name not in public | used]
+    return found
+
+
+def test_no_test_only_library_code():
+    # Code whose only callers are tests belongs with the tests.
+    spellings = {
+        "a": "__all__ = ['f']\ndef f():\n    g()\ndef g(): pass\ndef h(): pass\n"
+             "class C: pass\nclass D: pass\ndef k(): pass\n",
+        "b": "from a import C\nimport a\na.k()\n",
+    }
+    assert unused_definitions(spellings) == ["a.h", "a.D"]
+
+    sources = {p.name[: -len(".py")]: p.read_text(encoding="utf-8")
+               for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")}
+    assert unused_definitions(sources) == []
