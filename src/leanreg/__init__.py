@@ -15,13 +15,7 @@ from .bootstrap import (
     residual_bootstrap,
     xy_bootstrap,
 )
-from .core import (
-    Dataset,
-    DesignMatrix,
-    build_design,
-    load_csv,
-    write_csv,
-)
+from .core import Dataset, load_csv, write_csv
 from .covariance import (
     CoefficientTable,
     coefficient_table,
@@ -38,9 +32,7 @@ from .fitting import (
     FitResult,
     exp_coef,
     family_by_name,
-    fit_dataset,
     fit_glm,
-    fit_ols,
     predict_mean,
 )
 from .population import (

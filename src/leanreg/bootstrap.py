@@ -21,14 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .core import Dataset, build_design, csv_text, spd_solve
+from .core import Dataset, csv_text, spd_solve
 from .exceptions import (
     CoefficientIndexError,
     DomainError,
     ExcessiveFailureError,
     InsufficientDrawsError,
 )
-from .fitting import Family, check_support, fit_ols, fit_weighted, outer_rows
+from .fitting import GAUSSIAN, Family, check_support, fit_glm, fit_weighted, outer_rows
 from .rng import substreams
 
 __all__ = [
@@ -59,8 +59,6 @@ class BootstrapDraws:
     """
 
     draws: np.ndarray
-    scheme: str  # "xy" | "residual"
-    seed: int
     failures: int
     failure_reasons: dict | None = None
     labels: tuple[str, ...] = ()
@@ -107,17 +105,15 @@ def tolerate_failures(results, what: str) -> tuple[list, dict]:
     return kept, reasons
 
 
-def _collect(results, scheme, seed, ncol, labels) -> BootstrapDraws:
+def _collect(results, ds: Dataset) -> BootstrapDraws:
     """Assemble per-replicate results (a draw or the error it raised), in replicate order."""
     rows, reasons = tolerate_failures(results, "bootstrap replicates")
-    draws = np.asarray(rows, dtype=float).reshape(len(rows), ncol)
+    draws = np.asarray(rows, dtype=float).reshape(len(rows), ds.p + 1)
     return BootstrapDraws(
         draws=draws,
-        scheme=scheme,
-        seed=seed,
         failures=len(results) - len(rows),
         failure_reasons=reasons,
-        labels=labels,
+        labels=ds.column_labels,
     )
 
 
@@ -143,8 +139,7 @@ def xy_bootstrap(
     if B < 1:
         raise DomainError("B must be at least 1")
     check_support(ds.response, family)
-    dm = build_design(ds)
-    x = dm.matrix
+    x = ds.design
     y = ds.response
     n = ds.n
     outer = outer_rows(x)
@@ -160,7 +155,7 @@ def xy_bootstrap(
             beta if error is None else error
             for beta, error in zip(fits.beta[: len(reps)], fits.errors)
         )
-    return _collect(results, "xy", seed, dm.ncol, dm.column_labels)
+    return _collect(results, ds)
 
 
 def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:
@@ -174,12 +169,11 @@ def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:
     """
     if B < 1:
         raise DomainError("B must be at least 1")
-    dm = build_design(ds)
-    base = fit_ols(dm, ds.response)
+    base = fit_glm(ds, GAUSSIAN)
     # Residuals already sum to zero with an intercept; recentering is a
     # guard for the general case.
     centered = base.residuals - np.mean(base.residuals)
-    x = dm.matrix
+    x = ds.design
     n = ds.n
     solver = spd_solve(x.T @ x, x.T).T
     resamples = _resamples(seed, B, n)
@@ -189,7 +183,7 @@ def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:
         for r, idx in zip(range(len(reps)), resamples):
             y_b[r] += centered[idx]
         results.extend((y_b @ solver)[: len(reps)])
-    return _collect(results, "residual", seed, dm.ncol, dm.column_labels)
+    return _collect(results, ds)
 
 
 def check_se_draws(count: int) -> None:

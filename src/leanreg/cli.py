@@ -21,10 +21,10 @@ from pathlib import Path
 
 from . import bootstrap as bt
 from . import prediction as pred
-from .core import build_design, csv_text, load_csv
+from .core import csv_text, load_csv
 from .covariance import conventional_cov, coefficient_table, sandwich_cov
 from .exceptions import DomainError, InsufficientDrawsError, LeanRegError
-from .fitting import family_by_name, fit_dataset, fit_ols
+from .fitting import GAUSSIAN, family_by_name, fit_glm
 from .population import (
     COVERAGE_METHODS,
     coverage_experiment,
@@ -113,7 +113,7 @@ def run_fit(args) -> int:
         bt.check_se_draws(args.boot)
     ds = _load_dataset(args)
     family = family_by_name(args.family)
-    fit = fit_dataset(ds, family)
+    fit = fit_glm(ds, family)
     conv = conventional_cov(fit)
     sand = sandwich_cov(fit)
     boot_se = None
@@ -178,13 +178,13 @@ def run_predict(args) -> int:
         folds = int(args.calibration.split(":", 1)[1])
         pred.check_folds(folds)
     ds = _load_dataset(args)
-    fit = fit_dataset(ds)
+    fit = fit_glm(ds, GAUSSIAN)
     if args.calibration == "train":
         k_hat = pred.calibrate_K(fit, args.alpha)
     else:
         k_hat = pred.cv_calibrate_K(ds, args.alpha, folds, args.seed)
     band = pred.make_band(fit, K=k_hat)
-    yhat, half = band.evaluate(fit.design.matrix)
+    yhat, half = band.evaluate(ds.design)
     intervals_csv = csv_text(
         [*ds.names, "yhat", "lower", "upper"],
         [*ds.regressors.T, yhat, yhat - half, yhat + half],
@@ -292,15 +292,14 @@ def run_slopes(args) -> int:
     if args.pairs_out is not None:
         check_regressor_index(args.coef, len(_regressors(args)))
     ds = _load_dataset(args)
-    dm = build_design(ds)
-    fit = fit_ols(dm, ds.response)
+    fit = fit_glm(ds, GAUSSIAN)
     rows = []
-    for j in range(1, dm.ncol):
-        summary = pairwise_slope_multiple(dm, ds.response, j)
+    for j, label in enumerate(ds.names, start=1):
+        summary = pairwise_slope_multiple(ds, j)
         rows.append(
             {
                 "coefficient": j,
-                "label": dm.column_labels[j],
+                "label": label,
                 "beta_pairwise": summary.beta,
                 "beta_ols": float(fit.beta_hat[j]),
                 "total_weight": summary.total_weight,
@@ -310,7 +309,7 @@ def run_slopes(args) -> int:
 
     if args.pairs_out is not None:
         Path(args.pairs_out).write_text(
-            pair_table_csv(adjust_regressor(dm, args.coef), ds.response), encoding="utf-8"
+            pair_table_csv(adjust_regressor(ds, args.coef), ds.response), encoding="utf-8"
         )
 
     _emit(

@@ -1,8 +1,9 @@
 """Data model, CSV text, and the one rank and SPD-solve policy.
 
-A :class:`Dataset` holds observed ``(y_i, x_i)`` tuples with explicit
-regressor/response designation; :func:`build_design` prepends the
-all-ones intercept column.  :func:`numerical_rank` is the package's one
+A :class:`Dataset` is one sample: observed ``(y_i, x_i)`` tuples with
+explicit regressor/response designation, and the design that every fit,
+covariance, bootstrap and band reads, whose column 0 is the all-ones
+intercept.  :func:`numerical_rank` is the package's one
 rank rule and :func:`spd_solve`/:func:`spd_solve_stack` its one
 Cholesky solve, whose failure is a :class:`SingularSystemError` naming
 the matrix.  All types are immutable after construction and safe to
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,13 +29,11 @@ from .exceptions import (
 
 __all__ = [
     "Dataset",
-    "DesignMatrix",
     "INTERCEPT_LABEL",
     "RANK_RTOL",
     "load_csv",
     "csv_text",
     "write_csv",
-    "build_design",
     "numerical_rank",
     "spd_solve",
     "spd_solve_stack",
@@ -47,54 +46,62 @@ INTERCEPT_LABEL = "(Intercept)"
 RANK_RTOL = 1e-10
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class Dataset:
-    """Observed response/regressor tuples.
+    """Observed response/regressor tuples and their design.
 
     Attributes
     ----------
     response : (n,) float array
-    regressors : (n, p) float array; p may be 0
+    regressors : (n, p) float array; p may be 0.  A view of
+        ``design[:, 1:]``.
     names : tuple of p regressor labels, unique and nonempty
     response_name : label of the response column
+    design : (n, p+1) float array, the all-ones intercept in column 0;
+        built here, once
+    column_labels : the design's labels, intercept first
+
+    The arrays are read-only.
     """
 
     response: np.ndarray
     regressors: np.ndarray
     names: tuple[str, ...]
     response_name: str = "y"
+    design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "response", _as_readonly(np.atleast_1d(self.response)))
-        reg = np.array(self.regressors, dtype=float, copy=True)
+        response = np.array(np.atleast_1d(self.response), dtype=float)
+        response.flags.writeable = False
+        reg = np.asarray(self.regressors, dtype=float)
         if reg.ndim == 1:
             reg = reg.reshape(-1, 1) if reg.size else reg.reshape(0, 0)
-        object.__setattr__(self, "regressors", _as_readonly(reg))
+        object.__setattr__(self, "response", response)
         object.__setattr__(self, "names", tuple(str(s) for s in self.names))
-        n = self.response.shape[0]
+        n = response.shape[0]
         if n < 1:
             raise EmptyInputError("dataset must contain at least one observation")
-        if self.regressors.shape[0] != n:
+        if reg.shape[0] != n:
             raise DataError(
-                f"regressor rows ({self.regressors.shape[0]}) do not match "
+                f"regressor rows ({reg.shape[0]}) do not match "
                 f"response length ({n})"
             )
-        if self.regressors.shape[1] != len(self.names):
+        if reg.shape[1] != len(self.names):
             raise DataError(
                 f"{len(self.names)} regressor names for "
-                f"{self.regressors.shape[1]} regressor columns"
+                f"{reg.shape[1]} regressor columns"
             )
         if len(set(self.names)) != len(self.names):
             raise DataError("regressor names must be unique")
         if any(not s for s in self.names) or not self.response_name:
             raise DataError("column names must be nonempty")
-        if not np.all(np.isfinite(self.response)) or not np.all(np.isfinite(self.regressors)):
+        design = np.empty((n, reg.shape[1] + 1))
+        design[:, 0] = 1.0
+        design[:, 1:] = reg
+        design.flags.writeable = False
+        object.__setattr__(self, "design", design)
+        object.__setattr__(self, "regressors", design[:, 1:])
+        if not np.all(np.isfinite(response)) or not np.all(np.isfinite(design)):
             raise DataError("dataset values must be finite (no NaN/Inf)")
 
     @property
@@ -105,32 +112,9 @@ class Dataset:
     def p(self) -> int:
         return self.regressors.shape[1]
 
-
-@dataclass(frozen=True)
-class DesignMatrix:
-    """n x (p+1) design with the all-ones intercept in column 0."""
-
-    matrix: np.ndarray
-    column_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        m = _as_readonly(np.atleast_2d(self.matrix))
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "column_labels", tuple(self.column_labels))
-        if m.shape[1] != len(self.column_labels):
-            raise DataError("column label count does not match design width")
-        if m.shape[0] < 1:
-            raise EmptyInputError("design matrix must have at least one row")
-        if not np.all(m[:, 0] == 1.0):
-            raise DataError("design column 0 must be identically 1")
-
     @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def ncol(self) -> int:
-        return self.matrix.shape[1]
+    def column_labels(self) -> tuple[str, ...]:
+        return (INTERCEPT_LABEL, *self.names)
 
 
 def load_csv(path, response: str, regressors: list[str]) -> Dataset:
@@ -138,19 +122,23 @@ def load_csv(path, response: str, regressors: list[str]) -> Dataset:
 
     The file must have a header row; cells in the named columns must be
     numeric ('.' decimal point, optional quoting).  Rows are kept in
-    file order.
+    file order.  A UTF-8 byte-order mark before the header is skipped.
 
     Raises
     ------
     ColumnError
-        A named column is absent from the header.
+        The response is also named as a regressor (checked before the
+        file is opened), or a named column is absent from the header or
+        occurs in it more than once.
     ParseError
         A cell is non-numeric; the error cites the 1-based data row and
         the column name.
     EmptyInputError
         The file has no header or no data rows.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    if response in regressors:
+        raise ColumnError(f"column {response!r} is both the response and a regressor")
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         return _read_csv(fh, response, regressors)
 
 
@@ -165,6 +153,8 @@ def _read_csv(fh, response, regressors) -> Dataset:
     for name in wanted:
         if name not in header:
             raise ColumnError(f"column {name!r} not found in header {header}")
+        if header.count(name) > 1:
+            raise ColumnError(f"column {name!r} occurs more than once in header {header}")
     cols = [header.index(name) for name in wanted]
 
     rows: list[list[float]] = []
@@ -271,15 +261,6 @@ def write_csv(ds: Dataset, path) -> None:
     """Write a :class:`Dataset` to the CSV file at ``path``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(dataset_to_csv_text(ds))
-
-
-def build_design(ds: Dataset) -> DesignMatrix:
-    """Prepend the all-ones intercept column to the regressor matrix."""
-    m = np.empty((ds.n, ds.p + 1), dtype=float)
-    m[:, 0] = 1.0
-    if ds.p:
-        m[:, 1:] = ds.regressors
-    return DesignMatrix(matrix=m, column_labels=(INTERCEPT_LABEL, *ds.names))
 
 
 def numerical_rank(gram: np.ndarray):

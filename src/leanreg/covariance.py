@@ -51,7 +51,7 @@ def _information(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _stack_of_one(fit: FitResult):
     """``(x, v, residuals)`` of one fit as stacks of one, for the stacked estimators."""
     return (
-        fit.design.matrix[None],
+        fit.data.design[None],
         fit.family.variance_fn(fit.fitted)[None],
         fit.residuals[None],
     )
@@ -213,7 +213,7 @@ def coefficient_table(
     if boot_se is not None and len(boot_se) != len(se_conv):
         raise DimensionError("bootstrap SE vector does not match the fit")
     return CoefficientTable(
-        labels=tuple(fit.design.column_labels),
+        labels=fit.data.column_labels,
         coef=fit.beta_hat,
         se_conv=se_conv,
         p_conv=p_conv,

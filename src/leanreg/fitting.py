@@ -1,6 +1,9 @@
 """Plug-in estimation of the best-approximation regression functional.
 
-OLS solves the sample normal equations exactly; bernoulli-logit and
+:func:`fit_glm` fits one sample, a :class:`~leanreg.core.Dataset`, on
+the design it carries; :func:`fit_weighted` and :func:`fit_ols_stack`
+fit stacks of weightings or of samples with the same arithmetic.  OLS
+solves the sample normal equations exactly; bernoulli-logit and
 poisson-log working models are fitted by Newton iterations (IRLS) on the
 sample analog of the population cost function.  The fitted model is a
 best approximation of the true response surface; nothing here assumes
@@ -16,13 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .core import (
-    Dataset,
-    DesignMatrix,
-    build_design,
-    numerical_rank,
-    spd_solve_stack,
-)
+from .core import Dataset, numerical_rank, spd_solve_stack
 from .exceptions import (
     CoefficientIndexError,
     ConvergenceError,
@@ -40,14 +37,12 @@ __all__ = [
     "POISSON",
     "family_by_name",
     "FitResult",
-    "fit_ols",
     "fit_ols_stack",
     "fit_glm",
     "fit_weighted",
     "check_support",
     "WeightedFits",
     "outer_rows",
-    "fit_dataset",
     "predict_mean",
     "exp_coef",
 ]
@@ -188,38 +183,36 @@ def family_by_name(name: str) -> Family:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fitted working model, with the data it was fitted to.
+    """A fitted working model, with the sample it was fitted to.
 
-    ``design`` and ``y`` are retained (immutably) because every
-    downstream covariance estimator needs them.
+    ``data`` is retained because every downstream covariance estimator
+    reads its design and response.
     """
 
     family: Family
     beta_hat: np.ndarray
     fitted: np.ndarray
     residuals: np.ndarray
-    linear_predictor: np.ndarray
     converged: bool
     iterations: int
     deviance_or_sse: float
-    design: DesignMatrix
-    y: np.ndarray
+    data: Dataset
     score_norm: float = field(default=0.0)
 
     @property
     def n(self) -> int:
-        return self.design.n
+        return self.data.n
 
     @property
     def p(self) -> int:
-        return self.design.ncol - 1
+        return self.data.p
 
     def to_json_dict(self) -> dict:
         return {
             "family": self.family.tag,
             "coefficients": {
                 label: float(b)
-                for label, b in zip(self.design.column_labels, self.beta_hat)
+                for label, b in zip(self.data.column_labels, self.beta_hat)
             },
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
@@ -281,11 +274,6 @@ def fit_ols_stack(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list]:
     _record(errors, failed)
     beta[~_ok(errors)] = 0.0
     return beta, errors
-
-
-def fit_ols(dm: DesignMatrix, y: np.ndarray) -> FitResult:
-    """The OLS fit: :func:`fit_glm` with the gaussian family."""
-    return fit_glm(dm, y, GAUSSIAN)
 
 
 def outer_rows(x: np.ndarray) -> np.ndarray:
@@ -466,11 +454,7 @@ def check_support(y: np.ndarray, family: Family) -> None:
         raise FamilyError(family.support_message)
 
 
-def fit_glm(
-    dm: DesignMatrix,
-    y: np.ndarray,
-    family: Family,
-) -> FitResult:
+def fit_glm(ds: Dataset, family: Family) -> FitResult:
     """Fit the working model of ``family`` to the sample: the one single-sample fit.
 
     A closed-form family solves the normal equations (sum x x') beta =
@@ -497,41 +481,30 @@ def fit_glm(
         no convergence within ``MAX_ITER`` iterations; carries the last
         iterate and its score norm.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != dm.n:
-        raise DimensionError(f"response length {y.shape[0]} != design rows {dm.n}")
+    x, y = ds.design, ds.response
     check_support(y, family)
-    x = dm.matrix
     if family.closed_form:
         beta, errors = fit_ols_stack(x[None], y[None])
         iterations, score_norm = 1, 0.0
     else:
-        fits = fit_weighted(x, y, np.ones((1, dm.n)), family)
+        fits = fit_weighted(x, y, np.ones((1, ds.n)), family)
         beta, errors = fits.beta, fits.errors
         iterations, score_norm = int(fits.iterations[0]), float(fits.score_norm[0])
     if errors[0] is not None:
         raise errors[0]
     beta = beta[0]
-    t = x @ beta
-    mu = family.inverse_link(t)
+    mu = family.inverse_link(x @ beta)
     return FitResult(
         family=family,
         beta_hat=beta,
         fitted=mu,
         residuals=y - mu,
-        linear_predictor=t,
         converged=True,
         iterations=iterations,
         deviance_or_sse=family.deviance(mu, y),
-        design=dm,
-        y=y,
+        data=ds,
         score_norm=score_norm,
     )
-
-
-def fit_dataset(ds: Dataset, family: Family = GAUSSIAN) -> FitResult:
-    """Build the design of ``ds`` and fit it with :func:`fit_glm`."""
-    return fit_glm(build_design(ds), ds.response, family)
 
 
 def predict_mean(fit: FitResult, x) -> float:

@@ -351,7 +351,6 @@ class MomentCheck:
 @dataclass(frozen=True)
 class OrthogonalityReport:
     checks: tuple[MomentCheck, ...]
-    tolerance: float
 
     @property
     def all_pass(self) -> bool:
@@ -379,7 +378,7 @@ def check_orthogonality(
             checks.append(MomentCheck(name, float(vec[j]), abs(vec[j]) <= tolerance))
         scalar = dec.moments[f"E_{term}"]
         checks.append(MomentCheck(f"E[{term}]", float(scalar), abs(scalar) <= tolerance))
-    return OrthogonalityReport(checks=tuple(checks), tolerance=tolerance)
+    return OrthogonalityReport(checks=tuple(checks))
 
 
 def _draw(pop: DiscretePopulation, n: int, rng):

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, DesignMatrix, build_design, spd_solve
+from .core import Dataset, spd_solve
 from .exceptions import (
-    DataError,
     DimensionError,
     DomainError,
     FamilyError,
@@ -33,7 +32,7 @@ from .exceptions import (
     SingularSystemError,
     ZeroScaleError,
 )
-from .fitting import GAUSSIAN, FitResult, fit_ols
+from .fitting import GAUSSIAN, FitResult, fit_glm
 from .rng import substream
 
 __all__ = [
@@ -91,7 +90,7 @@ def make_band(fit: FitResult, K: float = 0.0) -> PredictionBand:
             "prediction intervals are defined for the OLS working model only, "
             f"not {fit.family.tag!r}"
         )
-    x = fit.design.matrix
+    x = fit.data.design
     n, k = x.shape
     if n <= k:
         raise DomainError("sigma_hat needs n > p+1 observations")
@@ -127,7 +126,7 @@ def calibrate_K(fit: FitResult, alpha: float) -> float:
     Each observation's minimal covering multiplier is
     |y_i - yhat_i| / (sigma_hat * (1 + leverage_i)); the calibrated K
     is their ceil((1-alpha) n)-th smallest value, which pins training
-    coverage to 1 - alpha within 1/n.  The response is ``fit.y``.
+    coverage to 1 - alpha within 1/n.  The sample is ``fit.data``.
     Defined for OLS fits only.
     """
     if not 0.0 < alpha < 1.0:
@@ -138,8 +137,8 @@ def calibrate_K(fit: FitResult, alpha: float) -> float:
             "all residuals are zero: every K gives full coverage and "
             "calibration is vacuous"
         )
-    centers, scales = band.evaluate(fit.design.matrix)
-    return _order_statistic_K(np.abs(fit.y - centers) / scales, alpha)
+    centers, scales = band.evaluate(fit.data.design)
+    return _order_statistic_K(np.abs(fit.data.response - centers) / scales, alpha)
 
 
 def _fold_assignments(n: int, folds: int, seed: int) -> np.ndarray:
@@ -170,28 +169,24 @@ def cv_calibrate_K(ds: Dataset, alpha: float, folds: int, seed: int) -> float:
     if folds > n:
         raise FoldError(f"{folds} folds for {n} observations")
     assign = _fold_assignments(n, folds, seed)
-    dm_full = build_design(ds)
-    x_all = dm_full.matrix
     pooled = np.empty(n)
     for f in range(folds):
         held = assign == f
         train = ~held
-        if int(np.sum(train)) <= dm_full.ncol:
+        if int(np.sum(train)) <= ds.p + 1:
             raise FoldError(
                 f"training fold {f} has {int(np.sum(train))} rows for "
-                f"{dm_full.ncol} coefficients"
+                f"{ds.p + 1} coefficients"
             )
+        fold = Dataset(ds.response[train], ds.regressors[train], ds.names, ds.response_name)
         try:
-            dm_train = DesignMatrix(
-                matrix=x_all[train], column_labels=dm_full.column_labels
-            )
-            fit = fit_ols(dm_train, ds.response[train])
-        except (DataError, SingularSystemError) as exc:
+            fit = fit_glm(fold, GAUSSIAN)
+        except SingularSystemError as exc:
             raise FoldError(
                 f"training fold {f} does not support a full-rank fit: {exc}"
             ) from None
         band = make_band(fit, K=1.0)
-        centers, scales = band.evaluate(x_all[held])
+        centers, scales = band.evaluate(ds.design[held])
         gaps = np.abs(ds.response[held] - centers)
         if band.sigma_hat == 0.0:
             # Noiseless training fold: a zero-width band covers exactly
@@ -209,5 +204,5 @@ def future_coverage(band: PredictionBand, testset: Dataset) -> float:
     regressor law the number is still computed but says nothing about
     the nominal level (a distribution-shift caveat, not an error).
     """
-    centers, half = band.evaluate(build_design(testset).matrix)
+    centers, half = band.evaluate(testset.design)
     return float(np.mean(np.abs(testset.response - centers) <= half))

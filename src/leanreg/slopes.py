@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DesignMatrix, csv_text, numerical_rank, spd_solve
+from .core import Dataset, csv_text, numerical_rank, spd_solve
 from .exceptions import (
     CoefficientIndexError,
     DomainError,
@@ -74,7 +74,7 @@ def check_regressor_index(j: int, p: int) -> None:
         raise CoefficientIndexError(f"regressor index {j} out of range 1..{p}")
 
 
-def adjust_regressor(dm: DesignMatrix, j: int) -> np.ndarray:
+def adjust_regressor(ds: Dataset, j: int) -> np.ndarray:
     """Residualize design column j on all other columns (intercept kept).
 
     Returns the adjusted column.  With a single regressor this reduces
@@ -82,11 +82,11 @@ def adjust_regressor(dm: DesignMatrix, j: int) -> np.ndarray:
     :func:`~leanreg.core.numerical_rank`, as for the OLS fit whose
     coefficient the adjustment reproduces.
     """
-    check_regressor_index(j, dm.ncol - 1)
-    x = dm.matrix
+    check_regressor_index(j, ds.p)
+    x = ds.design
     gram = x.T @ x
     rank, eigs = numerical_rank(gram)
-    if rank < dm.ncol:
+    if rank < x.shape[1]:
         raise SingularSystemError(
             f"design is rank deficient, so column {j} cannot be adjusted for the "
             f"remaining columns (smallest equilibrated eigenvalue {eigs[0]:.3e})",
@@ -97,13 +97,13 @@ def adjust_regressor(dm: DesignMatrix, j: int) -> np.ndarray:
     return x[:, j] - others @ coef
 
 
-def pairwise_slope_multiple(dm: DesignMatrix, y, j: int) -> PairwiseSlopeSummary:
+def pairwise_slope_multiple(ds: Dataset, j: int) -> PairwiseSlopeSummary:
     """Pairwise-slope form of the multiple-regression coefficient beta_j.
 
     Adjustment centers the column, so the weighted pair average equals
     the coefficient from the full least-squares fit.
     """
-    return pairwise_slope_simple(adjust_regressor(dm, j), y)
+    return pairwise_slope_simple(adjust_regressor(ds, j), ds.response)
 
 
 def pair_table_csv(x, y) -> str:

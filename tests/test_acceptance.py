@@ -12,14 +12,14 @@ from scipy.special import expit
 
 from leanreg.bootstrap import bootstrap_se, residual_bootstrap, xy_bootstrap
 from leanreg.cli import main
-from leanreg.core import Dataset, build_design
+from leanreg.core import Dataset
 from leanreg.covariance import (
     conventional_cov,
     sandwich_cov,
     standard_errors,
     table_from_published,
 )
-from leanreg.fitting import BERNOULLI, GAUSSIAN, fit_dataset, fit_glm, fit_ols
+from leanreg.fitting import BERNOULLI, GAUSSIAN, fit_glm
 from leanreg.population import (
     check_orthogonality,
     coverage_experiment,
@@ -126,7 +126,7 @@ def test_criterion_03_sandwich_collapse():
     hits = 0
     for s in range(200):
         ds = sample(pop, 5000, seed=300 + s)
-        fit = fit_dataset(ds)
+        fit = fit_glm(ds, GAUSSIAN)
         ratio = (
             standard_errors(sandwich_cov(fit))[1]
             / standard_errors(conventional_cov(fit))[1]
@@ -141,7 +141,7 @@ def test_criterion_04_sandwich_inflation_and_coverage():
     hits = 0
     for s in range(200):
         ds = sample(pop, 5000, seed=1300 + s)
-        fit = fit_dataset(ds)
+        fit = fit_glm(ds, GAUSSIAN)
         ratio = (
             standard_errors(sandwich_cov(fit))[1]
             / standard_errors(conventional_cov(fit))[1]
@@ -173,7 +173,7 @@ def test_criterion_05_bootstrap_sandwich_agreement_and_foil():
     hits = 0
     for s in range(50):
         ds = sample(pop, 1000, seed=2500 + s)
-        fit = fit_dataset(ds)
+        fit = fit_glm(ds, GAUSSIAN)
         se_sand = standard_errors(sandwich_cov(fit))[1]
         se_boot = bootstrap_se(xy_bootstrap(ds, GAUSSIAN, 1000, seed=5500 + s))[1]
         hits += abs(se_boot / se_sand - 1.0) <= 0.15
@@ -188,7 +188,7 @@ def test_criterion_05_bootstrap_sandwich_agreement_and_foil():
         {"kind": "gaussian", "sigma": np.abs(sup[:, 0])},
     )
     ds = sample(het_pop, 2000, seed=606)
-    fit = fit_dataset(ds)
+    fit = fit_glm(ds, GAUSSIAN)
     se_sand = standard_errors(sandwich_cov(fit))[1]
     se_resid = bootstrap_se(residual_bootstrap(ds, 1000, seed=707))[1]
     foil_gap = abs(se_resid / se_sand - 1.0)
@@ -210,10 +210,9 @@ def test_criterion_06_pairwise_slope_identity():
         reg = rng.standard_normal((n, p)) * rng.uniform(0.5, 3.0, size=p)
         y = reg @ rng.uniform(-2, 2, size=p) + rng.standard_normal(n)
         ds = Dataset(y, reg, names=tuple(f"x{i}" for i in range(p)))
-        dm = build_design(ds)
-        fit = fit_ols(dm, y)
+        fit = fit_glm(ds, GAUSSIAN)
         for j in range(1, p + 1):
-            gap = abs(pairwise_slope_multiple(dm, y, j).beta - fit.beta_hat[j])
+            gap = abs(pairwise_slope_multiple(ds, j).beta - fit.beta_hat[j])
             worst = max(worst, gap / max(1.0, abs(fit.beta_hat[j])))
     announce(6, worst <= 1e-10, f"largest relative identity gap = {worst:.2e}")
 
@@ -224,7 +223,7 @@ def test_criterion_07_calibration_exactness_and_validity():
     coverages = []
     for s in range(100):
         train = sample(pop, 2000, seed=7000 + s)
-        fit = fit_dataset(train)
+        fit = fit_glm(train, GAUSSIAN)
         k_hat = calibrate_K(fit, alpha=0.05)
         band = make_band(fit, K=k_hat)
         train_cov = future_coverage(band, train)
@@ -330,7 +329,7 @@ def test_criterion_09_glm_functional_consistency():
     )
     beta_oracle = _population_logit_beta(pop)
     ds = sample(pop, 100_000, seed=9090)
-    fit = fit_glm(build_design(ds), ds.response, BERNOULLI)
+    fit = fit_glm(ds, BERNOULLI)
     se = standard_errors(sandwich_cov(fit))
     gaps = np.abs(fit.beta_hat - beta_oracle) / se
     announce(

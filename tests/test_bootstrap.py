@@ -17,7 +17,7 @@ from leanreg.bootstrap import (
     tolerate_failures,
     xy_bootstrap,
 )
-from leanreg.core import Dataset, DesignMatrix, build_design, load_csv
+from leanreg.core import Dataset, load_csv
 from leanreg.covariance import sandwich_cov, standard_errors
 from leanreg.datasets import CHARGES_COLUMNS
 from leanreg.exceptions import (
@@ -29,7 +29,7 @@ from leanreg.exceptions import (
     LeanRegError,
     SingularSystemError,
 )
-from leanreg.fitting import BERNOULLI, GAUSSIAN, POISSON, fit_dataset, fit_glm, fit_ols
+from leanreg.fitting import BERNOULLI, GAUSSIAN, POISSON, fit_glm
 from leanreg.population import (
     make_population,
     normal_quadrature_law,
@@ -117,7 +117,7 @@ class TestXyBootstrap:
         ds = sample(quadratic_pop(), 1000, seed=17)
         draws = xy_bootstrap(ds, GAUSSIAN, B=1000, seed=88)
         se_boot = bootstrap_se(draws)
-        se_sand = standard_errors(sandwich_cov(fit_dataset(ds)))
+        se_sand = standard_errors(sandwich_cov(fit_glm(ds, GAUSSIAN)))
         assert abs(se_boot[1] / se_sand[1] - 1.0) < 0.15
 
     def test_bernoulli_replicates(self):
@@ -157,19 +157,14 @@ def refit_each_replicate(ds, family, B, seed):
 
     Returns each replicate's coefficients, or the error its fit raised.
     """
-    dm = build_design(ds)
-    x, y = dm.matrix, ds.response
     results = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # tiny resamples warn about dof
         for b in range(B):
             idx = stream(seed, b).integers(0, ds.n, size=ds.n)
             try:
-                dm_b = DesignMatrix(matrix=x[idx], column_labels=dm.column_labels)
-                if family is GAUSSIAN:
-                    results.append(fit_ols(dm_b, y[idx]).beta_hat)
-                else:
-                    results.append(fit_glm(dm_b, y[idx], family).beta_hat)
+                ds_b = Dataset(ds.response[idx], ds.regressors[idx], ds.names)
+                results.append(fit_glm(ds_b, family).beta_hat)
             except LeanRegError as exc:
                 results.append(exc)
     return results
@@ -253,12 +248,11 @@ class TestStackedEngine:
     def test_residual_draws_match_per_replicate_refits(self):
         ds = charges("charges", CHARGES_COLUMNS)
         draws = residual_bootstrap(ds, B=40, seed=1)
-        dm = build_design(ds)
-        base = fit_ols(dm, ds.response)
+        base = fit_glm(ds, GAUSSIAN)
         centered = base.residuals - np.mean(base.residuals)
+        y_b = [base.fitted + centered[stream(1, b).integers(0, ds.n, size=ds.n)] for b in range(40)]
         reference = np.array([
-            fit_ols(dm, base.fitted + centered[stream(1, b).integers(0, ds.n, size=ds.n)]).beta_hat
-            for b in range(40)
+            fit_glm(Dataset(y, ds.regressors, ds.names), GAUSSIAN).beta_hat for y in y_b
         ])
         scale = np.max(np.abs(reference), axis=0)
         assert np.all(np.abs(draws.draws - reference) <= 1e-12 * scale)
@@ -316,7 +310,7 @@ class TestResidualBootstrap:
         n = 2000
         ds = sample(pop, n, seed=31)
         se_resid = bootstrap_se(residual_bootstrap(ds, B=1000, seed=12))
-        se_sand = standard_errors(sandwich_cov(fit_dataset(ds)))
+        se_sand = standard_errors(sandwich_cov(fit_glm(ds, GAUSSIAN)))
         assert abs(se_resid[1] / se_sand[1] - 1.0) > 0.20
         pooled_se = np.sqrt(population_conventional_av(pop)[1, 1] / n)
         assert abs(se_resid[1] / pooled_se - 1.0) < 0.15
@@ -351,7 +345,7 @@ class TestConvergenceAcrossSampleSizes:
                 se_b = bootstrap_se(
                     xy_bootstrap(ds, GAUSSIAN, 1000, seed=7 * n + r)
                 )[1]
-                se_s = standard_errors(sandwich_cov(fit_dataset(ds)))[1]
+                se_s = standard_errors(sandwich_cov(fit_glm(ds, GAUSSIAN)))[1]
                 gaps.append(se_b / se_s - 1.0)
             gaps = np.asarray(gaps)
             assert np.median(np.abs(gaps)) < 0.05

@@ -13,7 +13,7 @@ import pytest
 
 from leanreg.cli import main
 from leanreg.core import csv_text, load_csv
-from leanreg.fitting import fit_dataset
+from leanreg.fitting import GAUSSIAN, fit_glm
 from leanreg.prediction import future_coverage, interval, make_band
 
 NAMES6 = [f"x{j}" for j in range(1, 7)]
@@ -190,10 +190,10 @@ class TestPredictSubcommand:
         calib = json.loads((outdir / "calibration.json").read_text())
 
         ds = load_csv(path, "y", NAMES6)
-        fit = fit_dataset(ds)
+        fit = fit_glm(ds, GAUSSIAN)
         assert np.array_equal(cols["yhat"], fit.fitted)
         band = make_band(fit, K=calib["K_hat"])
-        bounds = np.array([interval(band, row) for row in fit.design.matrix])
+        bounds = np.array([interval(band, row) for row in ds.design])
         np.testing.assert_allclose(cols["lower"], bounds[:, 0], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(cols["upper"], bounds[:, 1], rtol=1e-12, atol=0.0)
         assert calib["training_coverage"] == future_coverage(band, ds)
@@ -450,6 +450,33 @@ class TestFileErrors:
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+class TestInputColumns:
+    FIT = ["fit", "--boot", "0", "--format", "json"]
+
+    def test_byte_order_mark_reads_as_without(self, tmp_path, capsys):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(CSV_SMALL, encoding="utf-8")
+        bom.write_text("\ufeff" + CSV_SMALL, encoding="utf-8")
+        outputs = [
+            run_main([*self.FIT, "--input", str(path), "--response", "y", "--regressors", "x"],
+                     capsys)
+            for path in (plain, bom)
+        ]
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("text, regressors, message", [
+        ("y,x,x\n1,2,3\n", "x", "column 'x' occurs more than once in header ['y', 'x', 'x']"),
+        (CSV_SMALL, "y,x", "column 'y' is both the response and a regressor"),
+        (CSV_SMALL, "x,y", "column 'y' is both the response and a regressor"),
+    ], ids=["column-twice", "response-first", "response-last"])
+    def test_ambiguous_columns_exit_one(self, tmp_path, capsys, text, regressors, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        argv = [*self.FIT, "--input", str(path), "--response", "y", "--regressors", regressors]
+        assert run_main(argv, capsys) == (1, "", f"leanreg: error: {message}\n")
+
+
 def refuse(*args, **kwargs):
     raise AssertionError("work started before the outputs were checked")
 
@@ -467,7 +494,7 @@ class TestOutputsCheckedFirst:
     def no_work(self, monkeypatch):
         from leanreg import bootstrap, cli
 
-        for name in ("load_csv", "load_population_file", "fit_dataset", "fit_ols"):
+        for name in ("load_csv", "load_population_file", "fit_glm"):
             monkeypatch.setattr(cli, name, refuse)
         monkeypatch.setattr(bootstrap, "xy_bootstrap", refuse)
 
@@ -518,7 +545,7 @@ class TestOneBootstrapReplicate:
     def no_work(self, monkeypatch):
         from leanreg import bootstrap, cli
 
-        for name in ("load_csv", "load_population_file", "fit_dataset", "coverage_experiment"):
+        for name in ("load_csv", "load_population_file", "fit_glm", "coverage_experiment"):
             monkeypatch.setattr(cli, name, refuse)
         monkeypatch.setattr(bootstrap, "xy_bootstrap", refuse)
 

@@ -5,7 +5,6 @@ import pytest
 
 from leanreg.core import (
     Dataset,
-    build_design,
     dataset_to_csv_text,
     load_csv,
     numerical_rank,
@@ -42,6 +41,32 @@ class TestLoadCsv:
         path = write_tmp(tmp_path, "a,x\n1,2\n")
         with pytest.raises(ColumnError, match="'y'"):
             load_csv(path, response="y", regressors=["x"])
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Spreadsheet programs save "CSV UTF-8" with a BOM before the header.
+        path = write_tmp(tmp_path, "\ufeffy,x\n1,5\n2,7\n")
+        ds = load_csv(path, response="y", regressors=["x"])
+        assert ds.response.tolist() == [1.0, 2.0]
+        assert ds.regressors[:, 0].tolist() == [5.0, 7.0]
+
+    @pytest.mark.parametrize("header, name", [("y,x,x", "x"), ("y,x,y", "y")])
+    def test_requested_column_twice_in_header(self, tmp_path, header, name):
+        path = write_tmp(tmp_path, header + "\n1,2,3\n")
+        with pytest.raises(ColumnError, match=f"column '{name}' occurs more than once"):
+            load_csv(path, response="y", regressors=["x"])
+
+    def test_column_twice_in_header_unrequested_is_fine(self, tmp_path):
+        path = write_tmp(tmp_path, "y,z,x,z\n1,2,3,4\n")
+        ds = load_csv(path, response="y", regressors=["x"])
+        assert ds.regressors.tolist() == [[3.0]]
+
+    def test_response_among_regressors_rejected_before_reading(self, tmp_path):
+        message = "column 'y' is both the response and a regressor"
+        with pytest.raises(ColumnError, match=message):
+            load_csv(tmp_path / "absent.csv", response="y", regressors=["y", "x"])
+        path = write_tmp(tmp_path, "y,x\n1,5\n2,7\n3,8\n")
+        with pytest.raises(ColumnError, match=message):
+            load_csv(path, response="y", regressors=["x", "y"])
 
     def test_missing_regressor_column(self, tmp_path):
         path = write_tmp(tmp_path, "y,x\n1,2\n")
@@ -115,26 +140,47 @@ class TestDatasetValidation:
 class TestBuildDesign:
     def test_single_regressor(self):
         ds = Dataset([1.0, 2.0], [[5.0], [7.0]], names=("x",))
-        dm = build_design(ds)
-        assert dm.matrix.tolist() == [[1.0, 5.0], [1.0, 7.0]]
-        assert dm.column_labels == ("(Intercept)", "x")
+        assert ds.design.tolist() == [[1.0, 5.0], [1.0, 7.0]]
+        assert ds.column_labels == ("(Intercept)", "x")
 
     def test_intercept_only(self):
         ds = Dataset([1.0, 2.0, 3.0], np.empty((3, 0)), names=())
-        dm = build_design(ds)
-        assert dm.matrix.tolist() == [[1.0], [1.0], [1.0]]
+        assert ds.design.tolist() == [[1.0], [1.0], [1.0]]
+        assert ds.regressors.shape == (3, 0)
 
     def test_single_row_two_regressors(self):
         ds = Dataset([9.0], [[2.0, 3.0]], names=("a", "b"))
-        dm = build_design(ds)
-        assert dm.matrix.tolist() == [[1.0, 2.0, 3.0]]
+        assert ds.design.tolist() == [[1.0, 2.0, 3.0]]
 
     def test_column_removal_recovers_regressors(self):
         rng = np.random.default_rng(5)
         reg = rng.standard_normal((20, 3))
         ds = Dataset(rng.standard_normal(20), reg, names=("a", "b", "c"))
-        dm = build_design(ds)
-        assert np.array_equal(dm.matrix[:, 1:], ds.regressors)
+        assert np.array_equal(ds.design[:, 1:], reg)
+        assert np.array_equal(ds.regressors, reg)
+
+    def test_intercept_column_is_all_ones(self):
+        rng = np.random.default_rng(8)
+        for p in (0, 1, 4):
+            ds = Dataset(rng.standard_normal(7), rng.standard_normal((7, p)), tuple("abcd"[:p]))
+            assert ds.design.shape == (7, p + 1)
+            assert np.all(ds.design[:, 0] == 1.0)
+            assert ds.column_labels == ("(Intercept)", *ds.names)
+
+    def test_regressors_are_a_view_of_the_design(self):
+        reg = np.array([[5.0, 6.0], [7.0, 8.0]])
+        ds = Dataset([1.0, 2.0], reg, names=("a", "b"))
+        assert np.shares_memory(ds.regressors, ds.design)
+        assert not np.shares_memory(ds.design, reg)
+        reg[0, 0] = 99.0  # the caller's array was copied
+        assert ds.regressors[0, 0] == 5.0
+
+    def test_design_and_regressors_read_only(self):
+        ds = Dataset([1.0, 2.0], [[5.0], [7.0]], names=("x",))
+        for array in (ds.design, ds.regressors, ds.response):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, ...] = 0.0
 
 
 def gram_rank(x):
@@ -153,7 +199,7 @@ class TestCheckRank:
     def test_generic_design_full_rank(self):
         rng = np.random.default_rng(11)
         ds = Dataset(rng.standard_normal(30), rng.standard_normal((30, 2)), ("a", "b"))
-        rank, eigs = gram_rank(build_design(ds).matrix)
+        rank, eigs = gram_rank(ds.design)
         assert rank == 3
         assert eigs[0] > 0
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from leanreg.core import Dataset, DesignMatrix, build_design
+from leanreg.core import Dataset
 from leanreg.covariance import (
     TABLE_HEADERS,
     coefficient_table,
@@ -14,7 +14,7 @@ from leanreg.covariance import (
     table_from_published,
 )
 from leanreg.exceptions import DegreesOfFreedomError, DimensionError
-from leanreg.fitting import BERNOULLI, GAUSSIAN, FitResult, fit_dataset, fit_glm, fit_ols
+from leanreg.fitting import BERNOULLI, GAUSSIAN, FitResult, fit_glm
 from leanreg.population import (
     make_population,
     normal_quadrature_law,
@@ -29,27 +29,27 @@ def ols_fixture(seed=0, n=60, p=2):
     reg = rng.standard_normal((n, p))
     y = reg @ np.arange(1.0, p + 1.0) + rng.standard_normal(n)
     ds = Dataset(y, reg, names=tuple(f"x{i}" for i in range(p)))
-    return ds, fit_ols(build_design(ds), y)
+    return ds, fit_glm(ds, GAUSSIAN)
 
 
 class TestConventional:
     def test_exact_linear_data_zero_matrix(self):
         ds = Dataset([1.0, 2.0, 3.0, 4.0], [[0.0], [1.0], [2.0], [3.0]], names=("x",))
-        fit = fit_ols(build_design(ds), ds.response)
+        fit = fit_glm(ds, GAUSSIAN)
         cov = conventional_cov(fit)
         assert np.max(np.abs(cov)) < 1e-24
 
     def test_intercept_only_two_points(self):
         # sigma2 = sum r^2 / (n-1) = 2, var(b0) = sigma2 / n = 1.
         ds = Dataset([0.0, 2.0], np.empty((2, 0)), names=())
-        fit = fit_ols(build_design(ds), ds.response)
+        fit = fit_glm(ds, GAUSSIAN)
         cov = conventional_cov(fit)
         assert cov[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_dof_error(self):
         ds = Dataset([0.0, 2.0], [[1.0], [2.0]], names=("x",))
         with pytest.warns(UserWarning):
-            fit = fit_ols(build_design(ds), ds.response)
+            fit = fit_glm(ds, GAUSSIAN)
         with pytest.raises(DegreesOfFreedomError):
             conventional_cov(fit)
 
@@ -66,18 +66,16 @@ class TestSandwich:
         # Hand evaluation of the plug-in sandwich with injected residuals
         # r = (1, -1) on design rows (1, 1), (1, -1): meat = identity,
         # bread = identity, so cov = I/n and the slope variance is 0.5.
-        dm = DesignMatrix(np.array([[1.0, 1.0], [1.0, -1.0]]), ("(Intercept)", "x"))
+        ds = Dataset([1.0, -1.0], [[1.0], [-1.0]], names=("x",))
         fit = FitResult(
             family=GAUSSIAN,
             beta_hat=np.zeros(2),
             fitted=np.zeros(2),
             residuals=np.array([1.0, -1.0]),
-            linear_predictor=np.zeros(2),
             converged=True,
             iterations=1,
             deviance_or_sse=2.0,
-            design=dm,
-            y=np.array([1.0, -1.0]),
+            data=ds,
         )
         cov = sandwich_cov(fit)
         assert cov[1, 1] == pytest.approx(0.5, abs=1e-12)
@@ -92,7 +90,7 @@ class TestSandwich:
             {"kind": "gaussian", "sigma": 1.0},
         )
         ds = sample(pop, 5000, seed=99)
-        fit = fit_dataset(ds)
+        fit = fit_glm(ds, GAUSSIAN)
         ratio = (
             standard_errors(sandwich_cov(fit))[1]
             / standard_errors(conventional_cov(fit))[1]
@@ -112,7 +110,7 @@ class TestSandwich:
         exact = population_sandwich_av(pop)[1, 1] / population_conventional_av(pop)[1, 1]
         assert exact == pytest.approx(11.0 / 3.0, rel=1e-10)
         ds = sample(pop, 5000, seed=7)
-        fit = fit_dataset(ds)
+        fit = fit_glm(ds, GAUSSIAN)
         ratio = (
             standard_errors(sandwich_cov(fit))[1]
             / standard_errors(conventional_cov(fit))[1]
@@ -125,7 +123,7 @@ class TestSandwich:
         rng = np.random.default_rng(6)
         perm = rng.permutation(ds.n)
         ds2 = Dataset(ds.response[perm], ds.regressors[perm], ds.names)
-        cov2 = sandwich_cov(fit_ols(build_design(ds2), ds2.response))
+        cov2 = sandwich_cov(fit_glm(ds2, GAUSSIAN))
         assert np.max(np.abs(cov - cov2)) <= 1e-12 * np.max(np.abs(cov))
 
     def test_rescaling_transforms_both_estimators(self):
@@ -134,7 +132,7 @@ class TestSandwich:
         scaled = ds.regressors.copy()
         scaled[:, 1] *= c
         ds2 = Dataset(ds.response, scaled, ds.names)
-        fit2 = fit_ols(build_design(ds2), ds2.response)
+        fit2 = fit_glm(ds2, GAUSSIAN)
         j = 2  # design column of the rescaled regressor
         for estimator in (conventional_cov, sandwich_cov):
             m1 = estimator(fit)
@@ -156,7 +154,7 @@ class TestSandwich:
         hits = 0
         for s in range(50):
             ds = sample(pop, 5000, seed=2100 + s)
-            fit = fit_glm(build_design(ds), ds.response, BERNOULLI)
+            fit = fit_glm(ds, BERNOULLI)
             ratio = (
                 standard_errors(sandwich_cov(fit))[1]
                 / standard_errors(conventional_cov(fit))[1]
@@ -197,19 +195,17 @@ def _with_beta(fit, beta):
         beta_hat=np.asarray(beta, dtype=float),
         fitted=fit.fitted,
         residuals=fit.residuals,
-        linear_predictor=fit.linear_predictor,
         converged=fit.converged,
         iterations=fit.iterations,
         deviance_or_sse=fit.deviance_or_sse,
-        design=fit.design,
-        y=fit.y,
+        data=fit.data,
     )
 
 
 class TestCoefficientTable:
     def test_exact_linear_table_well_formed(self):
         ds = Dataset([1.0, 2.0, 3.0, 4.0], [[0.0], [1.0], [2.0], [3.0]], names=("x",))
-        fit = fit_ols(build_design(ds), ds.response)
+        fit = fit_glm(ds, GAUSSIAN)
         table = coefficient_table(fit, conventional_cov(fit), sandwich_cov(fit))
         assert len(table.labels) == 2
         assert table.labels[0] == "(Intercept)"

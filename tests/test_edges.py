@@ -7,10 +7,10 @@ import pytest
 
 from leanreg.bootstrap import _collect, xy_bootstrap
 from leanreg.cli import main
-from leanreg.core import Dataset, build_design
+from leanreg.core import Dataset
 from leanreg.covariance import coefficient_table, conventional_cov, sandwich_cov, standard_errors
 from leanreg.exceptions import DomainError, ExcessiveFailureError, SingularSystemError
-from leanreg.fitting import GAUSSIAN, fit_ols
+from leanreg.fitting import GAUSSIAN, fit_glm
 from leanreg.population import (
     coverage_experiment,
     load_population_file,
@@ -19,17 +19,21 @@ from leanreg.population import (
 from leanreg.prediction import _order_statistic_K
 
 
+# A sample with two coefficients, the shape of the draws below.
+TWO_COEFFICIENTS = Dataset([0.0, 1.0], [[0.0], [1.0]], names=("x",))
+
+
 class TestFailureThreshold:
     def test_exactly_ten_percent_is_kept(self):
         results = [np.zeros(2)] * 18 + [SingularSystemError("x")] * 2
-        draws = _collect(results, "xy", 0, 2, ("a", "b"))
+        draws = _collect(results, TWO_COEFFICIENTS)
         assert draws.failures == 2
         assert draws.b_retained == 18
 
     def test_just_over_ten_percent_raises(self):
         results = [np.zeros(2)] * 17 + [SingularSystemError("x")] * 3
         with pytest.raises(ExcessiveFailureError) as exc_info:
-            _collect(results, "xy", 0, 2, ("a", "b"))
+            _collect(results, TWO_COEFFICIENTS)
         assert exc_info.value.reasons == {"SingularSystemError": 3}
 
     def test_resample_failures_counted_not_fatal(self):
@@ -210,7 +214,7 @@ class TestRenderingStability:
         ds = Dataset(
             [1.0, 2.0, 2.5, 4.1], [[0.0], [1.0], [2.0], [3.0]], names=("x",)
         )
-        fit = fit_ols(build_design(ds), ds.response)
+        fit = fit_glm(ds, GAUSSIAN)
         assert fit.beta_hat == pytest.approx([0.93, 0.98], abs=1e-12)
         conv = conventional_cov(fit)
         assert standard_errors(conv) == pytest.approx(

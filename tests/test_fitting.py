@@ -1,10 +1,12 @@
 """OLS and IRLS fitting, predictions, and coefficient multipliers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from leanreg import fitting
-from leanreg.core import Dataset, DesignMatrix, build_design
+from leanreg.core import Dataset
 from leanreg.exceptions import (
     CoefficientIndexError,
     ConvergenceError,
@@ -20,9 +22,8 @@ from leanreg.fitting import (
     POISSON,
     exp_coef,
     family_by_name,
-    fit_dataset,
     fit_glm,
-    fit_ols,
+    fit_ols_stack,
     fit_weighted,
     predict_mean,
 )
@@ -30,10 +31,8 @@ from leanreg.population import make_population, population_beta, sample
 from leanreg.covariance import sandwich_cov, standard_errors
 
 
-def design_from(x):
-    x = np.asarray(x, dtype=float)
-    ds = Dataset(np.zeros(x.shape[0]), x.reshape(-1, 1), names=("x",))
-    return build_design(ds)
+def data_from(x, y):
+    return Dataset(y, np.reshape(x, (-1, 1)), names=("x",))
 
 
 class TestFamilies:
@@ -57,8 +56,7 @@ class TestFamilies:
 
 class TestFitOls:
     def test_exact_linear_data(self):
-        dm = design_from([0.0, 1.0, 2.0])
-        fit = fit_ols(dm, np.array([1.0, 2.0, 3.0]))
+        fit = fit_glm(data_from([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]), GAUSSIAN)
         assert fit.beta_hat == pytest.approx([1.0, 1.0], abs=1e-12)
         assert np.max(np.abs(fit.residuals)) < 1e-12
         assert fit.converged and fit.iterations == 1
@@ -66,26 +64,30 @@ class TestFitOls:
     def test_quadratic_three_points(self):
         # Hand-solved normal equations: slope = Cov/Var = (4/3)/(2/3) = 2,
         # intercept = mean(y) - 2 * mean(x) = 5/3 - 2 = -1/3.
-        dm = design_from([0.0, 1.0, 2.0])
-        fit = fit_ols(dm, np.array([0.0, 1.0, 4.0]))
+        fit = fit_glm(data_from([0.0, 1.0, 2.0], [0.0, 1.0, 4.0]), GAUSSIAN)
         assert fit.beta_hat == pytest.approx([-1.0 / 3.0, 2.0], abs=1e-12)
 
     def test_intercept_only_is_mean(self):
         ds = Dataset([3.0, 5.0, 10.0], np.empty((3, 0)), names=())
-        fit = fit_ols(build_design(ds), ds.response)
+        fit = fit_glm(ds, GAUSSIAN)
         assert fit.beta_hat == pytest.approx([6.0], abs=1e-12)
 
     def test_rank_deficient_raises_with_eigenvalue(self):
-        x = np.array([[1.0, 2.0, 2.0], [1.0, 3.0, 3.0], [1.0, 4.0, 4.0]])
-        dm = DesignMatrix(x, ("(Intercept)", "a", "b"))
+        x = np.array([[2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
+        ds = Dataset([1.0, 2.0, 3.0], x, names=("a", "b"))
         with pytest.raises(SingularSystemError) as exc_info:
-            fit_ols(dm, np.array([1.0, 2.0, 3.0]))
+            fit_glm(ds, GAUSSIAN)
         assert exc_info.value.min_eigenvalue is not None
 
     def test_small_n_warns(self):
-        dm = design_from([0.0, 1.0])
-        with pytest.warns(UserWarning, match="unreliable"):
-            fit_ols(dm, np.array([1.0, 2.0]))
+        with pytest.warns(UserWarning, match="unreliable") as record:
+            fit_glm(data_from([0.0, 1.0], [1.0, 2.0]), GAUSSIAN)
+        assert [w.filename for w in record] == [__file__]  # the caller's line
+
+    def test_fit_keeps_its_sample(self):
+        ds = data_from([0.0, 1.0, 2.0], [1.0, 2.0, 4.0])
+        for family in (GAUSSIAN, POISSON):
+            assert fit_glm(ds, family).data is ds
 
     def test_residual_orthogonality_randomized(self):
         rng = np.random.default_rng(17)
@@ -95,8 +97,8 @@ class TestFitOls:
             reg = rng.standard_normal((n, p))
             y = rng.standard_normal(n) * rng.uniform(0.5, 3.0)
             ds = Dataset(y, reg, names=tuple(f"x{i}" for i in range(p)))
-            fit = fit_ols(build_design(ds), y)
-            x = fit.design.matrix
+            fit = fit_glm(ds, GAUSSIAN)
+            x = fit.data.design
             scale = max(1.0, float(np.max(np.abs(y))))
             assert np.max(np.abs(x.T @ fit.residuals)) / n <= 1e-10 * scale
 
@@ -105,11 +107,11 @@ class TestFitOls:
         reg = rng.standard_normal((50, 2))
         y = rng.standard_normal(50)
         ds = Dataset(y, reg, names=("a", "b"))
-        fit = fit_ols(build_design(ds), y)
+        fit = fit_glm(ds, GAUSSIAN)
         c = 7.5
         scaled = reg.copy()
         scaled[:, 1] *= c
-        fit2 = fit_ols(build_design(Dataset(y, scaled, names=("a", "b"))), y)
+        fit2 = fit_glm(Dataset(y, scaled, names=("a", "b")), GAUSSIAN)
         assert fit2.beta_hat[2] == pytest.approx(fit.beta_hat[2] / c, rel=1e-10)
         assert np.allclose(fit2.fitted, fit.fitted, rtol=1e-10, atol=1e-12)
 
@@ -117,14 +119,14 @@ class TestFitOls:
 class TestFitGlm:
     def test_bernoulli_symmetry_gives_zero(self):
         ds = Dataset([0.0, 1.0, 0.0, 1.0], [[-1.0], [-1.0], [1.0], [1.0]], names=("x",))
-        fit = fit_glm(build_design(ds), ds.response, BERNOULLI)
+        fit = fit_glm(ds, BERNOULLI)
         assert fit.beta_hat == pytest.approx([0.0, 0.0], abs=1e-12)
         assert np.all(fit.fitted == 0.5)
 
     def test_poisson_intercept_only_log_mean(self):
         # Score equation sum(exp(b0) - y_i) = 0  =>  b0 = log(mean(y)).
         ds = Dataset([1.0, 2.0, 3.0], np.empty((3, 0)), names=())
-        fit = fit_glm(build_design(ds), ds.response, POISSON)
+        fit = fit_glm(ds, POISSON)
         assert fit.beta_hat[0] == pytest.approx(np.log(2.0), abs=1e-10)
 
     def test_separation_detected(self):
@@ -134,18 +136,18 @@ class TestFitGlm:
             names=("x",),
         )
         with pytest.raises(SeparationError) as exc_info:
-            fit_glm(build_design(ds), ds.response, BERNOULLI)
+            fit_glm(ds, BERNOULLI)
         assert exc_info.value.last_beta is not None
 
     def test_bernoulli_support_validation(self):
         ds = Dataset([0.0, 2.0], [[0.0], [1.0]], names=("x",))
         with pytest.raises(FamilyError, match="0/1"):
-            fit_glm(build_design(ds), ds.response, BERNOULLI)
+            fit_glm(ds, BERNOULLI)
 
     def test_poisson_support_validation(self):
         ds = Dataset([1.5, 2.0], [[0.0], [1.0]], names=("x",))
         with pytest.raises(FamilyError, match="integer"):
-            fit_glm(build_design(ds), ds.response, POISSON)
+            fit_glm(ds, POISSON)
 
     @pytest.mark.parametrize("family, y", [(BERNOULLI, 2.0), (POISSON, -1.0)])
     def test_support_checked_before_any_fit(self, monkeypatch, family, y):
@@ -156,7 +158,7 @@ class TestFitGlm:
         monkeypatch.setattr(fitting, "fit_weighted", no_fit)
         ds = Dataset([0.0, 1.0, y], [[1.0], [1.0], [1.0]], names=("x",))
         with pytest.raises(FamilyError, match=family.support_message):
-            fit_glm(build_design(ds), ds.response, family)
+            fit_glm(ds, family)
 
     def test_non_convergence_carries_iterate(self, monkeypatch):
         rng = np.random.default_rng(2)
@@ -165,7 +167,7 @@ class TestFitGlm:
         ds = Dataset(y, x.reshape(-1, 1), names=("x",))
         monkeypatch.setattr(fitting, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as exc_info:
-            fit_glm(build_design(ds), y, BERNOULLI)
+            fit_glm(ds, BERNOULLI)
         assert exc_info.value.last_beta is not None
         assert exc_info.value.score_norm is not None
 
@@ -175,23 +177,24 @@ class TestFitGlm:
             reg = rng.standard_normal((60, 3))
             y = rng.standard_normal(60) + reg @ np.array([1.0, -2.0, 0.5])
             ds = Dataset(y, reg, names=("a", "b", "c"))
-            dm = build_design(ds)
-            ols = fit_ols(dm, y)
-            glm = fit_glm(dm, y, GAUSSIAN)
-            for name in ("beta_hat", "fitted", "residuals"):
-                assert np.array_equal(getattr(glm, name), getattr(ols, name))
+            beta, errors = fit_ols_stack(ds.design[None], y[None])
+            glm = fit_glm(ds, GAUSSIAN)
+            assert errors == [None]
+            assert np.array_equal(glm.beta_hat, beta[0])
+            assert np.array_equal(glm.fitted, ds.design @ beta[0])
+            assert np.array_equal(glm.residuals, y - ds.design @ beta[0])
             # The SSE in the fit JSON is the residuals' dot product.
-            sse = float(ols.residuals @ ols.residuals)
-            assert glm.deviance_or_sse == ols.deviance_or_sse == sse
+            sse = float(glm.residuals @ glm.residuals)
+            assert glm.deviance_or_sse == sse
 
     def test_singular_newton_system_reports_eigenvalue(self):
         # The poisson fit drives mu at x = 0 and x = 1 to exactly zero, so
         # the Newton system loses rank although the design has full rank.
-        dm = design_from([0.0, 1.0, 2.0])
+        ds = data_from([0.0, 1.0, 2.0], [0.0, 0.0, 5.0])
         with pytest.raises(SingularSystemError, match=(
             "^Newton system is not positive definite: smallest equilibrated eigenvalue"
         )) as exc_info:
-            fit_glm(dm, np.array([0.0, 0.0, 5.0]), POISSON)
+            fit_glm(ds, POISSON)
         assert exc_info.value.min_eigenvalue is not None
 
     def test_score_norm_small_at_convergence(self):
@@ -199,8 +202,8 @@ class TestFitGlm:
         x = rng.standard_normal(300)
         y = np.asarray(rng.poisson(np.exp(0.3 + 0.4 * x)), dtype=float)
         ds = Dataset(y, x.reshape(-1, 1), names=("x",))
-        fit = fit_glm(build_design(ds), y, POISSON)
-        xm = fit.design.matrix
+        fit = fit_glm(ds, POISSON)
+        xm = fit.data.design
         scale = max(1.0, float(np.mean(np.abs(y))))
         assert np.max(np.abs(xm.T @ (fit.fitted - y))) / ds.n <= 1e-7 * scale
 
@@ -218,7 +221,7 @@ class TestFitWeighted:
         assert fits.errors[0] is None
         assert isinstance(fits.errors[1], SingularSystemError)
         assert fits.errors[2] is None
-        single = fit_glm(DesignMatrix(x[:4], ("(Intercept)", "x")), y[:4], POISSON)
+        single = fit_glm(data_from(x[:4, 1], y[:4]), POISSON)
         assert np.allclose(fits.beta[0], single.beta_hat, rtol=1e-10, atol=1e-12)
 
     def test_malformed_weights_rejected(self):
@@ -315,34 +318,32 @@ class TestConsistency:
         gaps = []
         for n in (100, 1000, 10000):
             ds = sample(pop, n, seed=404)
-            fit = fit_dataset(ds)
+            fit = fit_glm(ds, GAUSSIAN)
             gaps.append(float(np.linalg.norm(fit.beta_hat - beta_p)))
         assert gaps[0] > gaps[1] > gaps[2]
         ds = sample(pop, 10000, seed=404)
-        fit = fit_dataset(ds)
+        fit = fit_glm(ds, GAUSSIAN)
         se = standard_errors(sandwich_cov(fit))
         assert np.all(np.abs(fit.beta_hat - beta_p) <= 5.0 * se)
 
 
 class TestPredictMean:
     def test_ols_linear_combination(self):
-        dm = design_from([0.0, 1.0, 2.0])
-        fit = fit_ols(dm, np.array([1.0, 2.0, 3.0]))
+        fit = fit_glm(data_from([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]), GAUSSIAN)
         assert predict_mean(fit, [1.0, 2.0]) == pytest.approx(3.0, abs=1e-12)
 
     def test_bernoulli_at_zero(self):
         ds = Dataset([0.0, 1.0, 0.0, 1.0], [[-1.0], [-1.0], [1.0], [1.0]], names=("x",))
-        fit = fit_glm(build_design(ds), ds.response, BERNOULLI)
+        fit = fit_glm(ds, BERNOULLI)
         assert predict_mean(fit, [1.0, 5.0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_poisson_intercept_only(self):
         ds = Dataset([1.0, 2.0, 3.0], np.empty((3, 0)), names=())
-        fit = fit_glm(build_design(ds), ds.response, POISSON)
+        fit = fit_glm(ds, POISSON)
         assert predict_mean(fit, [1.0]) == pytest.approx(2.0, abs=1e-8)
 
     def test_dimension_mismatch(self):
-        dm = design_from([0.0, 1.0, 2.0])
-        fit = fit_ols(dm, np.array([1.0, 2.0, 3.0]))
+        fit = fit_glm(data_from([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]), GAUSSIAN)
         with pytest.raises(DimensionError):
             predict_mean(fit, [1.0, 2.0, 3.0])
 
@@ -351,7 +352,7 @@ class TestExpCoef:
     @pytest.fixture()
     def poisson_fit(self):
         ds = Dataset([2.0, 3.0, 4.0, 6.0], [[0.0], [1.0], [2.0], [3.0]], names=("x",))
-        return fit_glm(build_design(ds), ds.response, POISSON)
+        return fit_glm(ds, POISSON)
 
     def test_published_multipliers(self, poisson_fit):
         # Published coefficients from a seven-column report; each stated
@@ -361,26 +362,14 @@ class TestExpCoef:
         for coef, delta, published in cases:
             beta = fit.beta_hat.copy()
             beta[1] = coef
-            patched = type(fit)(
-                family=fit.family,
-                beta_hat=beta,
-                fitted=fit.fitted,
-                residuals=fit.residuals,
-                linear_predictor=fit.linear_predictor,
-                converged=True,
-                iterations=fit.iterations,
-                deviance_or_sse=fit.deviance_or_sse,
-                design=fit.design,
-                y=fit.y,
-            )
+            patched = replace(fit, beta_hat=beta)
             assert abs(exp_coef(patched, 1, delta) - published) < 0.01
 
     def test_identity_at_zero_delta(self, poisson_fit):
         assert exp_coef(poisson_fit, 1, 0.0) == 1.0
 
     def test_family_guard(self):
-        dm = design_from([0.0, 1.0, 2.0])
-        fit = fit_ols(dm, np.array([1.0, 2.0, 3.0]))
+        fit = fit_glm(data_from([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]), GAUSSIAN)
         with pytest.raises(FamilyError):
             exp_coef(fit, 1, 1.0)
 

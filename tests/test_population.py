@@ -24,7 +24,7 @@ from leanreg.exceptions import (
     LeanRegError,
     PopulationSchemaError,
 )
-from leanreg.fitting import GAUSSIAN, fit_dataset
+from leanreg.fitting import GAUSSIAN, fit_glm
 from leanreg.population import (
     CoverageResult,
     check_orthogonality,
@@ -340,7 +340,7 @@ def replications_one_by_one(pop, n, count, methods, B, seed):
             warnings.simplefilter("always")
             ds = replication_sample(pop, n, seed, r)
             try:
-                fit = fit_dataset(ds)
+                fit = fit_glm(ds, GAUSSIAN)
                 ses = {}
                 for m in methods:
                     if m == "conventional":
@@ -641,7 +641,7 @@ class TestPopulationFile:
             [[0.0], [1.0], [2.0]], THIRDS, quadratic_mu(), {"kind": "gaussian", "sigma": 0.3}
         )
         ds = sample(pop, 50_000, seed=5)
-        fit = fit_dataset(ds)
+        fit = fit_glm(ds, GAUSSIAN)
         assert np.max(np.abs(fit.beta_hat - population_beta(pop))) < 0.05
 
 

@@ -4,9 +4,9 @@ cross-validation, and future coverage."""
 import numpy as np
 import pytest
 
-from leanreg.core import Dataset, build_design
+from leanreg.core import Dataset
 from leanreg.exceptions import DimensionError, DomainError, FamilyError, FoldError, ZeroScaleError
-from leanreg.fitting import POISSON, fit_dataset, fit_glm, fit_ols
+from leanreg.fitting import GAUSSIAN, POISSON, fit_glm
 from leanreg.population import (
     make_population,
     normal_quadrature_law,
@@ -36,7 +36,7 @@ def noisy_fixture(n=40, seed=0):
     x = rng.standard_normal(n)
     y = 1.0 + 2.0 * x + rng.standard_normal(n)
     ds = Dataset(y, x.reshape(-1, 1), names=("x",))
-    return ds, fit_ols(build_design(ds), y)
+    return ds, fit_glm(ds, GAUSSIAN)
 
 
 class TestInterval:
@@ -50,7 +50,7 @@ class TestInterval:
     def test_intercept_only_leverage(self):
         n = 8
         ds = Dataset(np.arange(float(n)), np.empty((n, 0)), names=())
-        fit = fit_ols(build_design(ds), ds.response)
+        fit = fit_glm(ds, GAUSSIAN)
         band = make_band(fit, K=1.0)
         lo, hi = interval(band, [1.0])
         half = (hi - lo) / 2.0
@@ -80,7 +80,7 @@ class TestCalibrateK:
         # training coverage.
         y = np.array([0.5, -1.0, -1.5, 2.0])
         ds = Dataset(y, np.empty((4, 0)), names=())
-        fit = fit_ols(build_design(ds), y)
+        fit = fit_glm(ds, GAUSSIAN)
         sigma = np.sqrt(np.sum(y**2) / 3.0)
         lev = 1.0 + 1.0 / 4.0
         k_values = np.abs(y) / (sigma * lev)
@@ -110,7 +110,7 @@ class TestCalibrateK:
             x = rng.standard_normal(n)
             y = x**2 + rng.standard_normal(n)
             ds = Dataset(y, x.reshape(-1, 1), names=("x",))
-            fit = fit_ols(build_design(ds), y)
+            fit = fit_glm(ds, GAUSSIAN)
             k_hat = calibrate_K(fit, alpha)
             cov = future_coverage(make_band(fit, K=k_hat), ds)
             assert 1.0 - alpha - 1.0 / n <= cov <= 1.0 - alpha + 1.0 / n
@@ -120,14 +120,14 @@ class TestCalibrateK:
         # the common multiplier covers everything at once.
         y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
         ds = Dataset(y, np.empty((6, 0)), names=())
-        fit = fit_ols(build_design(ds), y)
+        fit = fit_glm(ds, GAUSSIAN)
         k_hat = calibrate_K(fit, alpha=0.5)
         cov = future_coverage(make_band(fit, K=k_hat), ds)
         assert cov == 1.0  # jump: nothing between 0 and full coverage
 
     def test_zero_residuals_raise(self):
         ds = Dataset([1.0, 2.0, 3.0, 4.0], [[0.0], [1.0], [2.0], [3.0]], ("x",))
-        fit = fit_ols(build_design(ds), ds.response)
+        fit = fit_glm(ds, GAUSSIAN)
         if float(fit.residuals @ fit.residuals) == 0.0:
             with pytest.raises(ZeroScaleError):
                 calibrate_K(fit, alpha=0.1)
@@ -144,7 +144,7 @@ class TestCalibrateK:
         x = rng.standard_normal(100)
         y = np.asarray(rng.poisson(np.exp(0.5 + 0.3 * x)), dtype=float)
         ds = Dataset(y, x.reshape(-1, 1), names=("x",))
-        fit = fit_glm(build_design(ds), y, POISSON)
+        fit = fit_glm(ds, POISSON)
         with pytest.raises(FamilyError):
             calibrate_K(fit, alpha=0.1)
 
@@ -167,7 +167,7 @@ class TestCvCalibrateK:
         k_train, k_cv = [], []
         for r in range(200):
             ds = sample(pop, 60, seed=1000 + r)
-            fit = fit_dataset(ds)
+            fit = fit_glm(ds, GAUSSIAN)
             k_train.append(calibrate_K(fit, alpha=0.1))
             k_cv.append(cv_calibrate_K(ds, alpha=0.1, folds=5, seed=r))
         assert np.median(k_cv) >= np.median(k_train)
@@ -217,7 +217,7 @@ class TestCalibrationBeatsNormalTheory:
         cal, fixed = [], []
         for s in range(30):
             train = sample(pop, 2000, seed=4000 + s)
-            fit = fit_dataset(train)
+            fit = fit_glm(train, GAUSSIAN)
             k_hat = calibrate_K(fit, alpha=0.05)
             test = sample(pop, 2000, seed=14000 + s)
             cal.append(future_coverage(make_band(fit, K=k_hat), test))
@@ -233,7 +233,7 @@ class TestFutureCoverage:
     def test_fresh_sample_coverage_in_band(self):
         pop = quadratic_pop()
         train = sample(pop, 2000, seed=55)
-        fit = fit_dataset(train)
+        fit = fit_glm(train, GAUSSIAN)
         k_hat = calibrate_K(fit, alpha=0.05)
         band = make_band(fit, K=k_hat)
         test = sample(pop, 2000, seed=100055)
@@ -242,7 +242,7 @@ class TestFutureCoverage:
     def test_monotone_in_K(self):
         pop = quadratic_pop()
         train = sample(pop, 500, seed=1)
-        fit = fit_dataset(train)
+        fit = fit_glm(train, GAUSSIAN)
         test = sample(pop, 500, seed=2)
         covs = [
             future_coverage(make_band(fit, K=k), test)
@@ -253,7 +253,7 @@ class TestFutureCoverage:
     def test_shifted_regressor_law_still_reports(self):
         pop = quadratic_pop()
         train = sample(pop, 1000, seed=3)
-        fit = fit_dataset(train)
+        fit = fit_glm(train, GAUSSIAN)
         k_hat = calibrate_K(fit, alpha=0.05)
         band = make_band(fit, K=k_hat)
         shifted = make_population(

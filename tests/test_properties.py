@@ -13,10 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leanreg import core
-from leanreg.core import Dataset, build_design, csv_text, dataset_to_csv_text
+from leanreg.core import Dataset, csv_text, dataset_to_csv_text
 from leanreg.covariance import conventional_cov, sandwich_cov, standard_errors
 from leanreg.datasets import synthetic_charges
-from leanreg.fitting import family_by_name, fit_dataset, fit_ols
+from leanreg.fitting import GAUSSIAN, family_by_name, fit_glm
 from leanreg.prediction import calibrate_K, make_band
 from leanreg.slopes import pair_table_csv
 
@@ -40,7 +40,7 @@ SAMPLES = {family: _sample(family) for family in ("ols", "logit", "poisson")}
 
 
 def _estimates(ds: Dataset, family: str):
-    fit = fit_dataset(ds, family_by_name(family))
+    fit = fit_glm(ds, family_by_name(family))
     return (
         fit.beta_hat,
         standard_errors(conventional_cov(fit)),
@@ -116,10 +116,10 @@ class TestTiedCalibration:
         x = np.asarray(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), float)
         ds = Dataset(y, x.reshape(-1, 1), ("x",))
         assume(np.unique(x).size > 1)
-        fit = fit_ols(build_design(ds), y)
+        fit = fit_glm(ds, GAUSSIAN)
         band = make_band(fit)
         assume(band.sigma_hat > 0.0)
-        design = fit.design.matrix
+        design = fit.data.design
         levs = 1.0 + np.einsum("ij,jk,ik->i", design, band.xtx_inverse, design)
         k_values = np.abs(y - fit.fitted) / (band.sigma_hat * levs)
         k_hat = calibrate_K(fit, alpha)

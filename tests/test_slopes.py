@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from leanreg.core import Dataset, build_design
+from leanreg.core import Dataset
 from leanreg.exceptions import (
     CoefficientIndexError,
     SingularSystemError,
     ZeroWeightError,
 )
-from leanreg.fitting import fit_ols
+from leanreg.fitting import GAUSSIAN, fit_glm
 from leanreg.slopes import (
     adjust_regressor,
     pair_table_csv,
@@ -26,7 +26,7 @@ class TestPairwiseSimple:
         res = pairwise_slope_simple([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
         assert res.beta == pytest.approx(2.0, abs=1e-12)
         ds = Dataset([0.0, 1.0, 4.0], [[0.0], [1.0], [2.0]], names=("x",))
-        ols = fit_ols(build_design(ds), ds.response)
+        ols = fit_glm(ds, GAUSSIAN)
         assert res.beta == pytest.approx(ols.beta_hat[1], abs=1e-12)
 
     def test_exact_line_constant_slopes(self):
@@ -80,28 +80,28 @@ class TestPairwiseSimple:
 class TestAdjustRegressor:
     def test_single_regressor_is_centering(self):
         ds = Dataset([1.0, 2.0, 3.0], [[2.0], [4.0], [9.0]], names=("x",))
-        x_adj = adjust_regressor(build_design(ds), 1)
+        x_adj = adjust_regressor(ds, 1)
         assert np.allclose(x_adj, ds.regressors[:, 0] - 5.0, atol=1e-12)
 
     def test_orthogonal_centered_regressors_unchanged(self):
         a = np.array([-1.0, 0.0, 1.0, 0.0])
         b = np.array([0.0, -1.0, 0.0, 1.0])
         ds = Dataset(np.arange(4.0), np.column_stack([a, b]), names=("a", "b"))
-        x_adj = adjust_regressor(build_design(ds), 1)
+        x_adj = adjust_regressor(ds, 1)
         assert np.allclose(x_adj, a, atol=1e-12)
 
     def test_intercept_index_rejected(self):
         ds = Dataset([1.0, 2.0], [[0.0], [1.0]], names=("x",))
         with pytest.raises(CoefficientIndexError):
-            adjust_regressor(build_design(ds), 0)
+            adjust_regressor(ds, 0)
         with pytest.raises(IndexError):
-            adjust_regressor(build_design(ds), 0)
+            adjust_regressor(ds, 0)
 
     def test_collinear_column_raises(self):
         a = np.array([1.0, 2.0, 3.0, 4.0])
         ds = Dataset(np.arange(4.0), np.column_stack([a, a]), names=("a", "b"))
         with pytest.raises(SingularSystemError):
-            adjust_regressor(build_design(ds), 2)
+            adjust_regressor(ds, 2)
 
 
 class TestPairwiseMultiple:
@@ -113,10 +113,9 @@ class TestPairwiseMultiple:
             reg = rng.standard_normal((n, p)) * rng.uniform(0.5, 4.0, size=p)
             y = rng.standard_normal(n) + reg @ rng.uniform(-2, 2, size=p)
             ds = Dataset(y, reg, names=tuple(f"x{i}" for i in range(p)))
-            dm = build_design(ds)
-            fit = fit_ols(dm, y)
+            fit = fit_glm(ds, GAUSSIAN)
             for j in range(1, p + 1):
-                res = pairwise_slope_multiple(dm, y, j)
+                res = pairwise_slope_multiple(ds, j)
                 assert res.beta == pytest.approx(fit.beta_hat[j], rel=1e-10, abs=1e-10)
 
     def test_orthogonal_design_reduces_to_simple(self):
@@ -124,8 +123,7 @@ class TestPairwiseMultiple:
         b = np.array([0.0, -1.0, 0.0, 1.0])
         y = np.array([2.0, -1.0, 0.5, 3.0])
         ds = Dataset(y, np.column_stack([a, b]), names=("a", "b"))
-        dm = build_design(ds)
-        res_multi = pairwise_slope_multiple(dm, y, 1)
+        res_multi = pairwise_slope_multiple(ds, 1)
         res_simple = pairwise_slope_simple(a, y)
         assert res_multi.beta == pytest.approx(res_simple.beta, rel=1e-12)
 
@@ -140,10 +138,9 @@ class TestPairwiseMultiple:
         assert simple.beta == pytest.approx(27.5 / 17.5, rel=1e-12)
         assert simple.beta > 0
         ds = Dataset(y, np.column_stack([x1, x2]), names=("x1", "x2"))
-        dm = build_design(ds)
-        multi = pairwise_slope_multiple(dm, y, 1)
+        multi = pairwise_slope_multiple(ds, 1)
         assert multi.beta == pytest.approx(-1.0, abs=1e-10)
-        fit = fit_ols(dm, y)
+        fit = fit_glm(ds, GAUSSIAN)
         assert fit.beta_hat[1] == pytest.approx(-1.0, abs=1e-10)
         assert simple.beta * multi.beta < 0
 
