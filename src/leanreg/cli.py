@@ -24,7 +24,7 @@ from . import prediction as pred
 from .core import csv_text, load_csv
 from .covariance import conventional_cov, coefficient_table, sandwich_cov
 from .exceptions import DomainError, InsufficientDrawsError, LeanRegError
-from .fitting import GAUSSIAN, family_by_name, fit_glm
+from .fitting import FAMILIES, GAUSSIAN, family_by_name, fit_glm
 from .population import (
     COVERAGE_METHODS,
     coverage_experiment,
@@ -381,7 +381,7 @@ _FLAGS = {
     ),
     "--family": dict(
         default="ols",
-        choices=["ols", "logit", "poisson"],
+        choices=list(FAMILIES),
         help="working-model family (default ols)",
     ),
     "--boot": dict(type=_boot_count, default=DEFAULT_B, metavar="B",

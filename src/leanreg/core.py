@@ -75,7 +75,7 @@ class Dataset:
         response.flags.writeable = False
         reg = np.asarray(self.regressors, dtype=float)
         if reg.ndim == 1:
-            reg = reg.reshape(-1, 1) if reg.size else reg.reshape(0, 0)
+            reg = reg.reshape(-1, 1) if reg.size else reg.reshape(response.shape[0], 0)
         object.__setattr__(self, "response", response)
         object.__setattr__(self, "names", tuple(str(s) for s in self.names))
         n = response.shape[0]

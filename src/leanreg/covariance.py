@@ -171,9 +171,6 @@ class CoefficientTable:
             if getattr(self, key) is not None
         ]
 
-    def headers(self) -> tuple[str, ...]:
-        return tuple(header for _, header, _ in self._columns())
-
     def to_json_dict(self) -> dict:
         """One object per coefficient, ``se_boot`` last and null where a row has none."""
         columns = {key: values for key, _, values in self._columns() if key != "se_boot"}

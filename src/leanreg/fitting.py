@@ -53,7 +53,6 @@ COEF_TOL = 1e-9          # relative coefficient change
 SCORE_TOL = 1e-7         # scaled mean-score norm
 MAX_HALVINGS = 10
 SEPARATION_BOUND = 30.0  # max_i |x_i'beta| beyond which the logit has saturated
-WEIGHT_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,10 @@ class Family:
     the likelihood cannot take (rejected with ``support_message``);
     ``loss_change(t, mu, delta, y)`` is ``loss(t + delta) - loss(t)``
     given the mean ``mu`` at ``t``; ``start(ybar)`` is the starting
-    intercept; ``weight_floor`` and ``separation_bound``, if set, floor
-    zero weights of a singular system and cap the largest absolute
+    intercept; ``separation_bound``, if set, caps the largest absolute
     linear predictor ``max_i |x_i'beta|`` of the observations used.
+    No weight needs a floor: within the bernoulli bound every weight
+    ``mu(1 - mu)`` is at least 9.3e-14, so none is zero.
     """
 
     tag: str
@@ -85,7 +85,6 @@ class Family:
     support_message: str = ""
     loss_change: Callable[..., np.ndarray] | None = None
     start: Callable[[np.ndarray], np.ndarray] = np.zeros_like
-    weight_floor: float | None = None
     separation_bound: float | None = None
 
     def __repr__(self):
@@ -111,8 +110,6 @@ def _logit_loss_change(t, mu, delta, y):
     # softplus(t + delta) - softplus(t) = log1p(mu * expm1(delta)); for
     # large |delta| the direct difference is accurate and cannot overflow.
     far = np.abs(delta) > 1.0
-    if not far.any():
-        return np.log1p(mu * np.expm1(delta)) - delta * y
     change = np.log1p(mu * np.expm1(np.clip(delta, -1.0, 1.0)))
     change[far] = _softplus(t[far] + delta[far]) - _softplus(t[far])
     return change - delta * y
@@ -146,7 +143,6 @@ BERNOULLI = Family(
     outside_support=lambda y: ~((y == 0.0) | (y == 1.0)),
     support_message="bernoulli-logit requires a response coded exactly 0/1",
     loss_change=_logit_loss_change,
-    weight_floor=WEIGHT_FLOOR,
     separation_bound=SEPARATION_BOUND,
 )
 POISSON = Family(
@@ -160,24 +156,16 @@ POISSON = Family(
     start=lambda ybar: np.log(ybar + 0.5),
 )
 
-_FAMILIES = {
-    "gaussian-identity": GAUSSIAN,
-    "gaussian": GAUSSIAN,
-    "ols": GAUSSIAN,
-    "bernoulli-logit": BERNOULLI,
-    "bernoulli": BERNOULLI,
-    "logit": BERNOULLI,
-    "poisson-log": POISSON,
-    "poisson": POISSON,
-}
+# The working models by their CLI name (``--family``).
+FAMILIES = {"ols": GAUSSIAN, "logit": BERNOULLI, "poisson": POISSON}
 
 
 def family_by_name(name: str) -> Family:
     try:
-        return _FAMILIES[name.lower()]
+        return FAMILIES[name]
     except KeyError:
         raise FamilyError(
-            f"unknown family {name!r}; expected one of ols|logit|poisson"
+            f"unknown family {name!r}; expected one of {'|'.join(FAMILIES)}"
         ) from None
 
 
@@ -193,7 +181,6 @@ class FitResult:
     beta_hat: np.ndarray
     fitted: np.ndarray
     residuals: np.ndarray
-    converged: bool
     iterations: int
     deviance_or_sse: float
     data: Dataset
@@ -203,10 +190,6 @@ class FitResult:
     def n(self) -> int:
         return self.data.n
 
-    @property
-    def p(self) -> int:
-        return self.data.p
-
     def to_json_dict(self) -> dict:
         return {
             "family": self.family.tag,
@@ -214,7 +197,7 @@ class FitResult:
                 label: float(b)
                 for label, b in zip(self.data.column_labels, self.beta_hat)
             },
-            "converged": bool(self.converged),
+            "converged": True,  # a failed fit raises
             "iterations": int(self.iterations),
             "deviance_or_sse": float(self.deviance_or_sse),
             "n": self.n,
@@ -353,6 +336,11 @@ def _newton(x, y, w, wsum, outer, family, active, errors):
     reproduces its bits when it is evaluated again.  The mask ``active``
     picks the rows that change: a stopped row gets a zero step and keeps
     its iterate.
+
+    Each iteration builds one Hessian and solves it once.  An active
+    row has passed the separation check, so its weights are all
+    positive (unused observations have t = 0): flooring zero weights
+    could not change a Hessian that failed to solve.
     """
     m = w.shape[0]
     k = x.shape[1]
@@ -400,18 +388,6 @@ def _newton(x, y, w, wsum, outer, family, active, errors):
         hessian = ((w * v) @ outer).reshape(m, k, k) / wsum[:, None, None]
         grad = scores / wsum[:, None]
         direction, failed = spd_solve_stack(hessian, grad, active, "Newton system")
-        retry = ~_ok(failed)
-        if family.weight_floor is not None and retry.any():
-            # mu saturated to exactly 0/1 on enough points to break the
-            # solve; floor those weights just enough to keep the system
-            # solvable.  Flooring is deliberately a last resort: an
-            # unconditional floor damps divergence so much that the
-            # separation bound above would never be reached.
-            v = np.where(v <= 0.0, family.weight_floor, v)
-            hessian = ((w * v) @ outer).reshape(m, k, k) / wsum[:, None, None]
-            floored, failed = spd_solve_stack(hessian, grad, retry, "Newton system")
-            rescued = retry & _ok(failed)
-            direction[rescued] = floored[rescued]
         active = active & _record(errors, failed)
         direction = np.where(active[:, None], -direction, 0.0)
 
@@ -499,7 +475,6 @@ def fit_glm(ds: Dataset, family: Family) -> FitResult:
         beta_hat=beta,
         fitted=mu,
         residuals=y - mu,
-        converged=True,
         iterations=iterations,
         deviance_or_sse=family.deviance(mu, y),
         data=ds,

@@ -23,6 +23,7 @@ from leanreg.datasets import CHARGES_COLUMNS
 from leanreg.exceptions import (
     CoefficientIndexError,
     ConvergenceError,
+    DomainError,
     ExcessiveFailureError,
     FamilyError,
     InsufficientDrawsError,
@@ -280,6 +281,16 @@ class TestStackedEngine:
 
 
 class TestResidualBootstrap:
+    @pytest.mark.parametrize(
+        "run", [lambda ds: xy_bootstrap(ds, GAUSSIAN, B=0, seed=1),
+                lambda ds: residual_bootstrap(ds, B=0, seed=1)],
+        ids=["xy", "residual"],
+    )
+    def test_no_replicates_rejected(self, run):
+        ds = Dataset([1.0, 2.0, 4.0], [[0.0], [1.0], [2.0]], ("x",))
+        with pytest.raises(DomainError, match="^B must be at least 1$"):
+            run(ds)
+
     def test_exact_linear_draws_identical(self):
         ds = Dataset([1.0, 2.0, 3.0, 4.0], [[0.0], [1.0], [2.0], [3.0]], ("x",))
         draws = residual_bootstrap(ds, B=30, seed=5)

@@ -119,6 +119,14 @@ class TestBootstrapSubcommand:
         assert summary[0] == "coefficient,label,qq_correlation"
         assert len(summary) == 3
 
+    def test_summary_to_stdout_without_out(self, small_csv, tmp_path, capsys):
+        args = ["bootstrap", "--input", small_csv, "--response", "y", "--regressors", "x",
+                "--boot", "64"]
+        code, out, err = run_main(args, capsys)
+        assert (code, err) == (0, "")
+        assert main(args + ["--out", str(tmp_path / "diag")]) == 0
+        assert out == (tmp_path / "diag" / "qq_summary.csv").read_text(encoding="utf-8")
+
     def test_too_few_replicates_rejected(self, small_csv, capsys):
         code, _, err = run_main(
             ["bootstrap", "--input", small_csv, "--response", "y",
@@ -413,6 +421,14 @@ class TestFlagSurface:
             main([subcommand, "--input", small_csv, "--response", "y",
                   "--regressors", "x", flag, value])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("subcommand", ["fit", "bootstrap"])
+    def test_family_choices_are_the_library_names(self, small_csv, subcommand, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main([subcommand, "--input", small_csv, "--response", "y", "--regressors", "x",
+                  "--family", "gaussian"])
+        assert exc_info.value.code == 2
+        assert "(choose from 'ols', 'logit', 'poisson')" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["fit", "predict", "simulate"])
     @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "nan"])

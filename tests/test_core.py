@@ -100,6 +100,20 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(path, response="y", regressors=["x"])
 
+    def test_blank_data_row_skipped_and_rows_counted_past_it(self, tmp_path):
+        # A blank line holds no observation but keeps its row number, so
+        # a later bad cell is cited by its data row in the file.
+        path = write_tmp(tmp_path, "y,x\n1,5\n\n , \n2,7\n")
+        ds = load_csv(path, response="y", regressors=["x"])
+        assert ds.response.tolist() == [1.0, 2.0]
+        assert ds.regressors[:, 0].tolist() == [5.0, 7.0]
+
+        path = write_tmp(tmp_path, "y,x\n1,5\n\n2,oops\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_csv(path, response="y", regressors=["x"])
+        assert str(exc_info.value) == "cannot parse cell 'oops' at row 3, column 'x'"
+        assert (exc_info.value.row, exc_info.value.column) == (3, "x")
+
     def test_quoted_cells_ok(self, tmp_path):
         path = write_tmp(tmp_path, 'y,"x"\n"1.5",2\n')
         ds = load_csv(path, response="y", regressors=["x"])
@@ -131,6 +145,20 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match="finite"):
             Dataset([np.inf], [[1.0]], names=("x",))
 
+    def test_no_observations(self):
+        with pytest.raises(EmptyInputError, match="at least one observation"):
+            Dataset([], np.empty((0, 1)), names=("x",))
+
+    def test_regressor_rows_must_match_response(self):
+        with pytest.raises(DataError) as exc_info:
+            Dataset([1.0, 2.0, 3.0], [[1.0], [2.0]], names=("x",))
+        assert str(exc_info.value) == "regressor rows (2) do not match response length (3)"
+
+    def test_name_count_must_match_columns(self):
+        with pytest.raises(DataError) as exc_info:
+            Dataset([1.0, 2.0], [[1.0, 3.0], [2.0, 4.0]], names=("x",))
+        assert str(exc_info.value) == "1 regressor names for 2 regressor columns"
+
     def test_immutable(self):
         ds = Dataset([1.0], [[2.0]], names=("x",))
         with pytest.raises(ValueError):
@@ -147,6 +175,17 @@ class TestBuildDesign:
         ds = Dataset([1.0, 2.0, 3.0], np.empty((3, 0)), names=())
         assert ds.design.tolist() == [[1.0], [1.0], [1.0]]
         assert ds.regressors.shape == (3, 0)
+
+    @pytest.mark.parametrize("empty", [[], np.empty((3, 0))], ids=["list", "array"])
+    def test_intercept_only_from_either_empty_form(self, empty):
+        ds = Dataset([1.0, 2.0, 3.0], empty, ())
+        assert ds.design.tolist() == [[1.0], [1.0], [1.0]]
+        assert ds.regressors.shape == (3, 0)
+
+    def test_one_dimensional_regressor_is_one_column(self):
+        ds = Dataset([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], names=("x",))
+        assert ds.regressors.shape == (3, 1)
+        assert ds.design.tolist() == [[1.0, 4.0], [1.0, 5.0], [1.0, 6.0]]
 
     def test_single_row_two_regressors(self):
         ds = Dataset([9.0], [[2.0, 3.0]], names=("a", "b"))
@@ -263,6 +302,11 @@ class TestSpdSolveStack:
             if rows[r] and spd[r]:
                 want = spd_solve(a[r], b[r] if with_rhs else None, what="test matrix")
                 assert np.array_equal(z[r], want)
+
+    def test_single_solve_of_non_spd_matrix_names_what(self):
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+        with pytest.raises(SingularSystemError, match="^Newton system is not positive definite"):
+            spd_solve(a, np.ones(2), what="Newton system")
 
     def test_all_spd_selection_has_no_errors(self):
         a, b, rows, spd = self.mixed_stack()

@@ -5,7 +5,6 @@ import pytest
 
 from leanreg.core import Dataset
 from leanreg.covariance import (
-    TABLE_HEADERS,
     coefficient_table,
     conventional_cov,
     sandwich_cov,
@@ -72,7 +71,6 @@ class TestSandwich:
             beta_hat=np.zeros(2),
             fitted=np.zeros(2),
             residuals=np.array([1.0, -1.0]),
-            converged=True,
             iterations=1,
             deviance_or_sse=2.0,
             data=ds,
@@ -195,7 +193,6 @@ def _with_beta(fit, beta):
         beta_hat=np.asarray(beta, dtype=float),
         fitted=fit.fitted,
         residuals=fit.residuals,
-        converged=fit.converged,
         iterations=fit.iterations,
         deviance_or_sse=fit.deviance_or_sse,
         data=fit.data,
@@ -223,7 +220,6 @@ class TestCoefficientTable:
         table = coefficient_table(
             fit, conventional_cov(fit), sandwich_cov(fit), boot_se
         )
-        assert table.headers() == TABLE_HEADERS
         header_line = table.to_text().splitlines()[0]
         assert header_line.split() == ["Coeff", "SE", "p-value", "Boot.SE", "Sand.SE", "Sand-p"]
 
@@ -232,6 +228,11 @@ class TestCoefficientTable:
         table = coefficient_table(fit, conventional_cov(fit), sandwich_cov(fit))
         assert "Boot.SE" not in table.to_text()
         assert "se_boot" not in table.to_json_dict()["rows"][0]
+
+    def test_bootstrap_se_length_mismatch(self):
+        _, fit = ols_fixture(2, p=1)
+        with pytest.raises(DimensionError, match="^bootstrap SE vector does not match the fit$"):
+            coefficient_table(fit, conventional_cov(fit), sandwich_cov(fit), np.ones(3))
 
     def test_dimension_mismatch(self):
         _, fit = ols_fixture(2, p=1)

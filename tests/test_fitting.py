@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leanreg import fitting
 from leanreg.core import Dataset
@@ -43,6 +45,41 @@ class TestFamilies:
         with pytest.raises(FamilyError):
             family_by_name("gamma")
 
+    @pytest.mark.parametrize("name", ["gaussian", "Poisson", "bernoulli-logit", "OLS"])
+    def test_only_the_three_names(self, name):
+        with pytest.raises(FamilyError) as exc_info:
+            family_by_name(name)
+        assert str(exc_info.value) == (
+            f"unknown family {name!r}; expected one of ols|logit|poisson"
+        )
+
+    def test_repr_is_the_tag(self):
+        assert repr(BERNOULLI) == "Family('bernoulli-logit')"
+
+    @given(st.floats(-fitting.SEPARATION_BOUND, fitting.SEPARATION_BOUND))
+    @example(-fitting.SEPARATION_BOUND)
+    @example(fitting.SEPARATION_BOUND)
+    @settings(deadline=None, derandomize=True)
+    def test_logit_weight_positive_within_separation_bound(self, t):
+        # Why the Newton system needs no weight floor: a row that passed
+        # the separation check has a positive weight at every used point.
+        assert BERNOULLI.variance_fn(BERNOULLI.inverse_link(np.array([t])))[0] > 0.0
+
+    @given(st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-fitting.SEPARATION_BOUND,
+                                                  fitting.SEPARATION_BOUND),
+                  st.sampled_from([0.0, 1.0])),
+        min_size=1, max_size=20,
+    ))
+    @settings(deadline=None, derandomize=True)
+    def test_logit_loss_change_of_small_steps_is_the_closed_form(self, rows):
+        # With every |delta| <= 1 the clip is the identity and no entry
+        # takes the far branch: the result is the closed form, bit for bit.
+        delta, t, y = (np.array(c) for c in zip(*rows))
+        mu = BERNOULLI.inverse_link(t)
+        want = np.log1p(mu * np.expm1(delta)) - delta * y
+        assert np.array_equal(BERNOULLI.loss_change(t, mu, delta, y), want)
+
     def test_logit_inverse_link_range(self):
         t = np.linspace(-30, 30, 101)
         mu = BERNOULLI.inverse_link(t)
@@ -59,7 +96,7 @@ class TestFitOls:
         fit = fit_glm(data_from([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]), GAUSSIAN)
         assert fit.beta_hat == pytest.approx([1.0, 1.0], abs=1e-12)
         assert np.max(np.abs(fit.residuals)) < 1e-12
-        assert fit.converged and fit.iterations == 1
+        assert fit.to_json_dict()["converged"] is True and fit.iterations == 1
 
     def test_quadratic_three_points(self):
         # Hand-solved normal equations: slope = Cov/Var = (4/3)/(2/3) = 2,

@@ -182,6 +182,11 @@ class TestSample:
         ds = sample(pop, 500, seed=3)
         assert np.array_equal(ds.response, ds.regressors[:, 0] ** 2)
 
+    def test_no_observations_rejected(self):
+        pop = make_population([[0.0], [1.0]], [0.5, 0.5], [0.0, 1.0])
+        with pytest.raises(DomainError, match="^sample size must be at least 1$"):
+            sample(pop, 0, seed=1)
+
     def test_seed_determinism(self):
         pop = make_population(
             [[0.0], [1.0], [2.0]], THIRDS, quadratic_mu(), {"kind": "gaussian", "sigma": 1.0}
@@ -259,6 +264,11 @@ class TestCoverageExperiment:
         assert slope.mc_se == pytest.approx(
             np.sqrt(slope.coverage * (1 - slope.coverage) / 1000)
         )
+
+    def test_no_observations_rejected(self):
+        with pytest.raises(DomainError, match="^sample size must be at least 1$"):
+            coverage_experiment(self.linear_pop(), n=0, replications=5,
+                                methods=["conventional"], seed=0)
 
     def test_level_one_rejected(self):
         with pytest.raises(DomainError):
@@ -625,6 +635,13 @@ class TestPopulationFile:
             load_population_file(path)
         assert "mu" in str(exc_info.value)
 
+    def test_one_dimensional_support_is_one_regressor(self):
+        flat = make_population([0.0, 1.0, 2.0], THIRDS, quadratic_mu())
+        column = make_population([[0.0], [1.0], [2.0]], THIRDS, quadratic_mu())
+        assert flat.support.tolist() == [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]
+        assert np.array_equal(flat.mu_values, column.mu_values)
+        assert flat.names == ("x1",)
+
     def test_bad_probs_rejected(self):
         with pytest.raises(PopulationSchemaError, match="sum"):
             make_population([[0.0], [1.0]], [0.5, 0.4], {"kind": "table", "values": [0, 1]})
@@ -746,6 +763,84 @@ class TestSchemaStrictness:
         assert captured.out == ""
         assert captured.err.startswith("leanreg: error: ") and captured.err.count("\n") == 1
         assert field in captured.err
+
+
+def _decode_error(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON: {exc}"
+
+
+TWO_REGRESSORS = {**GOOD_POPULATION, "support": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                  "mu": {"kind": "polynomial", "coefficients": [0.0, 1.0]}}
+
+# case: (file text, field, message) of each check on a file's structure
+# and its mu, noise and probs.
+SCHEMA_CHECK_CASES = {
+    "mu-kind-unknown": (
+        json.dumps(with_value(GOOD_POPULATION, ("mu", "kind"), "spline")),
+        "mu.kind", "unknown mu kind 'spline'",
+    ),
+    "mu-values-length": (
+        json.dumps(with_value(GOOD_POPULATION, ("mu", "values"), [0.0, 1.0])),
+        "mu.values", "mu table length does not match support size",
+    ),
+    "polynomial-two-regressors": (
+        json.dumps(TWO_REGRESSORS), "mu", "polynomial mu requires exactly one regressor",
+    ),
+    "noise-not-object": (
+        json.dumps(with_value(GOOD_POPULATION, ("noise",), "gaussian")),
+        "noise", "noise must hold a JSON object",
+    ),
+    "noise-kind-unknown": (
+        json.dumps(with_value(GOOD_POPULATION, ("noise", "kind"), "laplace")),
+        "noise.kind", "unknown noise kind 'laplace'",
+    ),
+    "probs-length": (
+        json.dumps(with_value(GOOD_POPULATION, ("probs",), [0.5, 0.5])),
+        "probs", "probs and mu must have one entry per support point",
+    ),
+    "probs-negative": (
+        json.dumps(with_value(GOOD_POPULATION, ("probs",), [-0.25, 0.75, 0.5])),
+        "probs", "probs must be nonnegative",
+    ),
+    "invalid-json": ('{"support": [[0.0]],', "", _decode_error('{"support": [[0.0]],')),
+    "not-an-object": ("[1, 2]", "", "population file must hold a JSON object"),
+    "shift-one-law": (
+        json.dumps({**as_shift(GOOD_POPULATION), "laws": as_shift(GOOD_POPULATION)["laws"][:1]}),
+        "laws", "shift definition needs exactly two laws",
+    ),
+}
+
+
+class TestSchemaChecks:
+    @pytest.mark.parametrize("case", sorted(SCHEMA_CHECK_CASES))
+    def test_file_check_names_field(self, case, tmp_path):
+        text, field, message = SCHEMA_CHECK_CASES[case]
+        path = tmp_path / "pop.json"
+        path.write_text(text)
+        with pytest.raises(PopulationSchemaError) as exc_info:
+            load_population_file(path)
+        assert exc_info.value.field == field
+        assert str(exc_info.value) == message
+
+    def test_hand_built_population_needs_leading_one(self):
+        with pytest.raises(PopulationSchemaError) as exc_info:
+            population.DiscretePopulation(
+                [[2.0, 0.0], [2.0, 1.0]], [0.5, 0.5], [0.0, 1.0],
+                population.NoiseLaw("none", np.zeros(2)),
+            )
+        assert exc_info.value.field == "support"
+        assert str(exc_info.value) == "support points must carry the leading 1"
+
+    def test_cli_reports_unknown_noise_kind_on_one_line(self, tmp_path, capsys):
+        path = tmp_path / "pop.json"
+        path.write_text(SCHEMA_CHECK_CASES["noise-kind-unknown"][0])
+        assert main(["simulate", "--population", str(path), "--n", "20", "--reps", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "leanreg: error: unknown noise kind 'laplace'\n"
 
 
 # kind: (noise spec, eps drawn from (rng, mu, scale) by the kind's law,

@@ -14,6 +14,7 @@ from leanreg.population import (
     uniform_grid_law,
 )
 from leanreg.prediction import (
+    PredictionBand,
     calibrate_K,
     cv_calibrate_K,
     future_coverage,
@@ -40,6 +41,17 @@ def noisy_fixture(n=40, seed=0):
 
 
 class TestInterval:
+    def test_negative_K_rejected(self):
+        with pytest.raises(DomainError, match="^K must be nonnegative$"):
+            PredictionBand(K=-1.0, sigma_hat=1.0, xtx_inverse=np.eye(1), beta_hat=np.zeros(1))
+
+    def test_band_needs_more_rows_than_coefficients(self):
+        ds = Dataset([1.0, 3.0], [[0.0], [1.0]], names=("x",))
+        with pytest.warns(UserWarning, match="^n=2 observations for 2 coefficients"):
+            fit = fit_glm(ds, GAUSSIAN)
+        with pytest.raises(DomainError, match=r"^sigma_hat needs n > p\+1 observations$"):
+            make_band(fit, K=1.0)
+
     def test_zero_K_degenerate(self):
         ds, fit = noisy_fixture()
         band = make_band(fit, K=0.0)
@@ -171,6 +183,16 @@ class TestCvCalibrateK:
             k_train.append(calibrate_K(fit, alpha=0.1))
             k_cv.append(cv_calibrate_K(ds, alpha=0.1, folds=5, seed=r))
         assert np.median(k_cv) >= np.median(k_train)
+
+    def test_alpha_one_rejected(self):
+        ds, _ = noisy_fixture()
+        with pytest.raises(DomainError, match=r"^alpha must be in \(0, 1\), got 1.0$"):
+            cv_calibrate_K(ds, alpha=1.0, folds=5, seed=0)
+
+    def test_more_folds_than_rows_rejected(self):
+        ds, _ = noisy_fixture(n=10)
+        with pytest.raises(FoldError, match="^11 folds for 10 observations$"):
+            cv_calibrate_K(ds, alpha=0.1, folds=11, seed=0)
 
     def test_fold_too_small(self):
         rng = np.random.default_rng(2)

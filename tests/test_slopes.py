@@ -6,6 +6,7 @@ import pytest
 from leanreg.core import Dataset
 from leanreg.exceptions import (
     CoefficientIndexError,
+    DomainError,
     SingularSystemError,
     ZeroWeightError,
 )
@@ -40,6 +41,14 @@ class TestPairwiseSimple:
         res = pairwise_slope_simple([0.0, 0.0, 1.0], [0.0, 5.0, 1.0])
         assert res.beta == pytest.approx(-1.5, abs=1e-12)
         assert res.pair_count == 4  # two unordered pairs, ordered count
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(DomainError, match="^x and y must be one-dimensional and equally long$"):
+            pairwise_slope_simple([0.0, 1.0, 2.0], [0.0, 1.0])
+
+    def test_one_observation_rejected(self):
+        with pytest.raises(DomainError, match="^pairwise slopes need at least two observations$"):
+            pairwise_slope_simple([1.0], [2.0])
 
     def test_all_x_equal_raises(self):
         with pytest.raises(ZeroWeightError):
