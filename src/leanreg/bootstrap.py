@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .core import Dataset, csv_text, spd_solve
+from .core import Dataset, csv_text
 from .exceptions import (
     CoefficientIndexError,
     DomainError,
@@ -165,7 +165,8 @@ def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:
     scheme presupposes a correct homoskedastic linear mean, which is
     exactly what makes it a foil rather than a robust tool.  Every
     replicate shares the design, so refit b is the fixed map
-    ``(X'X)^-1 X'`` applied to ``y_b``, one matrix product per chunk.
+    ``(X'X)^-1 X'`` applied to ``y_b``, one matrix product per chunk;
+    ``(X'X)^-1`` is the base fit's inverse information.
     """
     if B < 1:
         raise DomainError("B must be at least 1")
@@ -173,9 +174,8 @@ def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:
     # Residuals already sum to zero with an intercept; recentering is a
     # guard for the general case.
     centered = base.residuals - np.mean(base.residuals)
-    x = ds.design
     n = ds.n
-    solver = spd_solve(x.T @ x, x.T).T
+    solver = ds.design @ base.information_inverse
     resamples = _resamples(seed, B, n)
     results = []
     for size, reps in _chunks(B, n):

@@ -3,11 +3,10 @@
 A :class:`Dataset` is one sample: observed ``(y_i, x_i)`` tuples with
 explicit regressor/response designation, and the design that every fit,
 covariance, bootstrap and band reads, whose column 0 is the all-ones
-intercept.  :func:`numerical_rank` is the package's one
-rank rule and :func:`spd_solve`/:func:`spd_solve_stack` its one
-Cholesky solve, whose failure is a :class:`SingularSystemError` naming
-the matrix.  All types are immutable after construction and safe to
-share across threads.
+intercept.  :func:`numerical_rank` is the package's one rank rule and
+:func:`spd_solve_stack` its one Cholesky solve, whose failure is a
+:class:`SingularSystemError` naming the matrix.  All types are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "csv_text",
     "write_csv",
     "numerical_rank",
-    "spd_solve",
     "spd_solve_stack",
 ]
 
@@ -71,9 +69,15 @@ class Dataset:
     design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        response = np.array(np.atleast_1d(self.response), dtype=float)
+        response, reg = np.asarray(self.response), np.asarray(self.regressors)
+        numeric = response.dtype.kind in "biuf" and reg.dtype.kind in "biuf"
+        if not numeric or response.ndim != 1 or reg.ndim not in (1, 2):
+            raise DataError(
+                "need a numeric 1-D response and numeric 1-D or 2-D regressors, not "
+                f"{response.ndim}-D {response.dtype} and {reg.ndim}-D {reg.dtype}"
+            )
+        response, reg = response.astype(float), reg.astype(float, copy=False)
         response.flags.writeable = False
-        reg = np.asarray(self.regressors, dtype=float)
         if reg.ndim == 1:
             reg = reg.reshape(-1, 1) if reg.size else reg.reshape(response.shape[0], 0)
         object.__setattr__(self, "response", response)
@@ -284,40 +288,24 @@ def _cholesky_solve(lower: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     # matrix with a positive diagonal never swaps rows and has exact
     # zero multipliers, so each solve is plain substitution, matrix by
     # matrix; reversing rows and columns makes L upper triangular.
-    vector = b is not None and b.ndim == lower.ndim - 1
-    rhs = np.eye(lower.shape[-1]) if b is None else (b[..., None] if vector else b)
+    rhs = np.eye(lower.shape[-1]) if b is None else b[..., None]
     y = np.linalg.solve(lower[..., ::-1, ::-1], rhs[..., ::-1, :])[..., ::-1, :]
     if b is None:
         return np.swapaxes(y, -1, -2) @ y  # L^-T L^-1
-    z = np.linalg.solve(np.swapaxes(lower, -1, -2), y)
-    return z[..., 0] if vector else z
-
-
-def spd_solve(a: np.ndarray, b: np.ndarray | None = None, what: str = "normal-equation matrix"):
-    """Cholesky solve ``a z = b`` for one symmetric positive-definite ``a``.
-
-    ``b`` is a vector or a matrix; when it is None, ``a^-1`` is returned.
-    Raises :class:`SingularSystemError`, naming ``what``, when ``a`` is
-    not positive definite.  This is :func:`spd_solve_stack` with a stack
-    of one.
-    """
-    rhs = None if b is None else b[None]
-    z, errors = spd_solve_stack(a[None], rhs, np.ones(1, dtype=bool), what)
-    if errors[0] is not None:
-        raise errors[0]
-    return z[0]
+    return np.linalg.solve(np.swapaxes(lower, -1, -2), y)[..., 0]
 
 
 def spd_solve_stack(a: np.ndarray, b: np.ndarray | None, rows: np.ndarray, what: str):
-    """:func:`spd_solve` for the rows of a stack ``a`` (m, k, k), ``b`` (m, k) selected by ``rows``.
+    """Cholesky solve ``a[r] z = b[r]`` for the rows of a stack selected by ``rows``.
 
-    When ``b`` is None, each ``a[r]^-1`` is returned.  Returns ``(z,
-    errors)``: ``errors[r]`` is the error :func:`spd_solve` raises for
-    ``a[r]``, naming ``what``, when row r is selected and ``a[r]`` fails
-    LAPACK's Cholesky test, applied matrix by matrix so that no row's
-    verdict depends on another's; otherwise it is None.  Row r of ``z``
-    has the bits :func:`spd_solve` gives for ``a[r]`` alone when row r is
-    selected and has no error; other rows are meaningless.
+    ``a`` is (m, k, k) and ``b`` (m, k); when ``b`` is None, each
+    ``a[r]^-1`` is returned.  Returns ``(z, errors)``: ``errors[r]`` is
+    a :class:`SingularSystemError` naming ``what`` when row r is
+    selected and ``a[r]`` fails LAPACK's Cholesky test, applied matrix
+    by matrix so that no row's verdict depends on another's; otherwise
+    it is None.  Row r of ``z`` has the bits a stack of ``a[r]`` alone
+    gives when row r is selected and has no error; other rows are
+    meaningless.
     """
     eye = np.eye(a.shape[-1])
     errors = [None] * len(rows)

@@ -2,11 +2,12 @@
 
 The conventional estimator trusts the working model (homoskedastic
 residual variance for OLS, inverse expected information for GLMs).  The
-sandwich estimator ``bread^-1 meat bread^-1`` is consistent for the
+sandwich estimator ``I^-1 (sum_i s_i s_i') I^-1`` is consistent for the
 sampling covariance of the coefficient estimates under i.i.d. sampling
-alone, with no correctness assumption on the working model.  Both are
-returned as the finite-sample covariance of beta_hat, i.e. already
-divided by n.
+alone, with no correctness assumption on the working model.  Both read
+the fit's one inverse information matrix ``I^-1``
+(:attr:`~leanreg.fitting.FitResult.information_inverse`) and are the
+finite-sample covariance of beta_hat, with no 1/n left to divide out.
 """
 
 from __future__ import annotations
@@ -16,19 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .core import csv_text, spd_solve_stack
-from .exceptions import (
-    ColumnError,
-    DegreesOfFreedomError,
-    DimensionError,
-)
-from .fitting import Family, FitResult
+from .core import csv_text
+from .exceptions import ColumnError, DimensionError
+from .fitting import FitResult
 
 __all__ = [
     "CoefficientTable",
     "conventional_cov",
     "sandwich_cov",
-    "conventional_stack",
     "sandwich_stack",
     "standard_errors",
     "se_and_pvalues",
@@ -43,70 +39,20 @@ TABLE_HEADERS = ("Coeff", "SE", "p-value", "Boot.SE", "Sand.SE", "Sand-p")
 _COLUMNS = ("coef", "se_conv", "p_conv", "se_boot", "se_sand", "p_sand")
 
 
-def _information(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_i v_i x_i x_i' of each design in a stack, the summed Hessian of the family loss."""
-    return (np.swapaxes(x, -1, -2) * v[..., None, :]) @ x
-
-
-def _stack_of_one(fit: FitResult):
-    """``(x, v, residuals)`` of one fit as stacks of one, for the stacked estimators."""
-    return (
-        fit.data.design[None],
-        fit.family.variance_fn(fit.fitted)[None],
-        fit.residuals[None],
-    )
-
-
 def standard_errors(cov: np.ndarray) -> np.ndarray:
     """Square roots of the diagonal of each covariance in a stack, negatives read as 0."""
     return np.sqrt(np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), 0.0))
 
 
-def conventional_stack(x, v, residuals, family: Family, rows: np.ndarray):
-    """:func:`conventional_cov` of each fit in a stack, selected by ``rows``.
+def sandwich_stack(inverse: np.ndarray, x: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+    """:func:`sandwich_cov` of each fit in a stack, row r with the bits of that fit alone.
 
-    ``x`` (m, n, k) holds the designs, ``v`` (m, n) the family variance
-    at each fitted mean and ``residuals`` (m, n) the residuals.  Returns
-    ``(cov, errors)``: row r has the bits ``conventional_cov`` gives for
-    that fit alone, or ``errors[r]`` is the typed error it raised.
-    Unselected rows have no error and a meaningless ``cov``.
+    ``inverse`` (m, k, k), ``x`` (m, n, k) and ``residuals`` (m, n) are the fits'
+    inverse information matrices, designs and residuals.
     """
-    m, n, k = x.shape
-    if family.estimates_dispersion:
-        if n <= k:
-            return np.zeros((m, k, k)), [
-                DegreesOfFreedomError(
-                    f"conventional OLS variance needs n > p+1 (n={n}, p+1={k})"
-                )
-                if selected
-                else None
-                for selected in rows
-            ]
-        # One dot product per row, as for a single fit.
-        dispersion = (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0] / (n - k)
-    else:
-        dispersion = np.ones(m)
-    information = _information(x, v)
-    inverse, errors = spd_solve_stack(information, None, rows, "expected-information matrix")
-    return dispersion[:, None, None] * inverse, errors
-
-
-def sandwich_stack(x, v, residuals, rows: np.ndarray):
-    """:func:`sandwich_cov` of each fit in a stack, as :func:`conventional_stack` for the model-trusting one."""
-    n = x.shape[1]
-    bread = _information(x, v) / n
     scores = x * residuals[..., None]  # row i is (y_i - mu_i) x_i
-    meat = (np.swapaxes(scores, -1, -2) @ scores) / n
-    bread_inv, errors = spd_solve_stack(bread, None, rows, "bread matrix")
-    cov = bread_inv @ meat @ bread_inv / n
-    return (cov + np.swapaxes(cov, -1, -2)) / 2.0, errors
-
-
-def _one(stacked) -> np.ndarray:
-    cov, errors = stacked
-    if errors[0] is not None:
-        raise errors[0]
-    return cov[0]
+    cov = inverse @ (np.swapaxes(scores, -1, -2) @ scores) @ inverse
+    return (cov + np.swapaxes(cov, -1, -2)) / 2.0
 
 
 def conventional_cov(fit: FitResult) -> np.ndarray:
@@ -115,18 +61,18 @@ def conventional_cov(fit: FitResult) -> np.ndarray:
     The dispersion phi is SSE/(n-p-1) for OLS (where v = 1) and 1 for a
     GLM, whose covariance is then the inverse expected information.
     """
-    return _one(conventional_stack(*_stack_of_one(fit), fit.family, np.ones(1, dtype=bool)))
+    return fit.dispersion * fit.information_inverse
 
 
 def sandwich_cov(fit: FitResult) -> np.ndarray:
     """Heteroskedasticity/misspecification-consistent (k, k) covariance.
 
-    (1/n) * bread^-1 meat bread^-1, with bread the mean per-observation
-    Hessian of the family loss and meat the mean outer product of
-    per-observation scores (mu_i - y_i) x_i; for OLS the score is
-    -r_i x_i, so the meat is the residual-weighted second moment.
+    ``I^-1 (sum_i s_i s_i') I^-1``, with ``I^-1`` the fit's inverse
+    information (the inverse summed Hessian of the family loss) and
+    ``s_i = (y_i - mu_i) x_i`` the per-observation scores; for OLS the
+    middle factor is the residual-weighted second moment.
     """
-    return _one(sandwich_stack(*_stack_of_one(fit), np.ones(1, dtype=bool)))
+    return sandwich_stack(fit.information_inverse[None], fit.data.design[None], fit.residuals[None])[0]
 
 
 def se_and_pvalues(fit: FitResult, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

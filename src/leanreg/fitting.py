@@ -12,6 +12,7 @@ the working model is correctly specified.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -23,6 +24,7 @@ from .core import Dataset, numerical_rank, spd_solve_stack
 from .exceptions import (
     CoefficientIndexError,
     ConvergenceError,
+    DegreesOfFreedomError,
     DimensionError,
     DomainError,
     FamilyError,
@@ -40,6 +42,8 @@ __all__ = [
     "fit_ols_stack",
     "fit_glm",
     "fit_weighted",
+    "information_inverse_stack",
+    "dispersion_stack",
     "check_support",
     "WeightedFits",
     "outer_rows",
@@ -190,6 +194,18 @@ class FitResult:
     def n(self) -> int:
         return self.data.n
 
+    @functools.cached_property
+    def information_inverse(self) -> np.ndarray:
+        """:func:`information_inverse_stack` of this fit, formed on first read; (X'X)^-1 for OLS."""
+        v = self.family.variance_fn(self.fitted)[None]
+        return _one(information_inverse_stack(self.data.design[None], v, np.ones(1, dtype=bool)))
+
+    @functools.cached_property
+    def dispersion(self) -> float:
+        """:func:`dispersion_stack` of this fit, formed on first read; SSE/(n-p-1) for OLS."""
+        k, rows = self.beta_hat.shape[0], np.ones(1, dtype=bool)
+        return float(_one(dispersion_stack(self.residuals[None], self.family, k, rows)))
+
     def to_json_dict(self) -> dict:
         return {
             "family": self.family.tag,
@@ -257,6 +273,41 @@ def fit_ols_stack(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list]:
     _record(errors, failed)
     beta[~_ok(errors)] = 0.0
     return beta, errors
+
+
+def information_inverse_stack(x: np.ndarray, v: np.ndarray, rows: np.ndarray):
+    """``(sum_i v_i x_i x_i')^-1`` of each design ``x`` (m, n, k) with variances ``v`` (m, n).
+
+    The one place inference forms and inverts the information; returns
+    ``(inverse, errors)`` of :func:`~leanreg.core.spd_solve_stack` for
+    the rows selected by ``rows``, an error naming the "information matrix".
+    """
+    information = (np.swapaxes(x, -1, -2) * v[..., None, :]) @ x
+    return spd_solve_stack(information, None, rows, "information matrix")
+
+
+def dispersion_stack(residuals: np.ndarray, family: Family, k: int, rows: np.ndarray):
+    """``(phi, errors)`` of fits with k coefficients and ``residuals`` (m, n): the one n - k rule.
+
+    phi is SSE/(n-k) for OLS and 1 for a GLM.  OLS with n <= k gives
+    each row selected by ``rows`` a :class:`DegreesOfFreedomError`.
+    """
+    m, n = residuals.shape
+    if not family.estimates_dispersion:
+        return np.ones(m), [None] * m
+    if n <= k:
+        message = f"the OLS dispersion SSE/(n-p-1) needs n > p+1 (n={n}, p+1={k})"
+        return np.zeros(m), [DegreesOfFreedomError(message) if r else None for r in rows]
+    # One dot product per row, as for a single fit.
+    return (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0] / (n - k), [None] * m
+
+
+def _one(stacked):
+    """The one row of a stacked ``(values, errors)`` result; raises its error."""
+    values, errors = stacked
+    if errors[0] is not None:
+        raise errors[0]
+    return values[0]
 
 
 def outer_rows(x: np.ndarray) -> np.ndarray:

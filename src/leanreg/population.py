@@ -28,14 +28,14 @@ from scipy.special import ndtri
 
 from . import bootstrap
 from .core import Dataset
-from .covariance import conventional_stack, sandwich_stack, standard_errors
+from .covariance import sandwich_stack, standard_errors
 from .exceptions import (
     CollinearPopulationError,
     DomainError,
     LeanRegError,
     PopulationSchemaError,
 )
-from .fitting import GAUSSIAN, fit_ols_stack, fit_weighted
+from .fitting import GAUSSIAN, dispersion_stack, fit_ols_stack, fit_weighted, information_inverse_stack
 from .rng import spawn_seeds, substream, substreams
 
 __all__ = [
@@ -441,13 +441,21 @@ class CoverageResult:
         return math.sqrt(max(c * (1.0 - c), 0.0) / self.replications)
 
 
+def _conventional_stack(inverse, x, residuals, rows):
+    """``conventional_cov`` of each OLS fit in a block, from its inverse information."""
+    dispersion, errors = dispersion_stack(residuals, GAUSSIAN, x.shape[-1], rows)
+    return dispersion[:, None, None] * inverse, errors
+
+
 # Each coverage method's SEs come from (estimate, seed path).  With path
-# None, estimate(x, v, residuals, rows) is the stacked covariance of a
-# block's fits; otherwise estimate(ds, B, seed) bootstraps one
-# replication's sample with the seed of address (seed, path, r).
+# None, estimate(inverse, x, residuals, rows) returns the stacked
+# covariance of a block's fits, from their shared inverse information,
+# and the errors the method meets before that inverse; otherwise
+# estimate(ds, B, seed) bootstraps one replication's sample with the
+# seed of address (seed, path, r).
 COVERAGE_METHODS = {
-    "conventional": (lambda x, v, res, rows: conventional_stack(x, v, res, GAUSSIAN, rows), None),
-    "sandwich": (sandwich_stack, None),
+    "conventional": (_conventional_stack, None),
+    "sandwich": (lambda inverse, x, res, rows: (sandwich_stack(inverse, x, res), [None] * len(x)), None),
     "xy-bootstrap": (lambda ds, B, s: bootstrap.xy_bootstrap(ds, GAUSSIAN, B, s), 1),
     "residual-bootstrap": (lambda ds, B, s: bootstrap.residual_bootstrap(ds, B, s), 2),
 }
@@ -476,8 +484,10 @@ def coverage_experiment(
 
     Replications are fitted in blocks of the bootstrap's chunk size:
     one stacked Gram, rank check and Cholesky solve per block.  Each
-    method then takes the rows still without an error, solving their
-    stacked covariances together or bootstrapping each sample.  Every
+    method then takes the rows still without an error, computing their
+    stacked covariances together or bootstrapping each sample.  The
+    analytic methods share one inverse information per block, formed
+    for the rows selected at the first of them.  Every
     replication gets the bits, warnings and typed error its own fit,
     covariances and bootstraps would give it, so results do not depend
     on the blocking.  A replication's sample stays support indices and
@@ -516,12 +526,16 @@ def coverage_experiment(
         residuals = y - fitted
         v = GAUSSIAN.variance_fn(fitted)
         se = np.zeros((len(reps), len(methods), beta.shape[1]))
+        inverse = None
         for i, (estimate, path) in enumerate(estimators):
             rows = np.array([e is None for e in errors])
             if path is None:
-                cov, failed = estimate(x, v, residuals, rows)
+                if inverse is None:
+                    inverse, singular = information_inverse_stack(x, v, rows)
+                cov, failed = estimate(inverse, x, residuals, rows)
                 se[:, i] = standard_errors(cov)
-                errors = [f if e is None else e for e, f in zip(errors, failed)]
+                # A row keeps its first error: an earlier one, the method's, the inverse's.
+                errors = [next(filter(None, c), None) for c in zip(errors, failed, singular)]
                 continue
             for r in np.flatnonzero(rows):
                 try:
@@ -548,12 +562,18 @@ def coverage_experiment(
     ]
 
 
+def _check_points(points) -> None:
+    if not isinstance(points, (int, np.integer)) or points < 1:
+        raise DomainError(f"a grid law needs an integer number of points >= 1, got {points!r}")
+
+
 def normal_quadrature_law(points: int, mean: float = 0.0, sd: float = 1.0):
     """Gauss-Hermite grid representing a normal regressor law.
 
     Returns (support, probs) with moments of the normal matched exactly
     up to polynomial degree 2*points - 1.
     """
+    _check_points(points)
     nodes, weights = np.polynomial.hermite.hermgauss(points)
     support = mean + sd * math.sqrt(2.0) * nodes
     probs = weights / math.sqrt(math.pi)
@@ -563,6 +583,7 @@ def normal_quadrature_law(points: int, mean: float = 0.0, sd: float = 1.0):
 
 def uniform_grid_law(lo: float, hi: float, points: int):
     """Equal-weight grid on [lo, hi] discretizing a uniform regressor law."""
+    _check_points(points)
     support = np.linspace(lo, hi, points)
     probs = np.full(points, 1.0 / points)
     return support.reshape(-1, 1), probs

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, spd_solve
+from .core import Dataset
 from .exceptions import (
     DimensionError,
     DomainError,
@@ -57,6 +57,8 @@ class PredictionBand:
     def __post_init__(self):
         if self.K < 0:
             raise DomainError("K must be nonnegative")
+        if not math.isfinite(self.K):
+            raise DomainError(f"K must be finite, got {self.K}")
 
     def evaluate(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Centers and half widths of the band at the design rows x, shape (m, k).
@@ -90,14 +92,10 @@ def make_band(fit: FitResult, K: float = 0.0) -> PredictionBand:
             "prediction intervals are defined for the OLS working model only, "
             f"not {fit.family.tag!r}"
         )
-    x = fit.data.design
-    n, k = x.shape
-    if n <= k:
-        raise DomainError("sigma_hat needs n > p+1 observations")
     return PredictionBand(
         K=K,
-        sigma_hat=math.sqrt(float(fit.residuals @ fit.residuals) / (n - k)),
-        xtx_inverse=spd_solve(x.T @ x),
+        sigma_hat=math.sqrt(fit.dispersion),
+        xtx_inverse=fit.information_inverse,
         beta_hat=fit.beta_hat,
     )
 

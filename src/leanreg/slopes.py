@@ -15,13 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, csv_text, numerical_rank, spd_solve
-from .exceptions import (
-    CoefficientIndexError,
-    DomainError,
-    SingularSystemError,
-    ZeroWeightError,
-)
+from .core import Dataset, csv_text
+from .exceptions import CoefficientIndexError, DomainError, ZeroWeightError
+from .fitting import GAUSSIAN, fit_glm
 
 __all__ = [
     "PairwiseSlopeSummary",
@@ -53,14 +49,19 @@ def pairwise_slope_simple(x, y) -> PairwiseSlopeSummary:
         raise DomainError("x and y must be one-dimensional and equally long")
     if x.shape[0] < 2:
         raise DomainError("pairwise slopes need at least two observations")
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    weights = dx * dx
-    total = float(np.sum(weights))
+    # A NaN or infinity in x or y, or an overflow, leaves a sum non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x[:, None] - x[None, :]
+        dy = y[:, None] - y[None, :]
+        weights = dx * dx
+        total = float(np.sum(weights))
+        cross = float(np.sum(dx * dy))
+    if not (np.isfinite(total) and np.isfinite(cross)):
+        raise DomainError("pairwise slopes need finite x and y whose pair sums do not overflow")
     if total == 0.0:
         raise ZeroWeightError("all regressor values coincide: total pair weight is 0")
     return PairwiseSlopeSummary(
-        beta=float(np.sum(dx * dy)) / total,
+        beta=cross / total,
         total_weight=total,
         pair_count=int(np.count_nonzero(weights)),
     )
@@ -78,23 +79,15 @@ def adjust_regressor(ds: Dataset, j: int) -> np.ndarray:
     """Residualize design column j on all other columns (intercept kept).
 
     Returns the adjusted column.  With a single regressor this reduces
-    to centering.  The design must be of full rank under
-    :func:`~leanreg.core.numerical_rank`, as for the OLS fit whose
-    coefficient the adjustment reproduces.
+    to centering.  With ``C = (X'X)^-1`` the inverse information of the
+    OLS fit whose coefficient the adjustment reproduces, the residual
+    is ``X C[:, j] / C[j, j]``: row j of ``C X'`` is the residual over
+    its squared norm, which is ``1 / C[j, j]``.  That fit raises
+    :class:`SingularSystemError` for a rank-deficient design.
     """
     check_regressor_index(j, ds.p)
-    x = ds.design
-    gram = x.T @ x
-    rank, eigs = numerical_rank(gram)
-    if rank < x.shape[1]:
-        raise SingularSystemError(
-            f"design is rank deficient, so column {j} cannot be adjusted for the "
-            f"remaining columns (smallest equilibrated eigenvalue {eigs[0]:.3e})",
-            min_eigenvalue=float(eigs[0]),
-        )
-    others = np.delete(x, j, axis=1)
-    coef = spd_solve(np.delete(np.delete(gram, j, axis=0), j, axis=1), np.delete(gram[:, j], j))
-    return x[:, j] - others @ coef
+    c = fit_glm(ds, GAUSSIAN).information_inverse
+    return ds.design @ c[:, j] / c[j, j]
 
 
 def pairwise_slope_multiple(ds: Dataset, j: int) -> PairwiseSlopeSummary:

@@ -1,12 +1,12 @@
 """Exact asymptotic OLS covariances of a finite population: oracles for the tests.
 
 Every moment is a finite sum over the support points, and the bread is
-inverted with :func:`leanreg.core.spd_solve`; nothing is simulated.
+inverted with :func:`numpy.linalg.inv`, independently of the library's
+Cholesky solve; nothing is simulated.
 """
 
 import numpy as np
 
-from leanreg.core import spd_solve
 from leanreg.population import DiscretePopulation, decompose
 
 
@@ -18,12 +18,12 @@ def second_moment(pop: DiscretePopulation) -> np.ndarray:
 def population_sandwich_av(pop: DiscretePopulation) -> np.ndarray:
     """Exact asymptotic sandwich covariance B^-1 M B^-1 (per observation)."""
     dec = decompose(pop)
-    b_inv = spd_solve(second_moment(pop), what="population second moment")
+    b_inv = np.linalg.inv(second_moment(pop))
     return b_inv @ dec.moments["E_delta2_XX"] @ b_inv
 
 
 def population_conventional_av(pop: DiscretePopulation) -> np.ndarray:
     """Homoskedasticity-pooled asymptotic covariance sigma_delta^2 B^-1."""
     dec = decompose(pop)
-    b_inv = spd_solve(second_moment(pop), what="population second moment")
+    b_inv = np.linalg.inv(second_moment(pop))
     return dec.moments["sigma_delta2"] * b_inv

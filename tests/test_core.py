@@ -8,7 +8,6 @@ from leanreg.core import (
     dataset_to_csv_text,
     load_csv,
     numerical_rank,
-    spd_solve,
     spd_solve_stack,
     write_csv,
 )
@@ -159,6 +158,20 @@ class TestDatasetValidation:
             Dataset([1.0, 2.0], [[1.0, 3.0], [2.0, 4.0]], names=("x",))
         assert str(exc_info.value) == "1 regressor names for 2 regressor columns"
 
+    @pytest.mark.parametrize(
+        "response, regressors",
+        [
+            ([[1.0], [2.0], [4.0]], [[1.0], [2.0], [3.0]]),
+            ([1.0], 5.0),
+            ([1.0, 2.0], [[[1.0]], [[2.0]]]),
+            (["1", "2"], [1.0, 2.0]),
+        ],
+        ids=["2-D response", "0-D regressors", "3-D regressors", "string response"],
+    )
+    def test_shape_and_dtype_checked_first(self, response, regressors):
+        with pytest.raises(DataError, match="^need a numeric 1-D response and numeric 1-D or 2-D regressors"):
+            Dataset(response, regressors, names=("x",))
+
     def test_immutable(self):
         ds = Dataset([1.0], [[2.0]], names=("x",))
         with pytest.raises(ValueError):
@@ -266,6 +279,13 @@ class TestCheckRank:
         assert eigs[0] <= 1e-10 * eigs[-1]
 
 
+def solve_one(a, b):
+    """The solve of ``a`` alone, a stack of one, whose bits each selected row must have."""
+    z, errors = spd_solve_stack(a[None], None if b is None else b[None], np.ones(1, dtype=bool), "m")
+    assert errors == [None]
+    return z[0]
+
+
 class TestSpdSolveStack:
     @staticmethod
     def mixed_stack():
@@ -300,17 +320,18 @@ class TestSpdSolveStack:
             else:
                 assert errors[r] is None
             if rows[r] and spd[r]:
-                want = spd_solve(a[r], b[r] if with_rhs else None, what="test matrix")
+                want = solve_one(a[r], b[r] if with_rhs else None)
                 assert np.array_equal(z[r], want)
 
     def test_single_solve_of_non_spd_matrix_names_what(self):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-        with pytest.raises(SingularSystemError, match="^Newton system is not positive definite"):
-            spd_solve(a, np.ones(2), what="Newton system")
+        _, errors = spd_solve_stack(a[None], np.ones((1, 2)), np.ones(1, dtype=bool), "Newton system")
+        assert isinstance(errors[0], SingularSystemError)
+        assert str(errors[0]).startswith("Newton system is not positive definite")
 
     def test_all_spd_selection_has_no_errors(self):
         a, b, rows, spd = self.mixed_stack()
         z, errors = spd_solve_stack(a, b, spd, "test matrix")
         assert errors == [None] * len(rows)
         for r in np.flatnonzero(spd):
-            assert np.array_equal(z[r], spd_solve(a[r], b[r]))
+            assert np.array_equal(z[r], solve_one(a[r], b[r]))

@@ -1,9 +1,14 @@
 """Conventional and sandwich covariances, p-values, and the report table."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from leanreg.core import Dataset
+from leanreg.cli import main
+from leanreg.core import Dataset, spd_solve_stack
 from leanreg.covariance import (
     coefficient_table,
     conventional_cov,
@@ -12,8 +17,8 @@ from leanreg.covariance import (
     standard_errors,
     table_from_published,
 )
-from leanreg.exceptions import DegreesOfFreedomError, DimensionError
-from leanreg.fitting import BERNOULLI, GAUSSIAN, FitResult, fit_glm
+from leanreg.exceptions import DegreesOfFreedomError, DimensionError, LeanRegError
+from leanreg.fitting import BERNOULLI, GAUSSIAN, FitResult, family_by_name, fit_glm
 from leanreg.population import (
     make_population,
     normal_quadrature_law,
@@ -159,6 +164,67 @@ class TestSandwich:
             )
             hits += 0.85 <= ratio <= 1.15
         assert hits >= 45
+
+
+def inverse_of_one(a: np.ndarray) -> np.ndarray:
+    inverse, errors = spd_solve_stack(a[None], None, np.ones(1, dtype=bool), "oracle matrix")
+    assert errors == [None]
+    return inverse[0]
+
+
+class TestOneInverseOracles:
+    """Both covariances against the formulas they replaced, each of which inverted its own matrix."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(["ols", "logit", "poisson"]),
+        n=st.integers(30, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_covariances_match_their_old_formulas(self, family, n, seed):
+        rng = np.random.default_rng(seed)
+        reg = rng.standard_normal((n, 2))
+        eta = 0.3 + 0.5 * reg[:, 0] - 0.4 * reg[:, 1] + 0.3 * reg[:, 0] ** 2
+        y = {
+            "ols": eta + rng.standard_normal(n) * (1.0 + np.abs(reg[:, 1])),
+            "logit": (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float),
+            "poisson": rng.poisson(np.exp(eta)).astype(float),
+        }[family]
+        try:
+            fit = fit_glm(Dataset(y, reg, ("a", "b")), family_by_name(family))
+        except LeanRegError:
+            assume(False)
+        x, res = fit.data.design[None], fit.residuals[None]
+        v = fit.family.variance_fn(fit.fitted)[None]
+        k = x.shape[2]
+        information = (np.swapaxes(x, -1, -2) * v[..., None, :]) @ x
+        phi = 1.0
+        if fit.family.estimates_dispersion:
+            phi = (res[:, None, :] @ res[:, :, None])[0, 0, 0] / (n - k)
+        assert np.array_equal(conventional_cov(fit), phi * inverse_of_one(information[0]))
+
+        bread_inv = inverse_of_one(information[0] / n)
+        scores = x[0] * res[0][:, None]
+        old = bread_inv @ (scores.T @ scores / n) @ bread_inv / n
+        old = (old + old.T) / 2.0
+        assert np.max(np.abs(sandwich_cov(fit) - old)) <= 1e-13 * np.max(np.abs(old))
+
+    def test_fit_report_inverts_the_information_once(self, monkeypatch, capsys):
+        inversions = []
+
+        def counting(a, b, rows, what):
+            if b is None:  # an inverse, not a fit's solve
+                inversions.append(what)
+            return spd_solve_stack(a, b, rows, what)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("leanreg.") and hasattr(module, "spd_solve_stack"):
+                monkeypatch.setattr(module, "spd_solve_stack", counting)
+        argv = ["fit", "--input", "charges_synthetic.csv", "--response", "charges",
+                "--regressors", "age,priors", "--family", "poisson", "--boot", "0"]
+        assert main(argv) == 0
+        assert "Sand.SE" in capsys.readouterr().out
+        assert inversions == ["information matrix"]
 
 
 class TestSeAndPvalues:

@@ -487,6 +487,13 @@ class TestQuadratureLaws:
         assert sup[0, 0] == 1.0 and sup[-1, 0] == 3.0
         assert np.all(probs == 1.0 / 21.0)
 
+    @pytest.mark.parametrize("points", [0, -3, 2.0, 2.5])
+    def test_points_must_be_a_positive_integer(self, points):
+        with pytest.raises(DomainError, match="^a grid law needs an integer number of points >= 1"):
+            normal_quadrature_law(points)
+        with pytest.raises(DomainError, match="^a grid law needs an integer number of points >= 1"):
+            uniform_grid_law(0.0, 1.0, points)
+
 
 GOOD_POPULATION = {
     "support": [[0.0], [1.0], [2.0]],

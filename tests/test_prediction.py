@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from leanreg.core import Dataset
-from leanreg.exceptions import DimensionError, DomainError, FamilyError, FoldError, ZeroScaleError
+from leanreg.covariance import conventional_cov
+from leanreg.exceptions import (
+    DegreesOfFreedomError,
+    DimensionError,
+    DomainError,
+    FamilyError,
+    FoldError,
+    ZeroScaleError,
+)
 from leanreg.fitting import GAUSSIAN, POISSON, fit_glm
 from leanreg.population import (
     make_population,
@@ -45,11 +53,29 @@ class TestInterval:
         with pytest.raises(DomainError, match="^K must be nonnegative$"):
             PredictionBand(K=-1.0, sigma_hat=1.0, xtx_inverse=np.eye(1), beta_hat=np.zeros(1))
 
+    @pytest.mark.parametrize("K", [float("nan"), float("inf")])
+    def test_non_finite_K_rejected(self, K):
+        with pytest.raises(DomainError, match="^K must be finite"):
+            PredictionBand(K=K, sigma_hat=1.0, xtx_inverse=np.eye(1), beta_hat=np.zeros(1))
+        with pytest.raises(DomainError, match="^K must be finite"):
+            make_band(noisy_fixture()[1], K=K)
+
+    def test_band_raises_the_conventional_dof_error(self):
+        # n = p+1 = 3 on a full-rank design: the fit succeeds, its dispersion does not.
+        ds = Dataset([1.0, 3.0, 2.0], [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], names=("a", "b"))
+        with pytest.warns(UserWarning, match="^n=3 observations for 3 coefficients"):
+            fit = fit_glm(ds, GAUSSIAN)
+        with pytest.raises(DegreesOfFreedomError) as conventional:
+            conventional_cov(fit)
+        with pytest.raises(DegreesOfFreedomError) as band:
+            make_band(fit, K=1.0)
+        assert str(band.value) == str(conventional.value)
+
     def test_band_needs_more_rows_than_coefficients(self):
         ds = Dataset([1.0, 3.0], [[0.0], [1.0]], names=("x",))
         with pytest.warns(UserWarning, match="^n=2 observations for 2 coefficients"):
             fit = fit_glm(ds, GAUSSIAN)
-        with pytest.raises(DomainError, match=r"^sigma_hat needs n > p\+1 observations$"):
+        with pytest.raises(DegreesOfFreedomError, match=r"needs n > p\+1 \(n=2, p\+1=2\)$"):
             make_band(fit, K=1.0)
 
     def test_zero_K_degenerate(self):

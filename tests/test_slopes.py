@@ -1,9 +1,13 @@
 """Pairwise-slope form of regression coefficients and its identity with OLS."""
 
+import math
+from fractions import Fraction
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from leanreg.core import Dataset
+from leanreg.core import Dataset, load_csv
 from leanreg.exceptions import (
     CoefficientIndexError,
     DomainError,
@@ -50,6 +54,28 @@ class TestPairwiseSimple:
         with pytest.raises(DomainError, match="^pairwise slopes need at least two observations$"):
             pairwise_slope_simple([1.0], [2.0])
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]),
+            ([1.0, 2.0, 3.0], [1.0, np.inf, 3.0]),
+            ([1.0, 2.0, -np.inf], [1.0, 2.0, 3.0]),
+        ],
+        ids=["nan x", "inf y", "-inf x"],
+    )
+    def test_non_finite_input_rejected(self, x, y):
+        with pytest.raises(DomainError, match="^pairwise slopes need finite x and y"):
+            pairwise_slope_simple(x, y)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [([1e200, -1e200, 3.0], [1.0, 2.0, 3.0]), ([0.0, 1.0, 2.0], [1e308, -1e308, 0.0])],
+        ids=["weight", "cross product"],
+    )
+    def test_overflowing_pair_sums_rejected(self, x, y):
+        with pytest.raises(DomainError, match="whose pair sums do not overflow$"):
+            pairwise_slope_simple(x, y)
+
     def test_all_x_equal_raises(self):
         with pytest.raises(ZeroWeightError):
             pairwise_slope_simple([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
@@ -86,7 +112,38 @@ class TestPairwiseSimple:
         assert res.total_weight == pytest.approx(den, rel=1e-12)
 
 
+def exact_adjustment(x: np.ndarray, j: int) -> list[Fraction]:
+    """Integer design column j minus its exact least-squares fit on the other columns."""
+    cols = [[int(v) for v in c] for c in x.T]
+    target, others = cols[j], cols[:j] + cols[j + 1:]
+    m = len(others)
+    # The normal equations, augmented by their right side, solved by Gauss-Jordan elimination.
+    a = [[Fraction(sum(map(int.__mul__, ci, c))) for c in (*others, target)] for ci in others]
+    for c in range(m):
+        pivot = next(r for r in range(c, m) if a[r][c] != 0)
+        a[c], a[pivot] = a[pivot], a[c]
+        for r in range(m):
+            if r != c:
+                f = a[r][c] / a[c][c]
+                a[r] = [u - f * w for u, w in zip(a[r], a[c])]
+    coef = [a[c][m] / a[c][c] for c in range(m)]
+    den = math.lcm(*(q.denominator for q in coef))
+    num = [int(q * den) for q in coef]
+    return [Fraction(t * den - sum(map(int.__mul__, num, row)), den)
+            for t, row in zip(target, zip(*others))]
+
+
 class TestAdjustRegressor:
+    def test_charges_columns_match_exact_rationals(self):
+        columns = ["age", "male", "priors", "prior_sentences", "drug_priors", "age_first_charge"]
+        path = resources.files("leanreg").joinpath("data", "charges_synthetic.csv")
+        ds = load_csv(str(path), "charges", columns)
+        assert np.array_equal(ds.design, np.round(ds.design))  # integer data: exact oracle
+        for j in range(1, ds.p + 1):
+            want = np.array([float(q) for q in exact_adjustment(ds.design, j)])
+            error = np.max(np.abs(adjust_regressor(ds, j) - want))
+            assert error <= 1e-14 * np.max(np.abs(ds.design[:, j]))
+
     def test_single_regressor_is_centering(self):
         ds = Dataset([1.0, 2.0, 3.0], [[2.0], [4.0], [9.0]], names=("x",))
         x_adj = adjust_regressor(ds, 1)

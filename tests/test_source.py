@@ -122,3 +122,33 @@ def test_no_test_only_library_code():
     sources = {p.name[: -len(".py")]: p.read_text(encoding="utf-8")
                for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")}
     assert unused_definitions(sources) == []
+
+
+def solver_references(source: str, filename: str) -> list[str]:
+    """``file:line`` of each import, name or attribute that refers to ``spd_solve_stack``."""
+    lines = {
+        node.lineno
+        for node in ast.walk(ast.parse(source, filename))
+        if (isinstance(node, ast.Name) and node.id == "spd_solve_stack")
+        or (isinstance(node, ast.Attribute) and node.attr == "spd_solve_stack")
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "spd_solve_stack" for a in node.names))
+    }
+    return [f"{filename}:{line}" for line in sorted(lines)]
+
+
+def test_only_fitting_calls_the_cholesky_solve():
+    # Every SPD matrix inference inverts is formed in fitting.py: the fits'
+    # normal equations and Newton systems, and the one inverse information
+    # that covariances, bands, the residual bootstrap and adjustment read.
+    spellings = "\n".join([
+        "from .core import spd_solve_stack", "spd_solve_stack(a, b, rows, 'm')",
+        "core.spd_solve_stack(a, None, rows, 'm')", "solve = spd_solve_stack",
+        "def spd_solve_stack(a): pass", "'spd_solve_stack'", "spd_solve(a)",
+    ])
+    assert solver_references(spellings, "s.py") == ["s.py:1", "s.py:2", "s.py:3", "s.py:4"]
+
+    found = []
+    for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
+        if path.name not in ("core.py", "fitting.py"):
+            found += solver_references(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
