@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
-from .core import Dataset, csv_text
+from .core import Dataset, check_integer, csv_text
 from .exceptions import (
     CoefficientIndexError,
     DomainError,
@@ -136,8 +136,7 @@ def xy_bootstrap(
     error with the cause attached.  A response outside the family's
     support is a ``FamilyError`` before any replicate is fitted.
     """
-    if B < 1:
-        raise DomainError("B must be at least 1")
+    _check_replicates(B)
     check_support(ds.response, family)
     x = ds.design
     y = ds.response
@@ -168,8 +167,7 @@ def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:
     ``(X'X)^-1 X'`` applied to ``y_b``, one matrix product per chunk;
     ``(X'X)^-1`` is the base fit's inverse information.
     """
-    if B < 1:
-        raise DomainError("B must be at least 1")
+    _check_replicates(B)
     base = fit_glm(ds, GAUSSIAN)
     # Residuals already sum to zero with an intercept; recentering is a
     # guard for the general case.
@@ -184,6 +182,13 @@ def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:
             y_b[r] += centered[idx]
         results.extend((y_b @ solver)[: len(reps)])
     return _collect(results, ds)
+
+
+def _check_replicates(B: int) -> None:
+    """Raise the error a bootstrap gives for a replicate count ``B`` that is not an integer >= 1."""
+    check_integer(B, "B")
+    if B < 1:
+        raise DomainError("B must be at least 1")
 
 
 def check_se_draws(count: int) -> None:
@@ -230,7 +235,9 @@ def normality_diagnostic(draws: BootstrapDraws, j: int) -> NormalityReport:
             f"normality diagnostic needs at least {MIN_DIAGNOSTIC_DRAWS} draws, have {m}"
         )
     values = np.sort(draws.draws[:, j])
-    quantiles = ndtri((np.arange(1, m + 1) - 0.5) / m)
+    positions = (np.arange(1, m + 1) - 0.5) / m
+    inv_cdf = NormalDist().inv_cdf
+    quantiles = np.array([inv_cdf(q) for q in positions.tolist()])
     with np.errstate(divide="ignore", invalid="ignore"):  # constant draws: NaN
         corr = float(np.corrcoef(values, quantiles)[0, 1])
     return NormalityReport(

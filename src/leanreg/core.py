@@ -1,9 +1,10 @@
-"""Data model, CSV text, and the one rank and SPD-solve policy.
+"""Data model, CSV text, the one integer-argument check, and the one rank and SPD-solve policy.
 
 A :class:`Dataset` is one sample: observed ``(y_i, x_i)`` tuples with
 explicit regressor/response designation, and the design that every fit,
 covariance, bootstrap and band reads, whose column 0 is the all-ones
-intercept.  :func:`numerical_rank` is the package's one rank rule and
+intercept.  :func:`check_integer` is the type check of every count and
+seed argument.  :func:`numerical_rank` is the package's one rank rule and
 :func:`spd_solve_stack` its one Cholesky solve, whose failure is a
 :class:`SingularSystemError` naming the matrix.  All types are
 immutable after construction and safe to share across threads.
@@ -21,6 +22,7 @@ import numpy as np
 from .exceptions import (
     ColumnError,
     DataError,
+    DomainError,
     EmptyInputError,
     ParseError,
     SingularSystemError,
@@ -33,6 +35,7 @@ __all__ = [
     "load_csv",
     "csv_text",
     "write_csv",
+    "check_integer",
     "numerical_rank",
     "spd_solve_stack",
 ]
@@ -265,6 +268,17 @@ def write_csv(ds: Dataset, path) -> None:
     """Write a :class:`Dataset` to the CSV file at ``path``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(dataset_to_csv_text(ds))
+
+
+def check_integer(value, name: str) -> None:
+    """Raise :class:`DomainError` naming ``name`` unless ``value`` is a Python or numpy integer.
+
+    The type check of every sample size, replicate count, fold count
+    and seed: a bool, a float or anything else would otherwise be
+    truncated, counted as 1 or fail later with an untyped error.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def numerical_rank(gram: np.ndarray):

@@ -12,10 +12,10 @@ finite-sample covariance of beta_hat, with no 1/n left to divide out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import csv_text
 from .exceptions import ColumnError, DimensionError
@@ -89,7 +89,8 @@ def se_and_pvalues(fit: FitResult, cov: np.ndarray) -> tuple[np.ndarray, np.ndar
     degenerate = se == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(degenerate, np.where(beta == 0.0, 0.0, np.inf), np.abs(beta) / se)
-    return se, 2.0 * ndtr(-z)
+    # erfc(z / sqrt 2) = 2 (1 - Phi(z)), without the cancellation of 1 - Phi.
+    return se, np.array([math.erfc(v / math.sqrt(2.0)) for v in z.tolist()])
 
 
 @dataclass(frozen=True)

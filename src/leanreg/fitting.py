@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .core import Dataset, numerical_rank, spd_solve_stack
 from .exceptions import (
@@ -95,6 +94,12 @@ class Family:
         return f"Family({self.tag!r})"
 
 
+def _expit(t):
+    # exp(-t) overflows to inf for t < -709, and 1 / inf is the limit 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t))
+
+
 def _softplus(t: np.ndarray) -> np.ndarray:
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
@@ -141,7 +146,7 @@ GAUSSIAN = Family(
 )
 BERNOULLI = Family(
     "bernoulli-logit",
-    inverse_link=expit,
+    inverse_link=_expit,
     variance_fn=lambda mu: mu * (1.0 - mu),
     deviance=_logit_deviance,
     outside_support=lambda y: ~((y == 0.0) | (y == 1.0)),
@@ -536,21 +541,29 @@ def fit_glm(ds: Dataset, family: Family) -> FitResult:
 def predict_mean(fit: FitResult, x) -> float:
     """Mean-scale prediction ``inverse_link(beta' x)`` at one point.
 
-    ``x`` must be a (p+1)-vector with the leading 1 included.
+    ``x`` must be a (p+1)-vector with the leading 1 included.  A mean
+    that is not finite (a poisson mean past the float range) is a
+    :class:`DomainError`.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != fit.beta_hat.shape:
         raise DimensionError(
             f"point has shape {x.shape}, expected {fit.beta_hat.shape}"
         )
-    return float(fit.family.inverse_link(x @ fit.beta_hat))
+    t = float(x @ fit.beta_hat)
+    with np.errstate(over="ignore"):
+        mu = float(fit.family.inverse_link(t))
+    if not np.isfinite(mu):
+        raise DomainError(f"the mean at linear predictor {t:.6g} is not a finite number")
+    return mu
 
 
 def exp_coef(fit: FitResult, j: int, delta: float = 1.0) -> float:
     """Multiplicative effect exp(beta_j * delta) of a ``delta`` increment.
 
     Only meaningful for the log link, where coefficients act as
-    multipliers of the mean count.
+    multipliers of the mean count.  A multiplier past the float range
+    is a :class:`DomainError`.
     """
     if fit.family is not POISSON:
         raise FamilyError(
@@ -559,4 +572,8 @@ def exp_coef(fit: FitResult, j: int, delta: float = 1.0) -> float:
         )
     if not 0 <= j < fit.beta_hat.shape[0]:
         raise CoefficientIndexError(f"coefficient index {j} out of range")
-    return float(np.exp(fit.beta_hat[j] * delta))
+    with np.errstate(over="ignore"):
+        multiplier = float(np.exp(fit.beta_hat[j] * delta))
+    if not np.isfinite(multiplier):
+        raise DomainError(f"exp({fit.beta_hat[j]:.6g} * {delta!r}) is not a finite number")
+    return multiplier

@@ -21,13 +21,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import bootstrap
-from .core import Dataset
+from .core import Dataset, check_integer
 from .covariance import sandwich_stack, standard_errors
 from .exceptions import (
     CollinearPopulationError,
@@ -395,6 +395,7 @@ def _dataset(pop: DiscretePopulation, idx: np.ndarray, y: np.ndarray) -> Dataset
 
 def sample(pop: DiscretePopulation, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. observations; deterministic for a given seed."""
+    check_integer(n, "n")
     if n < 1:
         raise DomainError("sample size must be at least 1")
     return _dataset(pop, *_draw(pop, n, substream(seed)))
@@ -501,17 +502,21 @@ def coverage_experiment(
             raise DomainError(f"unknown method {m!r}; expected one of {tuple(COVERAGE_METHODS)}")
     if not 0.0 < level < 1.0:
         raise DomainError(f"confidence level must be in (0, 1), got {level}")
+    check_integer(replications, "replications")
     if replications < 1:
         raise DomainError(f"replications must be at least 1, got {replications}")
+    check_integer(n, "n")
     if n < 1:
         raise DomainError("sample size must be at least 1")
     estimators = [COVERAGE_METHODS[m] for m in methods]
     if any(path is not None for _, path in estimators):
+        if B is not None:
+            check_integer(B, "B")
         if B is None or B < 1:
             raise DomainError(f"bootstrap methods require a replicate count B >= 1, got {B}")
         bootstrap.check_se_draws(B)
 
-    z = float(ndtri(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     beta_true = population_beta(pop)
     samples = substreams(seed, 0, count=replications)
     seeds = [None if p is None else spawn_seeds(seed, p, count=replications) for _, p in estimators]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, check_integer
 from .exceptions import (
     DimensionError,
     DomainError,
@@ -148,7 +148,8 @@ def _fold_assignments(n: int, folds: int, seed: int) -> np.ndarray:
 
 
 def check_folds(folds: int) -> None:
-    """Raise the error :func:`cv_calibrate_K` gives for fewer than 2 folds."""
+    """Raise the error :func:`cv_calibrate_K` gives for a fold count that is not an integer >= 2."""
+    check_integer(folds, "folds")
     if folds < 2:
         raise DomainError("cross-validation needs at least 2 folds")
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import check_integer
 from .exceptions import DomainError
 
 __all__ = ["philox_keys", "substream", "substreams", "spawn_seeds"]
@@ -75,6 +76,7 @@ def _words(value) -> list[int]:
 
 def _prefix(seed, path) -> tuple[list[int], int]:
     """Entropy pool and hash constant after mixing in ``(seed, *path)``."""
+    check_integer(seed, "seed")
     entropy = _words(seed)
     # SeedSequence pads the seed's words to the pool size with zeros
     # when a spawn key follows; without one, hashing the missing words
@@ -115,8 +117,8 @@ def philox_keys(seed: int, path, indices) -> np.ndarray:
     Row i equals ``SeedSequence(seed, spawn_key=(*path, indices[i]))
     .generate_state(2, np.uint64)``.  The pool after ``(seed, *path)`` is
     shared; only the words of each b are mixed as arrays.  Each b must
-    be below 2^64; a negative seed, path entry or index raises
-    :class:`~leanreg.exceptions.DomainError`.
+    be below 2^64; a seed that is not an integer, or a negative seed,
+    path entry or index, raises :class:`~leanreg.exceptions.DomainError`.
     """
     pool, const = _prefix(seed, path)
     b = np.asarray(indices)
@@ -144,6 +146,7 @@ def spawn_seeds(seed: int, *path: int, count: int) -> list[int]:
     b)).generate_state(1, np.uint64)[0]``: a pure function of the
     address, so the whole run stays reproducible.
     """
+    check_integer(count, "count")
     return philox_keys(seed, path, np.arange(count))[:, 0].tolist()
 
 
@@ -183,4 +186,5 @@ def substreams(seed: int, *path: int, count: int):
     every step, so draw from it before advancing the iterator.  The
     keys are derived (and the address validated) when this is called.
     """
+    check_integer(count, "count")
     return _streams(philox_keys(seed, path, np.arange(count)))

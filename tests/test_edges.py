@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from leanreg.bootstrap import _collect, xy_bootstrap
+from leanreg.bootstrap import _collect, residual_bootstrap, xy_bootstrap
 from leanreg.cli import main
 from leanreg.core import Dataset
 from leanreg.covariance import coefficient_table, conventional_cov, sandwich_cov, standard_errors
@@ -15,8 +15,10 @@ from leanreg.population import (
     coverage_experiment,
     load_population_file,
     make_population,
+    sample,
 )
-from leanreg.prediction import _order_statistic_K
+from leanreg.prediction import _order_statistic_K, cv_calibrate_K
+from leanreg.rng import spawn_seeds, substream, substreams
 
 
 # A sample with two coefficients, the shape of the draws below.
@@ -73,6 +75,54 @@ class TestCoverageExclusion:
             coverage_experiment(
                 pop, n=8, replications=200, methods=["sandwich"], level=0.9, seed=13
             )
+
+
+SAMPLE = Dataset([1.0, 2.0, 2.5, 4.1, 4.0, 6.2], [[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]],
+                 names=("x",))
+POPULATION = make_population([[-1.0], [1.0]], [0.5, 0.5], [0.0, 1.0], {"kind": "gaussian"})
+
+
+def cover(**kwargs):
+    args = dict(n=10, replications=5, methods=["xy-bootstrap"], B=5, seed=0)
+    return coverage_experiment(POPULATION, **{**args, **kwargs})
+
+
+class TestIntegerArguments:
+    # Every count and seed is a Python or numpy integer; a bool, a float
+    # or a string would otherwise be truncated, read as 1, or fail later
+    # with an untyped error.
+    @pytest.mark.parametrize("name, call", [
+        pytest.param(name, call, id=f"{where}({name}={value})")
+        for where, name, value, call in [
+            ("cv_calibrate_K", "folds", 2.5, lambda: cv_calibrate_K(SAMPLE, 0.1, 2.5, 1)),
+            ("cv_calibrate_K", "folds", True, lambda: cv_calibrate_K(SAMPLE, 0.1, True, 1)),
+            ("cv_calibrate_K", "seed", 1.0, lambda: cv_calibrate_K(SAMPLE, 0.1, 2, 1.0)),
+            ("sample", "n", 2.5, lambda: sample(POPULATION, 2.5, 1)),
+            ("sample", "n", True, lambda: sample(POPULATION, True, 1)),
+            ("sample", "seed", "'1'", lambda: sample(POPULATION, 5, "1")),
+            ("xy_bootstrap", "seed", 1.5, lambda: xy_bootstrap(SAMPLE, GAUSSIAN, 5, 1.5)),
+            ("xy_bootstrap", "B", True, lambda: xy_bootstrap(SAMPLE, GAUSSIAN, True, 1)),
+            ("xy_bootstrap", "B", 2.5, lambda: xy_bootstrap(SAMPLE, GAUSSIAN, 2.5, 1)),
+            ("residual_bootstrap", "B", "float64", lambda: residual_bootstrap(SAMPLE, np.float64(5.0), 1)),
+            ("residual_bootstrap", "seed", "bool_", lambda: residual_bootstrap(SAMPLE, 5, np.True_)),
+            ("coverage_experiment", "replications", 2.5, lambda: cover(replications=2.5)),
+            ("coverage_experiment", "n", 10.0, lambda: cover(n=10.0)),
+            ("coverage_experiment", "B", 2.5, lambda: cover(B=2.5)),
+            ("coverage_experiment", "seed", 0.0, lambda: cover(seed=0.0)),
+            ("substream", "seed", False, lambda: substream(False)),
+            ("substreams", "count", 2.5, lambda: substreams(0, count=2.5)),
+            ("spawn_seeds", "count", True, lambda: spawn_seeds(0, 1, count=True)),
+        ]
+    ])
+    def test_non_integer_rejected_by_name(self, name, call):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        a = xy_bootstrap(SAMPLE, GAUSSIAN, np.int64(5), np.uint32(7)).draws
+        assert np.array_equal(a, xy_bootstrap(SAMPLE, GAUSSIAN, 5, 7).draws)
+        assert cv_calibrate_K(SAMPLE, 0.5, np.int16(2), np.int64(3)) == cv_calibrate_K(SAMPLE, 0.5, 2, 3)
+        assert sample(POPULATION, np.int8(4), np.uint64(2**63)).n == 4
 
 
 class TestCoverageReplicationCount:

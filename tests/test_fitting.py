@@ -384,6 +384,18 @@ class TestPredictMean:
         with pytest.raises(DimensionError):
             predict_mean(fit, [1.0, 2.0, 3.0])
 
+    def test_poisson_mean_overflow_is_a_domain_error(self):
+        fit = fit_glm(data_from([0.0, 1.0, 2.0, 3.0], [2.0, 3.0, 4.0, 6.0]), POISSON)
+        with pytest.raises(DomainError, match="not a finite number"):
+            predict_mean(fit, [1.0, 1e6])
+
+    def test_logit_mean_saturates_silently(self):
+        fit = fit_glm(data_from([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 0.0, 1.0, 0.0, 1.0, 1.0]),
+                      BERNOULLI)
+        x = 1e6 / fit.beta_hat[1]
+        assert predict_mean(fit, [1.0, -x]) == 0.0
+        assert predict_mean(fit, [1.0, x]) == 1.0
+
 
 class TestExpCoef:
     @pytest.fixture()
@@ -413,3 +425,7 @@ class TestExpCoef:
     def test_index_guard(self, poisson_fit):
         with pytest.raises(CoefficientIndexError):
             exp_coef(poisson_fit, 5, 1.0)
+
+    def test_overflow_is_a_domain_error(self, poisson_fit):
+        with pytest.raises(DomainError, match="not a finite number"):
+            exp_coef(poisson_fit, 1, 1e6)

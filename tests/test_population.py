@@ -6,11 +6,11 @@ import json
 import warnings
 from importlib import resources
 from dataclasses import astuple
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from leanreg import bootstrap, population
 from leanreg.bootstrap import bootstrap_se, residual_bootstrap, xy_bootstrap
@@ -373,7 +373,7 @@ def replications_one_by_one(pop, n, count, methods, B, seed):
 def summarize(results, methods, beta_true, level):
     """Reference: the coverage results of per-replication outcomes, summed in replication order."""
     kept, _ = bootstrap.tolerate_failures(results, "coverage replications")
-    z = float(ndtri(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     retained = len(kept)
     beta_hat = np.array([beta for beta, _ in kept])
     summary = []

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from importlib import resources
 
 # Per-kind rules live in tables (fitting.Family, population.NOISE_KINDS);
@@ -152,3 +154,49 @@ def test_only_fitting_calls_the_cholesky_solve():
         if path.name not in ("core.py", "fitting.py"):
             found += solver_references(path.read_text(encoding="utf-8"), path.name)
     assert found == []
+
+
+def is_scipy(module: str | None) -> bool:
+    return module is not None and module.split(".")[0] == "scipy"
+
+
+def scipy_imports(source: str, filename: str) -> list[str]:
+    """``file:line`` of each import of scipy, by statement or by ``__import__``/``import_module``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import) and any(is_scipy(a.name) for a in node.names):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and is_scipy(node.module):
+            lines.add(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("__import__", "import_module")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and is_scipy(str(node.args[0].value))
+        ):
+            lines.add(node.lineno)
+    return [f"{filename}:{line}" for line in sorted(lines)]
+
+
+def test_library_does_not_import_scipy():
+    # numpy and the stdlib are the library's only runtime dependencies;
+    # scipy is the tests' independent oracle.
+    spellings = "\n".join([
+        "import scipy", "import scipy.special as sc", "from scipy.special import ndtr",
+        "from scipy import special", "import os, scipy.stats", "__import__('scipy.special')",
+        "importlib.import_module('scipy')", "import scipyx", "from .scipy import f",
+        "'scipy'", "x.scipy.special",
+    ])
+    assert scipy_imports(spellings, "s.py") == [f"s.py:{i}" for i in range(1, 8)]
+
+    found = []
+    for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
+        found += scipy_imports(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, leanreg, leanreg.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
