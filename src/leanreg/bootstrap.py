@@ -21,13 +21,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import Dataset, check_integer, csv_text
-from .exceptions import (
-    CoefficientIndexError,
-    DomainError,
-    ExcessiveFailureError,
-    InsufficientDrawsError,
-)
+from .core import Dataset, check_index, check_integer, csv_text
+from .exceptions import ExcessiveFailureError, InsufficientDrawsError
 from .fitting import GAUSSIAN, Family, check_support, fit_glm, fit_weighted, outer_rows
 from .rng import substreams
 
@@ -73,7 +68,8 @@ class BootstrapDraws:
 
 def _chunks(B: int, n: int):
     """Yield (chunk size, replicate indices) for chunks starting at multiples of the size."""
-    size = max(1, CHUNK_ELEMENTS // n)
+    # int(): CHUNK_ELEMENTS would overflow a narrow numpy n, such as an np.uint8.
+    size = max(1, CHUNK_ELEMENTS // int(n))
     for start in range(0, B, size):
         yield size, range(start, min(start + size, B))
 
@@ -136,7 +132,7 @@ def xy_bootstrap(
     error with the cause attached.  A response outside the family's
     support is a ``FamilyError`` before any replicate is fitted.
     """
-    _check_replicates(B)
+    check_integer(B, "B", 1)
     check_support(ds.response, family)
     x = ds.design
     y = ds.response
@@ -167,7 +163,7 @@ def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:
     ``(X'X)^-1 X'`` applied to ``y_b``, one matrix product per chunk;
     ``(X'X)^-1`` is the base fit's inverse information.
     """
-    _check_replicates(B)
+    check_integer(B, "B", 1)
     base = fit_glm(ds, GAUSSIAN)
     # Residuals already sum to zero with an intercept; recentering is a
     # guard for the general case.
@@ -182,13 +178,6 @@ def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:
             y_b[r] += centered[idx]
         results.extend((y_b @ solver)[: len(reps)])
     return _collect(results, ds)
-
-
-def _check_replicates(B: int) -> None:
-    """Raise the error a bootstrap gives for a replicate count ``B`` that is not an integer >= 1."""
-    check_integer(B, "B")
-    if B < 1:
-        raise DomainError("B must be at least 1")
 
 
 def check_se_draws(count: int) -> None:
@@ -227,8 +216,7 @@ def normality_diagnostic(draws: BootstrapDraws, j: int) -> NormalityReport:
 
     Plotting positions are (k - 0.5)/B over the retained draws.
     """
-    if not 0 <= j < draws.draws.shape[1]:
-        raise CoefficientIndexError(f"coefficient index {j} out of range")
+    check_index(j, 0, draws.draws.shape[1] - 1, "coefficient")
     m = draws.b_retained
     if m < MIN_DIAGNOSTIC_DRAWS:
         raise InsufficientDrawsError(

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import bootstrap as bt
 from . import prediction as pred
-from .core import csv_text, load_csv
+from .core import check_integer, csv_text, load_csv
 from .covariance import conventional_cov, coefficient_table, sandwich_cov
 from .exceptions import DomainError, InsufficientDrawsError, LeanRegError
 from .fitting import FAMILIES, GAUSSIAN, family_by_name, fit_glm
@@ -176,7 +176,7 @@ def run_diagnostics(args) -> int:
 def run_predict(args) -> int:
     if args.calibration != "train":
         folds = int(args.calibration.split(":", 1)[1])
-        pred.check_folds(folds)
+        check_integer(folds, "folds", 2)
     ds = _load_dataset(args)
     fit = fit_glm(ds, GAUSSIAN)
     if args.calibration == "train":

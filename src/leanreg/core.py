@@ -1,13 +1,14 @@
-"""Data model, CSV text, the one integer-argument check, and the one rank and SPD-solve policy.
+"""Data model, CSV text, the argument-domain checks, and the one rank and SPD-solve policy.
 
 A :class:`Dataset` is one sample: observed ``(y_i, x_i)`` tuples with
 explicit regressor/response designation, and the design that every fit,
 covariance, bootstrap and band reads, whose column 0 is the all-ones
-intercept.  :func:`check_integer` is the type check of every count and
-seed argument.  :func:`numerical_rank` is the package's one rank rule and
-:func:`spd_solve_stack` its one Cholesky solve, whose failure is a
-:class:`SingularSystemError` naming the matrix.  All types are
-immutable after construction and safe to share across threads.
+intercept.  :func:`check_integer`, :func:`check_level` and
+:func:`check_index` hold the domain of every count, seed, level and
+coefficient index argument.  :func:`numerical_rank` is the package's
+one rank rule and :func:`spd_solve_stack` its one Cholesky solve, whose
+failure is a :class:`SingularSystemError` naming the matrix.  All types
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import (
+    CoefficientIndexError,
     ColumnError,
     DataError,
     DomainError,
@@ -36,6 +39,8 @@ __all__ = [
     "csv_text",
     "write_csv",
     "check_integer",
+    "check_level",
+    "check_index",
     "numerical_rank",
     "spd_solve_stack",
 ]
@@ -270,15 +275,32 @@ def write_csv(ds: Dataset, path) -> None:
         fh.write(dataset_to_csv_text(ds))
 
 
-def check_integer(value, name: str) -> None:
-    """Raise :class:`DomainError` naming ``name`` unless ``value`` is a Python or numpy integer.
+def check_integer(value, name: str, least: int) -> None:
+    """Raise :class:`DomainError` naming ``name`` unless ``value`` is an integer >= ``least``.
 
-    The type check of every sample size, replicate count, fold count
-    and seed: a bool, a float or anything else would otherwise be
-    truncated, counted as 1 or fail later with an untyped error.
+    A Python or numpy integer passes.  The one domain check of every
+    sample size, replicate count, fold count, grid size, stream count and
+    seed: a bool, a float or anything else would otherwise be truncated,
+    counted as 1 or fail later with an untyped error.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+
+
+def check_level(value, name: str) -> None:
+    """Raise :class:`DomainError` naming ``name`` unless ``value`` is a real number in (0, 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < 1:
+        raise DomainError(f"{name} must be in (0, 1), got {value!r}")
+
+
+def check_index(j, lo: int, hi: int, what: str) -> None:
+    """Raise :class:`CoefficientIndexError` unless ``j`` is an integer in ``lo..hi``, inclusive."""
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+        raise CoefficientIndexError(f"{what} index must be an integer, got {j!r}")
+    if not lo <= j <= hi:
+        raise CoefficientIndexError(f"{what} index {j} out of range {lo}..{hi}")
 
 
 def numerical_rank(gram: np.ndarray):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, check_integer
 from .rng import substream
 
 __all__ = ["synthetic_charges", "CHARGES_COLUMNS"]
@@ -47,6 +47,7 @@ def synthetic_charges(n: int = DEFAULT_N, seed: int = DEFAULT_SEED) -> Dataset:
     variance 2.5) that induces strong overdispersion, hence visible
     misspecification of the Poisson working model.
     """
+    check_integer(n, "n", 1)
     rng = substream(seed)
     age = np.floor(18 + 48 * rng.beta(1.6, 2.4, size=n))
     male = (rng.random(n) < 0.8).astype(float)

@@ -19,9 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, numerical_rank, spd_solve_stack
+from .core import Dataset, check_index, numerical_rank, spd_solve_stack
 from .exceptions import (
-    CoefficientIndexError,
     ConvergenceError,
     DegreesOfFreedomError,
     DimensionError,
@@ -481,7 +480,11 @@ def _newton(x, y, w, wsum, outer, family, active, errors):
 
 
 def check_support(y: np.ndarray, family: Family) -> None:
-    """Raise ``FamilyError`` if a response lies outside the support of ``family``."""
+    """Raise ``FamilyError`` unless ``family`` is a :class:`Family` whose support holds ``y``."""
+    if not isinstance(family, Family):
+        raise FamilyError(
+            f"family must be a Family, such as family_by_name gives, not {family!r}"
+        )
     if family.outside_support is not None and family.outside_support(y).any():
         raise FamilyError(family.support_message)
 
@@ -570,8 +573,7 @@ def exp_coef(fit: FitResult, j: int, delta: float = 1.0) -> float:
             f"exponentiated-coefficient multipliers require the poisson-log "
             f"family, not {fit.family.tag!r}"
         )
-    if not 0 <= j < fit.beta_hat.shape[0]:
-        raise CoefficientIndexError(f"coefficient index {j} out of range")
+    check_index(j, 0, fit.beta_hat.shape[0] - 1, "coefficient")
     with np.errstate(over="ignore"):
         multiplier = float(np.exp(fit.beta_hat[j] * delta))
     if not np.isfinite(multiplier):

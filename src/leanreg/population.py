@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bootstrap
-from .core import Dataset, check_integer
+from .core import Dataset, check_integer, check_level
 from .covariance import sandwich_stack, standard_errors
 from .exceptions import (
     CollinearPopulationError,
@@ -395,9 +395,7 @@ def _dataset(pop: DiscretePopulation, idx: np.ndarray, y: np.ndarray) -> Dataset
 
 def sample(pop: DiscretePopulation, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. observations; deterministic for a given seed."""
-    check_integer(n, "n")
-    if n < 1:
-        raise DomainError("sample size must be at least 1")
+    check_integer(n, "n", 1)
     return _dataset(pop, *_draw(pop, n, substream(seed)))
 
 
@@ -500,23 +498,16 @@ def coverage_experiment(
     for m in methods:
         if m not in COVERAGE_METHODS:
             raise DomainError(f"unknown method {m!r}; expected one of {tuple(COVERAGE_METHODS)}")
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"confidence level must be in (0, 1), got {level}")
-    check_integer(replications, "replications")
-    if replications < 1:
-        raise DomainError(f"replications must be at least 1, got {replications}")
-    check_integer(n, "n")
-    if n < 1:
-        raise DomainError("sample size must be at least 1")
+    check_level(level, "level")
+    check_integer(replications, "replications", 1)
+    check_integer(n, "n", 1)
     estimators = [COVERAGE_METHODS[m] for m in methods]
     if any(path is not None for _, path in estimators):
-        if B is not None:
-            check_integer(B, "B")
-        if B is None or B < 1:
-            raise DomainError(f"bootstrap methods require a replicate count B >= 1, got {B}")
+        check_integer(B, "B", 1)
         bootstrap.check_se_draws(B)
 
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    # 0.5 + level / 2 rounds to 1 at the largest level below 1.
+    z = NormalDist().inv_cdf(min(0.5 + level / 2.0, math.nextafter(1.0, 0.0)))
     beta_true = population_beta(pop)
     samples = substreams(seed, 0, count=replications)
     seeds = [None if p is None else spawn_seeds(seed, p, count=replications) for _, p in estimators]
@@ -567,18 +558,13 @@ def coverage_experiment(
     ]
 
 
-def _check_points(points) -> None:
-    if not isinstance(points, (int, np.integer)) or points < 1:
-        raise DomainError(f"a grid law needs an integer number of points >= 1, got {points!r}")
-
-
 def normal_quadrature_law(points: int, mean: float = 0.0, sd: float = 1.0):
     """Gauss-Hermite grid representing a normal regressor law.
 
     Returns (support, probs) with moments of the normal matched exactly
     up to polynomial degree 2*points - 1.
     """
-    _check_points(points)
+    check_integer(points, "points", 1)
     nodes, weights = np.polynomial.hermite.hermgauss(points)
     support = mean + sd * math.sqrt(2.0) * nodes
     probs = weights / math.sqrt(math.pi)
@@ -588,7 +574,7 @@ def normal_quadrature_law(points: int, mean: float = 0.0, sd: float = 1.0):
 
 def uniform_grid_law(lo: float, hi: float, points: int):
     """Equal-weight grid on [lo, hi] discretizing a uniform regressor law."""
-    _check_points(points)
+    check_integer(points, "points", 1)
     support = np.linspace(lo, hi, points)
     probs = np.full(points, 1.0 / points)
     return support.reshape(-1, 1), probs

@@ -19,11 +19,12 @@ from it, for a whole design at once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, check_integer
+from .core import Dataset, check_integer, check_level
 from .exceptions import (
     DimensionError,
     DomainError,
@@ -55,6 +56,8 @@ class PredictionBand:
     beta_hat: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.K, bool) or not isinstance(self.K, numbers.Real):
+            raise DomainError(f"K must be a number, got {self.K!r}")
         if self.K < 0:
             raise DomainError("K must be nonnegative")
         if not math.isfinite(self.K):
@@ -127,8 +130,7 @@ def calibrate_K(fit: FitResult, alpha: float) -> float:
     coverage to 1 - alpha within 1/n.  The sample is ``fit.data``.
     Defined for OLS fits only.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    check_level(alpha, "alpha")
     band = make_band(fit, K=1.0)
     if band.sigma_hat == 0.0:
         raise ZeroScaleError(
@@ -147,13 +149,6 @@ def _fold_assignments(n: int, folds: int, seed: int) -> np.ndarray:
     return assign
 
 
-def check_folds(folds: int) -> None:
-    """Raise the error :func:`cv_calibrate_K` gives for a fold count that is not an integer >= 2."""
-    check_integer(folds, "folds")
-    if folds < 2:
-        raise DomainError("cross-validation needs at least 2 folds")
-
-
 def cv_calibrate_K(ds: Dataset, alpha: float, folds: int, seed: int) -> float:
     """Cross-validated calibration: pool held-out covering multipliers.
 
@@ -161,9 +156,8 @@ def cv_calibrate_K(ds: Dataset, alpha: float, folds: int, seed: int) -> float:
     own band; the pooled order statistic replaces the training one.
     Fold assignment is a deterministic function of the seed.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    check_folds(folds)
+    check_level(alpha, "alpha")
+    check_integer(folds, "folds", 2)
     n = ds.n
     if folds > n:
         raise FoldError(f"{folds} folds for {n} observations")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_level
 from .covariance import CoefficientTable
-from .exceptions import DomainError
 
 __all__ = ["MisspecIndicator", "misspec_indicator", "RATIO_THRESHOLD"]
 
@@ -69,8 +69,7 @@ def misspec_indicator(table: CoefficientTable, level: float = 0.05) -> MisspecIn
     A reversal is ``p_conv < level <= p_sand`` or
     ``p_sand < level <= p_conv``.
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must be in (0, 1), got {level}")
+    check_level(level, "level")
     se_conv, se_sand, p_conv, p_sand = table.se_conv, table.se_sand, table.p_conv, table.p_sand
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(

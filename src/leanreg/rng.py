@@ -76,7 +76,7 @@ def _words(value) -> list[int]:
 
 def _prefix(seed, path) -> tuple[list[int], int]:
     """Entropy pool and hash constant after mixing in ``(seed, *path)``."""
-    check_integer(seed, "seed")
+    check_integer(seed, "seed", 0)
     entropy = _words(seed)
     # SeedSequence pads the seed's words to the pool size with zeros
     # when a spawn key follows; without one, hashing the missing words
@@ -146,7 +146,7 @@ def spawn_seeds(seed: int, *path: int, count: int) -> list[int]:
     b)).generate_state(1, np.uint64)[0]``: a pure function of the
     address, so the whole run stays reproducible.
     """
-    check_integer(count, "count")
+    check_integer(count, "count", 0)
     return philox_keys(seed, path, np.arange(count))[:, 0].tolist()
 
 
@@ -186,5 +186,5 @@ def substreams(seed: int, *path: int, count: int):
     every step, so draw from it before advancing the iterator.  The
     keys are derived (and the address validated) when this is called.
     """
-    check_integer(count, "count")
+    check_integer(count, "count", 0)
     return _streams(philox_keys(seed, path, np.arange(count)))

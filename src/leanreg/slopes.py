@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, csv_text
+from .core import Dataset, check_index, csv_text
 from .exceptions import CoefficientIndexError, DomainError, ZeroWeightError
 from .fitting import GAUSSIAN, fit_glm
 
@@ -71,8 +71,7 @@ def check_regressor_index(j: int, p: int) -> None:
     """Raise :class:`CoefficientIndexError` unless j names one of p regressors (1..p)."""
     if j == 0:
         raise CoefficientIndexError("column 0 is the intercept; adjust a regressor (j >= 1)")
-    if not 1 <= j <= p:
-        raise CoefficientIndexError(f"regressor index {j} out of range 1..{p}")
+    check_index(j, 1, p, "regressor")
 
 
 def adjust_regressor(ds: Dataset, j: int) -> np.ndarray:

@@ -1,0 +1,219 @@
+"""Hostile arguments at every public entry point that takes a count, a level or a coefficient index.
+
+Each call either succeeds or raises the typed error that names its
+argument's domain: :class:`DomainError` for a count, a seed or a
+level, :class:`CoefficientIndexError` for an index.  No call warns.
+The domains are ``core.check_integer``, ``core.check_level`` and
+``core.check_index``; the inputs are bools, floats, strings, None,
+numpy scalars, negatives and values just below each floor.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leanreg.bootstrap import normality_diagnostic, residual_bootstrap, xy_bootstrap
+from leanreg.core import Dataset
+from leanreg.covariance import coefficient_table, conventional_cov, sandwich_cov
+from leanreg.datasets import synthetic_charges
+from leanreg.exceptions import CoefficientIndexError, DomainError, FamilyError, LeanRegError
+from leanreg.fitting import GAUSSIAN, POISSON, exp_coef, fit_glm
+from leanreg.population import (
+    coverage_experiment,
+    make_population,
+    normal_quadrature_law,
+    sample,
+    uniform_grid_law,
+)
+from leanreg.prediction import calibrate_K, cv_calibrate_K, make_band
+from leanreg.report import misspec_indicator
+from leanreg.rng import spawn_seeds, substream, substreams
+from leanreg.slopes import adjust_regressor, pairwise_slope_multiple
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
+
+_x = np.arange(12.0)
+SAMPLE = Dataset(
+    1.0 + 0.5 * _x + np.sin(_x), np.column_stack([_x, np.cos(_x)]), names=("x1", "x2")
+)
+COUNTS = Dataset(np.array([1.0, 0.0, 2.0, 3.0, 2.0, 5.0, 4.0, 6.0, 5.0, 9.0, 7.0, 8.0]),
+                 _x, names=("x",))
+OLS_FIT = fit_glm(SAMPLE, GAUSSIAN)
+POISSON_FIT = fit_glm(COUNTS, POISSON)
+TABLE = coefficient_table(OLS_FIT, conventional_cov(OLS_FIT), sandwich_cov(OLS_FIT))
+DRAWS = xy_bootstrap(SAMPLE, GAUSSIAN, 12, 1)
+POPULATION = make_population([[-1.0], [1.0]], [0.5, 0.5], [0.0, 1.0], {"kind": "gaussian"})
+
+
+def cover(**kwargs):
+    args = dict(n=20, replications=3, methods=["sandwich"], seed=0)
+    return coverage_experiment(POPULATION, **{**args, **kwargs})
+
+
+def outcome(call):
+    """The type of the :class:`LeanRegError` ``call()`` raises, or None; a warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call()
+        except LeanRegError as exc:
+            return type(exc)
+    return None
+
+
+# No count, level, index or band multiplier may be one of these.
+NOT_A_NUMBER = [True, False, np.True_, None, "1", "0.5", [1]]
+# Floats, which no count or index may be, and which are levels only in (0, 1).
+HOSTILE = st.sampled_from(NOT_A_NUMBER + [0.5, 1.0, 2.5, -1.0, np.float64(2.0), math.nan, math.inf])
+
+
+def is_integer(value) -> bool:
+    return not isinstance(value, (bool, np.bool_)) and isinstance(value, (int, np.integer))
+
+
+def is_real(value) -> bool:
+    return not isinstance(value, (bool, np.bool_)) and isinstance(value, (int, float, np.number))
+
+
+def integers(values):
+    """Each value as a Python int and as each numpy integer type that holds it."""
+    types = (np.int64, np.int16, np.uint8)
+    return st.sampled_from([t(v) for v in values for t in (int, *types)
+                            if t is int or np.iinfo(t).min <= v <= np.iinfo(t).max])
+
+
+# (name, floor, values at or above the floor that succeed, call)
+COUNT_ARGUMENTS = [
+    ("xy_bootstrap.B", 1, [1, 2, 5], lambda v: xy_bootstrap(SAMPLE, GAUSSIAN, v, 1)),
+    ("xy_bootstrap.seed", 0, [0, 3, 2**64 + 3], lambda v: xy_bootstrap(SAMPLE, GAUSSIAN, 3, v)),
+    ("residual_bootstrap.B", 1, [1, 2, 5], lambda v: residual_bootstrap(SAMPLE, v, 1)),
+    ("sample.n", 1, [1, 2, 9], lambda v: sample(POPULATION, v, 1)),
+    ("sample.seed", 0, [0, 7], lambda v: sample(POPULATION, 5, v)),
+    ("coverage_experiment.n", 1, [20, 30], lambda v: cover(n=v)),
+    ("coverage_experiment.replications", 1, [1, 2, 4], lambda v: cover(replications=v)),
+    ("coverage_experiment.B", 1, [2, 3],
+     lambda v: cover(replications=2, methods=["xy-bootstrap"], B=v)),
+    ("coverage_experiment.seed", 0, [0, 5], lambda v: cover(seed=v)),
+    ("cv_calibrate_K.folds", 2, [2, 3, 6], lambda v: cv_calibrate_K(SAMPLE, 0.2, v, 1)),
+    ("cv_calibrate_K.seed", 0, [0, 4], lambda v: cv_calibrate_K(SAMPLE, 0.2, 3, v)),
+    ("normal_quadrature_law.points", 1, [1, 2, 7], normal_quadrature_law),
+    ("uniform_grid_law.points", 1, [1, 2, 7], lambda v: uniform_grid_law(0.0, 1.0, v)),
+    ("substream.seed", 0, [0, 1, 2**64 + 3], substream),
+    ("substreams.count", 0, [0, 1, 3], lambda v: substreams(1, count=v)),
+    ("spawn_seeds.count", 0, [0, 1, 3], lambda v: spawn_seeds(1, 2, count=v)),
+    ("synthetic_charges.n", 1, [1, 5], lambda v: synthetic_charges(n=v)),
+]
+
+
+@pytest.mark.parametrize(
+    "least, valid, call",
+    [pytest.param(*row[1:], id=row[0]) for row in COUNT_ARGUMENTS],
+)
+@PROPERTY
+@given(data=st.data())
+def test_count_is_an_integer_at_its_floor(least, valid, call, data):
+    value = data.draw(HOSTILE | integers(list(range(least - 3, least))) | integers(valid))
+    expected = None if is_integer(value) and value >= least else DomainError
+    assert outcome(lambda: call(value)) is expected
+
+
+LEVEL_ARGUMENTS = [
+    ("calibrate_K.alpha", lambda v: calibrate_K(OLS_FIT, v)),
+    ("cv_calibrate_K.alpha", lambda v: cv_calibrate_K(SAMPLE, v, 3, 1)),
+    ("misspec_indicator.level", lambda v: misspec_indicator(TABLE, level=v)),
+    ("coverage_experiment.level", lambda v: cover(level=v)),
+]
+LEVELS = (
+    HOSTILE
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(0.0, 1.0)
+    | st.floats(0.0, 1.0).map(np.float64)
+    | integers([-1, 0, 1, 2])
+)
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=name) for name, c in LEVEL_ARGUMENTS])
+@PROPERTY
+@given(value=LEVELS)
+def test_level_is_a_number_in_the_open_unit_interval(call, value):
+    expected = None if is_real(value) and 0 < value < 1 else DomainError
+    assert outcome(lambda: call(value)) is expected
+
+
+@pytest.mark.parametrize("call", [pytest.param(c, id=name) for name, c in LEVEL_ARGUMENTS])
+@pytest.mark.parametrize("value", [math.nextafter(1.0, 0.0), 5e-324])
+def test_extreme_levels_are_usable(call, value):
+    # 0.5 + value / 2 rounds to 1 at the largest level below 1.
+    assert outcome(lambda: call(value)) is None
+
+
+# (name, lowest index, highest index, call)
+INDEX_ARGUMENTS = [
+    ("exp_coef.j", 0, 1, lambda j: exp_coef(POISSON_FIT, j)),
+    ("normality_diagnostic.j", 0, 2, lambda j: normality_diagnostic(DRAWS, j)),
+    ("adjust_regressor.j", 1, 2, lambda j: adjust_regressor(SAMPLE, j)),
+    ("pairwise_slope_multiple.j", 1, 2, lambda j: pairwise_slope_multiple(SAMPLE, j)),
+]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, call", [pytest.param(*row[1:], id=row[0]) for row in INDEX_ARGUMENTS]
+)
+@PROPERTY
+@given(data=st.data())
+def test_index_is_an_integer_in_range(lo, hi, call, data):
+    value = data.draw(HOSTILE | integers(list(range(-3, 6))))
+    expected = None if is_integer(value) and lo <= value <= hi else CoefficientIndexError
+    assert outcome(lambda: call(value)) is expected
+
+
+@PROPERTY
+@given(family=st.sampled_from(NOT_A_NUMBER + ["ols", "poisson", "gaussian", 0]))
+def test_family_must_be_a_family(family):
+    assert outcome(lambda: fit_glm(SAMPLE, family)) is FamilyError
+    assert outcome(lambda: xy_bootstrap(COUNTS, family, 5, 1)) is FamilyError
+
+
+@PROPERTY
+@given(K=HOSTILE | st.floats(-2.0, 1e300) | integers([-1, 0, 3]))
+def test_band_multiplier_is_a_finite_nonnegative_number(K):
+    expected = None if is_real(K) and 0 <= K < math.inf else DomainError
+    assert outcome(lambda: make_band(OLS_FIT, K=K)) is expected
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: normal_quadrature_law(True), DomainError, id="normal_quadrature_law(True)"),
+    pytest.param(lambda: substreams(1, count=-1), DomainError, id="substreams(count=-1)"),
+    pytest.param(lambda: spawn_seeds(1, count=-3), DomainError, id="spawn_seeds(count=-3)"),
+    pytest.param(lambda: synthetic_charges(n=2.5), DomainError, id="synthetic_charges(n=2.5)"),
+    pytest.param(lambda: calibrate_K(OLS_FIT, "0.1"), DomainError, id="calibrate_K('0.1')"),
+    pytest.param(lambda: misspec_indicator(TABLE, level="0.1"), DomainError,
+                 id="misspec_indicator(level='0.1')"),
+    pytest.param(lambda: cover(level="0.9"), DomainError, id="coverage_experiment(level='0.9')"),
+    pytest.param(lambda: exp_coef(POISSON_FIT, True), CoefficientIndexError, id="exp_coef(True)"),
+    pytest.param(lambda: exp_coef(POISSON_FIT, 1.0), CoefficientIndexError, id="exp_coef(1.0)"),
+    pytest.param(lambda: normality_diagnostic(DRAWS, 1.5), CoefficientIndexError,
+                 id="normality_diagnostic(1.5)"),
+    pytest.param(lambda: adjust_regressor(SAMPLE, 1.0), CoefficientIndexError,
+                 id="adjust_regressor(1.0)"),
+    pytest.param(lambda: normality_diagnostic(DRAWS, True), CoefficientIndexError,
+                 id="normality_diagnostic(True)"),
+    pytest.param(lambda: adjust_regressor(SAMPLE, True), CoefficientIndexError,
+                 id="adjust_regressor(True)"),
+    pytest.param(lambda: fit_glm(SAMPLE, "ols"), FamilyError, id="fit_glm('ols')"),
+    pytest.param(lambda: xy_bootstrap(COUNTS, "poisson", 5, 1), FamilyError,
+                 id="xy_bootstrap('poisson')"),
+    pytest.param(lambda: make_band(OLS_FIT, K="1"), DomainError, id="make_band(K='1')"),
+    pytest.param(lambda: make_band(OLS_FIT, K=True), DomainError, id="make_band(K=True)"),
+])
+def test_formerly_untyped_or_accepted_calls(call, error):
+    assert outcome(call) is error
+
+
+def test_family_error_names_the_lookup():
+    with pytest.raises(FamilyError, match="family_by_name"):
+        fit_glm(SAMPLE, "ols")

@@ -290,7 +290,7 @@ class TestResidualBootstrap:
     )
     def test_no_replicates_rejected(self, run):
         ds = Dataset([1.0, 2.0, 4.0], [[0.0], [1.0], [2.0]], ("x",))
-        with pytest.raises(DomainError, match="^B must be at least 1$"):
+        with pytest.raises(DomainError, match="^B must be at least 1, got 0$"):
             run(ds)
 
     def test_exact_linear_draws_identical(self):
@@ -368,15 +368,15 @@ class TestConvergenceAcrossSampleSizes:
 
 class TestBootstrapSe:
     def test_identical_draws_zero_se(self):
-        draws = BootstrapDraws(np.ones((20, 2)), "xy", 0, 0)
+        draws = BootstrapDraws(draws=np.ones((20, 2)), failures=0)
         assert np.all(bootstrap_se(draws) == 0.0)
 
     def test_two_draw_sd(self):
-        draws = BootstrapDraws(np.array([[0.0, 0.0], [0.0, 2.0]]), "xy", 0, 0)
+        draws = BootstrapDraws(draws=np.array([[0.0, 0.0], [0.0, 2.0]]), failures=0)
         assert bootstrap_se(draws)[1] == pytest.approx(np.sqrt(2.0))
 
     def test_insufficient_draws(self):
-        draws = BootstrapDraws(np.ones((1, 2)), "xy", 0, 0)
+        draws = BootstrapDraws(draws=np.ones((1, 2)), failures=0)
         with pytest.raises(InsufficientDrawsError):
             bootstrap_se(draws)
 
@@ -386,7 +386,7 @@ class TestNormalityDiagnostic:
         m = 200
         positions = (np.arange(1, m + 1) - 0.5) / m
         q = np.array([NormalDist().inv_cdf(p) for p in positions])
-        draws = BootstrapDraws(q.reshape(-1, 1), "xy", 0, 0)
+        draws = BootstrapDraws(draws=q.reshape(-1, 1), failures=0)
         rep = normality_diagnostic(draws, 0)
         assert rep.qq_correlation == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(rep.theoretical_quantiles, q)
@@ -395,7 +395,7 @@ class TestNormalityDiagnostic:
 
     def test_skewed_two_point_mass_low_correlation(self):
         values = np.concatenate([np.zeros(95), np.ones(5)])
-        draws = BootstrapDraws(values.reshape(-1, 1), "xy", 0, 0)
+        draws = BootstrapDraws(draws=values.reshape(-1, 1), failures=0)
         rep = normality_diagnostic(draws, 0)
         assert rep.qq_correlation < 0.95
 
@@ -406,23 +406,23 @@ class TestNormalityDiagnostic:
         assert rep.qq_correlation > 0.995
 
     def test_insufficient_draws(self):
-        draws = BootstrapDraws(np.ones((5, 1)), "xy", 0, 0)
+        draws = BootstrapDraws(draws=np.ones((5, 1)), failures=0)
         with pytest.raises(InsufficientDrawsError):
             normality_diagnostic(draws, 0)
 
     def test_constant_draws_nan_without_warning(self):
         # The suite turns warnings into errors, so a leaked RuntimeWarning fails here.
-        draws = BootstrapDraws(np.full((20, 1), 3.0), "xy", 0, 0)
+        draws = BootstrapDraws(draws=np.full((20, 1), 3.0), failures=0)
         assert np.isnan(normality_diagnostic(draws, 0).qq_correlation)
 
     def test_index_out_of_range(self):
-        draws = BootstrapDraws(np.ones((20, 2)), "xy", 0, 0)
+        draws = BootstrapDraws(draws=np.ones((20, 2)), failures=0)
         with pytest.raises(CoefficientIndexError):
             normality_diagnostic(draws, 2)
 
     def test_csv_export(self):
         values = np.linspace(-1, 1, 12)
-        draws = BootstrapDraws(values.reshape(-1, 1), "xy", 0, 0)
+        draws = BootstrapDraws(draws=values.reshape(-1, 1), failures=0)
         rep = normality_diagnostic(draws, 0)
         lines = rep.to_csv_text().strip().splitlines()
         assert lines[0] == "theoretical_quantile,draw"

@@ -595,7 +595,7 @@ class TestFlagErrorsBeforeInput:
         "flags, message",
         [
             (["bootstrap", "--boot", "5"], "normal-quantile diagnostics need B >= 10, got 5"),
-            (["predict", "--calibration", "cv:1"], "cross-validation needs at least 2 folds"),
+            (["predict", "--calibration", "cv:1"], "folds must be at least 2, got 1"),
             (["slopes", "--coef", "9", "--pairs-out", "pairs.csv"],
              "regressor index 9 out of range 1..6"),
             (["slopes", "--coef", "0", "--pairs-out", "pairs.csv"],

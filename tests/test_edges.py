@@ -152,14 +152,14 @@ class TestBootstrapReplicateCount:
             {"kind": "polynomial", "coefficients": [0.0, 1.0]},
             {"kind": "gaussian", "sigma": 1.0},
         )
-        with pytest.raises(DomainError, match=f"replicate count B >= 1, got {B}"):
+        with pytest.raises(DomainError, match=f"B must be (an integer|at least 1), got {B}"):
             coverage_experiment(pop, n=10, replications=5, methods=["xy-bootstrap"], B=B)
 
     def test_zero_boot_in_simulate_is_computational_error(self, capsys):
         argv = ["simulate", "--population", "quadratic.json", "--n", "50", "--reps", "20",
                 "--boot", "0", "--methods", "conventional,xy-bootstrap"]
         assert main(argv) == 1
-        assert "replicate count B >= 1, got 0" in capsys.readouterr().err
+        assert "B must be at least 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -208,9 +208,9 @@ class TestNegativeSeed:
 
     def test_library_rejects_negative_seed(self):
         ds = Dataset([1.0, 2.0, 2.5, 4.1], [[0.0], [1.0], [2.0], [3.0]], names=("x",))
-        with pytest.raises(DomainError, match="non-negative"):
+        with pytest.raises(DomainError, match="seed must be at least 0, got -3"):
             xy_bootstrap(ds, GAUSSIAN, B=10, seed=-3)
-        with pytest.raises(DomainError, match="non-negative"):
+        with pytest.raises(DomainError, match="seed must be at least 0, got -3"):
             coverage_experiment(
                 make_population([[-1.0], [1.0]], [0.5, 0.5], [0.0, 1.0]),
                 n=10, replications=5, methods=["sandwich"], seed=-3,

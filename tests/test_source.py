@@ -200,3 +200,41 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, leanreg, leanreg.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def numpy_integer_references(source: str, filename: str) -> list[str]:
+    """``file:line`` of each reference to numpy's ``integer`` type, by attribute or import."""
+    lines = {
+        node.lineno
+        for node in ast.walk(ast.parse(source, filename))
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "integer"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "numpy"
+            and any(a.name == "integer" for a in node.names)
+        )
+    }
+    return [f"{filename}:{line}" for line in sorted(lines)]
+
+
+def test_only_core_tests_for_integers():
+    # core.check_integer and core.check_index hold the domain of every
+    # count, seed and index; a second isinstance test drifts from them
+    # (a bool passing as a count of 1).
+    spellings = "\n".join([
+        "isinstance(v, (int, np.integer))", "numpy.integer", "from numpy import integer as I",
+        "np.issubdtype(d, np.integer)", "np.int64(v)", "x.integer", "integer", "'np.integer'",
+        "gen.integers(0, 2)",
+    ])
+    assert numpy_integer_references(spellings, "s.py") == ["s.py:1", "s.py:2", "s.py:3", "s.py:4"]
+
+    found = []
+    for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
+        if path.name != "core.py":
+            found += numpy_integer_references(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
