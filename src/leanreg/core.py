@@ -3,10 +3,11 @@
 A :class:`Dataset` is one sample: observed ``(y_i, x_i)`` tuples with
 explicit regressor/response designation, and the design that every fit,
 covariance, bootstrap and band reads, whose column 0 is the all-ones
-intercept.  :func:`check_integer`, :func:`check_level` and
-:func:`check_index` hold the domain of every count, seed, level and
-coefficient index argument.  :func:`numerical_rank` is the package's
-one rank rule and :func:`spd_solve_stack` its one Cholesky solve, whose
+intercept.  :func:`check_integer`, :func:`check_level`,
+:func:`check_real` and :func:`check_index` hold the domain of every
+count, seed, level, real-valued scalar and coefficient index argument.
+:func:`numerical_rank` is the package's one rank rule and
+:func:`spd_solve_stack` its one Cholesky solve, whose
 failure is a :class:`SingularSystemError` naming the matrix.  All types
 are immutable after construction and safe to share across threads.
 """
@@ -14,9 +15,9 @@ are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "write_csv",
     "check_integer",
     "check_level",
+    "check_real",
     "check_index",
     "numerical_rank",
     "spd_solve_stack",
@@ -204,52 +206,50 @@ def _read_csv(fh, response, regressors) -> Dataset:
     )
 
 
-# Rows converted to builtin objects at a time by csv_text; bounds the
-# number of Python objects alive at once, whatever the table's length.
+# Rows formatted at a time by csv_text; bounds the number of Python
+# objects alive at once, whatever the table's length.
 CSV_BLOCK_ROWS = 4096
 
+_NEEDS_QUOTES = re.compile('[,"\n\r]')
 
-def _write_quoting_cr(buf: io.StringIO, rows) -> None:
-    """Write ``rows`` to ``buf`` one by one as :func:`csv_text` does, quoting cells with a carriage return."""
-    # csv quotes a cell for the characters of the line terminator only,
-    # so a "\n" writer leaves a lone "\r" bare and the text reads back
-    # as two rows.  A "\r\n" writer quotes both; its terminator is
-    # swapped for the "\n" every line ends in.
-    row_buf = io.StringIO()
-    writer = csv.writer(row_buf, lineterminator="\r\n")
-    for row in rows:
-        row_buf.seek(0)
-        row_buf.truncate()
-        writer.writerow(row)
-        buf.write(row_buf.getvalue()[:-2] + "\n")
+
+def _quote(cell) -> str:
+    """A text cell, quoted and its quotes doubled if it holds a delimiter, quote, LF or CR."""
+    cell = str(cell)
+    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
+
+
+def _lines(rows, width: int) -> str:
+    """Rows of ``width`` formatted cells as CSV lines, each ending in a line feed."""
+    lines = list(map(",".join, rows))
+    if width == 1:  # a lone empty cell is quoted, so that its row reads back
+        lines = [line or '""' for line in lines]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def csv_text(header, columns) -> str:
     """The one CSV format leanreg writes: a header row, then one row per index.
 
     ``columns`` holds one sequence per header cell.  Lines end in a
-    bare line feed.  A float cell is the shortest string that
-    round-trips (``repr``), so reading the text back reproduces every
-    double bit-identically; ints and strings are written as they are,
-    quoted where they hold a delimiter, quote, line feed or carriage
-    return.
+    bare line feed.  A number is written as its ``repr``, for a float
+    the shortest string that round-trips, so reading the text back
+    reproduces every double bit-identically.  A string is written as it
+    is unless it holds a delimiter, quote, line feed or carriage return;
+    then it is quoted and each quote in it doubled.
     """
-    buf = io.StringIO()
-    _write_quoting_cr(buf, [header])
-    writer = csv.writer(buf, lineterminator="\n")
-    arrays = [np.asarray(c) for c in columns]
-    text = [a.dtype.kind == "U" for a in arrays]
+    text = [np.asarray(c).dtype.kind == "U" for c in columns]
     # numpy's fixed-width strings drop trailing NULs, so strings stay
     # the Python objects they came in as.
-    columns = [np.asarray(c, dtype=object) if t else a for c, a, t in zip(columns, arrays, text)]
+    columns = [np.asarray(c, dtype=object if t else None) for c, t in zip(columns, text)]
+    head = list(map(_quote, header))
+    parts = [_lines([head], len(head))]
     n = len(columns[0]) if columns else 0
     for start in range(0, n, CSV_BLOCK_ROWS):
         block = [c[start : start + CSV_BLOCK_ROWS].tolist() for c in columns]
-        if any("\r" in str(v) for cells, t in zip(block, text) if t for v in cells):
-            _write_quoting_cr(buf, zip(*block))
-        else:
-            writer.writerows(zip(*block))
-    return buf.getvalue()
+        cells = [list(map(_quote if t else repr, b)) for b, t in zip(block, text)]
+        parts.append(_lines(zip(*cells), len(cells)))
+    return "".join(parts)
 
 
 def _dataset_cells(v: np.ndarray) -> np.ndarray:
@@ -293,6 +293,12 @@ def check_level(value, name: str) -> None:
     """Raise :class:`DomainError` naming ``name`` unless ``value`` is a real number in (0, 1)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < 1:
         raise DomainError(f"{name} must be in (0, 1), got {value!r}")
+
+
+def check_real(value, name: str) -> None:
+    """Raise :class:`DomainError` naming ``name`` unless ``value`` is a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise DomainError(f"{name} must be finite and real, got {value!r}")
 
 
 def check_index(j, lo: int, hi: int, what: str) -> None:

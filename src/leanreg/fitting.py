@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, check_index, numerical_rank, spd_solve_stack
+from .core import Dataset, check_index, check_real, numerical_rank, spd_solve_stack
 from .exceptions import (
     ConvergenceError,
     DegreesOfFreedomError,
@@ -574,6 +574,7 @@ def exp_coef(fit: FitResult, j: int, delta: float = 1.0) -> float:
             f"family, not {fit.family.tag!r}"
         )
     check_index(j, 0, fit.beta_hat.shape[0] - 1, "coefficient")
+    check_real(delta, "delta")
     with np.errstate(over="ignore"):
         multiplier = float(np.exp(fit.beta_hat[j] * delta))
     if not np.isfinite(multiplier):

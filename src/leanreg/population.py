@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bootstrap
-from .core import Dataset, check_integer, check_level
+from .core import Dataset, check_integer, check_level, check_real
 from .covariance import sandwich_stack, standard_errors
 from .exceptions import (
     CollinearPopulationError,
@@ -565,16 +565,27 @@ def normal_quadrature_law(points: int, mean: float = 0.0, sd: float = 1.0):
     up to polynomial degree 2*points - 1.
     """
     check_integer(points, "points", 1)
+    check_real(mean, "mean")
+    check_real(sd, "sd")
+    if sd <= 0:
+        raise DomainError(f"sd must be positive, got {sd!r}")
     nodes, weights = np.polynomial.hermite.hermgauss(points)
-    support = mean + sd * math.sqrt(2.0) * nodes
+    with np.errstate(over="ignore"):
+        support = mean + sd * math.sqrt(2.0) * nodes
+    if not np.all(np.isfinite(support)):
+        raise DomainError(f"a normal law with sd {sd!r} has nodes past the float range")
     probs = weights / math.sqrt(math.pi)
     probs = probs / probs.sum()
     return support.reshape(-1, 1), probs
 
 
 def uniform_grid_law(lo: float, hi: float, points: int):
-    """Equal-weight grid on [lo, hi] discretizing a uniform regressor law."""
+    """Equal-weight grid on [lo, hi] discretizing a uniform regressor law; lo < hi."""
     check_integer(points, "points", 1)
+    check_real(lo, "lo")
+    check_real(hi, "hi")
+    if not 0 < float(hi) - float(lo) < math.inf:
+        raise DomainError(f"need lo < hi and a finite hi - lo, got lo={lo!r}, hi={hi!r}")
     support = np.linspace(lo, hi, points)
     probs = np.full(points, 1.0 / points)
     return support.reshape(-1, 1), probs

@@ -19,12 +19,11 @@ from it, for a whole design at once.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, check_integer, check_level
+from .core import Dataset, check_integer, check_level, check_real
 from .exceptions import (
     DimensionError,
     DomainError,
@@ -56,12 +55,9 @@ class PredictionBand:
     beta_hat: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.K, bool) or not isinstance(self.K, numbers.Real):
-            raise DomainError(f"K must be a number, got {self.K!r}")
+        check_real(self.K, "K")
         if self.K < 0:
             raise DomainError("K must be nonnegative")
-        if not math.isfinite(self.K):
-            raise DomainError(f"K must be finite, got {self.K}")
 
     def evaluate(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Centers and half widths of the band at the design rows x, shape (m, k).

@@ -5,12 +5,14 @@ weighting each pair by its squared horizontal distance (x_i - x_j)^2
 and averaging reproduces the least-squares coefficient exactly.  For
 multiple regression the same holds after the regressor is linearly
 adjusted for all other columns (intercept included), which also centers
-it.  The O(n^2) pair enumeration is kept deliberately naive: it is an
-independent oracle for the normal-equation solver, not a fast path.
+it.  The sums over all n^2 ordered pairs have closed forms in the
+centred data, so a summary costs O(n) time and memory; only the pair
+table, which lists every pair, is O(n^2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,8 @@ class PairwiseSlopeSummary:
 
     ``total_weight`` sums (x_i - x_j)^2 over ordered pairs; pairs with
     x_i == x_j carry zero weight, so their undefined slope never enters.
+    ``pair_count`` counts the ordered pairs with x_i != x_j, the rows of
+    :func:`pair_table_csv`.
     """
 
     beta: float
@@ -41,29 +45,60 @@ class PairwiseSlopeSummary:
     pair_count: int
 
 
+_NOT_FINITE = "pairwise slopes need finite x and y whose pair sums do not overflow"
+
+
+def _scaled_deviations(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(d, e)`` with ``v - mean(v) = d * 2**e`` and ``|d| < 4``.
+
+    Scaling by a power of two first keeps every step finite, whatever
+    the magnitude of ``v``; subtracting ``v[0]`` makes the deviations of
+    a constant ``v`` exact zeros.
+    """
+    e = math.frexp(float(np.max(np.abs(v))))[1]
+    s = np.ldexp(v, -e)
+    s -= s[0]
+    return s - s.mean(), e
+
+
 def pairwise_slope_simple(x, y) -> PairwiseSlopeSummary:
-    """sum_{i != j} (x_i - x_j)(y_i - y_j) / sum_{i != j} (x_i - x_j)^2."""
+    """sum_{i != j} (x_i - x_j)(y_i - y_j) / sum_{i != j} (x_i - x_j)^2.
+
+    Both sums are closed forms in O(n): sum_{i,j} (x_i - x_j)(y_i - y_j)
+    equals 2n sum_i (x_i - xbar)(y_i - ybar), and the weight is the same
+    with y = x.  Of the n^2 ordered pairs, sum_v c_v^2 have tied x,
+    where c_v counts the x values equal to v.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DomainError("x and y must be one-dimensional and equally long")
-    if x.shape[0] < 2:
+    n = x.shape[0]
+    if n < 2:
         raise DomainError("pairwise slopes need at least two observations")
-    # A NaN or infinity in x or y, or an overflow, leaves a sum non-finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx = x[:, None] - x[None, :]
-        dy = y[:, None] - y[None, :]
-        weights = dx * dx
-        total = float(np.sum(weights))
-        cross = float(np.sum(dx * dy))
-    if not (np.isfinite(total) and np.isfinite(cross)):
-        raise DomainError("pairwise slopes need finite x and y whose pair sums do not overflow")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DomainError(_NOT_FINITE)
+    dx, ex = _scaled_deviations(x)
+    dy, ey = _scaled_deviations(y)
+    sxx, sxy = float(np.sum(dx * dx)), float(np.sum(dx * dy))
+    try:
+        total = math.ldexp(2.0 * n * sxx, 2 * ex)
+        math.ldexp(2.0 * n * sxy, ex + ey)  # nor may the numerator overflow
+    except OverflowError:
+        raise DomainError(_NOT_FINITE) from None
     if total == 0.0:
-        raise ZeroWeightError("all regressor values coincide: total pair weight is 0")
+        raise ZeroWeightError(
+            "total pair weight is 0: the x values coincide or their differences underflow"
+        )
+    try:
+        beta = math.ldexp(sxy / sxx, ey - ex)
+    except OverflowError:
+        raise DomainError("the pairwise slope is past the float range") from None
+    ties = np.unique(x, return_counts=True)[1]
     return PairwiseSlopeSummary(
-        beta=cross / total,
+        beta=beta,
         total_weight=total,
-        pair_count=int(np.count_nonzero(weights)),
+        pair_count=n * n - int(ties @ ties),
     )
 
 

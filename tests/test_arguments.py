@@ -1,11 +1,12 @@
-"""Hostile arguments at every public entry point that takes a count, a level or a coefficient index.
+"""Hostile arguments at every public entry point taking a count, level, real scalar or index.
 
 Each call either succeeds or raises the typed error that names its
-argument's domain: :class:`DomainError` for a count, a seed or a
-level, :class:`CoefficientIndexError` for an index.  No call warns.
-The domains are ``core.check_integer``, ``core.check_level`` and
-``core.check_index``; the inputs are bools, floats, strings, None,
-numpy scalars, negatives and values just below each floor.
+argument's domain: :class:`DomainError` for a count, a seed, a level
+or a real scalar, :class:`CoefficientIndexError` for an index.  No call
+warns.  The domains are ``core.check_integer``, ``core.check_level``,
+``core.check_real`` and ``core.check_index``; the inputs are bools,
+floats, strings, None, numpy scalars, negatives, non-finite values and
+values just below each floor.
 """
 
 import math
@@ -151,6 +152,28 @@ def test_extreme_levels_are_usable(call, value):
     assert outcome(lambda: call(value)) is None
 
 
+# (name, call, whether a finite real value is in the domain)
+REAL_ARGUMENTS = [
+    ("uniform_grid_law.lo", lambda v: uniform_grid_law(v, 1.0, 3), lambda v: v < 1.0),
+    ("uniform_grid_law.hi", lambda v: uniform_grid_law(0.0, v, 3), lambda v: v > 0.0),
+    ("normal_quadrature_law.mean", lambda v: normal_quadrature_law(3, mean=v), lambda v: True),
+    ("normal_quadrature_law.sd", lambda v: normal_quadrature_law(3, sd=v), lambda v: v > 0.0),
+    ("exp_coef.delta", lambda v: exp_coef(POISSON_FIT, 1, v), lambda v: True),
+]
+
+
+@pytest.mark.parametrize(
+    "call, in_domain", [pytest.param(*row[1:], id=row[0]) for row in REAL_ARGUMENTS]
+)
+@PROPERTY
+@given(value=HOSTILE | st.floats(-10.0, 10.0) | integers([-2, 0, 1, 3])
+       | st.sampled_from([-0.0, 5e-324, np.float64(-3.5), -math.inf]))
+def test_real_is_finite_and_in_its_range(call, in_domain, value):
+    finite = is_real(value) and math.isfinite(value)
+    expected = None if finite and in_domain(value) else DomainError
+    assert outcome(lambda: call(value)) is expected
+
+
 # (name, lowest index, highest index, call)
 INDEX_ARGUMENTS = [
     ("exp_coef.j", 0, 1, lambda j: exp_coef(POISSON_FIT, j)),
@@ -209,6 +232,21 @@ def test_band_multiplier_is_a_finite_nonnegative_number(K):
                  id="xy_bootstrap('poisson')"),
     pytest.param(lambda: make_band(OLS_FIT, K="1"), DomainError, id="make_band(K='1')"),
     pytest.param(lambda: make_band(OLS_FIT, K=True), DomainError, id="make_band(K=True)"),
+    pytest.param(lambda: uniform_grid_law(1.0, 0.0, 3), DomainError, id="uniform_grid_law(1, 0)"),
+    pytest.param(lambda: uniform_grid_law(0.0, math.nan, 3), DomainError,
+                 id="uniform_grid_law(0, nan)"),
+    pytest.param(lambda: uniform_grid_law(0.0, "1", 3), DomainError, id="uniform_grid_law(0, '1')"),
+    pytest.param(lambda: uniform_grid_law(-1e308, 1e308, 3), DomainError,
+                 id="uniform_grid_law(-1e308, 1e308)"),
+    pytest.param(lambda: normal_quadrature_law(3, sd=-1.0), DomainError,
+                 id="normal_quadrature_law(sd=-1)"),
+    pytest.param(lambda: normal_quadrature_law(3, mean="0"), DomainError,
+                 id="normal_quadrature_law(mean='0')"),
+    pytest.param(lambda: normal_quadrature_law(7, sd=1e308), DomainError,
+                 id="normal_quadrature_law(sd=1e308)"),
+    pytest.param(lambda: exp_coef(POISSON_FIT, 1, delta="1"), DomainError, id="exp_coef(delta='1')"),
+    pytest.param(lambda: exp_coef(POISSON_FIT, 1, delta=None), DomainError,
+                 id="exp_coef(delta=None)"),
 ])
 def test_formerly_untyped_or_accepted_calls(call, error):
     assert outcome(call) is error

@@ -1,4 +1,4 @@
-"""Property-based invariance tests: regressor units, row order, ties, bundled data, CSV."""
+"""Property-based tests: regressor units, row order, ties, bundled data, CSV, pair sums."""
 
 import csv
 import io
@@ -16,9 +16,11 @@ from leanreg import core
 from leanreg.core import Dataset, csv_text, dataset_to_csv_text
 from leanreg.covariance import conventional_cov, sandwich_cov, standard_errors
 from leanreg.datasets import synthetic_charges
+from leanreg.exceptions import ZeroWeightError
 from leanreg.fitting import GAUSSIAN, family_by_name, fit_glm
 from leanreg.prediction import calibrate_K, make_band
-from leanreg.slopes import pair_table_csv
+from leanreg.slopes import pair_table_csv, pairwise_slope_simple
+from reference_forms import csv_writer_text, dense_pairwise_slope
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -163,6 +165,25 @@ class TestCsvText:
             assert _bits(float(row[1])) == _bits(f)
             assert int(row[2]) == i
 
+    @PROPERTY
+    @given(data=st.data(), block=st.integers(1, 5))
+    def test_bytes_match_csv_writer(self, data, block):
+        n = data.draw(st.integers(0, 12))
+        kinds = data.draw(st.lists(st.sampled_from(["text", "int", "bool", "float"]),
+                                   min_size=1, max_size=4))
+        cells = {"text": LABEL, "int": INT64, "bool": st.booleans(), "float": FLOAT64}
+        columns = [data.draw(st.lists(cells[k], min_size=n, max_size=n)) for k in kinds]
+        columns = [c if k == "text" else np.array(c) for c, k in zip(columns, kinds)]
+        header = data.draw(st.lists(LABEL, min_size=len(kinds), max_size=len(kinds)))
+        with mock.patch.object(core, "CSV_BLOCK_ROWS", block):
+            text = csv_text(header, columns)
+        assert text == csv_writer_text(header, columns, block)
+
+    @pytest.mark.parametrize("cell", ["", "a\rb", 'say "hi"', "x,y", "\n"])
+    def test_one_column_edge_cells(self, cell):
+        for header, column in (([cell], [cell, "b", cell]), (["h"], [cell])):
+            assert csv_text(header, [column]) == csv_writer_text(header, [column], 2)
+
 
 def _nested_loop_pair_table(x, y) -> str:
     """The pair-table writer before vectorisation: one csv row per loop step."""
@@ -196,3 +217,39 @@ class TestPairTable:
         x = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
         y = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
         assert pair_table_csv(x, y) == _nested_loop_pair_table(x, y)
+
+
+# Multiples k * 10^e with |k| <= 3: a nonzero difference of two is at
+# least about 1e-150, so every nonzero squared difference is a normal
+# double and the dense sums are accurate to rounding.  The regressor also
+# takes zeros of both signs and subnormals, whose pairs differ by
+# subnormal amounts.
+SCALED = st.builds(lambda k, e: k * 10.0**e, st.integers(-3, 3), st.integers(-150, 150))
+REGRESSOR = SCALED | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.5e-323, -2.2250738585072014e-308 / 3]
+)
+
+
+class TestPairwiseSlopeClosedForm:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_dense_sums(self, data):
+        n = data.draw(st.integers(2, 40))
+        # x takes a few levels, so ties are common.
+        levels = data.draw(st.lists(REGRESSOR, min_size=2, max_size=n, unique=True))
+        x = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+        y = np.array(data.draw(st.lists(SCALED, min_size=n, max_size=n)))
+        want = dense_pairwise_slope(x, y)
+        if want.total_weight == 0.0:
+            with pytest.raises(ZeroWeightError):
+                pairwise_slope_simple(x, y)
+            return
+        got = pairwise_slope_simple(x, y)
+        assert got.pair_count == want.pair_count
+        assert got.total_weight == pytest.approx(want.total_weight, rel=1e-12, abs=0.0)
+        # Relative to the slope's natural scale, sum |dx dy| / sum dx^2,
+        # which bounds |beta|: where the products cancel, no form keeps
+        # more of beta than the rounding of that sum.
+        dx = x[:, None] - x[None, :]
+        scale = float(np.sum(np.abs(dx * (y[:, None] - y[None, :])))) / want.total_weight
+        assert abs(got.beta - want.beta) <= 1e-12 * scale

@@ -1,6 +1,7 @@
 """Pairwise-slope form of regression coefficients and its identity with OLS."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -75,6 +76,30 @@ class TestPairwiseSimple:
     def test_overflowing_pair_sums_rejected(self, x, y):
         with pytest.raises(DomainError, match="whose pair sums do not overflow$"):
             pairwise_slope_simple(x, y)
+
+    def test_pair_count_matches_pair_table(self):
+        # 1e-200 squared underflows to 0, yet 0 != 1e-200: the pair is
+        # counted, as it is a row of the pair table.
+        x, y = [0.0, 1e-200, 1.0], [0.0, 1.0, 2.0]
+        res = pairwise_slope_simple(x, y)
+        assert res.pair_count == 6
+        assert res.pair_count == len(pair_table_csv(x, y).splitlines()) - 1
+
+    def test_huge_constant_response_has_zero_slope(self):
+        # The mean of three 1e308 overflows; the pair differences do not.
+        res = pairwise_slope_simple([1.0, 2.0, 3.0], [1e308] * 3)
+        assert (res.beta, res.total_weight, res.pair_count) == (0.0, 12.0, 6)
+
+    @pytest.mark.parametrize("c", [0.3, 1 / 3, 123.456])
+    def test_constant_response_has_exactly_zero_slope(self, c):
+        # The mean of ten copies of c rounds away from c; every pair
+        # difference of y is 0.
+        x = np.linspace(0.0, 1.0, 10) ** 3
+        assert pairwise_slope_simple(x, np.full(10, c)).beta == 0.0
+
+    def test_slope_past_float_range_rejected(self):
+        with pytest.raises(DomainError, match="^the pairwise slope is past the float range$"):
+            pairwise_slope_simple([0.0, 1e-160], [0.0, 1e300])
 
     def test_all_x_equal_raises(self):
         with pytest.raises(ZeroWeightError):
@@ -219,3 +244,17 @@ class TestPairTable:
         assert len(lines) == 3  # two ordered pairs
         _, _, w, s = lines[1].split(",")
         assert float(w) == 1.0 and float(s) == 2.0
+
+
+def test_multiple_slope_memory_is_linear_in_n():
+    # Dense n x n pair arrays at n = 2000 would take 32 MB each.
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2000, 3))
+    ds = Dataset(x @ [1.0, -2.0, 0.5] + rng.standard_normal(2000), x, names=("a", "b", "c"))
+    tracemalloc.start()
+    try:
+        pairwise_slope_multiple(ds, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
