@@ -24,7 +24,7 @@ import numpy as np
 from .core import Dataset, check_index, check_integer, csv_text
 from .exceptions import ExcessiveFailureError, InsufficientDrawsError
 from .fitting import GAUSSIAN, Family, check_support, fit_glm, fit_weighted, outer_rows
-from .rng import substreams
+from .rng import resample_indices
 
 __all__ = [
     "BootstrapDraws",
@@ -74,9 +74,24 @@ def _chunks(B: int, n: int):
         yield size, range(start, min(start + size, B))
 
 
-def _resamples(seed: int, B: int, n: int):
-    """Each replicate's resampling indices, in order: n draws with replacement from substream (seed, b)."""
-    return (rng.integers(0, n, size=n) for rng in substreams(seed, count=B))
+def _resample_chunks(seed: int, B: int, n: int):
+    """The chunks of :func:`_chunks`, and an iterator of their resampling indices in order.
+
+    Block i holds one row per replicate b of chunk i: its n draws with
+    replacement from substream ``(seed, b)``.  Callers take each block
+    with ``next`` and keep no name for it, so no block outlives its use.
+    """
+    chunks = list(_chunks(B, n))
+    return chunks, resample_indices(seed, [reps for _, reps in chunks], n)
+
+
+def _counts(idx: np.ndarray, n: int) -> np.ndarray:
+    """How often each of the n observations occurs in each row of ``idx``, by one bincount.
+
+    Row r is shifted by r * n in place, so ``idx`` is spent.
+    """
+    idx += n * np.arange(len(idx))[:, None]
+    return np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape)
 
 
 def tolerate_failures(results, what: str) -> tuple[list, dict]:
@@ -138,13 +153,12 @@ def xy_bootstrap(
     y = ds.response
     n = ds.n
     outer = outer_rows(x)
-    resamples = _resamples(seed, B, n)
     results = []
-    for size, reps in _chunks(B, n):
+    chunks, blocks = _resample_chunks(seed, B, n)
+    for size, reps in chunks:
         # Rows past the last replicate are padding: the sample itself.
         w = np.ones((size, n))
-        for r, idx in zip(range(len(reps)), resamples):
-            w[r] = np.bincount(idx, minlength=n)
+        w[: len(reps)] = _counts(next(blocks), n)
         fits = fit_weighted(x, y, w, family, outer=outer)
         results.extend(
             beta if error is None else error
@@ -170,12 +184,11 @@ def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:
     centered = base.residuals - np.mean(base.residuals)
     n = ds.n
     solver = ds.design @ base.information_inverse
-    resamples = _resamples(seed, B, n)
     results = []
-    for size, reps in _chunks(B, n):
+    chunks, blocks = _resample_chunks(seed, B, n)
+    for size, reps in chunks:
         y_b = np.tile(base.fitted, (size, 1))
-        for r, idx in zip(range(len(reps)), resamples):
-            y_b[r] += centered[idx]
+        y_b[: len(reps)] += centered[next(blocks)]
         results.extend((y_b @ solver)[: len(reps)])
     return _collect(results, ds)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from statistics import NormalDist
 from typing import Callable, NamedTuple
 
@@ -245,6 +246,13 @@ class DiscretePopulation:
     def m(self) -> int:
         return self.support.shape[0]
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """The cumulative probabilities, scaled to end at exactly 1, as ``Generator.choice`` forms them."""
+        cdf = self.probs.cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
     @property
     def points(self) -> np.ndarray:
         return self.support[:, 1:]
@@ -382,8 +390,13 @@ def check_orthogonality(
 
 
 def _draw(pop: DiscretePopulation, n: int, rng):
-    """``(idx, y)``: the support indices and responses of n i.i.d. draws from ``rng``."""
-    idx = rng.choice(pop.m, size=n, p=pop.probs)
+    """``(idx, y)``: the support indices and responses of n i.i.d. draws from ``rng``.
+
+    The indices are what ``rng.choice(pop.m, size=n, p=pop.probs)`` draws,
+    bit for bit, from the CDF the population forms once; the population
+    already makes every check ``choice`` makes on ``p``, more tightly.
+    """
+    idx = pop.cdf.searchsorted(rng.random(n), side="right")
     mu = pop.mu_values[idx]
     eps = NOISE_KINDS[pop.noise.kind].draw(rng, mu, pop.noise.scale[idx])
     return idx, mu + eps

@@ -15,6 +15,14 @@ range of addresses at once; the tests pin it to ``SeedSequence`` itself.
 Replicate loops draw from :func:`substreams`, which resets one Philox
 generator to each derived key instead of building a generator per
 replicate.
+
+Bootstrap resampling indices come from :func:`resample_indices`, which
+draws a whole chunk of replicates at once: raw 64-bit Philox words, each
+split into its low and then its high 32-bit half, mapped to ``range(n)``
+by Lemire's multiply-shift ``(half * n) >> 32``.  That is exactly what
+``Generator.integers(0, n, size=n)`` computes, so each row keeps the bits
+numpy would draw; a row in which numpy would reject a half is drawn again
+on its own, keeping only the accepted halves, as numpy does.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import numpy as np
 from .core import check_integer
 from .exceptions import DomainError
 
-__all__ = ["philox_keys", "substream", "substreams", "spawn_seeds"]
+__all__ = ["philox_keys", "substream", "substreams", "spawn_seeds", "resample_indices"]
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx).
 POOL_SIZE = 4
@@ -153,18 +161,19 @@ def spawn_seeds(seed: int, *path: int, count: int) -> list[int]:
 def _streams(keys):
     """One generator, put in the state of a fresh Philox with each key in turn."""
     # An integer seed spares the OS entropy a seedless Philox would
-    # draw; every draw comes after a reset.
+    # draw; every draw comes after a reset.  The state holds Python
+    # ints, which the setter reads faster than numpy scalars.
     gen = np.random.Generator(np.random.Philox(0))
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0] * 4, "key": None},
+        "buffer": [0] * 4,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
     for key in keys:
-        state["state"]["key"] = key
+        state["state"]["key"] = key.tolist()
         gen.bit_generator.state = state
         yield gen
 
@@ -188,3 +197,91 @@ def substreams(seed: int, *path: int, count: int):
     """
     check_integer(count, "count", 0)
     return _streams(philox_keys(seed, path, np.arange(count)))
+
+
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of 64-bit words in the order numpy reads them, low half first.
+
+    Arithmetic, not a view of the bytes, so byte order cannot matter.
+    """
+    halves = np.empty((*words.shape[:-1], 2 * words.shape[-1]), dtype=np.uint64)
+    np.bitwise_and(words, MASK32, out=halves[..., 0::2])
+    np.right_shift(words, 32, out=halves[..., 1::2])
+    return halves
+
+
+def _lemire(halves: np.ndarray, n: int) -> np.ndarray:
+    """Map each 32-bit half to ``range(n)`` in place; return the mask of halves numpy rejects.
+
+    The value is Lemire's multiply-shift ``(half * n) >> 32``; numpy
+    rejects a half whose low product word is below ``(2**32 - n) % n``,
+    which leaves every value equally likely.  The cast to uint32 keeps
+    the low word.
+    """
+    halves *= np.uint64(n)
+    rejected = halves.astype(np.uint32) < (2**32 - n) % n
+    halves >>= np.uint64(32)
+    return rejected
+
+
+def _accepted(gen: np.random.Generator, n: int) -> np.ndarray:
+    """n values of ``gen.integers(0, n, size=n)``, rejections and all."""
+    kept = np.empty(0, dtype=np.uint64)
+    while kept.size < n:
+        values = _halves(gen.bit_generator.random_raw(n // 2 + 1))
+        rejected = _lemire(values, n)
+        kept = np.concatenate([kept, values[~rejected]])
+    return kept[:n]
+
+
+def resample_indices(seed: int, chunks, n: int):
+    """Yield, per ``range`` of replicate indices in ``chunks``, their n draws each from ``range(n)``.
+
+    The block of a range ``reps`` has shape (len(reps), n), and its row r
+    equals ``substream(seed, reps[r]).integers(0, n, size=n)``, bit for
+    bit, as the tests pin.  Each stream gives ``ceil(n / 2)`` raw words
+    in one call, and one multiply-shift maps the whole block.  A
+    rejected half makes numpy draw another, which shifts the rest of its
+    row; such a row, which has probability below n^2 / 2^32, is drawn
+    again from its key.  The keys of every range are derived at once,
+    when this is called; n must lie in 1 .. 2^32, where numpy maps
+    32-bit halves.
+    """
+    check_integer(n, "n", 1)
+    n = int(n)
+    if n > 2**32:
+        raise DomainError(f"n must be at most 2^32 to resample by 32-bit halves, got {n}")
+    chunks = list(chunks)
+    indices = [np.arange(reps.start, reps.stop, dtype=np.uint64) for reps in chunks]
+    keys = philox_keys(seed, (), np.concatenate([np.empty(0, dtype=np.uint64), *indices]))
+    return _index_blocks(keys, [len(reps) for reps in chunks], n)
+
+
+def _index_blocks(keys: np.ndarray, sizes: list[int], n: int):
+    """The index blocks of :func:`resample_indices`: ``sizes[i]`` rows each, one stream per row."""
+    streams = _streams(keys)
+    bounds = np.cumsum([0, *sizes]).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield _index_block(streams, keys[lo:hi], n)
+
+
+def _raw_words(streams, rows: int, count: int) -> np.ndarray:
+    """``count`` raw 64-bit words from each of the next ``rows`` generators of ``streams``."""
+    words = np.empty((rows, count), dtype=np.uint64)
+    for r, gen in zip(range(rows), streams):
+        words[r] = gen.bit_generator.random_raw(count)
+    return words
+
+
+def _index_block(streams, keys: np.ndarray, n: int) -> np.ndarray:
+    """n indices for each key, drawn from the next ``len(keys)`` generators of ``streams``.
+
+    Nothing here outlives the call but the block, so a caller that drops
+    it holds no memory of the chunk.
+    """
+    values = _halves(_raw_words(streams, len(keys), (n + 1) // 2))[:, :n]
+    redraw = np.flatnonzero(np.any(_lemire(values, n), axis=1))
+    for r, gen in zip(redraw, _streams(keys[redraw])):
+        values[r] = _accepted(gen, n)
+    # Every value is below 2^32, so the signed view reads the same numbers.
+    return values.view(np.int64)

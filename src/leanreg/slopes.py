@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, check_index, csv_text
-from .exceptions import CoefficientIndexError, DomainError, ZeroWeightError
+from .exceptions import CoefficientIndexError, DataError, DomainError, ZeroWeightError
 from .fitting import GAUSSIAN, fit_glm
 
 __all__ = [
@@ -45,7 +45,29 @@ class PairwiseSlopeSummary:
     pair_count: int
 
 
-_NOT_FINITE = "pairwise slopes need finite x and y whose pair sums do not overflow"
+_FINITE = "pairwise slopes need finite x and y"
+_NOT_FINITE = f"{_FINITE} whose pair sums do not overflow"
+
+
+def _pair_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as float arrays, checked as every pairwise-slope function needs them.
+
+    Non-numeric or ragged values are a :class:`DataError`, as in a
+    ``Dataset``; arrays that are not 1-D, differ in length or hold NaN or
+    infinity are a :class:`DomainError`.
+    """
+    try:
+        x, y = np.asarray(x), np.asarray(y)
+    except ValueError:  # a ragged nesting
+        raise DataError("pairwise slopes need x and y as flat lists of numbers") from None
+    if x.dtype.kind not in "biuf" or y.dtype.kind not in "biuf":
+        raise DataError(f"pairwise slopes need numeric x and y, not {x.dtype} and {y.dtype}")
+    x, y = x.astype(float), y.astype(float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise DomainError("x and y must be one-dimensional and equally long")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DomainError(_FINITE)
+    return x, y
 
 
 def _scaled_deviations(v: np.ndarray) -> tuple[np.ndarray, int]:
@@ -69,15 +91,10 @@ def pairwise_slope_simple(x, y) -> PairwiseSlopeSummary:
     with y = x.  Of the n^2 ordered pairs, sum_v c_v^2 have tied x,
     where c_v counts the x values equal to v.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DomainError("x and y must be one-dimensional and equally long")
+    x, y = _pair_arrays(x, y)
     n = x.shape[0]
     if n < 2:
         raise DomainError("pairwise slopes need at least two observations")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DomainError(_NOT_FINITE)
     dx, ex = _scaled_deviations(x)
     dy, ey = _scaled_deviations(y)
     sxx, sxy = float(np.sum(dx * dx)), float(np.sum(dx * dy))
@@ -137,12 +154,16 @@ def pair_table_csv(x, y) -> str:
     """CSV of every contributing ordered pair: i, j, weight, slope.
 
     Pairs come in row-major order of (i, j); pairs with x_i == x_j,
-    the diagonal among them, carry zero weight and are left out.
+    the diagonal among them, carry zero weight and are left out.  A
+    weight or slope past the float range is a :class:`DomainError`.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 0.0)
-    i, j = np.nonzero(dx)
-    d = dx[i, j]
-    return csv_text(["i", "j", "weight", "slope"], [i, j, d * d, (y[i] - y[j]) / d])
+    x, y = _pair_arrays(x, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x[:, None] - x[None, :]
+        np.fill_diagonal(dx, 0.0)
+        i, j = np.nonzero(dx)
+        d = dx[i, j]
+        weight, slope = d * d, (y[i] - y[j]) / d
+    if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(slope))):
+        raise DomainError("a pair's weight or slope is past the float range")
+    return csv_text(["i", "j", "weight", "slope"], [i, j, weight, slope])

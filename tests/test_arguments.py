@@ -32,7 +32,7 @@ from leanreg.population import (
 )
 from leanreg.prediction import calibrate_K, cv_calibrate_K, make_band
 from leanreg.report import misspec_indicator
-from leanreg.rng import spawn_seeds, substream, substreams
+from leanreg.rng import resample_indices, spawn_seeds, substream, substreams
 from leanreg.slopes import adjust_regressor, pairwise_slope_multiple
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
@@ -106,6 +106,7 @@ COUNT_ARGUMENTS = [
     ("substream.seed", 0, [0, 1, 2**64 + 3], substream),
     ("substreams.count", 0, [0, 1, 3], lambda v: substreams(1, count=v)),
     ("spawn_seeds.count", 0, [0, 1, 3], lambda v: spawn_seeds(1, 2, count=v)),
+    ("resample_indices.n", 1, [1, 2, 9], lambda v: list(resample_indices(1, [range(2)], v))),
     ("synthetic_charges.n", 1, [1, 5], lambda v: synthetic_charges(n=v)),
 ]
 

@@ -11,6 +11,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from leanreg import bootstrap, population
 from leanreg.bootstrap import bootstrap_se, residual_bootstrap, xy_bootstrap
@@ -26,6 +28,7 @@ from leanreg.exceptions import (
 )
 from leanreg.fitting import GAUSSIAN, fit_glm
 from leanreg.population import (
+    PROB_TOL,
     CoverageResult,
     check_orthogonality,
     coverage_experiment,
@@ -38,6 +41,7 @@ from leanreg.population import (
     sample,
     uniform_grid_law,
 )
+from leanreg.rng import substream
 
 THIRDS = [1.0 / 3.0] * 3
 
@@ -209,6 +213,37 @@ class TestSample:
         ds = sample(pop, n, seed=42)
         mc_se = np.sqrt(var_y / n)
         assert abs(float(np.mean(ds.response)) - e_mu) <= 4.0 * mc_se
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        # Integer weights: zeros, which give support points of probability
+        # 0, are common.
+        weights=st.lists(st.integers(0, 4), min_size=1, max_size=12).filter(any),
+        # A shift of a few 1e-13 leaves the sum within 1e-12 of 1, not at 1.
+        shift=st.integers(-4, 4),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**128 - 1),
+    )
+    def test_sample_draws_what_numpy_choice_draws(self, weights, shift, n, seed):
+        probs = np.array(weights, dtype=float) / sum(weights)
+        probs[np.argmax(probs)] += shift * 1e-13
+        assume(abs(float(np.sum(probs)) - 1.0) <= PROB_TOL)
+        m = probs.size
+        pop = make_population(
+            np.arange(m, dtype=float).reshape(-1, 1), probs,
+            {"kind": "table", "values": np.linspace(-1.0, 1.0, m)},
+            {"kind": "gaussian", "sigma": 0.5},
+        )
+        ds = sample(pop, n, seed)
+        rng = substream(seed)
+        idx = rng.choice(m, size=n, p=pop.probs)
+        # The noise comes next from the same stream, so it must be
+        # where choice leaves it.
+        y = pop.mu_values[idx] + rng.standard_normal(n) * 0.5
+        assert np.array_equal(ds.regressors[:, 0], idx.astype(float))
+        assert np.array_equal(ds.response, y)
+        # A draw tells an unscaled CDF apart only within 1e-12 of a step.
+        assert pop.cdf[-1] == 1.0
 
     def test_bernoulli_sampling_is_binary(self):
         pop = make_population(

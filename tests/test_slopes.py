@@ -11,6 +11,7 @@ import pytest
 from leanreg.core import Dataset, load_csv
 from leanreg.exceptions import (
     CoefficientIndexError,
+    DataError,
     DomainError,
     SingularSystemError,
     ZeroWeightError,
@@ -244,6 +245,55 @@ class TestPairTable:
         assert len(lines) == 3  # two ordered pairs
         _, _, w, s = lines[1].split(",")
         assert float(w) == 1.0 and float(s) == 2.0
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [([1e200, -1e200], [1.0, 2.0]), ([0.0, 5e-324], [0.0, 1.0]), ([0.0, 1.0], [1e308, -1e308])],
+        ids=["weight", "slope of a subnormal gap", "response gap"],
+    )
+    def test_weight_or_slope_past_float_range_rejected(self, x, y):
+        with pytest.raises(DomainError, match="^a pair's weight or slope is past the float range$"):
+            pair_table_csv(x, y)
+
+    def test_underflowing_weight_is_kept(self):
+        # (1e-200)^2 underflows to 0, a float, not past the range.
+        assert pair_table_csv([0.0, 1e-200], [0.0, 1.0]).splitlines()[1] == "0,1,0.0,1e+200"
+
+
+# Each pairwise-slope function takes x and y through the same checks.
+PAIR_FUNCTIONS = [pairwise_slope_simple, pair_table_csv]
+
+
+@pytest.mark.parametrize("f", PAIR_FUNCTIONS, ids=lambda f: f.__name__)
+class TestPairInputs:
+    @pytest.mark.parametrize(
+        "x, y",
+        [(["a", "b"], [1, 2]), ([1.0, 2.0], [None, 1.0]), ([[1.0], [1.0, 2.0]], [1.0, 2.0]),
+         ([1 + 2j, 3.0], [1.0, 2.0])],
+        ids=["text", "None", "ragged", "complex"],
+    )
+    def test_non_numeric_input_is_a_data_error(self, f, x, y):
+        with pytest.raises(DataError, match="^pairwise slopes need"):
+            f(x, y)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [([[0.0, 1.0]], [[2.0, 3.0]]), ([0.0, 1.0, 2.0], [0.0, 1.0]), (1.0, 2.0)],
+        ids=["2-D", "unequal", "scalars"],
+    )
+    def test_shape_rejected(self, f, x, y):
+        with pytest.raises(DomainError, match="^x and y must be one-dimensional and equally long$"):
+            f(x, y)
+
+    @pytest.mark.parametrize(
+        "x, y", [([np.nan, 1.0], [1.0, 2.0]), ([0.0, 1.0], [1.0, -np.inf])], ids=["nan x", "-inf y"]
+    )
+    def test_non_finite_input_rejected(self, f, x, y):
+        with pytest.raises(DomainError, match="^pairwise slopes need finite x and y"):
+            f(x, y)
+
+    def test_integers_and_bools_are_numbers(self, f):
+        assert f([0, 1, 3], [True, False, True]) == f([0.0, 1.0, 3.0], [1.0, 0.0, 1.0])
 
 
 def test_multiple_slope_memory_is_linear_in_n():
