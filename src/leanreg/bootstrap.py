@@ -85,13 +85,11 @@ def _resample_chunks(seed: int, B: int, n: int):
     return chunks, resample_indices(seed, [reps for _, reps in chunks], n)
 
 
-def _counts(idx: np.ndarray, n: int) -> np.ndarray:
-    """How often each of the n observations occurs in each row of ``idx``, by one bincount.
-
-    Row r is shifted by r * n in place, so ``idx`` is spent.
-    """
-    idx += n * np.arange(len(idx))[:, None]
-    return np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape)
+def _cell_sums(idx: np.ndarray, m: int, values: np.ndarray | None = None) -> np.ndarray:
+    """Per row of ``idx`` (r, n): each index's count, or its sum of ``values`` (r, n), over 0..m-1, by one bincount."""
+    cells = (idx + m * np.arange(len(idx))[:, None]).ravel()
+    weights = None if values is None else values.ravel()
+    return np.bincount(cells, weights, len(idx) * m).reshape(len(idx), m)
 
 
 def tolerate_failures(results, what: str) -> tuple[list, dict]:
@@ -158,7 +156,7 @@ def xy_bootstrap(
     for size, reps in chunks:
         # Rows past the last replicate are padding: the sample itself.
         w = np.ones((size, n))
-        w[: len(reps)] = _counts(next(blocks), n)
+        w[: len(reps)] = _cell_sums(next(blocks), n)
         fits = fit_weighted(x, y, w, family, outer=outer)
         results.extend(
             beta if error is None else error

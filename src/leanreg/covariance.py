@@ -44,14 +44,13 @@ def standard_errors(cov: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.diagonal(cov, axis1=-2, axis2=-1), 0.0))
 
 
-def sandwich_stack(inverse: np.ndarray, x: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+def sandwich_stack(inverse: np.ndarray, meat: np.ndarray) -> np.ndarray:
     """:func:`sandwich_cov` of each fit in a stack, row r with the bits of that fit alone.
 
-    ``inverse`` (m, k, k), ``x`` (m, n, k) and ``residuals`` (m, n) are the fits'
-    inverse information matrices, designs and residuals.
+    ``inverse`` and ``meat`` (m, k, k) are the fits' inverse information
+    matrices and score second moments ``sum_i s_i s_i'``.
     """
-    scores = x * residuals[..., None]  # row i is (y_i - mu_i) x_i
-    cov = inverse @ (np.swapaxes(scores, -1, -2) @ scores) @ inverse
+    cov = inverse @ meat @ inverse
     return (cov + np.swapaxes(cov, -1, -2)) / 2.0
 
 
@@ -72,7 +71,8 @@ def sandwich_cov(fit: FitResult) -> np.ndarray:
     ``s_i = (y_i - mu_i) x_i`` the per-observation scores; for OLS the
     middle factor is the residual-weighted second moment.
     """
-    return sandwich_stack(fit.information_inverse[None], fit.data.design[None], fit.residuals[None])[0]
+    scores = fit.data.design * fit.residuals[:, None]  # row i is (y_i - mu_i) x_i
+    return sandwich_stack(fit.information_inverse[None], (scores.T @ scores)[None])[0]
 
 
 def se_and_pvalues(fit: FitResult, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,14 @@
 """Plug-in estimation of the best-approximation regression functional.
 
 :func:`fit_glm` fits one sample, a :class:`~leanreg.core.Dataset`, on
-the design it carries; :func:`fit_weighted` and :func:`fit_ols_stack`
-fit stacks of weightings or of samples with the same arithmetic.  OLS
-solves the sample normal equations exactly; bernoulli-logit and
-poisson-log working models are fitted by Newton iterations (IRLS) on the
-sample analog of the population cost function.  The fitted model is a
-best approximation of the true response surface; nothing here assumes
-the working model is correctly specified.
+the design it carries; :func:`fit_weighted` fits stacks of weightings
+of it with the same arithmetic, and :func:`fit_ols_counts` samples on a
+finite support from each point's count and response sum.  OLS solves
+the sample normal equations exactly; bernoulli-logit and poisson-log
+working models are fitted by Newton iterations (IRLS) on the sample
+analog of the population cost function.  The fitted model is a best
+approximation of the true response surface; nothing here assumes the
+working model is correctly specified.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ __all__ = [
     "POISSON",
     "family_by_name",
     "FitResult",
-    "fit_ols_stack",
+    "fit_ols_counts",
     "fit_glm",
     "fit_weighted",
-    "information_inverse_stack",
     "dispersion_stack",
     "check_support",
     "WeightedFits",
@@ -200,15 +200,17 @@ class FitResult:
 
     @functools.cached_property
     def information_inverse(self) -> np.ndarray:
-        """:func:`information_inverse_stack` of this fit, formed on first read; (X'X)^-1 for OLS."""
-        v = self.family.variance_fn(self.fitted)[None]
-        return _one(information_inverse_stack(self.data.design[None], v, np.ones(1, dtype=bool)))
+        """The fit's inverse information ``(sum_i v(mu_i) x_i x_i')^-1``, formed on first read; (X'X)^-1 for OLS."""
+        x, v = self.data.design[None], self.family.variance_fn(self.fitted)[None]
+        information = (np.swapaxes(x, -1, -2) * v[..., None, :]) @ x
+        return _one(spd_solve_stack(information, None, np.ones(1, dtype=bool), "information matrix"))
 
     @functools.cached_property
     def dispersion(self) -> float:
         """:func:`dispersion_stack` of this fit, formed on first read; SSE/(n-p-1) for OLS."""
+        sse = np.array([self.residuals @ self.residuals])
         k, rows = self.beta_hat.shape[0], np.ones(1, dtype=bool)
-        return float(_one(dispersion_stack(self.residuals[None], self.family, k, rows)))
+        return float(_one(dispersion_stack(sse, self.n, self.family, k, rows)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -252,58 +254,57 @@ def _record(errors: list, failed: list) -> np.ndarray:
     return ok
 
 
-def fit_ols_stack(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list]:
-    """Solve the normal equations of each design in a stack ``x`` (m, n, k), ``y`` (m, n).
+def fit_ols_counts(x: np.ndarray, counts: np.ndarray, sums: np.ndarray):
+    """OLS fits of samples on the support ``x`` (m, k), each given by its cells.
 
-    Returns ``(beta, errors)``.  Row r gets what :func:`fit_glm` does
-    for the gaussian family on ``(x[r], y[r])``, bit for bit: the rank
-    check of its Gram matrix, the warning when n <= k, and the Cholesky
-    solve.  ``errors[r]`` is the typed error that fit raised, and then
+    Row r holds support point j ``counts[r, j]`` times with responses
+    summing to ``sums[r, j]``: O(m k^2) per fit, not O(n k^2).  It gets
+    the warning and typed error ``errors[r]`` that sample's own fit gets
+    (then ``beta[r]`` is zero), and ``inverse[r]``, its inverse Gram
+    matrix, is the fit's inverse information.  Every product is per
+    row, so row r's bits depend on its cells alone.
+    """
+    gram = (x.T * counts[:, None, :]) @ x
+    beta, errors = _normal_equations(gram, (x.T @ sums[..., None])[..., 0], counts.sum(axis=1), 4)
+    # Every row left without an error has just passed the same Cholesky test.
+    inverse, _ = spd_solve_stack(gram, None, _ok(errors), "information matrix")
+    return beta, inverse, errors
+
+
+def _normal_equations(gram: np.ndarray, xty: np.ndarray, n: np.ndarray, stacklevel: int):
+    """``(beta, errors)`` of the OLS fits of a stack, from each one's Gram matrix, x'y and count ``n[r]``.
+
+    Every row gets what a single fit gets: the rank check of its Gram
+    matrix, a warning when n <= k (at ``stacklevel``), and the Cholesky
+    solve.  ``errors[r]`` is the typed error that fit raises, and then
     ``beta[r]`` is zero; otherwise ``errors[r]`` is None.
     """
-    _, n, k = x.shape
-    xt = np.swapaxes(x, -1, -2)
-    gram = xt @ x
+    k = gram.shape[-1]
     errors = _rank_errors(gram)
-    if n <= k:
-        for _ in range(errors.count(None)):
-            warnings.warn(
-                f"n={n} observations for {k} coefficients: "
-                "variance estimates will be unreliable",
-                stacklevel=3,
-            )
-    xty = (xt @ y[..., None])[..., 0]
+    for r in np.flatnonzero(_ok(errors) & (n <= k)):
+        warnings.warn(
+            f"n={n[r]} observations for {k} coefficients: variance estimates will be unreliable",
+            stacklevel=stacklevel,
+        )
     beta, failed = spd_solve_stack(gram, xty, _ok(errors), "normal-equation matrix")
     _record(errors, failed)
     beta[~_ok(errors)] = 0.0
     return beta, errors
 
 
-def information_inverse_stack(x: np.ndarray, v: np.ndarray, rows: np.ndarray):
-    """``(sum_i v_i x_i x_i')^-1`` of each design ``x`` (m, n, k) with variances ``v`` (m, n).
-
-    The one place inference forms and inverts the information; returns
-    ``(inverse, errors)`` of :func:`~leanreg.core.spd_solve_stack` for
-    the rows selected by ``rows``, an error naming the "information matrix".
-    """
-    information = (np.swapaxes(x, -1, -2) * v[..., None, :]) @ x
-    return spd_solve_stack(information, None, rows, "information matrix")
-
-
-def dispersion_stack(residuals: np.ndarray, family: Family, k: int, rows: np.ndarray):
-    """``(phi, errors)`` of fits with k coefficients and ``residuals`` (m, n): the one n - k rule.
+def dispersion_stack(sse: np.ndarray, n: int, family: Family, k: int, rows: np.ndarray):
+    """``(phi, errors)`` of fits of n observations with k coefficients and SSEs ``sse`` (m,): the one n - k rule.
 
     phi is SSE/(n-k) for OLS and 1 for a GLM.  OLS with n <= k gives
     each row selected by ``rows`` a :class:`DegreesOfFreedomError`.
     """
-    m, n = residuals.shape
+    m = len(sse)
     if not family.estimates_dispersion:
         return np.ones(m), [None] * m
     if n <= k:
         message = f"the OLS dispersion SSE/(n-p-1) needs n > p+1 (n={n}, p+1={k})"
         return np.zeros(m), [DegreesOfFreedomError(message) if r else None for r in rows]
-    # One dot product per row, as for a single fit.
-    return (residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0] / (n - k), [None] * m
+    return sse / (n - k), [None] * m
 
 
 def _one(stacked):
@@ -493,8 +494,8 @@ def fit_glm(ds: Dataset, family: Family) -> FitResult:
     """Fit the working model of ``family`` to the sample: the one single-sample fit.
 
     A closed-form family solves the normal equations (sum x x') beta =
-    sum x y exactly, as :func:`fit_ols_stack` with a stack of one; the
-    residuals are orthogonal to every design column.  Other families
+    sum x y exactly, by a Cholesky solve (:func:`_normal_equations`);
+    the residuals are orthogonal to every design column.  Other families
     are :func:`fit_weighted` with one all-ones weight row, minimizing the
     sample working-model cost by Newton/IRLS.  Convergence requires
     both a relative coefficient change below ``COEF_TOL`` and a
@@ -519,7 +520,9 @@ def fit_glm(ds: Dataset, family: Family) -> FitResult:
     x, y = ds.design, ds.response
     check_support(y, family)
     if family.closed_form:
-        beta, errors = fit_ols_stack(x[None], y[None])
+        xs = x[None]
+        xt = np.swapaxes(xs, -1, -2)
+        beta, errors = _normal_equations(xt @ xs, (xt @ y[None, :, None])[..., 0], np.full(1, ds.n), 3)
         iterations, score_norm = 1, 0.0
     else:
         fits = fit_weighted(x, y, np.ones((1, ds.n)), family)

@@ -32,11 +32,12 @@ from .core import Dataset, check_integer, check_level, check_real
 from .covariance import sandwich_stack, standard_errors
 from .exceptions import (
     CollinearPopulationError,
+    DimensionError,
     DomainError,
     LeanRegError,
     PopulationSchemaError,
 )
-from .fitting import GAUSSIAN, dispersion_stack, fit_ols_stack, fit_weighted, information_inverse_stack
+from .fitting import GAUSSIAN, dispersion_stack, fit_ols_counts, fit_weighted
 from .rng import spawn_seeds, substream, substreams
 
 __all__ = [
@@ -318,23 +319,24 @@ def decompose(pop: DiscretePopulation, beta: np.ndarray | None = None) -> Popula
     """Exact decomposition delta = eta + eps at the population.
 
     All reported moments are finite sums over support points; nothing
-    is simulated.
+    is simulated.  A given ``beta`` must be a vector of finite real
+    numbers (else :class:`DomainError`) with one entry per coefficient
+    (else :class:`DimensionError`); moments past the float range are a
+    :class:`DomainError`.
     """
-    if beta is None:
-        beta = population_beta(pop)
-    beta = np.asarray(beta, dtype=float)
-    eta = pop.mu_values - pop.support @ beta
+    beta = population_beta(pop) if beta is None else _coefficients(beta, pop.support.shape[1])
     w = pop.probs
     x = pop.support
 
     # Every noise law has E[eps | x] = 0, so its moments are exact zeros.
     e_eps = 0.0
     e_x_eps = np.zeros(x.shape[1])
-    e_eta = float(w @ eta)
-    e_x_eta = (x.T * w) @ eta
-    noise_var = pop.noise_variance()
-    delta2 = eta**2 + noise_var  # E[delta^2|x] = eta^2 + var(eps|x)
-    e_delta2_xx = (x.T * (w * delta2)) @ x
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        eta = pop.mu_values - x @ beta
+        e_eta = float(w @ eta)
+        e_x_eta = (x.T * w) @ eta
+        delta2 = eta**2 + pop.noise_variance()  # E[delta^2|x] = eta^2 + var(eps|x)
+        e_delta2_xx = (x.T * (w * delta2)) @ x
 
     moments = {
         "E_eta": e_eta,
@@ -346,7 +348,24 @@ def decompose(pop: DiscretePopulation, beta: np.ndarray | None = None) -> Popula
         "E_delta2_XX": e_delta2_xx,
         "sigma_delta2": float(w @ delta2),
     }
+    if not all(np.all(np.isfinite(v)) for v in moments.values()):
+        raise DomainError(f"the population moments at beta {beta.tolist()} pass the float range")
     return PopulationDecomposition(beta=beta, eta_at=eta, moments=moments)
+
+
+def _coefficients(beta, k: int) -> np.ndarray:
+    """``beta`` as a float vector of length k, or the typed error of :func:`decompose`."""
+    try:
+        arr = np.asarray(beta)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"beta must be a vector of real numbers, got {beta!r}")
+    if arr.shape != (k,):
+        raise DimensionError(f"beta has shape {arr.shape}, expected ({k},)")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"beta must be finite, got {beta!r}")
+    return arr.astype(float)
 
 
 @dataclass(frozen=True)
@@ -376,7 +395,11 @@ def check_orthogonality(
     (j = 0 is the intercept, giving the marginal centering of all three
     terms).  With the true best-approximation ``beta`` these are
     identities; passing ``beta`` explicitly supports negative controls.
+    ``tolerance`` must be a finite real number at least 0.
     """
+    check_real(tolerance, "tolerance")
+    if tolerance < 0:
+        raise DomainError(f"tolerance must be at least 0, got {tolerance!r}")
     dec = decompose(pop, beta=beta)
     checks = []
     for term in ("delta", "eta", "eps"):
@@ -453,21 +476,22 @@ class CoverageResult:
         return math.sqrt(max(c * (1.0 - c), 0.0) / self.replications)
 
 
-def _conventional_stack(inverse, x, residuals, rows):
-    """``conventional_cov`` of each OLS fit in a block, from its inverse information."""
-    dispersion, errors = dispersion_stack(residuals, GAUSSIAN, x.shape[-1], rows)
+def _conventional_stack(inverse, x, ssr, n, rows):
+    """``conventional_cov`` of each OLS fit of n draws in a block, from its cells."""
+    dispersion, errors = dispersion_stack(ssr.sum(axis=1), n, GAUSSIAN, x.shape[1], rows)
     return dispersion[:, None, None] * inverse, errors
 
 
 # Each coverage method's SEs come from (estimate, seed path).  With path
-# None, estimate(inverse, x, residuals, rows) returns the stacked
-# covariance of a block's fits, from their shared inverse information,
-# and the errors the method meets before that inverse; otherwise
-# estimate(ds, B, seed) bootstraps one replication's sample with the
-# seed of address (seed, path, r).
+# None, estimate(inverse, support, ssr, n, rows) returns the stacked
+# covariance of a block's fits to n draws, from their inverse information
+# and each support point's sum of squared residuals, and the errors the
+# method meets; otherwise estimate(ds, B, seed) bootstraps one
+# replication's sample with the seed of address (seed, path, r).
 COVERAGE_METHODS = {
     "conventional": (_conventional_stack, None),
-    "sandwich": (lambda inverse, x, res, rows: (sandwich_stack(inverse, x, res), [None] * len(x)), None),
+    "sandwich": (lambda inverse, x, ssr, n, rows: (
+        sandwich_stack(inverse, (x.T * ssr[:, None, :]) @ x), [None] * len(ssr)), None),
     "xy-bootstrap": (lambda ds, B, s: bootstrap.xy_bootstrap(ds, GAUSSIAN, B, s), 1),
     "residual-bootstrap": (lambda ds, B, s: bootstrap.residual_bootstrap(ds, B, s), 2),
 }
@@ -494,16 +518,19 @@ def coverage_experiment(
     r), with the path of :data:`COVERAGE_METHODS`, so it depends only on
     (seed, r): not on the number of replications.
 
-    Replications are fitted in blocks of the bootstrap's chunk size:
-    one stacked Gram, rank check and Cholesky solve per block.  Each
-    method then takes the rows still without an error, computing their
-    stacked covariances together or bootstrapping each sample.  The
-    analytic methods share one inverse information per block, formed
-    for the rows selected at the first of them.  Every
-    replication gets the bits, warnings and typed error its own fit,
-    covariances and bootstraps would give it, so results do not depend
-    on the blocking.  A replication's sample stays support indices and
-    responses; only a bootstrap makes it a :class:`Dataset`.
+    Replications are drawn in blocks of the bootstrap's chunk size.  A
+    sample is an empirical law on the support, fixed by each point's
+    count and response sum, so it is fitted there
+    (:func:`~leanreg.fitting.fit_ols_counts`), and each point's sum of
+    squared residuals gives both analytic covariances: O(m k^2) per
+    replication, not O(n k^2).  Each method then takes the rows still
+    without an error, computing their stacked covariances together or
+    bootstrapping each sample.  Every product is taken row by row, so
+    each replication gets the bits, warnings and typed error it gets
+    evaluated alone, and results do not depend on the blocking; they
+    match the sample's own fit and covariances to rounding.  A sample
+    stays support indices and responses; only a bootstrap makes it a
+    :class:`Dataset`.
     """
     methods = list(methods)
     if not methods:
@@ -526,25 +553,18 @@ def coverage_experiment(
     seeds = [None if p is None else spawn_seeds(seed, p, count=replications) for _, p in estimators]
     results, betas, ses = [], [], []
     for _, reps in bootstrap._chunks(replications, n):
-        draws = [_draw(pop, n, rng) for _, rng in zip(reps, samples)]
-        idx = np.array([d[0] for d in draws])
-        y = np.array([d[1] for d in draws])
-        x = pop.support[idx]  # support rows carry the leading 1
-        beta, errors = fit_ols_stack(x, y)
-        fitted = (x @ beta[..., None])[..., 0]
-        residuals = y - fitted
-        v = GAUSSIAN.variance_fn(fitted)
+        idx, y = map(np.array, zip(*(_draw(pop, n, rng) for _, rng in zip(reps, samples))))
+        counts, sums = (bootstrap._cell_sums(idx, pop.m, values) for values in (None, y))
+        beta, inverse, errors = fit_ols_counts(pop.support, counts, sums)
+        fitted = (pop.support @ beta[..., None])[..., 0]  # at each support point
+        ssr = bootstrap._cell_sums(idx, pop.m, (y - np.take_along_axis(fitted, idx, 1)) ** 2)
         se = np.zeros((len(reps), len(methods), beta.shape[1]))
-        inverse = None
         for i, (estimate, path) in enumerate(estimators):
             rows = np.array([e is None for e in errors])
             if path is None:
-                if inverse is None:
-                    inverse, singular = information_inverse_stack(x, v, rows)
-                cov, failed = estimate(inverse, x, residuals, rows)
+                cov, failed = estimate(inverse, pop.support, ssr, n, rows)
                 se[:, i] = standard_errors(cov)
-                # A row keeps its first error: an earlier one, the method's, the inverse's.
-                errors = [next(filter(None, c), None) for c in zip(errors, failed, singular)]
+                errors = [e or f for e, f in zip(errors, failed)]  # a row keeps its first error
                 continue
             for r in np.flatnonzero(rows):
                 try:

@@ -24,6 +24,7 @@ from leanreg.datasets import synthetic_charges
 from leanreg.exceptions import CoefficientIndexError, DomainError, FamilyError, LeanRegError
 from leanreg.fitting import GAUSSIAN, POISSON, exp_coef, fit_glm
 from leanreg.population import (
+    check_orthogonality,
     coverage_experiment,
     make_population,
     normal_quadrature_law,
@@ -160,6 +161,8 @@ REAL_ARGUMENTS = [
     ("normal_quadrature_law.mean", lambda v: normal_quadrature_law(3, mean=v), lambda v: True),
     ("normal_quadrature_law.sd", lambda v: normal_quadrature_law(3, sd=v), lambda v: v > 0.0),
     ("exp_coef.delta", lambda v: exp_coef(POISSON_FIT, 1, v), lambda v: True),
+    ("check_orthogonality.tolerance", lambda v: check_orthogonality(POPULATION, tolerance=v),
+     lambda v: v >= 0.0),
 ]
 
 

@@ -2,7 +2,9 @@
 residual decomposition, orthogonality identities, sampling, and
 coverage experiments."""
 
+import contextlib
 import json
+import math
 import warnings
 from importlib import resources
 from dataclasses import astuple
@@ -14,19 +16,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from leanreg import bootstrap, population
+from leanreg import bootstrap, fitting, population
 from leanreg.bootstrap import bootstrap_se, residual_bootstrap, xy_bootstrap
 from leanreg.cli import main
-from leanreg.covariance import conventional_cov, sandwich_cov, standard_errors
+from leanreg.covariance import conventional_cov, sandwich_cov, sandwich_stack, standard_errors
 from leanreg.exceptions import (
     CollinearPopulationError,
+    DimensionError,
     DomainError,
     ExcessiveFailureError,
     InsufficientDrawsError,
     LeanRegError,
     PopulationSchemaError,
 )
-from leanreg.fitting import GAUSSIAN, fit_glm
+from leanreg.fitting import GAUSSIAN, dispersion_stack, fit_glm, fit_ols_counts
 from leanreg.population import (
     PROB_TOL,
     CoverageResult,
@@ -153,6 +156,32 @@ class TestDecompose:
         # eta = 0; E[delta^2 x x'] reduces to E[sigma^2(x) x x'].
         expected = 0.5 * (1.0 * np.outer([1, -1], [1, -1]) + 4.0 * np.outer([1, 1], [1, 1]))
         assert np.allclose(dec.moments["E_delta2_XX"], expected, atol=1e-14)
+
+    # A given beta is a vector of finite reals, one per coefficient; no call warns.
+    @pytest.mark.parametrize("beta, error", [
+        ([math.nan, 0.0], DomainError),
+        ([math.inf, 0.0], DomainError),
+        ([1e200, 0.0], DomainError),  # finite, but its moments are not
+        (["a", "b"], DomainError),
+        ([True, False], DomainError),
+        ([None, 1.0], DomainError),
+        ([1.0, [2.0]], DomainError),
+        ([1j, 0.0], DomainError),
+        ([0.0], DimensionError),
+        ([0.0, 1.0, 2.0], DimensionError),
+        ([[0.0, 1.0]], DimensionError),
+        (0.5, DimensionError),
+        ([1, 2], None),
+        (np.array([0.5, 0.25]), None),
+    ], ids=repr)
+    def test_beta_is_a_finite_real_vector_of_length_k(self, beta, error):
+        pop = make_population([[-1.0], [1.0]], [0.5, 0.5], [0.0, 1.0], {"kind": "gaussian"})
+        for call in (lambda: decompose(pop, beta=beta), lambda: check_orthogonality(pop, beta=beta)):
+            if error is None:
+                call()
+            else:
+                with pytest.raises(error, match="^beta |^the population moments at beta "):
+                    call()
 
 
 class TestOrthogonality:
@@ -349,6 +378,23 @@ class TestCoverageExperiment:
             (r.coverage, r.mean_width) for r in b
         ]
 
+    def test_analytic_methods_fit_on_the_support(self):
+        # No replication is fitted as a sample: neither the stacked sample
+        # fit nor the per-draw information inverse runs, and no Dataset is built.
+        guards = [
+            mock.patch.object(module, name, side_effect=AssertionError(name), create=True)
+            for module in (fitting, population)
+            for name in ("fit_ols_stack", "information_inverse_stack", "Dataset")
+        ]
+        with contextlib.ExitStack() as stack:
+            for guard in guards:
+                stack.enter_context(guard)
+            results = coverage_experiment(
+                self.linear_pop(), n=40, replications=70,
+                methods=["conventional", "sandwich"], seed=3,
+            )
+        assert [r.replications for r in results] == [70] * 4
+
     def test_bootstrap_methods_run(self):
         results = coverage_experiment(
             self.linear_pop(), n=60, replications=30,
@@ -373,9 +419,37 @@ def replication_sample(pop, n, seed, r):
     return population._dataset(pop, *population._draw(pop, n, oracle_stream(seed, 0, r)))
 
 
-def replications_one_by_one(pop, n, count, methods, B, seed):
-    """Reference: coverage replications fitted one at a time, with no blocks.
+def support_fit(pop, idx, y):
+    """Reference: one sample's OLS fit on the support, alone: ``(beta, inverse, ssr)``.
 
+    ``ssr`` holds each support point's sum of squared residuals; a
+    failed fit raises its error.
+    """
+    counts = np.bincount(idx, minlength=pop.m)[None]
+    sums = np.bincount(idx, y, minlength=pop.m)[None]
+    beta, inverse, errors = fit_ols_counts(pop.support, counts, sums)
+    if errors[0] is not None:
+        raise errors[0]
+    residuals = y - (pop.support @ beta[..., None])[0, idx, 0]
+    return beta[0], inverse, np.bincount(idx, residuals**2, minlength=pop.m)[None]
+
+
+def support_ses(pop, n, inverse, ssr, method):
+    """Reference: a support fit's conventional or sandwich SEs, from its cells."""
+    if method == "sandwich":
+        return standard_errors(sandwich_stack(inverse, (pop.support.T * ssr[:, None]) @ pop.support))[0]
+    rows = np.ones(1, dtype=bool)
+    phi, errors = dispersion_stack(ssr.sum(axis=1), n, GAUSSIAN, pop.support.shape[1], rows)
+    if errors[0] is not None:
+        raise errors[0]
+    return standard_errors(phi[:, None, None] * inverse)[0]
+
+
+def replications_one_by_one(pop, n, count, methods, B, seed):
+    """Reference: coverage replications evaluated one at a time, with no blocks.
+
+    Each is fitted on the support alone (:func:`support_fit`), as the
+    coverage experiment fits it; its bootstraps resample its sample.
     Returns, per replication, ``(beta_hat, SEs per method)`` or the
     error it raised, and the number of warnings it issued.
     """
@@ -383,22 +457,21 @@ def replications_one_by_one(pop, n, count, methods, B, seed):
     for r in range(count):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ds = replication_sample(pop, n, seed, r)
+            idx, y = population._draw(pop, n, oracle_stream(seed, 0, r))
+            ds = population._dataset(pop, idx, y)
             try:
-                fit = fit_glm(ds, GAUSSIAN)
+                beta, inverse, ssr = support_fit(pop, idx, y)
                 ses = {}
                 for m in methods:
-                    if m == "conventional":
-                        ses[m] = standard_errors(conventional_cov(fit))
-                    elif m == "sandwich":
-                        ses[m] = standard_errors(sandwich_cov(fit))
+                    if m in ("conventional", "sandwich"):
+                        ses[m] = support_ses(pop, n, inverse, ssr, m)
                     elif m == "xy-bootstrap":
                         draws = xy_bootstrap(ds, GAUSSIAN, B, oracle_seed(seed, 1, r))
                         ses[m] = bootstrap_se(draws)
                     else:
                         draws = residual_bootstrap(ds, B, oracle_seed(seed, 2, r))
                         ses[m] = bootstrap_se(draws)
-                results.append((fit.beta_hat, ses))
+                results.append((beta, ses))
             except LeanRegError as exc:
                 results.append(exc)
         warned.append(len(caught))
@@ -505,6 +578,125 @@ class TestCoverageBlocks:
                 else:
                     assert [astuple(r) for r in got[1]] == [astuple(r) for r in want[1]]
                 assert got[2] == sum(warned[:count])
+
+    # In the other two cases every replication fails.
+    @pytest.mark.parametrize("case", sorted(set(BLOCK_CASES) - {"n_below_k", "n_equals_k"}))
+    def test_each_replication_keeps_its_bits(self, case):
+        # A sum of widths can absorb a last-bit change in one replication's
+        # SE, so this compares each replication's beta and analytic SEs,
+        # as the blocked run forms them, with its evaluation alone.
+        make_pop, n, methods, B, level, seed, chunk_elements = BLOCK_CASES[case]
+        pop = make_pop()
+        chunk_elements = chunk_elements or bootstrap.CHUNK_ELEMENTS
+        count = 2 * max(1, chunk_elements // n) + 3
+        analytic = [m for m in methods if m in ("conventional", "sandwich")]
+        betas, ses = [], []
+
+        def fit_spy(*args):
+            fits = fit_ols_counts(*args)
+            betas.extend(fits[0])
+            return fits
+
+        def se_spy(cov):
+            ses.append(standard_errors(cov))  # one call per analytic method and block
+            return ses[-1]
+
+        with mock.patch.object(bootstrap, "CHUNK_ELEMENTS", chunk_elements):
+            reference, _ = replications_one_by_one(pop, n, count, methods, B, seed)
+            with mock.patch.object(population, "fit_ols_counts", fit_spy), \
+                    mock.patch.object(population, "standard_errors", se_spy):
+                outcome(lambda: coverage_experiment(
+                    pop, n=n, replications=count, methods=methods, level=level, B=B, seed=seed,
+                ))
+        blocked = {m: np.concatenate(ses[i::len(analytic)]) for i, m in enumerate(analytic)}
+        compared = 0
+        for r, ref in enumerate(reference):
+            if isinstance(ref, LeanRegError):
+                continue
+            assert np.array_equal(betas[r], ref[0])
+            for m in analytic:
+                assert np.array_equal(blocked[m][r], ref[1][m])
+            compared += 1
+        assert compared > 0
+
+
+def attempt(call):
+    """``call()``, or the type of the :class:`LeanRegError` it raised."""
+    try:
+        return call()
+    except LeanRegError as exc:
+        return type(exc)
+
+
+def recorded(call):
+    """``(call(), number of warnings it issued)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, len(caught)
+
+
+def fitted_on_support(pop, n, idx, y):
+    """A replication's beta, conventional SEs and sandwich SEs from its support fit (or an error type)."""
+    fit = attempt(lambda: support_fit(pop, idx, y))
+    if isinstance(fit, type):
+        return fit
+    beta, inverse, ssr = fit
+    return beta, *(attempt(lambda: support_ses(pop, n, inverse, ssr, m)) for m in ("conventional", "sandwich"))
+
+
+def fitted_as_sample(pop, idx, y):
+    """The same from ``fit_glm`` and the covariances of the sample's :class:`Dataset`."""
+    fit = attempt(lambda: fit_glm(population._dataset(pop, idx, y), GAUSSIAN))
+    if isinstance(fit, type):
+        return fit
+    covs = (conventional_cov, sandwich_cov)
+    return fit.beta_hat, *(attempt(lambda: standard_errors(cov(fit))) for cov in covs)
+
+
+class TestSupportFit:
+    # Largest relative shifts measured between the two fits, each against
+    # the largest entry, over 18,000 random populations like those drawn
+    # below (with a noise scale per point) and 5,000 examples of this
+    # test: beta 1.2e-12; variances (squared SEs) 5.9e-15 conventional
+    # and 1.1e-8 sandwich.  The sandwich's largest shifts come from a
+    # point drawn once, at leverage near 1, in a design of condition
+    # number up to 5e5.  Variances are compared because one that vanishes
+    # exactly (a point drawn once, at leverage 1) is rounding noise whose
+    # square root reads 1e-8.  Each bound is about ten times the largest.
+    BOUNDS = (1e-11, 1e-13, 1e-7)  # beta, conventional, sandwich
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_sample_fit(self, data):
+        p = data.draw(st.integers(1, 2), label="regressors")
+        m = data.draw(st.integers(2, 8), label="support points")
+        # Points on a quarter grid: a sample is collinear exactly or far from it.
+        grid = st.lists(st.integers(-12, 12), min_size=p, max_size=p)
+        points = np.array(data.draw(st.lists(grid, min_size=m, max_size=m))) / 4.0
+        weights = np.array(data.draw(st.lists(st.integers(1, 9), min_size=m, max_size=m)), dtype=float)
+        mu = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m))
+        kind, param = data.draw(st.sampled_from([("gaussian", "sigma"), ("two_point", "a")]))
+        noise = {"kind": kind, param: data.draw(st.floats(0.1, 2.0))}
+        pop = make_population(points, weights / weights.sum(), mu, noise)
+        n = data.draw(st.integers(p + 1, 300), label="n")
+        idx, y = population._draw(pop, n, substream(data.draw(st.integers(0, 2**64 - 1))))
+
+        got, got_warned = recorded(lambda: fitted_on_support(pop, n, idx, y))
+        want, want_warned = recorded(lambda: fitted_as_sample(pop, idx, y))
+        assert got_warned == want_warned
+        if isinstance(got, type) or isinstance(want, type):
+            assert got is want
+            return
+        # An exact fit's residuals, and so its SEs, are rounding noise.
+        exact = np.max(np.abs(y - pop.support[idx] @ want[0])) <= 1e-9 * np.max(np.abs(y))
+        for i, (a, b, bound) in enumerate(zip(got, want, self.BOUNDS)):
+            if isinstance(a, type) or isinstance(b, type):
+                assert a is b
+            elif i == 0:
+                assert np.max(np.abs(a - b)) <= bound * np.max(np.abs(b))
+            elif not exact:
+                assert np.max(np.abs(a**2 - b**2)) <= bound * np.max(b**2)
 
 
 class TestQuadratureLaws:
