@@ -5,7 +5,8 @@ explicit regressor/response designation, and the design that every fit,
 covariance, bootstrap and band reads, whose column 0 is the all-ones
 intercept.  :func:`check_integer`, :func:`check_level`,
 :func:`check_real` and :func:`check_index` hold the domain of every
-count, seed, level, real-valued scalar and coefficient index argument.
+count, seed, level, real-valued scalar and coefficient index argument;
+:func:`finite_array` that of a point or design rows to evaluate at.
 :func:`numerical_rank` is the package's one rank rule and
 :func:`spd_solve_stack` its one Cholesky solve, whose
 failure is a :class:`SingularSystemError` naming the matrix.  All types
@@ -43,6 +44,7 @@ __all__ = [
     "check_level",
     "check_real",
     "check_index",
+    "finite_array",
     "numerical_rank",
     "spd_solve_stack",
 ]
@@ -307,6 +309,20 @@ def check_index(j, lo: int, hi: int, what: str) -> None:
         raise CoefficientIndexError(f"{what} index must be an integer, got {j!r}")
     if not lo <= j <= hi:
         raise CoefficientIndexError(f"{what} index {j} out of range {lo}..{hi}")
+
+
+def finite_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; not numeric is a :class:`DataError`, a NaN or infinite entry a :class:`DomainError`."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "biuf":
+        raise DataError(f"{name} must be numeric, not {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite (no NaN or inf)")
+    return arr
 
 
 def numerical_rank(gram: np.ndarray):

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import csv_text
-from .exceptions import ColumnError, DimensionError
+from .core import csv_text, finite_array
+from .exceptions import ColumnError, DimensionError, DomainError
 from .fitting import FitResult
 
 __all__ = [
@@ -79,11 +79,14 @@ def se_and_pvalues(fit: FitResult, cov: np.ndarray) -> tuple[np.ndarray, np.ndar
     """``(se, p)``: SE_j = sqrt(cov_jj); p_j = 2(1 - Phi(|beta_j| / SE_j)).
 
     A zero SE is degenerate: p is 0 for a nonzero coefficient (the
-    degenerate limit) and 1 for a zero coefficient.
+    degenerate limit) and 1 for a zero coefficient.  A covariance that
+    is not numeric is a :class:`DataError`, and a NaN or infinite entry
+    a :class:`DomainError`.
     """
     beta = fit.beta_hat
     k = beta.shape[0]
-    if np.shape(cov) != (k, k):
+    cov = finite_array(cov, "covariance")
+    if cov.shape != (k, k):
         raise DimensionError("covariance dimension does not match coefficients")
     se = standard_errors(cov)
     degenerate = se == 0.0
@@ -151,17 +154,25 @@ def coefficient_table(
     sand: np.ndarray,
     boot_se: np.ndarray | None = None,
 ) -> CoefficientTable:
-    """Assemble the per-coefficient report from one fit's covariances."""
+    """Assemble the per-coefficient report from one fit's covariances.
+
+    ``boot_se``, if given, holds one finite, nonnegative bootstrap SE
+    per coefficient (else :class:`DimensionError` or :class:`DomainError`).
+    """
     se_conv, p_conv = se_and_pvalues(fit, conv)
     se_sand, p_sand = se_and_pvalues(fit, sand)
-    if boot_se is not None and len(boot_se) != len(se_conv):
-        raise DimensionError("bootstrap SE vector does not match the fit")
+    if boot_se is not None:
+        boot_se = finite_array(boot_se, "bootstrap SEs")
+        if boot_se.shape != se_conv.shape:
+            raise DimensionError("bootstrap SE vector does not match the fit")
+        if np.any(boot_se < 0):
+            raise DomainError("bootstrap SEs must be nonnegative")
     return CoefficientTable(
         labels=fit.data.column_labels,
         coef=fit.beta_hat,
         se_conv=se_conv,
         p_conv=p_conv,
-        se_boot=None if boot_se is None else np.asarray(boot_se, dtype=float),
+        se_boot=boot_se,
         se_sand=se_sand,
         p_sand=p_sand,
     )

@@ -37,7 +37,7 @@ from .exceptions import (
     LeanRegError,
     PopulationSchemaError,
 )
-from .fitting import GAUSSIAN, dispersion_stack, fit_ols_counts, fit_weighted
+from .fitting import GAUSSIAN, dispersion_stack, fit_ols_counts, fit_weighted, gram
 from .rng import spawn_seeds, substream, substreams
 
 __all__ = [
@@ -242,6 +242,12 @@ class DiscretePopulation:
             raise PopulationSchemaError(
                 "support is too large: its second moment E[x x'] overflows", field="support"
             )
+        with np.errstate(over="ignore"):
+            variance = self.noise_variance()
+        if not np.all(np.isfinite(variance)):
+            param = NOISE_KINDS[self.noise.kind].param
+            name = "mu" if param is None else f"noise.{param}"  # bernoulli's mu(1 - mu)
+            raise PopulationSchemaError(f"{name} is too large: the noise variance overflows", field=name)
 
     @property
     def m(self) -> int:
@@ -336,7 +342,7 @@ def decompose(pop: DiscretePopulation, beta: np.ndarray | None = None) -> Popula
         e_eta = float(w @ eta)
         e_x_eta = (x.T * w) @ eta
         delta2 = eta**2 + pop.noise_variance()  # E[delta^2|x] = eta^2 + var(eps|x)
-        e_delta2_xx = (x.T * (w * delta2)) @ x
+        e_delta2_xx = gram(x, (w * delta2)[None])[0]
 
     moments = {
         "E_eta": e_eta,
@@ -476,22 +482,21 @@ class CoverageResult:
         return math.sqrt(max(c * (1.0 - c), 0.0) / self.replications)
 
 
-def _conventional_stack(inverse, x, ssr, n, rows):
+def _conventional_stack(inverse, x, ssr, n):
     """``conventional_cov`` of each OLS fit of n draws in a block, from its cells."""
-    dispersion, errors = dispersion_stack(ssr.sum(axis=1), n, GAUSSIAN, x.shape[1], rows)
+    dispersion, errors = dispersion_stack(ssr.sum(axis=1), n, GAUSSIAN, x.shape[1])
     return dispersion[:, None, None] * inverse, errors
 
 
 # Each coverage method's SEs come from (estimate, seed path).  With path
-# None, estimate(inverse, support, ssr, n, rows) returns the stacked
+# None, estimate(inverse, support, ssr, n) returns the stacked
 # covariance of a block's fits to n draws, from their inverse information
 # and each support point's sum of squared residuals, and the errors the
 # method meets; otherwise estimate(ds, B, seed) bootstraps one
 # replication's sample with the seed of address (seed, path, r).
 COVERAGE_METHODS = {
     "conventional": (_conventional_stack, None),
-    "sandwich": (lambda inverse, x, ssr, n, rows: (
-        sandwich_stack(inverse, (x.T * ssr[:, None, :]) @ x), [None] * len(ssr)), None),
+    "sandwich": (lambda inverse, x, ssr, n: (sandwich_stack(inverse, gram(x, ssr)), [None] * len(ssr)), None),
     "xy-bootstrap": (lambda ds, B, s: bootstrap.xy_bootstrap(ds, GAUSSIAN, B, s), 1),
     "residual-bootstrap": (lambda ds, B, s: bootstrap.residual_bootstrap(ds, B, s), 2),
 }
@@ -560,13 +565,12 @@ def coverage_experiment(
         ssr = bootstrap._cell_sums(idx, pop.m, (y - np.take_along_axis(fitted, idx, 1)) ** 2)
         se = np.zeros((len(reps), len(methods), beta.shape[1]))
         for i, (estimate, path) in enumerate(estimators):
-            rows = np.array([e is None for e in errors])
             if path is None:
-                cov, failed = estimate(inverse, pop.support, ssr, n, rows)
+                cov, failed = estimate(inverse, pop.support, ssr, n)
                 se[:, i] = standard_errors(cov)
                 errors = [e or f for e, f in zip(errors, failed)]  # a row keeps its first error
                 continue
-            for r in np.flatnonzero(rows):
+            for r in np.flatnonzero([e is None for e in errors]):
                 try:
                     boot = estimate(_dataset(pop, idx[r], y[r]), B, seeds[i][reps[r]])
                     se[r, i] = bootstrap.bootstrap_se(boot)

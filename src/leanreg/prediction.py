@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, check_integer, check_level, check_real
+from .core import Dataset, check_integer, check_level, check_real, finite_array
 from .exceptions import (
     DimensionError,
     DomainError,
@@ -64,19 +64,25 @@ class PredictionBand:
 
         Row i's half width is K * sigma_hat * (1 + x_i' xtx_inverse x_i).
         With K = 1 it is sigma_hat * (1 + leverage_i) bit for bit, the
-        denominator of row i's covering multiplier.
+        denominator of row i's covering multiplier.  Rows that are not
+        numeric are a :class:`DataError`; a NaN or infinite entry, or a
+        center or half width past the float range, a :class:`DomainError`.
         """
-        x = np.asarray(x, dtype=float)
+        x = finite_array(x, "design rows")
         k = self.beta_hat.shape[0]
         if x.ndim != 2 or x.shape[1] != k:
             raise DimensionError(f"design rows have shape {x.shape}, expected (m, {k})")
-        lev = 1.0 + np.einsum("ij,jk,ik->i", x, self.xtx_inverse, x)
-        return x @ self.beta_hat, self.K * self.sigma_hat * lev
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            center = x @ self.beta_hat
+            half = self.K * self.sigma_hat * (1.0 + np.einsum("ij,jk,ik->i", x, self.xtx_inverse, x))
+        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(half))):
+            raise DomainError("a center or half width of the band passes the float range")
+        return center, half
 
 
 def interval(band: PredictionBand, x) -> tuple[float, float]:
     """[lower, upper] at the design point x (leading 1 included)."""
-    center, half = band.evaluate(np.asarray(x, dtype=float)[np.newaxis])
+    center, half = band.evaluate([x])
     return (float(center[0] - half[0]), float(center[0] + half[0]))
 
 

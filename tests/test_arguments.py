@@ -6,7 +6,9 @@ or a real scalar, :class:`CoefficientIndexError` for an index.  No call
 warns.  The domains are ``core.check_integer``, ``core.check_level``,
 ``core.check_real`` and ``core.check_index``; the inputs are bools,
 floats, strings, None, numpy scalars, negatives, non-finite values and
-values just below each floor.
+values just below each floor.  Points, design rows, covariances and
+bootstrap SEs pass ``core.finite_array``: text is a :class:`DataError`,
+and NaN, inf or a result past the float range a :class:`DomainError`.
 """
 
 import math
@@ -19,10 +21,10 @@ from hypothesis import strategies as st
 
 from leanreg.bootstrap import normality_diagnostic, residual_bootstrap, xy_bootstrap
 from leanreg.core import Dataset
-from leanreg.covariance import coefficient_table, conventional_cov, sandwich_cov
+from leanreg.covariance import coefficient_table, conventional_cov, sandwich_cov, se_and_pvalues
 from leanreg.datasets import synthetic_charges
-from leanreg.exceptions import CoefficientIndexError, DomainError, FamilyError, LeanRegError
-from leanreg.fitting import GAUSSIAN, POISSON, exp_coef, fit_glm
+from leanreg.exceptions import CoefficientIndexError, DataError, DomainError, FamilyError, LeanRegError
+from leanreg.fitting import GAUSSIAN, POISSON, exp_coef, fit_glm, predict_mean
 from leanreg.population import (
     check_orthogonality,
     coverage_experiment,
@@ -31,7 +33,7 @@ from leanreg.population import (
     sample,
     uniform_grid_law,
 )
-from leanreg.prediction import calibrate_K, cv_calibrate_K, make_band
+from leanreg.prediction import calibrate_K, cv_calibrate_K, interval, make_band
 from leanreg.report import misspec_indicator
 from leanreg.rng import resample_indices, spawn_seeds, substream, substreams
 from leanreg.slopes import adjust_regressor, pairwise_slope_multiple
@@ -254,6 +256,41 @@ def test_band_multiplier_is_a_finite_nonnegative_number(K):
 ])
 def test_formerly_untyped_or_accepted_calls(call, error):
     assert outcome(call) is error
+
+
+BAND = make_band(OLS_FIT, K=1.0)
+CONV, SAND = conventional_cov(OLS_FIT), sandwich_cov(OLS_FIT)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: BAND.evaluate([["a", "b", "c"]]), DataError, id="evaluate(text)"),
+    pytest.param(lambda: BAND.evaluate([[1.0, 2.0], [3.0]]), DataError, id="evaluate(ragged)"),
+    pytest.param(lambda: predict_mean(OLS_FIT, ["1", "a", "b"]), DataError, id="predict_mean(text)"),
+    pytest.param(lambda: interval(BAND, [1.0, math.nan, 1.0]), DomainError, id="interval(nan)"),
+    pytest.param(lambda: BAND.evaluate([[1.0, math.inf, 1.0]]), DomainError, id="evaluate(inf)"),
+    pytest.param(lambda: interval(BAND, [1.0, 1e200, -1e200]), DomainError, id="interval(1e200)"),
+    pytest.param(lambda: predict_mean(OLS_FIT, [1.0, -math.inf, 0.0]), DomainError,
+                 id="predict_mean(-inf)"),
+    pytest.param(lambda: se_and_pvalues(OLS_FIT, np.full((3, 3), math.nan)), DomainError,
+                 id="se_and_pvalues(nan)"),
+    pytest.param(lambda: se_and_pvalues(OLS_FIT, CONV + np.diag([0.0, math.inf, 0.0])), DomainError,
+                 id="se_and_pvalues(inf)"),
+    pytest.param(lambda: coefficient_table(OLS_FIT, CONV, SAND, [math.nan] * 3), DomainError,
+                 id="coefficient_table(nan)"),
+    pytest.param(lambda: coefficient_table(OLS_FIT, CONV, SAND, [1.0, -math.inf, 1.0]), DomainError,
+                 id="coefficient_table(-inf)"),
+    pytest.param(lambda: coefficient_table(OLS_FIT, CONV, SAND, [1.0, 1.0, -0.5]), DomainError,
+                 id="coefficient_table(negative)"),
+])
+def test_points_covariances_and_ses_are_finite_numbers(call, error):
+    assert outcome(call) is error
+
+
+def test_finite_points_and_ses_are_accepted():
+    assert outcome(lambda: interval(BAND, np.array([1, 2, -3]))) is None
+    assert outcome(lambda: predict_mean(OLS_FIT, [1, 0.5, 0.25])) is None
+    assert outcome(lambda: make_band(OLS_FIT, K=1e300).evaluate([[1.0, 2.0, 3.0]])) is None
+    assert outcome(lambda: coefficient_table(OLS_FIT, CONV, SAND, [0.0, 1.0, 2.0])) is None
 
 
 def test_family_error_names_the_lookup():

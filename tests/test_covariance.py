@@ -199,7 +199,7 @@ class TestOneInverseOracles:
         k = x.shape[2]
         information = (np.swapaxes(x, -1, -2) * v[..., None, :]) @ x
         phi = 1.0
-        if fit.family.estimates_dispersion:
+        if fit.family.closed_form:
             phi = (res[:, None, :] @ res[:, :, None])[0, 0, 0] / (n - k)
         assert np.array_equal(conventional_cov(fit), phi * inverse_of_one(information[0]))
 

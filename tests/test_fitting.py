@@ -25,10 +25,11 @@ from leanreg.fitting import (
     exp_coef,
     family_by_name,
     fit_glm,
+    fit_ols_counts,
     fit_weighted,
     predict_mean,
 )
-from leanreg.population import make_population, population_beta, sample
+from leanreg.population import coverage_experiment, make_population, population_beta, sample
 from leanreg.covariance import sandwich_cov, standard_errors
 
 
@@ -150,6 +151,31 @@ class TestFitOls:
         fit2 = fit_glm(Dataset(y, scaled, names=("a", "b")), GAUSSIAN)
         assert fit2.beta_hat[2] == pytest.approx(fit.beta_hat[2] / c, rel=1e-10)
         assert np.allclose(fit2.fitted, fit.fitted, rtol=1e-10, atol=1e-12)
+
+
+class TestOneGramPerFit:
+    """An OLS sample fit is the one-row support fit of its own rows, each counted once."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [600, 2000, 20000])
+    def test_sample_fit_is_its_own_support_fit(self, n, seed):
+        # Non-integer columns of unequal scale, whose Gram entries round.
+        rng = np.random.default_rng(seed)
+        reg = rng.standard_normal((n, 3)) * [1.0, 10.0, 0.1] + [0.5, -3.0, 0.0]
+        ds = Dataset(rng.standard_normal(n) + reg[:, 0] ** 2, reg, names=("a", "b", "c"))
+        beta, inverse, errors = fit_ols_counts(ds.design, np.ones((1, n), dtype=int), ds.response[None])
+        fit = fit_glm(ds, GAUSSIAN)
+        assert errors == [None]
+        assert np.array_equal(fit.beta_hat, beta[0])  # bit for bit
+        assert np.array_equal(fit.information_inverse, inverse[0])
+
+    def test_small_n_warning_points_at_each_caller(self):
+        with pytest.warns(UserWarning) as record:
+            fit_glm(data_from([0.0, 1.0], [1.0, 2.0]), GAUSSIAN)
+            pop = make_population([[-1.0], [1.0]], [0.5, 0.5], [0.0, 1.0], {"kind": "gaussian"})
+            coverage_experiment(pop, 2, 1, ["sandwich"], seed=5)  # draws both points
+        message = "n=2 observations for 2 coefficients: variance estimates will be unreliable"
+        assert [(str(w.message), w.filename) for w in record] == [(message, __file__)] * 2
 
 
 class TestFitGlm:

@@ -33,6 +33,8 @@ from leanreg.fitting import GAUSSIAN, dispersion_stack, fit_glm, fit_ols_counts
 from leanreg.population import (
     PROB_TOL,
     CoverageResult,
+    DiscretePopulation,
+    NoiseLaw,
     check_orthogonality,
     coverage_experiment,
     decompose,
@@ -438,8 +440,7 @@ def support_ses(pop, n, inverse, ssr, method):
     """Reference: a support fit's conventional or sandwich SEs, from its cells."""
     if method == "sandwich":
         return standard_errors(sandwich_stack(inverse, (pop.support.T * ssr[:, None]) @ pop.support))[0]
-    rows = np.ones(1, dtype=bool)
-    phi, errors = dispersion_stack(ssr.sum(axis=1), n, GAUSSIAN, pop.support.shape[1], rows)
+    phi, errors = dispersion_stack(ssr.sum(axis=1), n, GAUSSIAN, pop.support.shape[1])
     if errors[0] is not None:
         raise errors[0]
     return standard_errors(phi[:, None, None] * inverse)[0]
@@ -810,6 +811,24 @@ class TestNonFiniteSchema:
         with pytest.raises(PopulationSchemaError, match="^support is too large") as exc_info:
             make_population([[0.0], [1e160], [2.0]], [0.5, 0.0, 0.5], [0.0, 1.0, 4.0])
         assert exc_info.value.field == "support"
+
+    @pytest.mark.parametrize("noise, field", [
+        ({"kind": "gaussian", "sigma": 1e160}, "noise.sigma"),
+        ({"kind": "two_point", "a": [1.0, 1e155, 1.0]}, "noise.a"),
+    ])
+    def test_noise_variance_overflow_names_field(self, noise, field):
+        # The scale is finite and its square is not; no numpy warning leaks.
+        with pytest.raises(PopulationSchemaError) as exc_info:
+            make_population([[0.0], [1.0], [2.0]], [1 / 3] * 3, [0.0, 1.0, 4.0], noise)
+        assert exc_info.value.field == field
+        assert str(exc_info.value) == f"{field} is too large: the noise variance overflows"
+
+    def test_bernoulli_variance_overflow_names_mu(self):
+        # Built directly, a bernoulli law's variance mu(1 - mu) reads mu.
+        support, probs = np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([0.5, 0.5])
+        with pytest.raises(PopulationSchemaError, match="^mu is too large") as exc_info:
+            DiscretePopulation(support, probs, np.array([1e200, 0.5]), NoiseLaw("bernoulli", np.zeros(2)))
+        assert exc_info.value.field == "mu"
 
     def test_good_population_loads(self, tmp_path):
         pop_path = tmp_path / "pop.json"
