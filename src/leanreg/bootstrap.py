@@ -10,7 +10,10 @@ Replicate b draws its resampling indices from the dedicated substream
 ``max(1, CHUNK_ELEMENTS // n)``, starting at multiples of the chunk
 size, so replicate b's draw depends only on ``(seed, b)``: not on B,
 and not on which other replicates share its chunk.  Reruns with the
-same seed reproduce every draw bit-identically.
+same seed reproduce every draw bit-identically.  A GLM refit is the
+sample's regression functional at a resampled empirical law, within
+O(n^-1/2) of the sample's own, so its Newton iterations start at the
+sample fit.
 """
 
 from __future__ import annotations
@@ -137,7 +140,9 @@ def xy_bootstrap(
     Replicate b is the sample refitted with weights equal to how often
     each observation was drawn from substream ``(seed, b)``; all
     replicates of a chunk are solved as one stack by
-    :func:`~leanreg.fitting.fit_weighted`.  Replicates whose resampled
+    :func:`~leanreg.fitting.fit_weighted`.  A GLM's refits start from
+    the sample's own fit, or from the usual start value if that fit
+    fails; OLS refits are solved exactly.  Replicates whose resampled
     design is singular or whose fit fails to converge are excluded and
     counted; more than 10% of them is an error naming the failure
     reasons.  An infeasible base problem (e.g. a singular design that
@@ -151,13 +156,18 @@ def xy_bootstrap(
     y = ds.response
     n = ds.n
     outer = outer_rows(x)
+    start = None
+    if not family.closed_form:
+        sample_fit = fit_weighted(x, y, np.ones((1, n)), family, outer=outer)
+        if sample_fit.errors[0] is None:
+            start = sample_fit.beta[0]
     results = []
     chunks, blocks = _resample_chunks(seed, B, n)
     for size, reps in chunks:
         # Rows past the last replicate are padding: the sample itself.
         w = np.ones((size, n))
         w[: len(reps)] = _cell_sums(next(blocks), n)
-        fits = fit_weighted(x, y, w, family, outer=outer)
+        fits = fit_weighted(x, y, w, family, outer=outer, start=start)
         results.extend(
             beta if error is None else error
             for beta, error in zip(fits.beta[: len(reps)], fits.errors)

@@ -119,9 +119,11 @@ def _poisson_loss_change(t, mu, delta, y):
 
 def _logit_loss_change(t, mu, delta, y):
     # softplus(t + delta) - softplus(t) = log1p(mu * expm1(delta)); for
-    # large |delta| the direct difference is accurate and cannot overflow.
+    # large |delta| the direct difference is accurate and cannot overflow,
+    # so it overwrites the first form there, which may overflow to inf.
     far = np.abs(delta) > 1.0
-    change = np.log1p(mu * np.expm1(np.clip(delta, -1.0, 1.0)))
+    with np.errstate(over="ignore"):
+        change = np.log1p(mu * np.expm1(delta))
     change[far] = _softplus(t[far] + delta[far]) - _softplus(t[far])
     return change - delta * y
 
@@ -202,7 +204,10 @@ class FitResult:
 
     @functools.cached_property
     def information_inverse(self) -> np.ndarray:
-        """The fit's inverse information ``(sum_i v(mu_i) x_i x_i')^-1``, formed on first read; (X'X)^-1 for OLS."""
+        """The fit's inverse information ``(sum_i v(mu_i) x_i x_i')^-1``, formed on first read.
+
+        For OLS it is (X'X)^-1, which :func:`fit_glm` keeps from the normal equations it solved.
+        """
         information = gram(self.data.design, self.family.variance_fn(self.fitted)[None])
         return _one(spd_solve_stack(information, None, np.ones(1, dtype=bool), "information matrix"))
 
@@ -336,6 +341,7 @@ def fit_weighted(
     w: np.ndarray,
     family: Family,
     outer: np.ndarray | None = None,
+    start: np.ndarray | None = None,
 ) -> WeightedFits:
     """Fit the working model once per row of the weight matrix ``w``.
 
@@ -344,11 +350,15 @@ def fit_weighted(
     refit on a resample that repeats observation i ``w[r, i]`` times.
     Every row gets what a single fit gets: the rank check of its
     weighted second-moment matrix, then an exact solve (gaussian) or
-    Newton iterations from the usual start value with step halving, the
-    logit separation bound and the convergence test of :func:`fit_glm`.
-    The responses' support is the caller's to check (:func:`check_support`).
+    Newton iterations with step halving, the logit separation bound and
+    the convergence test of :func:`fit_glm`.  The responses' support is
+    the caller's to check (:func:`check_support`).
 
     ``outer`` is :func:`outer_rows` of ``x``, for callers that reuse it.
+    ``start``, a k-vector, is the iterate every row starts from, such as
+    the sample fit for refits on resamples; None starts row r from the
+    usual value, ``family.start`` of its weighted mean response as the
+    intercept and zero slopes.
     Every matrix product and elementwise pass takes all rows, so row r's
     result depends only on ``w[r]``, on r and on the number of rows
     (BLAS may round a row differently at another position or row
@@ -362,6 +372,10 @@ def fit_weighted(
     wsum = np.sum(w, axis=1)
     if np.any(w < 0) or np.any(wsum <= 0):
         raise DomainError("weights must be nonnegative with a positive sum in every row")
+    if start is not None:
+        start = finite_array(start, "start")
+        if start.shape != (k,):
+            raise DimensionError(f"start has shape {start.shape}, expected ({k},)")
     if outer is None:
         outer = outer_rows(x)
     # Here and in _newton, one product with the reused outer rows beats gram()'s
@@ -376,11 +390,11 @@ def fit_weighted(
     active = _ok(errors)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        beta, iterations, score_norm = _newton(x, y, w, wsum, outer, family, active, errors)
+        beta, iterations, score_norm = _newton(x, y, w, wsum, outer, family, active, errors, start)
     return WeightedFits(beta, tuple(errors), iterations, score_norm)
 
 
-def _newton(x, y, w, wsum, outer, family, active, errors):
+def _newton(x, y, w, wsum, outer, family, active, errors, start):
     """Newton/IRLS for every active row of ``w``; records failures in ``errors``.
 
     Every pass takes all m rows.  A row of each product and of each
@@ -405,8 +419,11 @@ def _newton(x, y, w, wsum, outer, family, active, errors):
         return (b @ xt) * used
 
     score_scale = np.maximum(1.0, np.sum(w * np.abs(y), axis=1) / wsum)
-    beta = np.zeros((m, k))
-    beta[:, 0] = family.start(np.sum(w * y, axis=1) / wsum)
+    if start is None:
+        beta = np.zeros((m, k))
+        beta[:, 0] = family.start(np.sum(w * y, axis=1) / wsum)
+    else:
+        beta = np.tile(start, (m, 1))
     iterations = np.zeros(m, dtype=int)
     rel_change = np.full(m, np.inf)  # the start value has not converged
 
@@ -518,7 +535,7 @@ def fit_glm(ds: Dataset, family: Family) -> FitResult:
     x, y = ds.design, ds.response
     check_support(y, family)
     if family.closed_form:
-        beta, _, errors = fit_ols_counts(x, np.ones((1, ds.n), dtype=int), y[None])
+        beta, inverse, errors = fit_ols_counts(x, np.ones((1, ds.n), dtype=int), y[None])
         iterations, score_norm = 1, 0.0
     else:
         fits = fit_weighted(x, y, np.ones((1, ds.n)), family)
@@ -528,7 +545,7 @@ def fit_glm(ds: Dataset, family: Family) -> FitResult:
         raise errors[0]
     beta = beta[0]
     mu = family.inverse_link(x @ beta)
-    return FitResult(
+    fit = FitResult(
         family=family,
         beta_hat=beta,
         fitted=mu,
@@ -538,6 +555,10 @@ def fit_glm(ds: Dataset, family: Family) -> FitResult:
         data=ds,
         score_norm=score_norm,
     )
+    if family.closed_form:
+        # Fill the cached property with the inverse of the fit's own Gram matrix.
+        fit.__dict__["information_inverse"] = inverse[0]
+    return fit
 
 
 def predict_mean(fit: FitResult, x) -> float:

@@ -562,12 +562,19 @@ def coverage_experiment(
         counts, sums = (bootstrap._cell_sums(idx, pop.m, values) for values in (None, y))
         beta, inverse, errors = fit_ols_counts(pop.support, counts, sums)
         fitted = (pop.support @ beta[..., None])[..., 0]  # at each support point
-        ssr = bootstrap._cell_sums(idx, pop.m, (y - np.take_along_axis(fitted, idx, 1)) ** 2)
+        # Squares or sums past the float range leave a covariance that is not finite.
+        with np.errstate(over="ignore"):
+            ssr = bootstrap._cell_sums(idx, pop.m, (y - np.take_along_axis(fitted, idx, 1)) ** 2)
         se = np.zeros((len(reps), len(methods), beta.shape[1]))
         for i, (estimate, path) in enumerate(estimators):
             if path is None:
-                cov, failed = estimate(inverse, pop.support, ssr, n)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    cov, failed = estimate(inverse, pop.support, ssr, n)
                 se[:, i] = standard_errors(cov)
+                failed = [
+                    f or (None if finite else DomainError(f"the {methods[i]} covariance passes the float range"))
+                    for f, finite in zip(failed, np.isfinite(cov).all(axis=(1, 2)))
+                ]
                 errors = [e or f for e, f in zip(errors, failed)]  # a row keeps its first error
                 continue
             for r in np.flatnonzero([e is None for e in errors]):

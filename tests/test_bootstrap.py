@@ -1,6 +1,7 @@
 """Pairs and residual bootstrap: determinism, SEs, and diagnostics."""
 
 import warnings
+from collections import Counter
 from importlib import resources
 from statistics import NormalDist
 
@@ -30,6 +31,7 @@ from leanreg.exceptions import (
     FamilyError,
     InsufficientDrawsError,
     LeanRegError,
+    SeparationError,
     SingularSystemError,
 )
 from leanreg.fitting import BERNOULLI, GAUSSIAN, POISSON, fit_glm
@@ -246,7 +248,8 @@ class TestStackedEngine:
         reference = np.array(refit_each_replicate(ds, family, 40, 1))
         assert draws.failures == 0
         scale = np.max(np.abs(reference), axis=0)
-        assert np.all(np.abs(draws.draws - reference) <= 1e-8 * scale)
+        # GLM refits start at the sample fit, the reference's cold.
+        assert np.all(np.abs(draws.draws - reference) <= 1e-12 * scale)
 
     def test_residual_draws_match_per_replicate_refits(self):
         ds = charges("charges", CHARGES_COLUMNS)
@@ -280,6 +283,65 @@ class TestStackedEngine:
         kept = np.array([r for r in reference if not isinstance(r, Exception)])
         scale = np.max(np.abs(kept), axis=0)
         assert np.all(np.abs(draws.draws - kept) <= 1e-8 * scale)
+
+
+def spy_fit_weighted(monkeypatch):
+    """Record ``(rows, start, result)`` of every ``fit_weighted`` call the bootstrap makes."""
+    calls, fit_weighted = [], bootstrap.fit_weighted
+
+    def spy(x, y, w, family, **kwargs):
+        fits = fit_weighted(x, y, w, family, **kwargs)
+        calls.append((w.shape[0], kwargs.get("start"), fits))
+        return fits
+
+    monkeypatch.setattr(bootstrap, "fit_weighted", spy)
+    return calls
+
+
+class TestWarmStart:
+    """GLM refits on resamples start from the sample fit; OLS needs no start."""
+
+    @pytest.mark.parametrize("name", ["ols", "logit", "poisson"])
+    def test_refits_start_at_the_sample_fit(self, monkeypatch, name):
+        family, response, regressors = CHARGES_FITS[name]
+        ds = charges(response, regressors)
+        calls = spy_fit_weighted(monkeypatch)
+        xy_bootstrap(ds, family, B=20, seed=1)
+        chunk = CHUNK_ELEMENTS // ds.n
+        if family is GAUSSIAN:
+            assert [(rows, start) for rows, start, _ in calls] == [(chunk, None)] * 3
+            return
+        assert [rows for rows, _, _ in calls] == [1, chunk, chunk, chunk]
+        beta_hat = fit_glm(ds, family).beta_hat
+        assert calls[0][1] is None
+        for _, start, _ in calls[1:]:
+            assert np.array_equal(start, beta_hat)  # bit for bit
+
+    @pytest.mark.parametrize("name", ["logit", "poisson"])
+    def test_warm_start_saves_newton_iterations(self, monkeypatch, name):
+        # Cold starts take 428 (logit) and 400 (poisson) iterations in
+        # all over these chunks; warm starts 334 and 327.
+        family, response, regressors = CHARGES_FITS[name]
+        ds = charges(response, regressors)
+        calls = spy_fit_weighted(monkeypatch)
+        xy_bootstrap(ds, family, B=80, seed=1)
+        replicate_chunks = [fits for rows, _, fits in calls if rows > 1]
+        assert len(replicate_chunks) == 10
+        assert sum(int(fits.iterations.sum()) for fits in replicate_chunks) <= 360
+
+    def test_failed_sample_fit_starts_refits_cold(self, monkeypatch):
+        x = np.linspace(-2.0, 2.0, 40)
+        ds = Dataset((x > 0).astype(float), x.reshape(-1, 1), ("x",))  # fully separated
+        with pytest.raises(SeparationError):
+            fit_glm(ds, BERNOULLI)
+        reference = refit_each_replicate(ds, BERNOULLI, 200, 3)
+        expected = dict(Counter(type(r).__name__ for r in reference))
+        calls = spy_fit_weighted(monkeypatch)
+        with pytest.raises(ExcessiveFailureError) as exc_info:
+            xy_bootstrap(ds, BERNOULLI, B=200, seed=3)
+        assert exc_info.value.reasons == expected
+        assert isinstance(calls[0][2].errors[0], SeparationError)
+        assert all(start is None for _, start, _ in calls)
 
 
 class TestResidualBootstrap:

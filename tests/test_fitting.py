@@ -1,5 +1,6 @@
 """OLS and IRLS fitting, predictions, and coefficient multipliers."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -73,12 +74,35 @@ class TestFamilies:
     ))
     @settings(deadline=None, derandomize=True)
     def test_logit_loss_change_of_small_steps_is_the_closed_form(self, rows):
-        # With every |delta| <= 1 the clip is the identity and no entry
-        # takes the far branch: the result is the closed form, bit for bit.
+        # With every |delta| <= 1 no entry takes the far branch: the
+        # result is the closed form, bit for bit.
         delta, t, y = (np.array(c) for c in zip(*rows))
         mu = BERNOULLI.inverse_link(t)
         want = np.log1p(mu * np.expm1(delta)) - delta * y
         assert np.array_equal(BERNOULLI.loss_change(t, mu, delta, y), want)
+
+    @given(st.lists(
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-fitting.SEPARATION_BOUND,
+                                                  fitting.SEPARATION_BOUND),
+                  st.sampled_from([0.0, 1.0])),
+        min_size=1, max_size=20,
+    ))
+    @example([(1e3, 30.0, 1.0), (-1e3, -30.0, 0.0), (1.0, 0.0, 1.0), (-1.0, 2.0, 0.0)])
+    @example([(np.nextafter(1.0, 2.0), 1.0, 0.0), (710.0, -5.0, 1.0)])
+    @settings(deadline=None, derandomize=True)
+    def test_logit_loss_change_of_any_step_is_the_clipped_form(self, rows):
+        # The far branch overwrites every |delta| > 1 entry, so the
+        # unclipped closed form, which may overflow to inf there, leaves
+        # the bits of a form that clips delta to [-1, 1] first, warning-free.
+        delta, t, y = (np.array(c) for c in zip(*rows))
+        mu = BERNOULLI.inverse_link(t)
+        far = np.abs(delta) > 1.0
+        want = np.log1p(mu * np.expm1(np.clip(delta, -1.0, 1.0)))
+        want[far] = fitting._softplus(t[far] + delta[far]) - fitting._softplus(t[far])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = BERNOULLI.loss_change(t, mu, delta, y)
+        assert np.array_equal(got, want - delta * y)
 
     def test_logit_inverse_link_range(self):
         t = np.linspace(-30, 30, 101)
@@ -168,6 +192,17 @@ class TestOneGramPerFit:
         assert errors == [None]
         assert np.array_equal(fit.beta_hat, beta[0])  # bit for bit
         assert np.array_equal(fit.information_inverse, inverse[0])
+
+    def test_information_inverse_reads_the_fits_own_gram(self, monkeypatch):
+        # One Gram matrix per OLS fit, its inverse read included.
+        calls, gram = [], fitting.gram
+        monkeypatch.setattr(fitting, "gram", lambda x, c: calls.append(c.shape) or gram(x, c))
+        rng = np.random.default_rng(0)
+        reg = rng.standard_normal((200, 2))
+        fit = fit_glm(Dataset(reg[:, 0] + rng.standard_normal(200), reg, names=("a", "b")), GAUSSIAN)
+        xtx = fit.data.design.T @ fit.data.design
+        assert np.allclose(fit.information_inverse @ xtx, np.eye(3), atol=1e-12)
+        assert calls == [(1, 200)]
 
     def test_small_n_warning_points_at_each_caller(self):
         with pytest.warns(UserWarning) as record:
@@ -294,6 +329,31 @@ class TestFitWeighted:
             fit_weighted(x, y, np.zeros((1, 3)), BERNOULLI)
         with pytest.raises(DimensionError):
             fit_weighted(x, y, np.ones((1, 4)), BERNOULLI)
+
+    def test_malformed_start_rejected(self):
+        x = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
+        y = np.array([0.0, 1.0, 1.0])
+        with pytest.raises(DimensionError, match=r"start has shape \(3,\), expected \(2,\)"):
+            fit_weighted(x, y, np.ones((1, 3)), BERNOULLI, start=np.zeros(3))
+        with pytest.raises(DomainError):
+            fit_weighted(x, y, np.ones((1, 3)), BERNOULLI, start=[0.0, np.nan])
+
+    @pytest.mark.parametrize("family", [BERNOULLI, POISSON], ids=["logit", "poisson"])
+    def test_every_row_starts_from_start(self, family):
+        # Started at the sample fit, every row of all-ones weights stops
+        # after one Newton step; started cold, after several.
+        rng = np.random.default_rng(2)
+        u = rng.standard_normal(300)
+        mean = family.inverse_link(0.3 + 0.7 * u)
+        y = (rng.random(300) < mean) if family is BERNOULLI else rng.poisson(mean)
+        fit = fit_glm(data_from(u, y.astype(float)), family)
+        x, w = fit.data.design, np.ones((3, 300))
+        warm = fit_weighted(x, fit.data.response, w, family, start=fit.beta_hat)
+        cold = fit_weighted(x, fit.data.response, w, family)
+        assert warm.errors == cold.errors == (None,) * 3
+        assert warm.iterations.tolist() == [1] * 3
+        assert np.all(cold.iterations == fit.iterations) and fit.iterations > 1
+        assert np.allclose(warm.beta, fit.beta_hat, rtol=1e-12, atol=0.0)
 
     @staticmethod
     def assert_rows_independent(x, y, w, family):

@@ -556,6 +556,28 @@ BLOCK_CASES = {
 }
 
 
+def huge_noise_pop(sigma):
+    # The noise variance sigma^2 is finite; a sample's squared residuals
+    # or their sums, or the sandwich meat, may not be.
+    return make_population([[0.0], [1.0], [2.0]], [1 / 3] * 3, [0.0, 1.0, 4.0],
+                           {"kind": "gaussian", "sigma": sigma})
+
+
+class TestCoverageOverflow:
+    @pytest.mark.parametrize("sigma", [1e154, 3e153], ids=["squares", "sums"])
+    @pytest.mark.parametrize("methods", [["conventional", "sandwich"], ["sandwich"], ["conventional"]])
+    def test_covariance_past_float_range_fails_typed(self, sigma, methods):
+        # Every replication fails with a DomainError and no numpy warning leaks.
+        with pytest.raises(ExcessiveFailureError) as exc_info:
+            coverage_experiment(huge_noise_pop(sigma), 50, 20, methods, seed=1)
+        assert exc_info.value.reasons == {"DomainError": 20}
+
+    def test_a_few_overflowing_replications_are_excluded(self):
+        results = coverage_experiment(huge_noise_pop(1.2e153), 50, 100, ["conventional", "sandwich"], seed=1)
+        assert {r.replications for r in results} == {96}
+        assert all(np.isfinite(r.mean_width) for r in results)
+
+
 class TestCoverageBlocks:
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     def test_matches_replications_one_by_one(self, case):
