@@ -7,13 +7,13 @@ correctness and homoskedasticity - it is provided as a foil.
 
 Replicate b draws its resampling indices from the dedicated substream
 ``(seed, b)``.  Replicates are solved together in chunks of
-``max(1, CHUNK_ELEMENTS // n)``, starting at multiples of the chunk
-size, so replicate b's draw depends only on ``(seed, b)``: not on B,
-and not on which other replicates share its chunk.  Reruns with the
-same seed reproduce every draw bit-identically.  A GLM refit is the
-sample's regression functional at a resampled empirical law, within
-O(n^-1/2) of the sample's own, so its Newton iterations start at the
-sample fit.
+:func:`chunk_size` consecutive replicates from 0, the blocks
+:func:`~leanreg.rng.resample_indices` yields, so replicate b's draw
+depends only on ``(seed, b)``: not on B, and not on which other
+replicates share its chunk.  Reruns with the same seed reproduce every
+draw bit-identically.  A GLM refit is the sample's regression
+functional at a resampled empirical law, within O(n^-1/2) of the
+sample's own, so its Newton iterations start at the sample fit.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import Dataset, check_index, check_integer, csv_text
-from .exceptions import ExcessiveFailureError, InsufficientDrawsError
+from .exceptions import DomainError, ExcessiveFailureError, InsufficientDrawsError
 from .fitting import GAUSSIAN, Family, check_support, fit_glm, fit_weighted, outer_rows
 from .rng import resample_indices
 
@@ -69,26 +69,13 @@ class BootstrapDraws:
         return csv_text(["replicate", *self.labels], [range(self.b_retained), *self.draws.T])
 
 
-def _chunks(B: int, n: int):
-    """Yield (chunk size, replicate indices) for chunks starting at multiples of the size."""
+def chunk_size(n: int) -> int:
+    """Replicates per chunk of a replicate loop over n observations: ``max(1, CHUNK_ELEMENTS // n)``."""
     # int(): CHUNK_ELEMENTS would overflow a narrow numpy n, such as an np.uint8.
-    size = max(1, CHUNK_ELEMENTS // int(n))
-    for start in range(0, B, size):
-        yield size, range(start, min(start + size, B))
+    return max(1, CHUNK_ELEMENTS // int(n))
 
 
-def _resample_chunks(seed: int, B: int, n: int):
-    """The chunks of :func:`_chunks`, and an iterator of their resampling indices in order.
-
-    Block i holds one row per replicate b of chunk i: its n draws with
-    replacement from substream ``(seed, b)``.  Callers take each block
-    with ``next`` and keep no name for it, so no block outlives its use.
-    """
-    chunks = list(_chunks(B, n))
-    return chunks, resample_indices(seed, [reps for _, reps in chunks], n)
-
-
-def _cell_sums(idx: np.ndarray, m: int, values: np.ndarray | None = None) -> np.ndarray:
+def cell_sums(idx: np.ndarray, m: int, values: np.ndarray | None = None) -> np.ndarray:
     """Per row of ``idx`` (r, n): each index's count, or its sum of ``values`` (r, n), over 0..m-1, by one bincount."""
     cells = (idx + m * np.arange(len(idx))[:, None]).ravel()
     weights = None if values is None else values.ravel()
@@ -161,16 +148,16 @@ def xy_bootstrap(
         sample_fit = fit_weighted(x, y, np.ones((1, n)), family, outer=outer)
         if sample_fit.errors[0] is None:
             start = sample_fit.beta[0]
+    size = chunk_size(n)
     results = []
-    chunks, blocks = _resample_chunks(seed, B, n)
-    for size, reps in chunks:
+    for idx in resample_indices(seed, B, size, n):
         # Rows past the last replicate are padding: the sample itself.
         w = np.ones((size, n))
-        w[: len(reps)] = _cell_sums(next(blocks), n)
+        w[: len(idx)] = cell_sums(idx, n)
         fits = fit_weighted(x, y, w, family, outer=outer, start=start)
         results.extend(
             beta if error is None else error
-            for beta, error in zip(fits.beta[: len(reps)], fits.errors)
+            for beta, error in zip(fits.beta[: len(idx)], fits.errors)
         )
     return _collect(results, ds)
 
@@ -192,12 +179,12 @@ def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:
     centered = base.residuals - np.mean(base.residuals)
     n = ds.n
     solver = ds.design @ base.information_inverse
+    size = chunk_size(n)
     results = []
-    chunks, blocks = _resample_chunks(seed, B, n)
-    for size, reps in chunks:
+    for idx in resample_indices(seed, B, size, n):
         y_b = np.tile(base.fitted, (size, 1))
-        y_b[: len(reps)] += centered[next(blocks)]
-        results.extend((y_b @ solver)[: len(reps)])
+        y_b[: len(idx)] += centered[idx]
+        results.extend((y_b @ solver)[: len(idx)])
     return _collect(results, ds)
 
 
@@ -210,9 +197,16 @@ def check_se_draws(count: int) -> None:
 
 
 def bootstrap_se(draws: BootstrapDraws) -> np.ndarray:
-    """Coordinatewise sample standard deviation of the retained draws."""
+    """Coordinatewise sample standard deviation of the retained draws.
+
+    One that passes the float range is a :class:`DomainError`.
+    """
     check_se_draws(draws.b_retained)
-    return np.std(draws.draws, axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = np.std(draws.draws, axis=0, ddof=1)
+    if not np.isfinite(se).all():
+        raise DomainError("a bootstrap standard deviation passes the float range")
+    return se
 
 
 @dataclass(frozen=True)

@@ -80,14 +80,16 @@ def se_and_pvalues(fit: FitResult, cov: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     A zero SE is degenerate: p is 0 for a nonzero coefficient (the
     degenerate limit) and 1 for a zero coefficient.  A covariance that
-    is not numeric is a :class:`DataError`, and a NaN or infinite entry
-    a :class:`DomainError`.
+    is not numeric is a :class:`DataError`, and a NaN or infinite entry,
+    or a negative variance, a :class:`DomainError`.
     """
     beta = fit.beta_hat
     k = beta.shape[0]
     cov = finite_array(cov, "covariance")
     if cov.shape != (k, k):
         raise DimensionError("covariance dimension does not match coefficients")
+    if (np.diagonal(cov) < 0.0).any():
+        raise DomainError("covariance has a negative variance")
     se = standard_errors(cov)
     degenerate = se == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -128,6 +128,12 @@ def _logit_loss_change(t, mu, delta, y):
     return change - delta * y
 
 
+def _sse(mu, y) -> float:
+    """Sum of squared residuals: +inf, without a warning, past the float range."""
+    with np.errstate(over="ignore"):
+        return float((y - mu) @ (y - mu))
+
+
 def _logit_deviance(mu, y) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(y == 1.0, -np.log(mu), -np.log1p(-mu))
@@ -144,7 +150,7 @@ GAUSSIAN = Family(
     "gaussian-identity",
     inverse_link=lambda t: t,
     variance_fn=np.ones_like,
-    deviance=lambda mu, y: float((y - mu) @ (y - mu)),
+    deviance=_sse,
     closed_form=True,
 )
 BERNOULLI = Family(

@@ -557,14 +557,16 @@ def coverage_experiment(
     samples = substreams(seed, 0, count=replications)
     seeds = [None if p is None else spawn_seeds(seed, p, count=replications) for _, p in estimators]
     results, betas, ses = [], [], []
-    for _, reps in bootstrap._chunks(replications, n):
+    size = bootstrap.chunk_size(n)
+    for start in range(0, replications, size):
+        reps = range(start, min(start + size, replications))
         idx, y = map(np.array, zip(*(_draw(pop, n, rng) for _, rng in zip(reps, samples))))
-        counts, sums = (bootstrap._cell_sums(idx, pop.m, values) for values in (None, y))
+        counts, sums = (bootstrap.cell_sums(idx, pop.m, values) for values in (None, y))
         beta, inverse, errors = fit_ols_counts(pop.support, counts, sums)
         fitted = (pop.support @ beta[..., None])[..., 0]  # at each support point
         # Squares or sums past the float range leave a covariance that is not finite.
         with np.errstate(over="ignore"):
-            ssr = bootstrap._cell_sums(idx, pop.m, (y - np.take_along_axis(fitted, idx, 1)) ** 2)
+            ssr = bootstrap.cell_sums(idx, pop.m, (y - np.take_along_axis(fitted, idx, 1)) ** 2)
         se = np.zeros((len(reps), len(methods), beta.shape[1]))
         for i, (estimate, path) in enumerate(estimators):
             if path is None:

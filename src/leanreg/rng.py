@@ -17,12 +17,13 @@ generator to each derived key instead of building a generator per
 replicate.
 
 Bootstrap resampling indices come from :func:`resample_indices`, which
-draws a whole chunk of replicates at once: raw 64-bit Philox words, each
-split into its low and then its high 32-bit half, mapped to ``range(n)``
-by Lemire's multiply-shift ``(half * n) >> 32``.  That is exactly what
-``Generator.integers(0, n, size=n)`` computes, so each row keeps the bits
-numpy would draw; a row in which numpy would reject a half is drawn again
-on its own, keeping only the accepted halves, as numpy does.
+yields replicates 0 .. B-1 in blocks of one size, each drawn at once:
+raw 64-bit Philox words, each split into its low and then its high
+32-bit half, mapped to ``range(n)`` by Lemire's multiply-shift ``(half
+* n) >> 32``.  That is exactly what ``Generator.integers(0, n, size=n)``
+computes, so each row keeps the bits numpy would draw; a row in which
+numpy would reject a half is drawn again on its own, keeping only the
+accepted halves, as numpy does.
 """
 
 from __future__ import annotations
@@ -234,54 +235,40 @@ def _accepted(gen: np.random.Generator, n: int) -> np.ndarray:
     return kept[:n]
 
 
-def resample_indices(seed: int, chunks, n: int):
-    """Yield, per ``range`` of replicate indices in ``chunks``, their n draws each from ``range(n)``.
+def resample_indices(seed: int, B: int, size: int, n: int):
+    """Yield the n draws from ``range(n)`` of replicates 0 .. B-1, ``size`` replicates a block.
 
-    The block of a range ``reps`` has shape (len(reps), n), and its row r
-    equals ``substream(seed, reps[r]).integers(0, n, size=n)``, bit for
-    bit, as the tests pin.  Each stream gives ``ceil(n / 2)`` raw words
-    in one call, and one multiply-shift maps the whole block.  A
-    rejected half makes numpy draw another, which shifts the rest of its
-    row; such a row, which has probability below n^2 / 2^32, is drawn
-    again from its key.  The keys of every range are derived at once,
-    when this is called; n must lie in 1 .. 2^32, where numpy maps
-    32-bit halves.
+    Every block has ``size`` rows but the last, and row b of the
+    concatenated blocks equals ``substream(seed, b).integers(0, n,
+    size=n)``, bit for bit, as the tests pin.  Each stream gives
+    ``ceil(n / 2)`` raw words in one call, and one multiply-shift maps a
+    whole block.  A rejected half makes numpy draw another, which shifts
+    the rest of its row; such a row, which has probability below n^2 /
+    2^32, is drawn again from its key.  The keys of all B replicates are
+    derived when this is called; n must lie in 1 .. 2^32, where numpy
+    maps 32-bit halves.  Only the block a caller holds stays in memory.
     """
+    check_integer(B, "B", 0)
+    check_integer(size, "size", 1)
     check_integer(n, "n", 1)
     n = int(n)
     if n > 2**32:
         raise DomainError(f"n must be at most 2^32 to resample by 32-bit halves, got {n}")
-    chunks = list(chunks)
-    indices = [np.arange(reps.start, reps.stop, dtype=np.uint64) for reps in chunks]
-    keys = philox_keys(seed, (), np.concatenate([np.empty(0, dtype=np.uint64), *indices]))
-    return _index_blocks(keys, [len(reps) for reps in chunks], n)
+    return _index_blocks(philox_keys(seed, (), np.arange(B, dtype=np.uint64)), int(size), n)
 
 
-def _index_blocks(keys: np.ndarray, sizes: list[int], n: int):
-    """The index blocks of :func:`resample_indices`: ``sizes[i]`` rows each, one stream per row."""
+def _index_blocks(keys: np.ndarray, size: int, n: int):
+    """The index blocks of :func:`resample_indices`: ``size`` keys a block, one stream per row."""
     streams = _streams(keys)
-    bounds = np.cumsum([0, *sizes]).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield _index_block(streams, keys[lo:hi], n)
-
-
-def _raw_words(streams, rows: int, count: int) -> np.ndarray:
-    """``count`` raw 64-bit words from each of the next ``rows`` generators of ``streams``."""
-    words = np.empty((rows, count), dtype=np.uint64)
-    for r, gen in zip(range(rows), streams):
-        words[r] = gen.bit_generator.random_raw(count)
-    return words
-
-
-def _index_block(streams, keys: np.ndarray, n: int) -> np.ndarray:
-    """n indices for each key, drawn from the next ``len(keys)`` generators of ``streams``.
-
-    Nothing here outlives the call but the block, so a caller that drops
-    it holds no memory of the chunk.
-    """
-    values = _halves(_raw_words(streams, len(keys), (n + 1) // 2))[:, :n]
-    redraw = np.flatnonzero(np.any(_lemire(values, n), axis=1))
-    for r, gen in zip(redraw, _streams(keys[redraw])):
-        values[r] = _accepted(gen, n)
-    # Every value is below 2^32, so the signed view reads the same numbers.
-    return values.view(np.int64)
+    count = (n + 1) // 2
+    for lo in range(0, len(keys), size):
+        block = keys[lo : lo + size]
+        words = np.empty((len(block), count), dtype=np.uint64)
+        for r, gen in zip(range(len(block)), streams):
+            words[r] = gen.bit_generator.random_raw(count)
+        values = _halves(words)[:, :n]
+        redraw = np.flatnonzero(np.any(_lemire(values, n), axis=1))
+        for r, gen in zip(redraw, _streams(block[redraw])):
+            values[r] = _accepted(gen, n)
+        # Every value is below 2^32, so the signed view reads the same numbers.
+        yield values.view(np.int64)

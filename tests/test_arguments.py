@@ -109,7 +109,9 @@ COUNT_ARGUMENTS = [
     ("substream.seed", 0, [0, 1, 2**64 + 3], substream),
     ("substreams.count", 0, [0, 1, 3], lambda v: substreams(1, count=v)),
     ("spawn_seeds.count", 0, [0, 1, 3], lambda v: spawn_seeds(1, 2, count=v)),
-    ("resample_indices.n", 1, [1, 2, 9], lambda v: list(resample_indices(1, [range(2)], v))),
+    ("resample_indices.B", 0, [0, 1, 5], lambda v: list(resample_indices(1, v, 2, 3))),
+    ("resample_indices.size", 1, [1, 2, 7], lambda v: list(resample_indices(1, 5, v, 3))),
+    ("resample_indices.n", 1, [1, 2, 9], lambda v: list(resample_indices(1, 2, 2, v))),
     ("synthetic_charges.n", 1, [1, 5], lambda v: synthetic_charges(n=v)),
 ]
 
@@ -275,6 +277,7 @@ CONV, SAND = conventional_cov(OLS_FIT), sandwich_cov(OLS_FIT)
                  id="se_and_pvalues(nan)"),
     pytest.param(lambda: se_and_pvalues(OLS_FIT, CONV + np.diag([0.0, math.inf, 0.0])), DomainError,
                  id="se_and_pvalues(inf)"),
+    pytest.param(lambda: se_and_pvalues(OLS_FIT, -np.eye(3)), DomainError, id="se_and_pvalues(negative)"),
     pytest.param(lambda: coefficient_table(OLS_FIT, CONV, SAND, [math.nan] * 3), DomainError,
                  id="coefficient_table(nan)"),
     pytest.param(lambda: coefficient_table(OLS_FIT, CONV, SAND, [1.0, -math.inf, 1.0]), DomainError,

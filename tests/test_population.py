@@ -572,6 +572,14 @@ class TestCoverageOverflow:
             coverage_experiment(huge_noise_pop(sigma), 50, 20, methods, seed=1)
         assert exc_info.value.reasons == {"DomainError": 20}
 
+    @pytest.mark.parametrize("method", ["xy-bootstrap", "residual-bootstrap"])
+    def test_bootstrap_se_past_float_range_fails_typed(self, method):
+        # Draws whose standard deviation, or a base fit whose SSE, passes
+        # the float range: a DomainError per replication, no warning.
+        with pytest.raises(ExcessiveFailureError) as exc_info:
+            coverage_experiment(huge_noise_pop(1.3e154), 50, 20, [method], B=200, seed=1)
+        assert exc_info.value.reasons == {"DomainError": 20}
+
     def test_a_few_overflowing_replications_are_excluded(self):
         results = coverage_experiment(huge_noise_pop(1.2e153), 50, 100, ["conventional", "sandwich"], seed=1)
         assert {r.replications for r in results} == {96}

@@ -164,13 +164,13 @@ class TestCalibrateK:
         assert cov == 1.0  # jump: nothing between 0 and full coverage
 
     def test_zero_residuals_raise(self):
-        ds = Dataset([1.0, 2.0, 3.0, 4.0], [[0.0], [1.0], [2.0], [3.0]], ("x",))
+        # Intercept only, four rows: the Gram is 4 and its Cholesky factor
+        # 2, so the solve is exact and every residual is exactly zero.
+        ds = Dataset([3.0] * 4, np.empty((4, 0)), ())
         fit = fit_glm(ds, GAUSSIAN)
-        if float(fit.residuals @ fit.residuals) == 0.0:
-            with pytest.raises(ZeroScaleError):
-                calibrate_K(fit, alpha=0.1)
-        else:
-            pytest.skip("solver left nonzero rounding residuals")
+        assert not fit.residuals.any()
+        with pytest.raises(ZeroScaleError):
+            calibrate_K(fit, alpha=0.1)
 
     def test_alpha_domain(self):
         ds, fit = noisy_fixture()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leanreg import rng
-from leanreg.bootstrap import CHUNK_ELEMENTS, _resample_chunks
+from leanreg.bootstrap import chunk_size
 from leanreg.exceptions import DomainError
 from leanreg.rng import philox_keys, resample_indices, spawn_seeds, substream, substreams
 
@@ -85,7 +85,7 @@ class TestAddressDomain:
             lambda: spawn_seeds(7, -2, count=3),
             lambda: philox_keys(1, (), [0, -1]),
             lambda: philox_keys(1, (), [2**64]),
-            lambda: resample_indices(1, [], 2**32 + 1),
+            lambda: resample_indices(1, 0, 1, 2**32 + 1),
         ],
         ids=["seed", "path", "substreams_seed", "substreams_path",
              "spawn_seeds_path", "index", "index_beyond_64_bits", "resample_n_beyond_32_bits"],
@@ -116,18 +116,21 @@ def assert_rows_match(got, seed, indices, n):
         assert np.array_equal(row, want)
 
 
+def assert_blocks_match(blocks, seed, B, size, n):
+    # Blocks of ``size`` consecutive replicates from 0, the last holding the rest.
+    edges = [*range(0, B, size), B]
+    assert len(blocks) == len(edges) - 1
+    for got, lo, hi in zip(blocks, edges, edges[1:]):
+        assert_rows_match(got, seed, range(lo, hi), n)
+
+
 class TestResampleIndices:
     @PROPERTY
-    @given(seed=SEEDS, n=SIZES, start=STARTS, sizes=st.lists(st.integers(0, 4), max_size=4))
-    def test_consecutive_ranges_match_generator_integers(self, seed, n, start, sizes):
-        # The ranges share one run of streams; each block must start at
-        # its own range, whatever the ranges before it held.
-        edges = np.cumsum([start, *sizes]).tolist()
-        chunks = [range(a, b) for a, b in zip(edges, edges[1:])]
-        blocks = list(resample_indices(seed, chunks, n))
-        assert len(blocks) == len(chunks)
-        for got, indices in zip(blocks, chunks):
-            assert_rows_match(got, seed, indices, n)
+    @given(seed=SEEDS, n=SIZES, B=st.integers(0, 13), size=st.integers(1, 5))
+    def test_consecutive_ranges_match_generator_integers(self, seed, n, B, size):
+        # Blocks share one run of streams; each must start where the one
+        # before it stopped.
+        assert_blocks_match(list(resample_indices(seed, B, size, n)), seed, B, size, n)
 
     @PROPERTY
     @given(
@@ -138,15 +141,9 @@ class TestResampleIndices:
     )
     def test_chunks_match_generator_integers(self, seed, n, chunks, edge):
         # B one short of, at and one past a whole number of chunks.
-        size = max(1, CHUNK_ELEMENTS // n)
+        size = chunk_size(n)
         B = max(1, chunks * size + edge)
-        start = 0
-        got_chunks, blocks = _resample_chunks(seed, B, n)
-        for (got_size, reps), idx in zip(got_chunks, blocks, strict=True):
-            assert (got_size, reps.start) == (size, start)
-            assert_rows_match(idx, seed, reps, n)
-            start = reps.stop
-        assert start == B
+        assert_blocks_match(list(resample_indices(seed, B, size, n)), seed, B, size, n)
 
     def test_rejected_rows_are_redrawn(self, monkeypatch):
         redrawn = []
@@ -158,11 +155,9 @@ class TestResampleIndices:
         accepted = rng._accepted
         monkeypatch.setattr(rng, "_accepted", counting)
         seed, n = 2**100 + 5, 98304
-        chunks = [range(0, 3), range(3, 6)]
-        blocks = list(resample_indices(seed, chunks, n))
+        blocks = list(resample_indices(seed, 6, 3, n))
         assert len(redrawn) >= 2
-        for got, indices in zip(blocks, chunks):
-            assert_rows_match(got, seed, indices, n)
+        assert_blocks_match(blocks, seed, 6, 3, n)
 
     def test_halves_are_numpys_32_bit_draws(self):
         # Low half first.  At n = 2^32, the largest n resampled, the

@@ -65,6 +65,43 @@ def test_exports_resolve():
     assert unresolved == []
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(source: str, filename: str) -> list[str]:
+    """``file:line name`` of each import or attribute read of another leanreg module's underscore name."""
+    tree = ast.parse(source, filename)
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "leanreg")]
+    modules = {a.asname or a.name for node in imports if node.module in (None, "leanreg") for a in node.names}
+    modules |= {a.asname for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names if a.asname and a.name.startswith("leanreg.")}
+    found = [(node.lineno, a.name) for node in imports for a in node.names if is_private(a.name)]
+    found += [(node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and is_private(node.attr)]
+    return [f"{filename}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_no_module_reads_another_modules_private_names():
+    # An underscore name is its module's own; one that another module
+    # needs is public, so renaming it cannot break a reader unseen.
+    spellings = "\n".join([
+        "from . import bootstrap", "from .rng import _halves, substream", "import leanreg.core as c",
+        "bootstrap._chunks(3, 4)", "c._words(1)", "from leanreg import fitting as f", "f._sse",
+        "bootstrap.chunk_size(4)", "bootstrap.__name__", "self._cache", "np._core", "_local()",
+    ])
+    assert private_reads(spellings, "s.py") == [
+        "s.py:2 _halves", "s.py:4 bootstrap._chunks", "s.py:5 c._words", "s.py:7 f._sse",
+    ]
+
+    found = []
+    for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
+        found += private_reads(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
+
+
 def local_imports(source: str, filename: str) -> list[str]:
     """``file:line`` of each import statement inside a function."""
     functions = [node for node in ast.walk(ast.parse(source, filename))
