@@ -49,11 +49,19 @@ def _resolve_input(path_str: str) -> str:
     return path_str  # let the loader raise its usual error
 
 
+# Characters encoded and written at a time, so that a file output never
+# holds a second, encoded copy of a long text (the pair table's runs to
+# tens of MB) on top of the text.
+WRITE_CHARS = 1 << 16
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        for start in range(0, len(text), WRITE_CHARS):
+            fh.write(text[start : start + WRITE_CHARS])
 
 
 def _check_outputs(args) -> None:
@@ -308,9 +316,7 @@ def run_slopes(args) -> int:
         )
 
     if args.pairs_out is not None:
-        Path(args.pairs_out).write_text(
-            pair_table_csv(adjust_regressor(ds, args.coef), ds.response), encoding="utf-8"
-        )
+        _write_output(pair_table_csv(adjust_regressor(ds, args.coef), ds.response), args.pairs_out)
 
     _emit(
         args,

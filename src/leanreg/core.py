@@ -39,6 +39,7 @@ __all__ = [
     "RANK_RTOL",
     "load_csv",
     "csv_text",
+    "csv_text_from_cells",
     "write_csv",
     "check_integer",
     "check_level",
@@ -208,8 +209,9 @@ def _read_csv(fh, response, regressors) -> Dataset:
     )
 
 
-# Rows formatted at a time by csv_text; bounds the number of Python
-# objects alive at once, whatever the table's length.
+# Rows formatted at a time by csv_text (the pair table's blocks of whole
+# rows reach about as many); bounds the number of Python objects alive
+# at once, whatever the table's length.
 CSV_BLOCK_ROWS = 4096
 
 _NEEDS_QUOTES = re.compile('[,"\n\r]')
@@ -244,13 +246,25 @@ def csv_text(header, columns) -> str:
     # numpy's fixed-width strings drop trailing NULs, so strings stay
     # the Python objects they came in as.
     columns = [np.asarray(c, dtype=object if t else None) for c, t in zip(columns, text)]
+    n = len(columns[0]) if columns else 0
+    return csv_text_from_cells(header, (
+        [list(map(_quote if t else repr, c[start : start + CSV_BLOCK_ROWS].tolist()))
+         for c, t in zip(columns, text)]
+        for start in range(0, n, CSV_BLOCK_ROWS)
+    ))
+
+
+def csv_text_from_cells(header, blocks) -> str:
+    """:func:`csv_text` of rows whose cells are already formatted, read block by block.
+
+    Each block of ``blocks`` holds one list of cell strings per header
+    cell, all equally long: numbers already as their ``repr`` (an index
+    as its ``str``) and text already quoted.  Only one block's cells
+    need to be alive at a time.
+    """
     head = list(map(_quote, header))
     parts = [_lines([head], len(head))]
-    n = len(columns[0]) if columns else 0
-    for start in range(0, n, CSV_BLOCK_ROWS):
-        block = [c[start : start + CSV_BLOCK_ROWS].tolist() for c in columns]
-        cells = [list(map(_quote if t else repr, b)) for b, t in zip(block, text)]
-        parts.append(_lines(zip(*cells), len(cells)))
+    parts.extend(_lines(zip(*cells), len(cells)) for cells in blocks)
     return "".join(parts)
 
 

@@ -59,8 +59,12 @@ def conventional_cov(fit: FitResult) -> np.ndarray:
 
     The dispersion phi is SSE/(n-p-1) for OLS (where v = 1) and 1 for a
     GLM, whose covariance is then the inverse expected information.
+    One past the float range is a :class:`DomainError`.
     """
-    return fit.dispersion * fit.information_inverse
+    phi, inverse = fit.dispersion, fit.information_inverse
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        cov = phi * inverse
+    return _finite_cov(cov, "conventional")
 
 
 def sandwich_cov(fit: FitResult) -> np.ndarray:
@@ -69,10 +73,21 @@ def sandwich_cov(fit: FitResult) -> np.ndarray:
     ``I^-1 (sum_i s_i s_i') I^-1``, with ``I^-1`` the fit's inverse
     information (the inverse summed Hessian of the family loss) and
     ``s_i = (y_i - mu_i) x_i`` the per-observation scores; for OLS the
-    middle factor is the residual-weighted second moment.
+    middle factor is the residual-weighted second moment.  One past the
+    float range is a :class:`DomainError`.
     """
-    scores = fit.data.design * fit.residuals[:, None]  # row i is (y_i - mu_i) x_i
-    return sandwich_stack(fit.information_inverse[None], (scores.T @ scores)[None])[0]
+    inverse = fit.information_inverse
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        scores = fit.data.design * fit.residuals[:, None]  # row i is (y_i - mu_i) x_i
+        cov = sandwich_stack(inverse[None], (scores.T @ scores)[None])[0]
+    return _finite_cov(cov, "sandwich")
+
+
+def _finite_cov(cov: np.ndarray, name: str) -> np.ndarray:
+    """``cov``, checked: a NaN or infinite entry is a :class:`DomainError` naming the estimator."""
+    if not np.all(np.isfinite(cov)):
+        raise DomainError(f"the {name} covariance passes the float range")
+    return cov
 
 
 def se_and_pvalues(fit: FitResult, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

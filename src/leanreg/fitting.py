@@ -219,8 +219,11 @@ class FitResult:
 
     @functools.cached_property
     def dispersion(self) -> float:
-        """:func:`dispersion_stack` of this fit, formed on first read; SSE/(n-p-1) for OLS."""
-        sse = np.array([self.residuals @ self.residuals])
+        """:func:`dispersion_stack` of this fit, formed on first read; SSE/(n-p-1) for OLS.
+
+        The SSE is ``deviance_or_sse``, +inf past the float range.
+        """
+        sse = np.array([self.deviance_or_sse])
         return float(_one(dispersion_stack(sse, self.n, self.family, self.beta_hat.shape[0])))
 
     def to_json_dict(self) -> dict:

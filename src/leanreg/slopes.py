@@ -7,17 +7,21 @@ multiple regression the same holds after the regressor is linearly
 adjusted for all other columns (intercept included), which also centers
 it.  The sums over all n^2 ordered pairs have closed forms in the
 centred data, so a summary costs O(n) time and memory; only the pair
-table, which lists every pair, is O(n^2).
+table, which lists every pair, is O(n^2) in time and text.  It formats
+each unordered pair once and works through a block of rows at a time,
+with no n x n array (see :func:`pair_table_csv`).
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, check_index, csv_text
+from . import core
+from .core import Dataset, check_index, csv_text_from_cells
 from .exceptions import CoefficientIndexError, DataError, DomainError, ZeroWeightError
 from .fitting import GAUSSIAN, fit_glm
 
@@ -156,14 +160,63 @@ def pair_table_csv(x, y) -> str:
     Pairs come in row-major order of (i, j); pairs with x_i == x_j,
     the diagonal among them, carry zero weight and are left out.  A
     weight or slope past the float range is a :class:`DomainError`.
+
+    Each unordered pair is formatted once.  In IEEE arithmetic
+    fl(a - b) = -fl(b - a), so pair (j, i) has the bits of pair (i, j)'s
+    weight ``d*d`` and slope ``(y_i - y_j) / d``: row i formats its pairs
+    with j > i and takes those with j < i from the rows before it.  The
+    one exception is a tie y_i == y_j: its numerator can be +0.0 in both
+    orders, which makes the mirrored slope the opposite zero, so a tied
+    pair's slope is formatted again.  The formatted upper triangle waits
+    in a memory map of 48 bytes per unordered pair, released when the
+    last row is done.  The rows go to
+    :func:`~leanreg.core.csv_text_from_cells` in blocks of whole rows, about
+    ``CSV_BLOCK_ROWS`` lines each, with no n x n array.
     """
     x, y = _pair_arrays(x, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx = x[:, None] - x[None, :]
-        np.fill_diagonal(dx, 0.0)
-        i, j = np.nonzero(dx)
-        d = dx[i, j]
-        weight, slope = d * d, (y[i] - y[j]) / d
-    if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(slope))):
-        raise DomainError("a pair's weight or slope is past the float range")
-    return csv_text(["i", "j", "weight", "slope"], [i, j, weight, slope])
+    return csv_text_from_cells(["i", "j", "weight", "slope"], _pair_blocks(x, y))
+
+
+def _pair_blocks(x: np.ndarray, y: np.ndarray):
+    """The pair table's formatted cells (i, j, weight, slope), a block of whole i-rows at a time."""
+    n = x.shape[0]
+    index = np.array([str(k) for k in range(n)], dtype=object)
+    # The upper triangle's formatted weights and slopes, row-major: pair
+    # (i, j), j > i, at offset[i] + j.  Row i writes its part and reads
+    # its mirrors from the rows before it.  The cells are fixed-width
+    # bytes (a finite float's repr is at most 24 ASCII characters) in one
+    # anonymous memory map, not n^2/2 Python strings or a malloc block,
+    # so their pages go back to the system when the rows are done, before
+    # the text is joined, whatever the allocator keeps of freed memory.
+    offset = np.arange(n) * (2 * n - np.arange(n) - 3) // 2 - 1
+    pairs = n * (n - 1) // 2
+    cells = np.frombuffer(mmap.mmap(-1, 2 * 24 * pairs or 1), dtype="S24", count=2 * pairs)
+    upper_w, upper_s = cells.reshape(2, pairs)
+    block = [[], [], [], []]
+    for i in range(n):
+        js = np.flatnonzero(x != x[i])
+        lower, upper = np.split(js, [np.searchsorted(js, i)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = x[i] - x[upper]
+            weight, slope = d * d, (y[i] - y[upper]) / d
+        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(slope))):
+            raise DomainError("a pair's weight or slope is past the float range")
+        weight, slope = list(map(repr, weight.tolist())), list(map(repr, slope.tolist()))
+        at = offset[i] + upper
+        upper_w[at], upper_s[at] = weight, slope
+        mirror = offset[lower] + i
+        lower_w = upper_w[mirror].astype(str).tolist()
+        lower_s = upper_s[mirror].astype(str).tolist()
+        # A tie in y can give +0.0 / d in both orders: the mirror may hold the other zero.
+        tied = np.flatnonzero(y[lower] == y[i])
+        tie_slopes = (y[i] - y[lower[tied]]) / (x[i] - x[lower[tied]])
+        for t, s in zip(tied.tolist(), map(repr, tie_slopes.tolist())):
+            lower_s[t] = s
+        i_cells, j_cells, w_cells, s_cells = block
+        i_cells += [index[i]] * js.shape[0]
+        j_cells += index[js].tolist()
+        w_cells += lower_w + weight
+        s_cells += lower_s + slope
+        if len(i_cells) >= core.CSV_BLOCK_ROWS or i == n - 1:
+            yield block
+            block = [[], [], [], []]

@@ -370,6 +370,35 @@ class TestSlopesSubcommand:
         assert lines[0] == "i,j,weight,slope"
         assert len(lines) == 1 + 8 * 7
 
+    def test_pair_table_written_in_slices_is_the_whole_text(self, small_csv, tmp_path,
+                                                            monkeypatch, capsys):
+        from leanreg import cli
+        from leanreg.slopes import adjust_regressor, pair_table_csv
+
+        pairs = tmp_path / "pairs.csv"
+        monkeypatch.setattr(cli, "WRITE_CHARS", 7)  # slices end inside lines and cells
+        code, _, _ = run_main(
+            ["slopes", "--input", small_csv, "--response", "y",
+             "--regressors", "x", "--pairs-out", str(pairs)],
+            capsys,
+        )
+        assert code == 0
+        ds = load_csv(small_csv, "y", ["x"])
+        text = pair_table_csv(adjust_regressor(ds, 1), ds.response)
+        assert len(text) > 7 * cli.WRITE_CHARS
+        assert pairs.read_bytes() == text.encode("utf-8")
+
+    def test_output_written_in_slices_keeps_non_ascii_text(self, tmp_path, monkeypatch):
+        from leanreg import cli
+
+        path = tmp_path / "out.csv"
+        text = "é,ü\nß,\u20ac\n" * 5
+        monkeypatch.setattr(cli, "WRITE_CHARS", 3)
+        cli._write_output(text, str(path))
+        assert path.read_bytes() == text.encode("utf-8")
+        cli._write_output("", str(path))
+        assert path.read_bytes() == b""
+
     @pytest.mark.parametrize("coef", ["7", "0"])
     def test_coef_without_pairs_out_rejected(self, small_csv, coef, capsys):
         code, out, err = run_main(

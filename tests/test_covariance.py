@@ -17,13 +17,14 @@ from leanreg.covariance import (
     standard_errors,
     table_from_published,
 )
-from leanreg.exceptions import DegreesOfFreedomError, DimensionError, LeanRegError
+from leanreg.exceptions import DegreesOfFreedomError, DimensionError, DomainError, LeanRegError
 from leanreg.fitting import BERNOULLI, GAUSSIAN, FitResult, family_by_name, fit_glm
 from leanreg.population import (
     make_population,
     normal_quadrature_law,
     sample,
 )
+from leanreg.prediction import calibrate_K
 
 from population_oracles import population_conventional_av, population_sandwich_av
 
@@ -326,3 +327,23 @@ class TestCoefficientTable:
             "x", "1.0000", "0.1000", "0.5000", "nan", "0.2000", "0.6000"
         ]
         assert table.to_csv_text().splitlines()[2] == "x,1.0,0.1,0.5,nan,0.2,0.6"
+
+
+class TestSquaredResidualOverflow:
+    # Residuals of about 1e170 square past the float range; the SSE is
+    # +inf and the scores' second moment overflows.
+    _x = np.arange(12.0)
+    DATA = Dataset((1.0 + 0.5 * _x + np.sin(_x)) * 1e170, np.column_stack([_x, np.cos(_x)]),
+                   names=("x", "cos_x"))
+
+    @pytest.mark.parametrize(
+        "estimate, match",
+        [(conventional_cov, "^the conventional covariance passes the float range$"),
+         (sandwich_cov, "^the sandwich covariance passes the float range$"),
+         (lambda fit: calibrate_K(fit, 0.2), "passes the float range$")],
+        ids=["conventional", "sandwich", "calibrate_K"],
+    )
+    def test_is_a_domain_error_not_a_warning(self, estimate, match):
+        fit = fit_glm(self.DATA, GAUSSIAN)
+        with pytest.raises(DomainError, match=match):
+            estimate(fit)

@@ -218,6 +218,37 @@ class TestPairTable:
         y = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
         assert pair_table_csv(x, y) == _nested_loop_pair_table(x, y)
 
+    # Each unordered pair is formatted once and its mirror reuses the
+    # strings, except that a tie in y can give the mirror the other zero.
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([0.0, 1.0, 2.0], [5.0, 5.0, 7.0]),  # a tie, the smaller x first
+            ([2.0, 1.0, 0.0], [5.0, 5.0, 7.0]),  # a tie, the larger x first
+            # (0, 1) underflows to 0.0 both ways; the tie (0, 2) is -0.0 one way, 0.0 the other.
+            ([0.0, 1e100, 2e100], [1e-300, 2e-300, 1e-300]),
+            ([0.0, 1.0, 2.0, 3.0], [0.0, -0.0, -0.0, 0.0]),  # both signs of zero in y
+            ([0.0, -0.0, 1.0, 2.0], [-0.0, 0.0, 0.0, -0.0]),  # and in x, whose pair drops out
+        ],
+        ids=["tie ascending", "tie descending", "underflow", "signed zero y", "signed zero x"],
+    )
+    def test_signs_of_zero_slopes(self, x, y):
+        assert pair_table_csv(x, y) == _nested_loop_pair_table(x, y)
+
+    @PROPERTY
+    @given(
+        x_levels=st.lists(st.floats(-1e3, 1e3, width=32), min_size=1, max_size=4, unique=True),
+        y_levels=st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300]), min_size=1, max_size=3),
+        block=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_matches_nested_loop_on_y_ties_across_blocks(self, x_levels, y_levels, block, data):
+        n = data.draw(st.integers(0, 12))
+        x = data.draw(st.lists(st.sampled_from(x_levels), min_size=n, max_size=n))
+        y = data.draw(st.lists(st.sampled_from(y_levels), min_size=n, max_size=n))
+        with mock.patch.object(core, "CSV_BLOCK_ROWS", block):
+            assert pair_table_csv(x, y) == _nested_loop_pair_table(x, y)
+
 
 # Multiples k * 10^e with |k| <= 3: a nonzero difference of two is at
 # least about 1e-150, so every nonzero squared difference is a normal

@@ -308,3 +308,22 @@ def test_multiple_slope_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_pair_table_memory_is_bounded_by_its_text():
+    # The text is about 16 MB at n = 600.  Blocks of rows keep no Python
+    # string past their block, and the final join needs the blocks' text
+    # plus the result: about 2x the text's length.  Object columns over
+    # all n^2 pairs, or n x n arrays, take more.  The formatted upper
+    # triangle (48 bytes per unordered pair, about half the text) sits in
+    # an anonymous memory map that tracemalloc does not see; it is
+    # released before the join, so counted it would not raise the peak.
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal(600), rng.standard_normal(600)
+    tracemalloc.start()
+    try:
+        text = pair_table_csv(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
