@@ -25,8 +25,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import Dataset, check_index, check_integer, csv_text
-from .exceptions import DomainError, ExcessiveFailureError, InsufficientDrawsError
-from .fitting import GAUSSIAN, Family, check_support, fit_glm, fit_weighted, outer_rows
+from .exceptions import DataError, DomainError, ExcessiveFailureError, InsufficientDrawsError
+from .fitting import GAUSSIAN, Family, FitResult, check_support, fit_glm, fit_weighted, outer_rows
 from .rng import resample_indices
 
 __all__ = [
@@ -121,6 +121,7 @@ def xy_bootstrap(
     family: Family,
     B: int,
     seed: int,
+    sample_fit: FitResult | None = None,
 ) -> BootstrapDraws:
     """Resample observation tuples with replacement and refit, B times.
 
@@ -129,7 +130,9 @@ def xy_bootstrap(
     replicates of a chunk are solved as one stack by
     :func:`~leanreg.fitting.fit_weighted`.  A GLM's refits start from
     the sample's own fit, or from the usual start value if that fit
-    fails; OLS refits are solved exactly.  Replicates whose resampled
+    fails; OLS refits are solved exactly.  ``sample_fit``, the caller's
+    :func:`~leanreg.fitting.fit_glm` of ``ds`` under ``family``, spares
+    fitting the sample again.  Replicates whose resampled
     design is singular or whose fit fails to converge are excluded and
     counted; more than 10% of them is an error naming the failure
     reasons.  An infeasible base problem (e.g. a singular design that
@@ -139,15 +142,19 @@ def xy_bootstrap(
     """
     check_integer(B, "B", 1)
     check_support(ds.response, family)
+    if sample_fit is not None and (sample_fit.data is not ds or sample_fit.family is not family):
+        raise DataError("sample_fit is not a fit of this dataset under this family")
     x = ds.design
     y = ds.response
     n = ds.n
     outer = outer_rows(x)
-    start = None
-    if not family.closed_form:
-        sample_fit = fit_weighted(x, y, np.ones((1, n)), family, outer=outer)
-        if sample_fit.errors[0] is None:
-            start = sample_fit.beta[0]
+    if family.closed_form:
+        start = None
+    elif sample_fit is not None:
+        start = sample_fit.beta_hat
+    else:  # a failed sample fit leaves the refits to start cold
+        fits = fit_weighted(x, y, np.ones((1, n)), family, outer=outer)
+        start = fits.beta[0] if fits.errors[0] is None else None
     size = chunk_size(n)
     results = []
     for idx in resample_indices(seed, B, size, n):

@@ -5,7 +5,7 @@ reproducible: the seed is explicit or a fixed documented default, never
 wall clock, and identical flags produce byte-identical primary outputs.
 Bootstrap replicate b depends only on (seed, b), not on the replicate
 count or on how replicates are chunked.  Exit codes: 0 success, 1
-computational or file error, 2 usage error.  No plotting happens
+computational, file or out-of-memory error, 2 usage error.  No plotting happens
 in-process; diagnostics are emitted as plot-ready CSV.
 """
 
@@ -126,7 +126,7 @@ def run_fit(args) -> int:
     sand = sandwich_cov(fit)
     boot_se = None
     if args.boot > 0:
-        draws = bt.xy_bootstrap(ds, family, args.boot, args.seed)
+        draws = bt.xy_bootstrap(ds, family, args.boot, args.seed, sample_fit=fit)
         boot_se = bt.bootstrap_se(draws)
     table = coefficient_table(fit, conv, sand, boot_se)
     indicator = misspec_indicator(table, level=args.alpha)
@@ -460,8 +460,8 @@ def main(argv=None) -> int:
     try:
         _check_outputs(args)
         return args.func(args)
-    except (LeanRegError, OSError) as exc:
-        print(f"leanreg: error: {exc}", file=sys.stderr)
+    except (LeanRegError, OSError, MemoryError) as exc:
+        print(f"leanreg: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

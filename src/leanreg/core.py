@@ -16,9 +16,11 @@ are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,76 +139,72 @@ class Dataset:
 def load_csv(path, response: str, regressors: list[str]) -> Dataset:
     """Read a comma-separated file into a :class:`Dataset`.
 
-    The file must have a header row; cells in the named columns must be
-    numeric ('.' decimal point, optional quoting).  Rows are kept in
-    file order.  A UTF-8 byte-order mark before the header is skipped.
+    After a header row (a UTF-8 byte-order mark before it is skipped),
+    numpy's reader parses the named columns' cells: '.' decimal point,
+    ASCII digits, no ``1_0`` underscores, optional quoting.  Rows keep
+    file order; a blank row (empty, or only blank cells) is skipped but
+    keeps its row number.
 
     Raises
     ------
     ColumnError
-        The response is also named as a regressor (checked before the
-        file is opened), or a named column is absent from the header or
-        occurs in it more than once.
+        The response is also a regressor (checked before the file is
+        opened), or a named column is absent from the header or in it twice.
     ParseError
-        A cell is non-numeric; the error cites the 1-based data row and
-        the column name.
+        A missing, non-numeric or non-finite cell; cites its 1-based data row and column.
     EmptyInputError
         The file has no header or no data rows.
     """
     if response in regressors:
         raise ColumnError(f"column {response!r} is both the response and a regressor")
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-        return _read_csv(fh, response, regressors)
+    wanted = [response, *regressors]
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # _data_lines raises EmptyInputError
+        try:
+            header = [h.strip() for h in next(csv.reader(fh))]
+        except StopIteration:
+            raise EmptyInputError("empty file: no header row") from None
+        for name in wanted:
+            if name not in header:
+                raise ColumnError(f"column {name!r} not found in header {header}")
+            if header.count(name) > 1:
+                raise ColumnError(f"column {name!r} occurs more than once in header {header}")
+        cols = [header.index(name) for name in wanted]
+        read = functools.partial(np.loadtxt, delimiter=",", quotechar='"', comments=None, usecols=cols, ndmin=2)
+        try:
+            table = read(fh)
+        except ValueError:
+            table = None
+        if table is None or not len(table) or not np.isfinite(table).all():
+            table = read(_data_lines(fh, wanted, cols))
+    return Dataset(table[:, 0], table[:, 1:], tuple(regressors), response)
 
 
-def _read_csv(fh, response, regressors) -> Dataset:
+def _data_lines(fh, wanted, cols):
+    """load_csv's error path: the nonblank data lines, or the error of the first bad cell (rows from 1)."""
+    fh.seek(0)
     reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInputError("empty file: no header row") from None
-    header = [h.strip() for h in header]
-    wanted = [response] + list(regressors)
-    for name in wanted:
-        if name not in header:
-            raise ColumnError(f"column {name!r} not found in header {header}")
-        if header.count(name) > 1:
-            raise ColumnError(f"column {name!r} occurs more than once in header {header}")
-    cols = [header.index(name) for name in wanted]
-
-    rows: list[list[float]] = []
+    next(reader)
+    skip, lines = set(range(reader.line_num)), reader.line_num
     for rownum, row in enumerate(reader, start=1):
+        first, lines = lines, reader.line_num
         if not row or all(not c.strip() for c in row):
+            skip.update(range(first, lines))
             continue
-        values = []
         for name, col in zip(wanted, cols):
             cell = row[col].strip() if col < len(row) else ""
-            try:
-                value = float(cell)
+            try:  # float() also reads underscores and non-ASCII digits; numpy does not
+                if "_" in cell or not cell.isascii():
+                    raise ValueError(cell)
+                problem = None if math.isfinite(float(cell)) else "non-finite value"
             except ValueError:
-                raise ParseError(
-                    f"cannot parse cell {cell!r} at row {rownum}, column {name!r}",
-                    row=rownum,
-                    column=name,
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"non-finite value {cell!r} at row {rownum}, column {name!r}",
-                    row=rownum,
-                    column=name,
-                )
-            values.append(value)
-        rows.append(values)
-
-    if not rows:
+                problem = "cannot parse cell"
+            if problem:
+                raise ParseError(f"{problem} {cell!r} at row {rownum}, column {name!r}", row=rownum, column=name)
+    if len(skip) == lines:  # every line is the header's or a blank row's
         raise EmptyInputError("no data rows after the header")
-    table = np.array(rows, dtype=float)
-    return Dataset(
-        response=table[:, 0],
-        regressors=table[:, 1:],
-        names=tuple(regressors),
-        response_name=response,
-    )
+    fh.seek(0)
+    return (line for num, line in enumerate(fh) if num not in skip)
 
 
 # Rows formatted at a time by csv_text (the pair table's blocks of whole

@@ -379,8 +379,8 @@ def fit_weighted(
     if n != x.shape[0] or y.shape[0] != n:
         raise DimensionError(f"weights for {n} observations, design has {x.shape[0]} rows")
     wsum = np.sum(w, axis=1)
-    if np.any(w < 0) or np.any(wsum <= 0):
-        raise DomainError("weights must be nonnegative with a positive sum in every row")
+    if not np.all(np.isfinite(w)) or np.any(w < 0) or np.any(wsum <= 0):
+        raise DomainError("weights must be finite and nonnegative with a positive sum in every row")
     if start is not None:
         start = finite_array(start, "start")
         if start.shape != (k,):

@@ -1,17 +1,23 @@
-"""Straightforward forms of two library paths, kept as oracles for the tests.
+"""Straightforward forms of three library paths, kept as oracles for the tests.
 
 :func:`dense_pairwise_slope` sums over all n^2 ordered pairs from dense
 n x n difference arrays, where :func:`leanreg.slopes.pairwise_slope_simple`
 uses closed forms in the centred data.  :func:`csv_writer_text` writes
 through the standard library's ``csv.writer``, where
 :func:`leanreg.core.csv_text` joins formatted cells itself.
+:func:`row_reader_load_csv` reads a data file row by row with
+``csv.reader`` and ``float()``, where :func:`leanreg.core.load_csv`
+parses the cells with numpy's reader.
 """
 
 import csv
 import io
+import math
 
 import numpy as np
 
+from leanreg.core import Dataset
+from leanreg.exceptions import ColumnError, EmptyInputError, ParseError
 from leanreg.slopes import PairwiseSlopeSummary
 
 
@@ -61,3 +67,62 @@ def csv_writer_text(header, columns, block_rows: int) -> str:
         else:
             writer.writerows(zip(*block))
     return buf.getvalue()
+
+
+def row_reader_load_csv(path, response, regressors) -> Dataset:
+    """:func:`leanreg.core.load_csv` as a Python list of ``float()`` cells per row.
+
+    The same header, blank-row, numbering and error rules, except that
+    ``float()`` also reads underscores between digits and non-ASCII
+    digits, which numpy's reader rejects.
+    """
+    if response in regressors:
+        raise ColumnError(f"column {response!r} is both the response and a regressor")
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyInputError("empty file: no header row") from None
+        header = [h.strip() for h in header]
+        wanted = [response] + list(regressors)
+        for name in wanted:
+            if name not in header:
+                raise ColumnError(f"column {name!r} not found in header {header}")
+            if header.count(name) > 1:
+                raise ColumnError(f"column {name!r} occurs more than once in header {header}")
+        cols = [header.index(name) for name in wanted]
+
+        rows: list[list[float]] = []
+        for rownum, row in enumerate(reader, start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            values = []
+            for name, col in zip(wanted, cols):
+                cell = row[col].strip() if col < len(row) else ""
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"cannot parse cell {cell!r} at row {rownum}, column {name!r}",
+                        row=rownum,
+                        column=name,
+                    ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"non-finite value {cell!r} at row {rownum}, column {name!r}",
+                        row=rownum,
+                        column=name,
+                    )
+                values.append(value)
+            rows.append(values)
+
+    if not rows:
+        raise EmptyInputError("no data rows after the header")
+    table = np.array(rows, dtype=float)
+    return Dataset(
+        response=table[:, 0],
+        regressors=table[:, 1:],
+        names=tuple(regressors),
+        response_name=response,
+    )

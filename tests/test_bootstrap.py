@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from leanreg import bootstrap
+from leanreg import bootstrap, cli
 from leanreg.bootstrap import (
     CHUNK_ELEMENTS,
     FAILURE_THRESHOLD,
@@ -26,6 +26,7 @@ from leanreg.datasets import CHARGES_COLUMNS
 from leanreg.exceptions import (
     CoefficientIndexError,
     ConvergenceError,
+    DataError,
     DomainError,
     ExcessiveFailureError,
     FamilyError,
@@ -342,6 +343,36 @@ class TestWarmStart:
         assert exc_info.value.reasons == expected
         assert isinstance(calls[0][2].errors[0], SeparationError)
         assert all(start is None for _, start, _ in calls)
+
+
+class TestCallersSampleFit:
+    """``xy_bootstrap(..., sample_fit=fit)`` starts from the caller's fit instead of fitting the sample again."""
+
+    @pytest.mark.parametrize("name", ["ols", "logit", "poisson"])
+    def test_draws_bit_identical_without_a_second_sample_fit(self, monkeypatch, name):
+        family, response, regressors = CHARGES_FITS[name]
+        ds = charges(response, regressors)
+        expected = xy_bootstrap(ds, family, B=20, seed=1).draws
+        calls = spy_fit_weighted(monkeypatch)
+        draws = xy_bootstrap(ds, family, B=20, seed=1, sample_fit=fit_glm(ds, family)).draws
+        assert [rows for rows, _, _ in calls] == [CHUNK_ELEMENTS // ds.n] * 3
+        assert np.array_equal(draws, expected)  # bit for bit
+
+    def test_cli_fit_fits_the_sample_once(self, monkeypatch, capsys):
+        calls = spy_fit_weighted(monkeypatch)
+        argv = ["fit", "--input", "charges_synthetic.csv", "--response", "charges",
+                "--regressors", ",".join(CHARGES_COLUMNS), "--family", "poisson", "--boot", "20"]
+        assert cli.main(argv) == 0
+        assert [rows for rows, _, _ in calls] == [CHUNK_ELEMENTS // charges("charges", CHARGES_COLUMNS).n] * 3
+        assert capsys.readouterr().err == ""
+
+    def test_fit_of_other_data_or_family_rejected(self):
+        family, response, regressors = CHARGES_FITS["poisson"]
+        ds = charges(response, regressors)
+        fit = fit_glm(ds, family)
+        for other_ds, other_family in ((charges(response, regressors), family), (ds, GAUSSIAN)):
+            with pytest.raises(DataError, match="^sample_fit is not a fit of this dataset under this family$"):
+                xy_bootstrap(other_ds, other_family, B=2, seed=1, sample_fit=fit)
 
 
 class TestResidualBootstrap:

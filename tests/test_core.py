@@ -1,8 +1,11 @@
 """Ingestion, design construction, the rank policy and the SPD solve."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from leanreg import core
 from leanreg.core import (
     Dataset,
     dataset_to_csv_text,
@@ -129,6 +132,62 @@ class TestLoadCsv:
         assert np.array_equal(ds.regressors, ds2.regressors)
         # and a second serialization is byte-identical
         assert dataset_to_csv_text(ds) == dataset_to_csv_text(ds2)
+
+
+class TestLoadCsvNumpyReader:
+    """numpy's reader parses every value; the row reader only names what rejects a file."""
+
+    @pytest.fixture
+    def loadtxt_calls(self, monkeypatch):
+        calls, loadtxt = [], np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(None)  # a failed call stays None
+            calls[-1] = loadtxt(*args, **kwargs)
+            return calls[-1]
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return calls
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661"], ids=["underscore", "arabic-indic digit"])
+    def test_cells_only_float_reads_are_rejected(self, tmp_path, cell):
+        # float() reads these as 10.0 and 1.0; numpy's reader does not.
+        path = write_tmp(tmp_path, f"y,x\n1,5\n\n2,{cell}\n3,oops\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_csv(path, response="y", regressors=["x"])
+        assert str(exc_info.value) == f"cannot parse cell {cell!r} at row 3, column 'x'"
+        assert (exc_info.value.row, exc_info.value.column) == (3, "x")
+
+    def test_clean_file_is_read_once_without_the_row_reader(self, tmp_path, monkeypatch, loadtxt_calls):
+        monkeypatch.setattr(core, "_data_lines", None)  # calling it would raise
+        path = write_tmp(tmp_path, 'w,x,y\r\nq," 5",1\r\n,7 ,"2"\r\n')
+        ds = load_csv(path, response="y", regressors=["x"])
+        assert len(loadtxt_calls) == 1
+        assert ds.design.tolist() == [[1.0, 5.0], [1.0, 7.0]]
+        assert ds.response.tolist() == [1.0, 2.0]
+
+    def test_blank_rows_of_every_form_are_skipped(self, tmp_path, loadtxt_calls):
+        # Empty lines are numpy's to skip; rows of blank cells, one of them
+        # over two lines, stop it, and it reads the file again without them.
+        blank = ' , \n,\n"",""\n"\n",\n\t\n\r\n'
+        path = write_tmp(tmp_path, "y,x\n1,5\n\n" + blank + "2,7\n" + blank + '"3\n",9\n')
+        ds = load_csv(path, response="y", regressors=["x"])
+        assert ds.response.tolist() == [1.0, 2.0, 3.0]
+        assert ds.regressors[:, 0].tolist() == [5.0, 7.0, 9.0]
+        assert loadtxt_calls[0] is None
+        assert len(loadtxt_calls) == 2 and np.array_equal(loadtxt_calls[1][:, 1], ds.regressors[:, 0])
+
+        path = write_tmp(tmp_path, "y,x\n1,5\n\n" + blank + "2,7\n" + blank + "3,1e400\n")
+        with pytest.raises(ParseError) as exc_info:
+            load_csv(path, response="y", regressors=["x"])
+        assert str(exc_info.value) == "non-finite value '1e400' at row 16, column 'x'"
+
+    @pytest.mark.parametrize("text", ["y,x\n", "y,x\n\n\r\n", "y,x\n , \n"], ids=["header", "empty", "blank"])
+    def test_no_rows_is_an_empty_input_error_not_a_warning(self, tmp_path, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyInputError, match="^no data rows after the header$"):
+                load_csv(write_tmp(tmp_path, text), response="y", regressors=["x"])
 
 
 class TestDatasetValidation:

@@ -330,6 +330,17 @@ class TestFitWeighted:
         with pytest.raises(DimensionError):
             fit_weighted(x, y, np.ones((1, 4)), BERNOULLI)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("family", [GAUSSIAN, POISSON], ids=["closed-form", "newton"])
+    def test_non_finite_weights_rejected(self, family, weight):
+        # Before the check, NaN gave a SingularSystemError and inf leaked a RuntimeWarning.
+        x = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
+        y = np.array([0.0, 1.0, 1.0])
+        w = np.array([[1.0, 1.0, 1.0], [1.0, weight, 1.0]])
+        message = "^weights must be finite and nonnegative with a positive sum in every row$"
+        with pytest.raises(DomainError, match=message):
+            fit_weighted(x, y, w, family)
+
     def test_malformed_start_rejected(self):
         x = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
         y = np.array([0.0, 1.0, 1.0])

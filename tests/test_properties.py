@@ -13,14 +13,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leanreg import core
-from leanreg.core import Dataset, csv_text, dataset_to_csv_text
+from leanreg.core import Dataset, csv_text, dataset_to_csv_text, load_csv
 from leanreg.covariance import conventional_cov, sandwich_cov, standard_errors
 from leanreg.datasets import synthetic_charges
-from leanreg.exceptions import ZeroWeightError
+from leanreg.exceptions import LeanRegError, ZeroWeightError
 from leanreg.fitting import GAUSSIAN, family_by_name, fit_glm
 from leanreg.prediction import calibrate_K, make_band
 from leanreg.slopes import pair_table_csv, pairwise_slope_simple
-from reference_forms import csv_writer_text, dense_pairwise_slope
+from reference_forms import csv_writer_text, dense_pairwise_slope, row_reader_load_csv
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -183,6 +183,81 @@ class TestCsvText:
     def test_one_column_edge_cells(self, cell):
         for header, column in (([cell], [cell, "b", cell]), (["h"], [cell])):
             assert csv_text(header, [column]) == csv_writer_text(header, [column], 2)
+
+
+# Cell contents of the files load_csv reads: numbers as data files hold
+# them, and the forms that either reader treats specially.  The odd cells
+# on the last line are read by float() but not by numpy's reader.
+NUMBER_CELL = st.one_of(
+    FLOAT64.map(repr), st.integers(-(10**6), 10**6).map(str), st.sampled_from(["+.5", "5.", "-0", "1E5"])
+)
+ODD_CELL = st.sampled_from([
+    "", " ", "\n", "\r\n", "nan", "-inf", "Infinity", "1e400", "-1e400", "abc", "1 2", "0x10", "1,5",
+    'say "1"', "1\n", "1\xa0", "\xa01",
+    "1_0", "-2_5.5", "\u0661", "\uff11.5",
+])
+PAD = st.sampled_from(["", " ", "\t", "  "])
+NUMBER_DATA_CELL = st.builds(lambda a, c, b: a + c + b, PAD, NUMBER_CELL, PAD)
+DATA_CELL = st.builds(lambda a, c, b: a + c + b, PAD, st.one_of(NUMBER_CELL, ODD_CELL), PAD)
+BLANK_CELL = st.builds(lambda a, c: a + c, PAD, st.sampled_from(["", "\n", "\xa0"]))
+
+
+def _numpy_rejects(cell: str) -> bool:
+    """Whether numpy's reader rejects a cell that float() may read: an underscore or a non-ASCII character."""
+    cell = cell.strip()
+    return "_" in cell or not cell.isascii()
+
+
+def _outcome(read, path, regressors):
+    """The bits of a read's response and regressors, or its error's type, row and column."""
+    try:
+        ds = read(path, "y", regressors)
+    except LeanRegError as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    return ds.response.tobytes(), ds.regressors.tobytes(), ds.names
+
+
+class TestLoadCsvAgainstRowReader:
+    """load_csv against the row-by-row reader it replaced (``row_reader_load_csv``)."""
+
+    @staticmethod
+    def _text(rows, eol, bom, final_eol, quote_flags):
+        quoted = iter(quote_flags)
+
+        def encode(cell):
+            if any(c in cell for c in ',"\n\r') or next(quoted, False):
+                return '"' + cell.replace('"', '""') + '"'
+            return cell
+
+        lines = [",".join(map(encode, row)) for row in rows]
+        return ("\ufeff" if bom else "") + eol.join(lines) + (eol if final_eol else "")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_same_values_or_same_error(self, tmp_path_factory, data):
+        header = [data.draw(PAD) + name + data.draw(PAD) for name in ("y", "x", "z", "w")]
+        regressors = data.draw(st.permutations(["x", "z"]))[: data.draw(st.integers(0, 2))]
+        cell = data.draw(st.sampled_from([NUMBER_DATA_CELL, DATA_CELL]))
+        rows = [header]
+        for _ in range(data.draw(st.integers(1, 8))):
+            kind = data.draw(st.sampled_from(["data"] * 6 + ["empty", "blank"]))
+            if kind == "empty":
+                rows.append([])
+            elif kind == "blank":
+                rows.append(data.draw(st.lists(BLANK_CELL, min_size=1, max_size=5)))
+            else:  # mostly full, else short or long
+                width = data.draw(st.sampled_from([4, 4, 4, 4, 1, 2, 3, 5]))
+                rows.append(data.draw(st.lists(cell, min_size=width, max_size=width)))
+        eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        flags = data.draw(st.lists(st.booleans(), max_size=30))
+        bom, final_eol = data.draw(st.booleans()), data.draw(st.booleans())
+        path = tmp_path_factory.getbasetemp() / "row_reader_differential.csv"
+        path.write_bytes(self._text(rows, eol, bom, final_eol, flags).encode("utf-8"))
+        got = _outcome(load_csv, path, regressors)
+        # The row reader's verdict on the file whose cells only float() reads are non-numeric.
+        rows = [rows[0]] + [["x" if _numpy_rejects(c) else c for c in row] for row in rows[1:]]
+        path.write_bytes(self._text(rows, eol, bom, final_eol, flags).encode("utf-8"))
+        assert got == _outcome(row_reader_load_csv, path, regressors)
 
 
 def _nested_loop_pair_table(x, y) -> str:
