@@ -24,8 +24,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import Dataset, check_index, check_integer, csv_text
-from .exceptions import DataError, DomainError, ExcessiveFailureError, InsufficientDrawsError
+from .core import Dataset, check_index, check_integer, csv_text, in_float_range
+from .exceptions import DataError, ExcessiveFailureError, InsufficientDrawsError
 from .fitting import GAUSSIAN, Family, FitResult, check_support, fit_glm, fit_weighted, outer_rows
 from .rng import resample_indices
 
@@ -209,11 +209,7 @@ def bootstrap_se(draws: BootstrapDraws) -> np.ndarray:
     One that passes the float range is a :class:`DomainError`.
     """
     check_se_draws(draws.b_retained)
-    with np.errstate(over="ignore", invalid="ignore"):
-        se = np.std(draws.draws, axis=0, ddof=1)
-    if not np.isfinite(se).all():
-        raise DomainError("a bootstrap standard deviation passes the float range")
-    return se
+    return in_float_range("a bootstrap standard deviation", lambda: np.std(draws.draws, axis=0, ddof=1))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ covariance, bootstrap and band reads, whose column 0 is the all-ones
 intercept.  :func:`check_integer`, :func:`check_level`,
 :func:`check_real` and :func:`check_index` hold the domain of every
 count, seed, level, real-valued scalar and coefficient index argument;
-:func:`finite_array` that of a point or design rows to evaluate at.
+:func:`finite_array` that of a point or design rows to evaluate at;
+:func:`in_float_range` makes a result past the float range an error.
 :func:`numerical_rank` is the package's one rank rule and
-:func:`spd_solve_stack` its one Cholesky solve, whose
-failure is a :class:`SingularSystemError` naming the matrix.  All types
-are immutable after construction and safe to share across threads.
+:func:`spd_solve_stack` its one Cholesky solve, whose failure is a
+:class:`SingularSystemError` naming the matrix.  All types are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ __all__ = [
     "check_real",
     "check_index",
     "finite_array",
+    "in_float_range",
+    "float_range_error",
     "numerical_rank",
     "spd_solve_stack",
 ]
@@ -151,19 +154,23 @@ def load_csv(path, response: str, regressors: list[str]) -> Dataset:
         The response is also a regressor (checked before the file is
         opened), or a named column is absent from the header or in it twice.
     ParseError
-        A missing, non-numeric or non-finite cell; cites its 1-based data row and column.
+        A missing, non-numeric or non-finite cell (a byte that is not UTF-8
+        makes a cell non-numeric); cites its 1-based data row and column.  A
+        cell over the csv module's field size limit cites its row or the header.
     EmptyInputError
         The file has no header or no data rows.
     """
     if response in regressors:
         raise ColumnError(f"column {response!r} is both the response and a regressor")
     wanted = [response, *regressors]
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+    with open(path, "r", newline="", encoding="utf-8-sig", errors="surrogateescape") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # _data_lines raises EmptyInputError
         try:
             header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise EmptyInputError("empty file: no header row") from None
+        except csv.Error as exc:  # a cell over the csv module's field size limit
+            raise ParseError(f"header row: {exc}") from None
         for name in wanted:
             if name not in header:
                 raise ColumnError(f"column {name!r} not found in header {header}")
@@ -185,22 +192,25 @@ def _data_lines(fh, wanted, cols):
     fh.seek(0)
     reader = csv.reader(fh)
     next(reader)
-    skip, lines = set(range(reader.line_num)), reader.line_num
-    for rownum, row in enumerate(reader, start=1):
-        first, lines = lines, reader.line_num
-        if not row or all(not c.strip() for c in row):
-            skip.update(range(first, lines))
-            continue
-        for name, col in zip(wanted, cols):
-            cell = row[col].strip() if col < len(row) else ""
-            try:  # float() also reads underscores and non-ASCII digits; numpy does not
-                if "_" in cell or not cell.isascii():
-                    raise ValueError(cell)
-                problem = None if math.isfinite(float(cell)) else "non-finite value"
-            except ValueError:
-                problem = "cannot parse cell"
-            if problem:
-                raise ParseError(f"{problem} {cell!r} at row {rownum}, column {name!r}", row=rownum, column=name)
+    skip, lines, rownum = set(range(reader.line_num)), reader.line_num, 0
+    try:
+        for rownum, row in enumerate(reader, start=1):
+            first, lines = lines, reader.line_num
+            if not row or all(not c.strip() for c in row):
+                skip.update(range(first, lines))
+                continue
+            for name, col in zip(wanted, cols):
+                cell = row[col].strip() if col < len(row) else ""
+                try:  # float() also reads underscores and non-ASCII digits; numpy does not
+                    if "_" in cell or not cell.isascii():
+                        raise ValueError(cell)
+                    problem = None if math.isfinite(float(cell)) else "non-finite value"
+                except ValueError:
+                    problem = "cannot parse cell"
+                if problem:
+                    raise ParseError(f"{problem} {cell!r} at row {rownum}, column {name!r}", row=rownum, column=name)
+    except csv.Error as exc:  # a cell over the csv module's field size limit
+        raise ParseError(f"{exc} at row {rownum + 1}", row=rownum + 1) from None
     if len(skip) == lines:  # every line is the header's or a blank row's
         raise EmptyInputError("no data rows after the header")
     fh.seek(0)
@@ -335,6 +345,21 @@ def finite_array(value, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite (no NaN or inf)")
     return arr
+
+
+def float_range_error(what: str) -> DomainError:
+    """The :class:`DomainError` of a result past the float range: ``<what> passes the float range``."""
+    return DomainError(f"{what} passes the float range")
+
+
+def in_float_range(what: str, compute):
+    """``compute()``, run with no overflow or invalid-value warning, or :func:`float_range_error` of
+    ``what`` if an entry of it (a number, an array or a tuple of them) is NaN or infinite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = compute()
+    if not all(np.isfinite(part).all() for part in (result if isinstance(result, tuple) else (result,))):
+        raise float_range_error(what)
+    return result
 
 
 def numerical_rank(gram: np.ndarray):

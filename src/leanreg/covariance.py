@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import csv_text, finite_array
+from .core import csv_text, finite_array, in_float_range
 from .exceptions import ColumnError, DimensionError, DomainError
 from .fitting import FitResult
 
@@ -62,9 +62,7 @@ def conventional_cov(fit: FitResult) -> np.ndarray:
     One past the float range is a :class:`DomainError`.
     """
     phi, inverse = fit.dispersion, fit.information_inverse
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        cov = phi * inverse
-    return _finite_cov(cov, "conventional")
+    return in_float_range("the conventional covariance", lambda: phi * inverse)
 
 
 def sandwich_cov(fit: FitResult) -> np.ndarray:
@@ -77,17 +75,11 @@ def sandwich_cov(fit: FitResult) -> np.ndarray:
     float range is a :class:`DomainError`.
     """
     inverse = fit.information_inverse
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+
+    def cov():
         scores = fit.data.design * fit.residuals[:, None]  # row i is (y_i - mu_i) x_i
-        cov = sandwich_stack(inverse[None], (scores.T @ scores)[None])[0]
-    return _finite_cov(cov, "sandwich")
-
-
-def _finite_cov(cov: np.ndarray, name: str) -> np.ndarray:
-    """``cov``, checked: a NaN or infinite entry is a :class:`DomainError` naming the estimator."""
-    if not np.all(np.isfinite(cov)):
-        raise DomainError(f"the {name} covariance passes the float range")
-    return cov
+        return sandwich_stack(inverse[None], (scores.T @ scores)[None])[0]
+    return in_float_range("the sandwich covariance", cov)
 
 
 def se_and_pvalues(fit: FitResult, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

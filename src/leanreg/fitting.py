@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, check_index, check_real, finite_array, numerical_rank, spd_solve_stack
+from .core import Dataset, check_index, check_real, finite_array, in_float_range, numerical_rank, spd_solve_stack
 from .exceptions import (
     ConvergenceError,
     DegreesOfFreedomError,
@@ -583,12 +583,7 @@ def predict_mean(fit: FitResult, x) -> float:
         raise DimensionError(
             f"point has shape {x.shape}, expected {fit.beta_hat.shape}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = float(x @ fit.beta_hat)
-        mu = float(fit.family.inverse_link(t))
-    if not np.isfinite(mu):
-        raise DomainError(f"the mean at linear predictor {t:.6g} is not a finite number")
-    return mu
+    return float(in_float_range("the predicted mean", lambda: fit.family.inverse_link(float(x @ fit.beta_hat))))
 
 
 def exp_coef(fit: FitResult, j: int, delta: float = 1.0) -> float:
@@ -605,8 +600,4 @@ def exp_coef(fit: FitResult, j: int, delta: float = 1.0) -> float:
         )
     check_index(j, 0, fit.beta_hat.shape[0] - 1, "coefficient")
     check_real(delta, "delta")
-    with np.errstate(over="ignore"):
-        multiplier = float(np.exp(fit.beta_hat[j] * delta))
-    if not np.isfinite(multiplier):
-        raise DomainError(f"exp({fit.beta_hat[j]:.6g} * {delta!r}) is not a finite number")
-    return multiplier
+    return float(in_float_range(f"exp({fit.beta_hat[j]:.6g} * {delta!r})", lambda: np.exp(fit.beta_hat[j] * delta)))

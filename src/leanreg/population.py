@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bootstrap
-from .core import Dataset, check_integer, check_level, check_real
+from .core import Dataset, check_integer, check_level, check_real, float_range_error, in_float_range
 from .covariance import sandwich_stack, standard_errors
 from .exceptions import (
     CollinearPopulationError,
@@ -331,31 +331,26 @@ def decompose(pop: DiscretePopulation, beta: np.ndarray | None = None) -> Popula
     :class:`DomainError`.
     """
     beta = population_beta(pop) if beta is None else _coefficients(beta, pop.support.shape[1])
-    w = pop.probs
-    x = pop.support
-
+    w, x = pop.probs, pop.support
     # Every noise law has E[eps | x] = 0, so its moments are exact zeros.
-    e_eps = 0.0
-    e_x_eps = np.zeros(x.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        eta = pop.mu_values - x @ beta
-        e_eta = float(w @ eta)
-        e_x_eta = (x.T * w) @ eta
-        delta2 = eta**2 + pop.noise_variance()  # E[delta^2|x] = eta^2 + var(eps|x)
-        e_delta2_xx = gram(x, (w * delta2)[None])[0]
+    e_eps, e_x_eps = 0.0, np.zeros(x.shape[1])
 
+    def sums():
+        eta = pop.mu_values - x @ beta
+        delta2 = eta**2 + pop.noise_variance()  # E[delta^2|x] = eta^2 + var(eps|x)
+        return eta, w @ eta, (x.T * w) @ eta, gram(x, (w * delta2)[None])[0], w @ delta2
+    what = f"a population moment at beta {beta.tolist()}"
+    eta, e_eta, e_x_eta, e_delta2_xx, sigma_delta2 = in_float_range(what, sums)
     moments = {
-        "E_eta": e_eta,
+        "E_eta": float(e_eta),
         "E_eps": e_eps,
-        "E_delta": e_eta + e_eps,
+        "E_delta": float(e_eta) + e_eps,
         "E_X_eta": e_x_eta,
         "E_X_eps": e_x_eps,
         "E_X_delta": e_x_eta + e_x_eps,
         "E_delta2_XX": e_delta2_xx,
-        "sigma_delta2": float(w @ delta2),
+        "sigma_delta2": float(sigma_delta2),
     }
-    if not all(np.all(np.isfinite(v)) for v in moments.values()):
-        raise DomainError(f"the population moments at beta {beta.tolist()} pass the float range")
     return PopulationDecomposition(beta=beta, eta_at=eta, moments=moments)
 
 
@@ -573,11 +568,9 @@ def coverage_experiment(
                 with np.errstate(over="ignore", invalid="ignore"):
                     cov, failed = estimate(inverse, pop.support, ssr, n)
                 se[:, i] = standard_errors(cov)
-                failed = [
-                    f or (None if finite else DomainError(f"the {methods[i]} covariance passes the float range"))
-                    for f, finite in zip(failed, np.isfinite(cov).all(axis=(1, 2)))
-                ]
-                errors = [e or f for e, f in zip(errors, failed)]  # a row keeps its first error
+                finite = np.isfinite(cov).all(axis=(1, 2))
+                errors = [e or f or (None if ok else float_range_error(f"the {methods[i]} covariance"))
+                          for e, f, ok in zip(errors, failed, finite)]  # a row keeps its first error
                 continue
             for r in np.flatnonzero([e is None for e in errors]):
                 try:
@@ -616,10 +609,7 @@ def normal_quadrature_law(points: int, mean: float = 0.0, sd: float = 1.0):
     if sd <= 0:
         raise DomainError(f"sd must be positive, got {sd!r}")
     nodes, weights = np.polynomial.hermite.hermgauss(points)
-    with np.errstate(over="ignore"):
-        support = mean + sd * math.sqrt(2.0) * nodes
-    if not np.all(np.isfinite(support)):
-        raise DomainError(f"a normal law with sd {sd!r} has nodes past the float range")
+    support = in_float_range(f"a node of the normal law with sd {sd!r}", lambda: mean + sd * math.sqrt(2.0) * nodes)
     probs = weights / math.sqrt(math.pi)
     probs = probs / probs.sum()
     return support.reshape(-1, 1), probs

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, check_integer, check_level, check_real, finite_array
+from .core import Dataset, check_integer, check_level, check_real, finite_array, in_float_range
 from .exceptions import (
     DimensionError,
     DomainError,
@@ -72,12 +72,10 @@ class PredictionBand:
         k = self.beta_hat.shape[0]
         if x.ndim != 2 or x.shape[1] != k:
             raise DimensionError(f"design rows have shape {x.shape}, expected (m, {k})")
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            center = x @ self.beta_hat
-            half = self.K * self.sigma_hat * (1.0 + np.einsum("ij,jk,ik->i", x, self.xtx_inverse, x))
-        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(half))):
-            raise DomainError("a center or half width of the band passes the float range")
-        return center, half
+        return in_float_range("a center or half width of the band", lambda: (
+            x @ self.beta_hat,
+            self.K * self.sigma_hat * (1.0 + np.einsum("ij,jk,ik->i", x, self.xtx_inverse, x)),
+        ))
 
 
 def interval(band: PredictionBand, x) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import Dataset, check_index, csv_text_from_cells
+from .core import Dataset, check_index, csv_text_from_cells, float_range_error, in_float_range
 from .exceptions import CoefficientIndexError, DataError, DomainError, ZeroWeightError
 from .fitting import GAUSSIAN, fit_glm
 
@@ -114,7 +114,7 @@ def pairwise_slope_simple(x, y) -> PairwiseSlopeSummary:
     try:
         beta = math.ldexp(sxy / sxx, ey - ex)
     except OverflowError:
-        raise DomainError("the pairwise slope is past the float range") from None
+        raise float_range_error("the pairwise slope") from None
     ties = np.unique(x, return_counts=True)[1]
     return PairwiseSlopeSummary(
         beta=beta,
@@ -196,11 +196,9 @@ def _pair_blocks(x: np.ndarray, y: np.ndarray):
     for i in range(n):
         js = np.flatnonzero(x != x[i])
         lower, upper = np.split(js, [np.searchsorted(js, i)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = x[i] - x[upper]
-            weight, slope = d * d, (y[i] - y[upper]) / d
-        if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(slope))):
-            raise DomainError("a pair's weight or slope is past the float range")
+        weight, slope = in_float_range(
+            "a pair's weight or slope", lambda: ((d := x[i] - x[upper]) * d, (y[i] - y[upper]) / d)
+        )
         weight, slope = list(map(repr, weight.tolist())), list(map(repr, slope.tolist()))
         at = offset[i] + upper
         upper_w[at], upper_s[at] = weight, slope

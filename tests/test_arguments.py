@@ -9,17 +9,21 @@ floats, strings, None, numpy scalars, negatives, non-finite values and
 values just below each floor.  Points, design rows, covariances and
 bootstrap SEs pass ``core.finite_array``: text is a :class:`DataError`,
 and NaN, inf or a result past the float range a :class:`DomainError`.
+A result past the float range passes ``core.in_float_range`` and is
+``DomainError("<what> passes the float range")``, wherever it arises.
 """
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leanreg.bootstrap import normality_diagnostic, residual_bootstrap, xy_bootstrap
+from leanreg import bootstrap
+from leanreg.bootstrap import bootstrap_se, normality_diagnostic, residual_bootstrap, xy_bootstrap
 from leanreg.core import Dataset
 from leanreg.covariance import coefficient_table, conventional_cov, sandwich_cov, se_and_pvalues
 from leanreg.datasets import synthetic_charges
@@ -28,6 +32,7 @@ from leanreg.fitting import GAUSSIAN, POISSON, exp_coef, fit_glm, predict_mean
 from leanreg.population import (
     check_orthogonality,
     coverage_experiment,
+    decompose,
     make_population,
     normal_quadrature_law,
     sample,
@@ -36,7 +41,7 @@ from leanreg.population import (
 from leanreg.prediction import calibrate_K, cv_calibrate_K, interval, make_band
 from leanreg.report import misspec_indicator
 from leanreg.rng import resample_indices, spawn_seeds, substream, substreams
-from leanreg.slopes import adjust_regressor, pairwise_slope_multiple
+from leanreg.slopes import adjust_regressor, pair_table_csv, pairwise_slope_multiple, pairwise_slope_simple
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -299,3 +304,49 @@ def test_finite_points_and_ses_are_accepted():
 def test_family_error_names_the_lookup():
     with pytest.raises(FamilyError, match="family_by_name"):
         fit_glm(SAMPLE, "ols")
+
+
+# Responses of about 1e170: residuals square past the float range.
+HUGE = Dataset(SAMPLE.response * 1e170, SAMPLE.regressors, names=SAMPLE.names)
+HUGE_FIT = fit_glm(HUGE, GAUSSIAN)
+# Squared residuals of samples from noise with sd 1e154 pass the float range.
+HUGE_NOISE = make_population([[0.0], [1.0], [2.0]], [1 / 3] * 3, [0.0, 1.0, 4.0],
+                             {"kind": "gaussian", "sigma": 1e154})
+
+
+def raise_first_failure(results, what):
+    raise next(r for r in results if isinstance(r, Exception))
+
+
+def first_coverage_failure(method):
+    """Raise the error of the first failed replication of a coverage run at HUGE_NOISE."""
+    with mock.patch.object(bootstrap, "tolerate_failures", raise_first_failure):
+        coverage_experiment(HUGE_NOISE, 50, 2, [method], seed=1)
+
+
+# (name, call, the <what> of its message): one row per site that checks a result against the float range.
+FLOAT_RANGE = [
+    ("conventional_cov", lambda: conventional_cov(HUGE_FIT), "the conventional covariance"),
+    ("sandwich_cov", lambda: sandwich_cov(HUGE_FIT), "the sandwich covariance"),
+    ("bootstrap_se", lambda: bootstrap_se(xy_bootstrap(HUGE, GAUSSIAN, 12, 1)), "a bootstrap standard deviation"),
+    ("PredictionBand.evaluate", lambda: interval(BAND, [1.0, 1e200, -1e200]), "a center or half width of the band"),
+    ("calibrate_K", lambda: calibrate_K(HUGE_FIT, 0.2), "a center or half width of the band"),
+    ("decompose", lambda: decompose(POPULATION, beta=[1e200, 0.0]), "a population moment at beta [1e+200, 0.0]"),
+    ("coverage_experiment.conventional", lambda: first_coverage_failure("conventional"),
+     "the conventional covariance"),
+    ("coverage_experiment.sandwich", lambda: first_coverage_failure("sandwich"), "the sandwich covariance"),
+    ("normal_quadrature_law", lambda: normal_quadrature_law(5, sd=1e308), "a node of the normal law with sd 1e+308"),
+    ("predict_mean", lambda: predict_mean(POISSON_FIT, [1.0, 1e6]), "the predicted mean"),
+    ("exp_coef", lambda: exp_coef(POISSON_FIT, 1, delta=1e6), f"exp({POISSON_FIT.beta_hat[1]:.6g} * 1000000.0)"),
+    ("pairwise_slope_simple", lambda: pairwise_slope_simple([0.0, 1e-160], [0.0, 1e300]), "the pairwise slope"),
+    ("pair_table_csv", lambda: pair_table_csv([1e200, -1e200], [1.0, 2.0]), "a pair's weight or slope"),
+]
+
+
+@pytest.mark.parametrize("call, what", [pytest.param(*row[1:], id=row[0]) for row in FLOAT_RANGE])
+def test_a_result_past_the_float_range_is_one_domain_error(call, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as exc_info:
+            call()
+    assert str(exc_info.value) == f"{what} passes the float range"

@@ -494,6 +494,17 @@ class TestFileErrors:
         assert err.startswith("leanreg: error: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("data, message", [
+        (b"y,x\n1,2\n3,\xe9\n", "cannot parse cell '\\udce9' at row 2, column 'x'"),
+        (b"y,x\n1,2\n,\n3,4," + b"a" * (csv.field_size_limit() + 1) + b"\n",
+         f"field larger than field limit ({csv.field_size_limit()}) at row 3"),
+    ], ids=["not-utf8", "over-field-limit"])
+    def test_unreadable_input_is_one_line_and_exit_one(self, tmp_path, capsys, data, message):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        argv = ["fit", "--input", str(path), "--response", "y", "--regressors", "x", "--boot", "0"]
+        assert run_main(argv, capsys) == (1, "", f"leanreg: error: {message}\n")
+
 
 class TestInputColumns:
     FIT = ["fit", "--boot", "0", "--format", "json"]

@@ -1,5 +1,6 @@
 """Ingestion, design construction, the rank policy and the SPD solve."""
 
+import csv
 import warnings
 
 import numpy as np
@@ -188,6 +189,52 @@ class TestLoadCsvNumpyReader:
             warnings.simplefilter("error")
             with pytest.raises(EmptyInputError, match="^no data rows after the header$"):
                 load_csv(write_tmp(tmp_path, text), response="y", regressors=["x"])
+
+
+class TestLoadCsvUnreadableInput:
+    """Bytes that are not UTF-8 and cells over the csv module's field size limit are typed errors."""
+
+    def load(self, tmp_path, data: bytes, regressors=("x",)):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        return load_csv(path, response="y", regressors=list(regressors))
+
+    def test_byte_not_utf8_in_a_read_cell_names_its_row(self, tmp_path):
+        with pytest.raises(ParseError) as exc_info:
+            self.load(tmp_path, b"y,x\n1,2\n3,\xe9\n")
+        assert str(exc_info.value) == "cannot parse cell '\\udce9' at row 2, column 'x'"
+        assert (exc_info.value.row, exc_info.value.column) == (2, "x")
+
+    @pytest.mark.parametrize("blank", [b"", b",,\n"], ids=["numpy-reader", "row-reader"])
+    def test_byte_not_utf8_in_an_unread_column_is_never_parsed(self, tmp_path, blank):
+        ds = self.load(tmp_path, b"y,x,note\n1,2,caf\xe9\n" + blank + b"3,4,\n")
+        assert ds.design.tolist() == [[1.0, 2.0], [1.0, 4.0]]
+
+    def test_byte_not_utf8_in_a_wanted_header_name(self, tmp_path):
+        with pytest.raises(ColumnError, match=r"^column 'x' not found in header \['y', 'x\\udce9'\]$"):
+            self.load(tmp_path, b"y,x\xe9\n1,2\n")
+
+    def test_header_cell_over_the_field_limit(self, tmp_path):
+        limit = csv.field_size_limit()
+        with pytest.raises(ParseError) as exc_info:
+            self.load(tmp_path, b"y,x," + b"a" * (limit + 1) + b"\n1,2,3\n")
+        assert str(exc_info.value) == f"header row: field larger than field limit ({limit})"
+        assert csv.field_size_limit() == limit
+
+    @pytest.mark.parametrize("rows, row", [
+        # A blank row sends the read to the row reader, which meets the long cell first.
+        (b"1,2,{long}\n,,\n3,4,5\n", 1),
+        # The long cell is a number past the float range: numpy reads it as inf.
+        (b"1,2,3\n\n3,1{zeros},5\n", 3),
+    ], ids=["unread-column", "read-column"])
+    def test_data_cell_over_the_field_limit_names_its_row(self, tmp_path, rows, row):
+        limit = csv.field_size_limit()
+        data = rows.replace(b"{long}", b"a" * (limit + 1)).replace(b"{zeros}", b"0" * limit)
+        with pytest.raises(ParseError) as exc_info:
+            self.load(tmp_path, b"y,x,z\n" + data)
+        assert str(exc_info.value) == f"field larger than field limit ({limit}) at row {row}"
+        assert exc_info.value.row == row
+        assert csv.field_size_limit() == limit
 
 
 class TestDatasetValidation:

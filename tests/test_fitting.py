@@ -481,7 +481,7 @@ class TestPredictMean:
 
     def test_poisson_mean_overflow_is_a_domain_error(self):
         fit = fit_glm(data_from([0.0, 1.0, 2.0, 3.0], [2.0, 3.0, 4.0, 6.0]), POISSON)
-        with pytest.raises(DomainError, match="not a finite number"):
+        with pytest.raises(DomainError, match="^the predicted mean passes the float range$"):
             predict_mean(fit, [1.0, 1e6])
 
     def test_logit_mean_saturates_silently(self):
@@ -522,5 +522,5 @@ class TestExpCoef:
             exp_coef(poisson_fit, 5, 1.0)
 
     def test_overflow_is_a_domain_error(self, poisson_fit):
-        with pytest.raises(DomainError, match="not a finite number"):
+        with pytest.raises(DomainError, match=r"^exp\(0\.35918 \* 1000000\.0\) passes the float range$"):
             exp_coef(poisson_fit, 1, 1e6)

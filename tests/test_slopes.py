@@ -99,7 +99,7 @@ class TestPairwiseSimple:
         assert pairwise_slope_simple(x, np.full(10, c)).beta == 0.0
 
     def test_slope_past_float_range_rejected(self):
-        with pytest.raises(DomainError, match="^the pairwise slope is past the float range$"):
+        with pytest.raises(DomainError, match="^the pairwise slope passes the float range$"):
             pairwise_slope_simple([0.0, 1e-160], [0.0, 1e300])
 
     def test_all_x_equal_raises(self):
@@ -252,7 +252,7 @@ class TestPairTable:
         ids=["weight", "slope of a subnormal gap", "response gap"],
     )
     def test_weight_or_slope_past_float_range_rejected(self, x, y):
-        with pytest.raises(DomainError, match="^a pair's weight or slope is past the float range$"):
+        with pytest.raises(DomainError, match="^a pair's weight or slope passes the float range$"):
             pair_table_csv(x, y)
 
     def test_underflowing_weight_is_kept(self):

@@ -275,3 +275,84 @@ def test_only_core_tests_for_integers():
         if path.name != "core.py":
             found += numpy_integer_references(path.read_text(encoding="utf-8"), path.name)
     assert found == []
+
+
+def docstring_nodes(tree) -> set[int]:
+    """``id`` of each module, class and function docstring node of ``tree``."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def float_range_literals(source: str, filename: str) -> list[str]:
+    """``file:line`` of each string literal or f-string part, docstrings aside, that says "float range"."""
+    tree = ast.parse(source, filename)
+    docstrings = docstring_nodes(tree)
+    lines = {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "float range" in node.value.lower()
+        and id(node) not in docstrings
+    }
+    return [f"{filename}:{line}" for line in sorted(lines)]
+
+
+def test_only_core_words_the_float_range_error():
+    # core.float_range_error holds the one message form, "<what> passes
+    # the float range"; a second wording drifts from it.
+    spellings = "\n".join([
+        '"""A module docstring may say float range."""', "raise DomainError('a sum passes the float range')",
+        "m = f'{what} is past the Float Range'", "g('float' ' range')", "'a bare string: float range'",
+        "# float range", "float_range_error('the sum')", "h('floating range')", "def f():",
+        "    '''Nor is a function docstring past the float range checked.'''",
+    ])
+    assert float_range_literals(spellings, "s.py") == ["s.py:2", "s.py:3", "s.py:4", "s.py:5"]
+
+    found = []
+    for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
+        if path.name != "core.py":
+            found += float_range_literals(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
+
+
+def unused_imports(source: str, filename: str) -> list[str]:
+    """``file:line name`` of each name a module imports and neither reads nor lists in ``__all__``.
+
+    A name counts as read when it appears as a name anywhere in the code;
+    a mention in a docstring or comment does not count.
+    """
+    tree = ast.parse(source, filename)
+    imported = [(node.lineno, (a.asname or a.name).split(".")[0]) for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for a in node.names]
+    exported = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(exported[0]) if exported else set()
+    return [f"{filename}:{line} {name}" for line, name in imported if name not in used]
+
+
+def test_every_import_is_used():
+    # A name imported only for a docstring's cross-reference, or left
+    # behind when its last reader went, is a dependency the code lacks.
+    spellings = "\n".join([
+        "from __future__ import annotations", "import os, sys", "import numpy as np",
+        "import xml.dom", "from .core import check, spare", "from .exceptions import DomainError",
+        "__all__ = ['spare']", "def f(a: np.ndarray) -> None:",
+        "    '''Raises :class:`DomainError`.'''", "    check(sys.argv, xml)",
+    ])
+    assert unused_imports(spellings, "s.py") == ["s.py:2 os", "s.py:6 DomainError"]
+
+    # The package's own imports are its exports (test_exports_resolve).
+    found = []
+    for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
+        if path.name != "__init__.py":
+            found += unused_imports(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
