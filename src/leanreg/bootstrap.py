@@ -13,7 +13,10 @@ depends only on ``(seed, b)``: not on B, and not on which other
 replicates share its chunk.  Reruns with the same seed reproduce every
 draw bit-identically.  A GLM refit is the sample's regression
 functional at a resampled empirical law, within O(n^-1/2) of the
-sample's own, so its Newton iterations start at the sample fit.
+sample's own, so its Newton iterations start at the one-step estimate
+from the sample fit, ``beta_hat - H^-1 s_r(beta_hat)`` (Moulton and
+Zeger, 1991): H is the sample's information and s_r the resample's
+score, and one matrix product gives a whole chunk's starts.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import Dataset, check_index, check_integer, csv_text, in_float_range
-from .exceptions import DataError, ExcessiveFailureError, InsufficientDrawsError
+from .exceptions import DataError, ExcessiveFailureError, InsufficientDrawsError, LeanRegError
 from .fitting import GAUSSIAN, Family, FitResult, check_support, fit_glm, fit_weighted, outer_rows
 from .rng import resample_indices
 
@@ -128,11 +131,11 @@ def xy_bootstrap(
     Replicate b is the sample refitted with weights equal to how often
     each observation was drawn from substream ``(seed, b)``; all
     replicates of a chunk are solved as one stack by
-    :func:`~leanreg.fitting.fit_weighted`.  A GLM's refits start from
-    the sample's own fit, or from the usual start value if that fit
-    fails; OLS refits are solved exactly.  ``sample_fit``, the caller's
-    :func:`~leanreg.fitting.fit_glm` of ``ds`` under ``family``, spares
-    fitting the sample again.  Replicates whose resampled
+    :func:`~leanreg.fitting.fit_weighted`.  A GLM's refits start one
+    Newton step from the sample fit, or at the usual start value if
+    that fit fails; OLS refits are solved exactly.  ``sample_fit``, the
+    caller's :func:`~leanreg.fitting.fit_glm` of ``ds`` under
+    ``family``, spares fitting the sample again.  Replicates whose resampled
     design is singular or whose fit fails to converge are excluded and
     counted; more than 10% of them is an error naming the failure
     reasons.  An infeasible base problem (e.g. a singular design that
@@ -148,25 +151,46 @@ def xy_bootstrap(
     y = ds.response
     n = ds.n
     outer = outer_rows(x)
-    if family.closed_form:
-        start = None
-    elif sample_fit is not None:
-        start = sample_fit.beta_hat
-    else:  # a failed sample fit leaves the refits to start cold
-        fits = fit_weighted(x, y, np.ones((1, n)), family, outer=outer)
-        start = fits.beta[0] if fits.errors[0] is None else None
+    if not family.closed_form and sample_fit is None:
+        try:
+            sample_fit = fit_glm(ds, family)
+        except LeanRegError:  # a failed sample fit leaves the refits to start cold
+            pass
+    warm = not family.closed_form and sample_fit is not None
     size = chunk_size(n)
     results = []
     for idx in resample_indices(seed, B, size, n):
         # Rows past the last replicate are padding: the sample itself.
         w = np.ones((size, n))
         w[: len(idx)] = cell_sums(idx, n)
+        start = _one_step_starts(sample_fit, w) if warm else None
         fits = fit_weighted(x, y, w, family, outer=outer, start=start)
         results.extend(
             beta if error is None else error
             for beta, error in zip(fits.beta[: len(idx)], fits.errors)
         )
     return _collect(results, ds)
+
+
+def _one_step_starts(fit: FitResult, w: np.ndarray) -> np.ndarray:
+    """One-step starts (m, k) of refits of ``fit``'s sample under weight rows ``w`` (m, n).
+
+    A row starts at ``beta_hat`` instead where its one-step start is not
+    finite, or puts a used observation's ``|x_i'start|`` past the
+    separation bound (its first iteration would stop there), and every
+    row does if the information matrix does not invert.
+    """
+    x, beta_hat, bound = fit.data.design, fit.beta_hat, fit.family.separation_bound
+    try:
+        inverse = fit.information_inverse
+    except LeanRegError:
+        return np.tile(beta_hat, (w.shape[0], 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        one_step = beta_hat + ((w * fit.residuals) @ x) @ inverse
+        usable = np.all(np.isfinite(one_step), axis=1)
+        if bound is not None:
+            usable &= np.max(np.abs(one_step @ x.T) * (w > 0), axis=1) <= bound
+    return np.where(usable[:, None], one_step, beta_hat)
 
 
 def residual_bootstrap(ds: Dataset, B: int, seed: int) -> BootstrapDraws:

@@ -124,7 +124,8 @@ def _logit_loss_change(t, mu, delta, y):
     far = np.abs(delta) > 1.0
     with np.errstate(over="ignore"):
         change = np.log1p(mu * np.expm1(delta))
-    change[far] = _softplus(t[far] + delta[far]) - _softplus(t[far])
+    if far.any():
+        change[far] = _softplus(t[far] + delta[far]) - _softplus(t[far])
     return change - delta * y
 
 
@@ -364,8 +365,10 @@ def fit_weighted(
     the caller's to check (:func:`check_support`).
 
     ``outer`` is :func:`outer_rows` of ``x``, for callers that reuse it.
-    ``start``, a k-vector, is the iterate every row starts from, such as
-    the sample fit for refits on resamples; None starts row r from the
+    ``start`` is the iterate the rows start from: a k-vector for every
+    row, such as the sample fit, or an (m, k) array of one start per
+    row, such as the one-step starts of refits on resamples; row r's
+    result depends only on its own start.  None starts row r from the
     usual value, ``family.start`` of its weighted mean response as the
     intercept and zero slopes.
     Every matrix product and elementwise pass takes all rows, so row r's
@@ -383,8 +386,8 @@ def fit_weighted(
         raise DomainError("weights must be finite and nonnegative with a positive sum in every row")
     if start is not None:
         start = finite_array(start, "start")
-        if start.shape != (k,):
-            raise DimensionError(f"start has shape {start.shape}, expected ({k},)")
+        if start.shape not in ((k,), (m, k)):
+            raise DimensionError(f"start has shape {start.shape}, expected ({k},) or ({m}, {k})")
     if outer is None:
         outer = outer_rows(x)
     # Here and in _newton, one product with the reused outer rows beats gram()'s
@@ -432,7 +435,7 @@ def _newton(x, y, w, wsum, outer, family, active, errors, start):
         beta = np.zeros((m, k))
         beta[:, 0] = family.start(np.sum(w * y, axis=1) / wsum)
     else:
-        beta = np.tile(start, (m, 1))
+        beta = np.array(np.broadcast_to(start, (m, k)))
     iterations = np.zeros(m, dtype=int)
     rel_change = np.full(m, np.inf)  # the start value has not converged
 
@@ -469,22 +472,27 @@ def _newton(x, y, w, wsum, outer, family, active, errors, start):
         active = active & _record(errors, failed)
         direction = np.where(active[:, None], -direction, 0.0)
 
-        # Step halving, row by row: a row keeps its last candidate and
+        # A full step below the convergence tolerance is taken whole: it
+        # cannot diverge, and its loss change is rounding noise.  Other
+        # steps are halved row by row: a row keeps its last candidate and
         # its step is halved after every rejection.  A step is accepted
         # when it does not raise the objective, or when the objective at
         # the current iterate is not finite.
         step = np.ones(m)
+        tolerance = COEF_TOL * np.maximum(1.0, np.max(np.abs(beta), axis=1))
+        whole = active & (np.max(np.abs(direction), axis=1) < tolerance)
         candidate = beta.copy()
-        pending = active
+        candidate[whole] += direction[whole]
+        pending = active & ~whole
         for _ in range(MAX_HALVINGS + 1):
+            if not pending.any():
+                break
             move = step[:, None] * direction
             change = family.loss_change(t, mu, linear_predictor(move), y)
             change = np.sum(w * change, axis=1) / wsum
             candidate[pending] = beta[pending] + move[pending]
             pending = pending & ~((change <= 0.0) | ~finite)
             step[pending] *= 0.5
-            if not pending.any():
-                break
 
         rel_change = np.max(np.abs(step[:, None] * direction), axis=1) / np.maximum(
             1.0, np.max(np.abs(candidate), axis=1)
@@ -524,8 +532,10 @@ def fit_glm(ds: Dataset, family: Family) -> FitResult:
     sample working-model cost by Newton/IRLS.  Convergence requires
     both a relative coefficient change below ``COEF_TOL`` and a
     mean-score norm ``max_j |sum_i (mu_i - y_i) x_ij| / n`` at or below
-    ``SCORE_TOL * max(1, mean|y|)``.  Steps that fail to decrease the
-    objective are halved up to ``MAX_HALVINGS`` times.
+    ``SCORE_TOL * max(1, mean|y|)``.  A Newton step whose largest
+    coefficient change is below ``COEF_TOL * max(1, max|beta|)`` is taken
+    whole, without evaluating the objective; any other step that fails to
+    decrease the objective is halved up to ``MAX_HALVINGS`` times.
 
     Raises
     ------

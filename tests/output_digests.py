@@ -64,9 +64,12 @@ def run_job(argv: list[str]) -> tuple[str, str, str]:
     return str(rc), out.getvalue(), err.getvalue()
 
 
-def digests(workload: str, seed: int, sizes) -> list[str]:
-    """One ``workload job argv[0] item sha256`` line per digest of the workload's jobs."""
-    lines = []
+def job_outputs(workload: str, seed: int, sizes):
+    """Yield ``(k, job, items)`` for each job of the workload, run in a fresh directory of its inputs.
+
+    ``items`` are ``(name, bytes)``: ``rc``, ``stdout``, ``stderr``, then
+    every output file by its relative path.
+    """
     datadir = Path(leanreg.__file__).resolve().parent / "data"
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -79,10 +82,18 @@ def digests(workload: str, seed: int, sizes) -> list[str]:
                 items = [("rc", rc.encode()), ("stdout", stdout.encode()), ("stderr", stderr.encode())]
                 for output in job.outputs:
                     items.extend(_files(workdir, output))
-                lines.extend(f"{workload} {k} {job.argv[0]} {name} {_sha256(data)}" for name, data in items)
+                yield k, job, items
         finally:
             os.chdir(here)
-    return lines
+
+
+def digests(workload: str, seed: int, sizes) -> list[str]:
+    """One ``workload job argv[0] item sha256`` line per digest of the workload's jobs."""
+    return [
+        f"{workload} {k} {job.argv[0]} {name} {_sha256(data)}"
+        for k, job, items in job_outputs(workload, seed, sizes)
+        for name, data in items
+    ]
 
 
 def main(argv=None) -> int:

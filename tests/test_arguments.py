@@ -9,6 +9,8 @@ floats, strings, None, numpy scalars, negatives, non-finite values and
 values just below each floor.  Points, design rows, covariances and
 bootstrap SEs pass ``core.finite_array``: text is a :class:`DataError`,
 and NaN, inf or a result past the float range a :class:`DomainError`.
+So do ``fit_weighted``'s starts, one per refit or one for all; a start
+of another shape is a :class:`DimensionError`.
 A result past the float range passes ``core.in_float_range`` and is
 ``DomainError("<what> passes the float range")``, wherever it arises.
 """
@@ -27,8 +29,15 @@ from leanreg.bootstrap import bootstrap_se, normality_diagnostic, residual_boots
 from leanreg.core import Dataset
 from leanreg.covariance import coefficient_table, conventional_cov, sandwich_cov, se_and_pvalues
 from leanreg.datasets import synthetic_charges
-from leanreg.exceptions import CoefficientIndexError, DataError, DomainError, FamilyError, LeanRegError
-from leanreg.fitting import GAUSSIAN, POISSON, exp_coef, fit_glm, predict_mean
+from leanreg.exceptions import (
+    CoefficientIndexError,
+    DataError,
+    DimensionError,
+    DomainError,
+    FamilyError,
+    LeanRegError,
+)
+from leanreg.fitting import GAUSSIAN, POISSON, exp_coef, fit_glm, fit_weighted, predict_mean
 from leanreg.population import (
     check_orthogonality,
     coverage_experiment,
@@ -266,6 +275,11 @@ def test_formerly_untyped_or_accepted_calls(call, error):
 
 
 BAND = make_band(OLS_FIT, K=1.0)
+
+
+def refit_counts(start):
+    """Two poisson refits of COUNTS, from ``start``."""
+    return fit_weighted(COUNTS.design, COUNTS.response, np.ones((2, COUNTS.n)), POISSON, start=start)
 CONV, SAND = conventional_cov(OLS_FIT), sandwich_cov(OLS_FIT)
 
 
@@ -289,6 +303,14 @@ CONV, SAND = conventional_cov(OLS_FIT), sandwich_cov(OLS_FIT)
                  id="coefficient_table(-inf)"),
     pytest.param(lambda: coefficient_table(OLS_FIT, CONV, SAND, [1.0, 1.0, -0.5]), DomainError,
                  id="coefficient_table(negative)"),
+    pytest.param(lambda: refit_counts(start=np.zeros((3, 2))), DimensionError, id="fit_weighted(start (3, 2))"),
+    pytest.param(lambda: refit_counts(start=np.zeros((2, 3))), DimensionError, id="fit_weighted(start (2, 3))"),
+    pytest.param(lambda: refit_counts(start=np.zeros((1, 2, 2))), DimensionError,
+                 id="fit_weighted(start (1, 2, 2))"),
+    pytest.param(lambda: refit_counts(start=[[0.0, 0.0], [0.0, math.nan]]), DomainError,
+                 id="fit_weighted(start nan row)"),
+    pytest.param(lambda: refit_counts(start=[[math.inf, 0.0], [0.0, 0.0]]), DomainError,
+                 id="fit_weighted(start inf row)"),
 ])
 def test_points_covariances_and_ses_are_finite_numbers(call, error):
     assert outcome(call) is error
@@ -298,6 +320,7 @@ def test_finite_points_and_ses_are_accepted():
     assert outcome(lambda: interval(BAND, np.array([1, 2, -3]))) is None
     assert outcome(lambda: predict_mean(OLS_FIT, [1, 0.5, 0.25])) is None
     assert outcome(lambda: make_band(OLS_FIT, K=1e300).evaluate([[1.0, 2.0, 3.0]])) is None
+    assert outcome(lambda: refit_counts(start=[[0.0, 0.0], POISSON_FIT.beta_hat])) is None
     assert outcome(lambda: coefficient_table(OLS_FIT, CONV, SAND, [0.0, 1.0, 2.0])) is None
 
 

@@ -1,5 +1,7 @@
 """Pairs and residual bootstrap: determinism, SEs, and diagnostics."""
 
+import contextlib
+import dataclasses
 import warnings
 from collections import Counter
 from importlib import resources
@@ -287,48 +289,102 @@ class TestStackedEngine:
 
 
 def spy_fit_weighted(monkeypatch):
-    """Record ``(rows, start, result)`` of every ``fit_weighted`` call the bootstrap makes."""
+    """Record ``(w, start, result)`` of every ``fit_weighted`` call the bootstrap makes."""
     calls, fit_weighted = [], bootstrap.fit_weighted
 
     def spy(x, y, w, family, **kwargs):
         fits = fit_weighted(x, y, w, family, **kwargs)
-        calls.append((w.shape[0], kwargs.get("start"), fits))
+        calls.append((w, kwargs.get("start"), fits))
         return fits
 
     monkeypatch.setattr(bootstrap, "fit_weighted", spy)
     return calls
 
 
-class TestWarmStart:
-    """GLM refits on resamples start from the sample fit; OLS needs no start."""
+def one_step_starts(fit, w):
+    """Each row's start: ``beta_hat + H^-1 sum_i w_i (y_i - mu_i) x_i``, or ``beta_hat`` where that is unusable."""
+    x, beta_hat, bound = fit.data.design, fit.beta_hat, fit.family.separation_bound
+    try:
+        inverse = fit.information_inverse
+    except LeanRegError:
+        return [beta_hat] * len(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The whole chunk in one product: a product's row may round differently in a stack of another height.
+        one_step = beta_hat + ((w * fit.residuals) @ x) @ inverse
+        return [
+            start if np.all(np.isfinite(start)) and (bound is None or np.max(np.abs(x[w_r > 0] @ start)) <= bound)
+            else beta_hat
+            for w_r, start in zip(w, one_step)
+        ]
 
-    @pytest.mark.parametrize("name", ["ols", "logit", "poisson"])
-    def test_refits_start_at_the_sample_fit(self, monkeypatch, name):
-        family, response, regressors = CHARGES_FITS[name]
-        ds = charges(response, regressors)
+
+def separated_one_step_sample():
+    # Classes overlap only at the two middle points, so beta_hat puts
+    # |x_i'beta| at 25.5; one Newton step from it on a resample that
+    # repeats them less often passes the logit bound of 30.
+    x = np.linspace(-2.0, 2.0, 40)
+    y = (x > 0).astype(float)
+    y[[19, 20]] = 1.0 - y[[19, 20]]
+    return Dataset(y, x.reshape(-1, 1), ("x",))
+
+
+class TestWarmStart:
+    """GLM refits on resamples start one Newton step from the sample fit; OLS needs no start."""
+
+    @pytest.mark.parametrize("name", ["ols", "logit", "poisson", "separated_logit"])
+    def test_refits_start_one_newton_step_from_the_sample_fit(self, monkeypatch, name):
+        if name == "separated_logit":
+            ds, family = separated_one_step_sample(), BERNOULLI
+        else:
+            family, response, regressors = CHARGES_FITS[name]
+            ds = charges(response, regressors)
         calls = spy_fit_weighted(monkeypatch)
-        xy_bootstrap(ds, family, B=20, seed=1)
+        with contextlib.suppress(ExcessiveFailureError):  # most separated-sample resamples separate
+            xy_bootstrap(ds, family, B=60, seed=3)
         chunk = CHUNK_ELEMENTS // ds.n
+        assert [w.shape[0] for w, _, _ in calls] == [chunk] * -(-60 // chunk)
         if family is GAUSSIAN:
-            assert [(rows, start) for rows, start, _ in calls] == [(chunk, None)] * 3
+            assert all(start is None for _, start, _ in calls)
             return
-        assert [rows for rows, _, _ in calls] == [1, chunk, chunk, chunk]
-        beta_hat = fit_glm(ds, family).beta_hat
-        assert calls[0][1] is None
-        for _, start, _ in calls[1:]:
-            assert np.array_equal(start, beta_hat)  # bit for bit
+        fit = fit_glm(ds, family)
+        at_beta_hat = 0
+        for w, start, _ in calls:
+            assert start.shape == w.shape[:1] + fit.beta_hat.shape
+            for start_r, expected in zip(start, one_step_starts(fit, w)):
+                assert np.array_equal(start_r, expected)  # bit for bit
+                at_beta_hat += np.array_equal(start_r, fit.beta_hat)
+        # No charges row falls back; 16 of the separated sample's 60 replicates do.
+        assert at_beta_hat == (16 if name == "separated_logit" else 0)
+
+    @pytest.mark.parametrize("broken", ["singular_information", "non_finite_step"])
+    def test_unusable_one_step_starts_fall_back_to_the_sample_fit(self, monkeypatch, broken):
+        family, response, regressors = CHARGES_FITS["poisson"]
+        ds = charges(response, regressors)
+        fit = fit_glm(ds, family)
+        if broken == "singular_information":  # zero means give a zero information matrix
+            fit = dataclasses.replace(fit, fitted=np.zeros(ds.n))
+            with pytest.raises(SingularSystemError):
+                fit.information_inverse
+        else:  # residuals this large overflow the score
+            fit = dataclasses.replace(fit, residuals=np.full(ds.n, np.finfo(float).max))
+        calls = spy_fit_weighted(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xy_bootstrap(ds, family, B=20, seed=1, sample_fit=fit)
+        for _, start, _ in calls:
+            assert np.array_equal(start, np.tile(fit.beta_hat, (len(start), 1)))  # bit for bit
 
     @pytest.mark.parametrize("name", ["logit", "poisson"])
     def test_warm_start_saves_newton_iterations(self, monkeypatch, name):
         # Cold starts take 428 (logit) and 400 (poisson) iterations in
-        # all over these chunks; warm starts 334 and 327.
+        # all over these chunks; starts at the sample fit 334 and 327,
+        # one-step starts 271 and 259.
         family, response, regressors = CHARGES_FITS[name]
         ds = charges(response, regressors)
         calls = spy_fit_weighted(monkeypatch)
         xy_bootstrap(ds, family, B=80, seed=1)
-        replicate_chunks = [fits for rows, _, fits in calls if rows > 1]
-        assert len(replicate_chunks) == 10
-        assert sum(int(fits.iterations.sum()) for fits in replicate_chunks) <= 360
+        assert len(calls) == 10
+        assert sum(int(fits.iterations.sum()) for _, _, fits in calls) <= 360
 
     def test_failed_sample_fit_starts_refits_cold(self, monkeypatch):
         x = np.linspace(-2.0, 2.0, 40)
@@ -337,12 +393,56 @@ class TestWarmStart:
             fit_glm(ds, BERNOULLI)
         reference = refit_each_replicate(ds, BERNOULLI, 200, 3)
         expected = dict(Counter(type(r).__name__ for r in reference))
+        sample_fit_errors = []
+
+        def spy_fit_glm(ds, family):
+            try:
+                return fit_glm(ds, family)
+            except LeanRegError as exc:
+                sample_fit_errors.append(exc)
+                raise
+
+        monkeypatch.setattr(bootstrap, "fit_glm", spy_fit_glm)
         calls = spy_fit_weighted(monkeypatch)
         with pytest.raises(ExcessiveFailureError) as exc_info:
             xy_bootstrap(ds, BERNOULLI, B=200, seed=3)
         assert exc_info.value.reasons == expected
-        assert isinstance(calls[0][2].errors[0], SeparationError)
+        assert [type(e) for e in sample_fit_errors] == [SeparationError]
         assert all(start is None for _, start, _ in calls)
+
+    @pytest.mark.parametrize("name, most_steps", [("logit", 500), ("poisson", 490)])
+    def test_at_most_one_loss_evaluation_per_newton_step(self, monkeypatch, name, most_steps):
+        # At the sample-fit start a chunk made more evaluations than steps
+        # (818 against 607 logit steps, 627 against 567 poisson): the
+        # last steps, below the convergence tolerance, were evaluated
+        # and sometimes halved ten times.  Now 374 against 499 and 363
+        # against 488.
+        family, response, regressors = CHARGES_FITS[name]
+        ds = charges(response, regressors)
+        evaluations = []
+
+        def loss_change(*args):
+            evaluations.append(None)
+            return family.loss_change(*args)
+
+        counting = dataclasses.replace(family, loss_change=loss_change)
+        fit = fit_glm(ds, counting)
+        calls = spy_fit_weighted(monkeypatch)
+        per_chunk, fit_weighted = [], bootstrap.fit_weighted
+
+        def count_evaluations(*args, **kwargs):
+            before = len(evaluations)
+            fits = fit_weighted(*args, **kwargs)
+            per_chunk.append(len(evaluations) - before)
+            return fits
+
+        monkeypatch.setattr(bootstrap, "fit_weighted", count_evaluations)
+        draws = xy_bootstrap(ds, counting, B=1000, seed=11, sample_fit=fit)
+        assert draws.failures == 0
+        steps = [int(fits.iterations.max()) for _, _, fits in calls]
+        assert len(steps) == len(per_chunk) == 125
+        assert sum(steps) <= most_steps
+        assert all(e <= s for e, s in zip(per_chunk, steps))
 
 
 class TestCallersSampleFit:
@@ -355,7 +455,7 @@ class TestCallersSampleFit:
         expected = xy_bootstrap(ds, family, B=20, seed=1).draws
         calls = spy_fit_weighted(monkeypatch)
         draws = xy_bootstrap(ds, family, B=20, seed=1, sample_fit=fit_glm(ds, family)).draws
-        assert [rows for rows, _, _ in calls] == [CHUNK_ELEMENTS // ds.n] * 3
+        assert [w.shape[0] for w, _, _ in calls] == [CHUNK_ELEMENTS // ds.n] * 3
         assert np.array_equal(draws, expected)  # bit for bit
 
     def test_cli_fit_fits_the_sample_once(self, monkeypatch, capsys):
@@ -363,7 +463,7 @@ class TestCallersSampleFit:
         argv = ["fit", "--input", "charges_synthetic.csv", "--response", "charges",
                 "--regressors", ",".join(CHARGES_COLUMNS), "--family", "poisson", "--boot", "20"]
         assert cli.main(argv) == 0
-        assert [rows for rows, _, _ in calls] == [CHUNK_ELEMENTS // charges("charges", CHARGES_COLUMNS).n] * 3
+        assert [w.shape[0] for w, _, _ in calls] == [CHUNK_ELEMENTS // charges("charges", CHARGES_COLUMNS).n] * 3
         assert capsys.readouterr().err == ""
 
     def test_fit_of_other_data_or_family_rejected(self):

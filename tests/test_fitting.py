@@ -366,6 +366,54 @@ class TestFitWeighted:
         assert np.all(cold.iterations == fit.iterations) and fit.iterations > 1
         assert np.allclose(warm.beta, fit.beta_hat, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("family", [BERNOULLI, POISSON], ids=["logit", "poisson"])
+    def test_steps_below_the_tolerance_evaluate_no_loss(self, family):
+        # Started at the sample fit, every row's one Newton step is below
+        # COEF_TOL: it is taken whole, with no loss change evaluated.
+        # Started cold, the larger steps are evaluated.
+        evaluations = []
+
+        def loss_change(*args):
+            evaluations.append(None)
+            return family.loss_change(*args)
+
+        counting = replace(family, loss_change=loss_change)
+        rng = np.random.default_rng(2)
+        u = rng.standard_normal(300)
+        mean = family.inverse_link(0.3 + 0.7 * u)
+        y = (rng.random(300) < mean) if family is BERNOULLI else rng.poisson(mean)
+        fit = fit_glm(data_from(u, y.astype(float)), family)
+        x, y, w = fit.data.design, fit.data.response, np.ones((3, 300))
+        warm = fit_weighted(x, y, w, counting, start=fit.beta_hat)
+        assert warm.errors == (None,) * 3 and warm.iterations.tolist() == [1] * 3
+        assert evaluations == []
+        assert np.array_equal(warm.beta, fit_weighted(x, y, w, family, start=fit.beta_hat).beta)
+        cold = fit_weighted(x, y, w, counting)
+        assert cold.errors == (None,) * 3
+        assert 0 < len(evaluations) < fit.iterations
+
+    @given(
+        family=st.sampled_from([BERNOULLI, POISSON]),
+        r=st.integers(0, 3),
+        shifts=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_a_row_does_not_depend_on_the_other_rows_starts(self, family, r, shifts):
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal(60)
+        mean = family.inverse_link(0.3 + 0.7 * u)
+        y = ((rng.random(60) < mean) if family is BERNOULLI else rng.poisson(mean)).astype(float)
+        x = np.column_stack([np.ones(60), u])
+        w = rng.integers(0, 3, (4, 60)).astype(float)
+        start = np.tile([0.3, 0.7], (4, 1))
+        moved = start.copy()
+        moved[np.arange(4) != r] += np.reshape(shifts, (3, 2))
+        fits, other = fit_weighted(x, y, w, family, start=start), fit_weighted(x, y, w, family, start=moved)
+        assert np.array_equal(fits.beta[r], other.beta[r])
+        assert fits.iterations[r] == other.iterations[r]
+        assert np.array_equal(fits.score_norm[r], other.score_norm[r])
+        assert type(fits.errors[r]) is type(other.errors[r])
+
     @staticmethod
     def assert_rows_independent(x, y, w, family):
         # Row r of the stack has the bits of row r of a same-height stack
