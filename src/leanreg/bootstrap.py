@@ -78,11 +78,10 @@ def chunk_size(n: int) -> int:
     return max(1, CHUNK_ELEMENTS // int(n))
 
 
-def cell_sums(idx: np.ndarray, m: int, values: np.ndarray | None = None) -> np.ndarray:
-    """Per row of ``idx`` (r, n): each index's count, or its sum of ``values`` (r, n), over 0..m-1, by one bincount."""
-    cells = (idx + m * np.arange(len(idx))[:, None]).ravel()
+def cell_sums(cells: np.ndarray, m: int, values: np.ndarray | None = None) -> np.ndarray:
+    """Per row i of ``cells`` (r, n), i*m + j: each index j's count over 0..m-1, or its sum of ``values``, by one bincount."""
     weights = None if values is None else values.ravel()
-    return np.bincount(cells, weights, len(idx) * m).reshape(len(idx), m)
+    return np.bincount(cells.ravel(), weights, len(cells) * m).reshape(len(cells), m)
 
 
 def tolerate_failures(results, what: str) -> tuple[list, dict]:
@@ -162,7 +161,7 @@ def xy_bootstrap(
     for idx in resample_indices(seed, B, size, n):
         # Rows past the last replicate are padding: the sample itself.
         w = np.ones((size, n))
-        w[: len(idx)] = cell_sums(idx, n)
+        w[: len(idx)] = cell_sums(idx + n * np.arange(len(idx))[:, None], n)
         start = _one_step_starts(sample_fit, w) if warm else None
         fits = fit_weighted(x, y, w, family, outer=outer, start=start)
         results.extend(

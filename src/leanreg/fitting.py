@@ -474,8 +474,8 @@ def _newton(x, y, w, wsum, outer, family, active, errors, start):
 
         # A full step below the convergence tolerance is taken whole: it
         # cannot diverge, and its loss change is rounding noise.  Other
-        # steps are halved row by row: a row keeps its last candidate and
-        # its step is halved after every rejection.  A step is accepted
+        # steps are halved row by row: a row keeps its last candidate, and
+        # its step after h rejections is 2^-h.  A step is accepted
         # when it does not raise the objective, or when the objective at
         # the current iterate is not finite.
         step = np.ones(m)
@@ -484,15 +484,15 @@ def _newton(x, y, w, wsum, outer, family, active, errors, start):
         candidate = beta.copy()
         candidate[whole] += direction[whole]
         pending = active & ~whole
-        for _ in range(MAX_HALVINGS + 1):
+        for halvings in range(MAX_HALVINGS + 1):
             if not pending.any():
                 break
+            step[pending] = 0.5**halvings  # a pending row was rejected on every pass so far
             move = step[:, None] * direction
             change = family.loss_change(t, mu, linear_predictor(move), y)
             change = np.sum(w * change, axis=1) / wsum
             candidate[pending] = beta[pending] + move[pending]
             pending = pending & ~((change <= 0.0) | ~finite)
-            step[pending] *= 0.5
 
         rel_change = np.max(np.abs(step[:, None] * direction), axis=1) / np.maximum(
             1.0, np.max(np.abs(candidate), axis=1)

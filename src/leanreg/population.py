@@ -13,7 +13,8 @@ A population is built from plain specs (see :func:`make_population`):
 the response surface is a polynomial or a table of values, and the
 noise a kind of :data:`NOISE_KINDS` with its scale.  Continuous
 regressor laws are represented by deterministic quadrature grids (see
-:func:`normal_quadrature_law`).
+:func:`normal_quadrature_law`).  Samples draw the support points that
+``Generator.choice`` draws, read from an exact bucket table over the CDF.
 """
 
 from __future__ import annotations
@@ -62,29 +63,30 @@ PROB_TOL = 1e-12
 
 
 class NoiseKind(NamedTuple):
-    """One kind of mean-zero noise: the spec key of its per-point scale
-    (None if it has none), Var(eps | x) from (mu, scale), a draw of eps
-    from (rng, mu, scale), and whether mu must lie in [0, 1]."""
+    """One kind of mean-zero noise: the spec key of its per-point scale (None if it has none),
+    Var(eps | x) from (mu, scale), the raw variates of n draws from (rng, n), eps from (raw, mu,
+    scale), which may overwrite raw, and whether mu must lie in [0, 1]."""
 
     param: str | None
     variance: Callable
-    draw: Callable
+    raw: Callable
+    eps: Callable
     unit_mu: bool = False
 
 
 # E[eps | x] = 0 for every kind, by construction.
 NOISE_KINDS = {
-    "none": NoiseKind(None, lambda mu, s: np.zeros_like(mu), lambda rng, mu, s: np.zeros_like(mu)),
+    "none": NoiseKind(None, lambda mu, s: np.zeros_like(mu), lambda rng, n: 0.0, lambda raw, mu, s: raw),
     "gaussian": NoiseKind(  # eps ~ N(0, sigma^2)
-        "sigma", lambda mu, s: s**2, lambda rng, mu, s: rng.standard_normal(mu.shape[0]) * s
+        "sigma", lambda mu, s: s**2, lambda rng, n: rng.standard_normal(n), lambda raw, mu, s: np.multiply(raw, s, out=raw)
     ),
     "two_point": NoiseKind(  # eps = +-a with probability 1/2 each
-        "a", lambda mu, s: s**2,
-        lambda rng, mu, s: (rng.integers(0, 2, mu.shape[0]) * 2.0 - 1.0) * s,
+        "a", lambda mu, s: s**2, lambda rng, n: rng.integers(0, 2, n) * 2.0 - 1.0,
+        lambda raw, mu, s: np.multiply(raw, s, out=raw),
     ),
     "bernoulli": NoiseKind(  # y = mu + eps is Bernoulli(mu)
-        None, lambda mu, s: mu * (1.0 - mu),
-        lambda rng, mu, s: (rng.random(mu.shape[0]) < mu).astype(float) - mu, unit_mu=True,
+        None, lambda mu, s: mu * (1.0 - mu), lambda rng, n: rng.random(n),
+        lambda raw, mu, s: np.subtract(raw < mu, mu, out=raw), unit_mu=True,
     ),
 }
 
@@ -260,6 +262,15 @@ class DiscretePopulation:
         cdf /= cdf[-1]
         return cdf
 
+    @cached_property
+    def _buckets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Over G = 2^g equal buckets of [0, 1), g = bit_length(64 m) in 12..20: the index
+        ``cdf.searchsorted(b / G, "right")`` of bucket b's left edge, and whether all of b gets it."""
+        size = 2 ** min(max((64 * self.m).bit_length(), 12), 20)
+        edges = np.arange(size + 1) / size
+        first = self.cdf.searchsorted(edges[:-1], side="right")
+        return first, first == self.cdf.searchsorted(edges[1:], side="left")
+
     @property
     def points(self) -> np.ndarray:
         return self.support[:, 1:]
@@ -413,17 +424,26 @@ def check_orthogonality(
     return OrthogonalityReport(checks=tuple(checks))
 
 
-def _draw(pop: DiscretePopulation, n: int, rng):
-    """``(idx, y)``: the support indices and responses of n i.i.d. draws from ``rng``.
+def _draws(pop: DiscretePopulation, n: int, count: int, rngs):
+    """``(idx, y)``, each (count, n): n i.i.d. draws from each of the next ``count`` generators of ``rngs``.
 
-    The indices are what ``rng.choice(pop.m, size=n, p=pop.probs)`` draws,
-    bit for bit, from the CDF the population forms once; the population
-    already makes every check ``choice`` makes on ``p``, more tightly.
+    Each generator gives its row's uniforms u, then its noise's raw variates; the rest runs once
+    on the block.  The indices, ``pop.cdf.searchsorted(u, side="right")`` as ``choice`` finds them,
+    are read from u's bucket ``int(u * G)`` (exact: G is a power of two) where no CDF value splits it.
     """
-    idx = pop.cdf.searchsorted(rng.random(n), side="right")
-    mu = pop.mu_values[idx]
-    eps = NOISE_KINDS[pop.noise.kind].draw(rng, mu, pop.noise.scale[idx])
-    return idx, mu + eps
+    kind = NOISE_KINDS[pop.noise.kind]
+    u, raw = np.empty((count, n)), np.empty((count, n))
+    for row, rng in zip(range(count), rngs):  # rngs may reset one generator
+        rng.random(out=u[row])
+        raw[row] = kind.raw(rng, n)
+    first, exact = pop._buckets
+    u *= first.size
+    bucket = u.astype(np.intp)
+    idx, split = first[bucket], ~exact[bucket]
+    idx[split] = pop.cdf.searchsorted(u[split] / first.size, side="right")
+    del u, bucket
+    y = pop.mu_values[idx]
+    return idx, np.add(y, kind.eps(raw, y, None if kind.param is None else pop.noise.scale[idx]), out=y)
 
 
 def _dataset(pop: DiscretePopulation, idx: np.ndarray, y: np.ndarray) -> Dataset:
@@ -433,7 +453,8 @@ def _dataset(pop: DiscretePopulation, idx: np.ndarray, y: np.ndarray) -> Dataset
 def sample(pop: DiscretePopulation, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. observations; deterministic for a given seed."""
     check_integer(n, "n", 1)
-    return _dataset(pop, *_draw(pop, n, substream(seed)))
+    idx, y = _draws(pop, n, 1, [substream(seed)])
+    return _dataset(pop, idx[0], y[0])
 
 
 def regressor_shift_experiment(mu, noise, law1, law2) -> dict:
@@ -518,9 +539,9 @@ def coverage_experiment(
     r), with the path of :data:`COVERAGE_METHODS`, so it depends only on
     (seed, r): not on the number of replications.
 
-    Replications are drawn in blocks of the bootstrap's chunk size.  A
-    sample is an empirical law on the support, fixed by each point's
-    count and response sum, so it is fitted there
+    Replications are drawn in blocks of the bootstrap's chunk size, each
+    at once (:func:`_draws`).  A sample is an empirical law on the support,
+    fixed by each point's count and response sum, so it is fitted there
     (:func:`~leanreg.fitting.fit_ols_counts`), and each point's sum of
     squared residuals gives both analytic covariances: O(m k^2) per
     replication, not O(n k^2).  Each method then takes the rows still
@@ -555,13 +576,14 @@ def coverage_experiment(
     size = bootstrap.chunk_size(n)
     for start in range(0, replications, size):
         reps = range(start, min(start + size, replications))
-        idx, y = map(np.array, zip(*(_draw(pop, n, rng) for _, rng in zip(reps, samples))))
-        counts, sums = (bootstrap.cell_sums(idx, pop.m, values) for values in (None, y))
-        beta, inverse, errors = fit_ols_counts(pop.support, counts, sums)
-        fitted = (pop.support @ beta[..., None])[..., 0]  # at each support point
+        idx, y = _draws(pop, n, len(reps), samples)
+        cells = idx + pop.m * np.arange(len(reps))[:, None]  # row r's point j is cell r*m + j
+        beta, inverse, errors = fit_ols_counts(pop.support, *(bootstrap.cell_sums(cells, pop.m, v) for v in (None, y)))
+        fitted = (pop.support @ beta[..., None]).ravel()[cells]  # at each draw, overwritten by the residual
         # Squares or sums past the float range leave a covariance that is not finite.
         with np.errstate(over="ignore"):
-            ssr = bootstrap.cell_sums(idx, pop.m, (y - np.take_along_axis(fitted, idx, 1)) ** 2)
+            ssr = bootstrap.cell_sums(cells, pop.m, np.square(np.subtract(y, fitted, out=fitted), out=fitted))
+        del cells, fitted
         se = np.zeros((len(reps), len(methods), beta.shape[1]))
         for i, (estimate, path) in enumerate(estimators):
             if path is None:

@@ -160,7 +160,7 @@ def spawn_seeds(seed: int, *path: int, count: int) -> list[int]:
 
 
 def _streams(keys):
-    """One generator, put in the state of a fresh Philox with each key in turn."""
+    """One generator, put in the state of a fresh Philox with each row of the (m, 2) ``keys`` in turn."""
     # An integer seed spares the OS entropy a seedless Philox would
     # draw; every draw comes after a reset.  The state holds Python
     # ints, which the setter reads faster than numpy scalars.
@@ -173,10 +173,11 @@ def _streams(keys):
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for key in keys:
-        state["state"]["key"] = key.tolist()
-        gen.bit_generator.state = state
-        yield gen
+    for lo in range(0, len(keys), 128):  # 128 keys at a time: as Python ints a key takes ~150 bytes
+        for key in keys[lo : lo + 128].tolist():
+            state["state"]["key"] = key
+            gen.bit_generator.state = state
+            yield gen
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -185,7 +186,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     The same address always yields the same stream; distinct addresses
     yield statistically independent streams.
     """
-    return next(_streams([np.array(_keys(_prefix(seed, path)[0]), dtype=np.uint64)]))
+    return next(_streams(np.array([_keys(_prefix(seed, path)[0])], dtype=np.uint64)))
 
 
 def substreams(seed: int, *path: int, count: int):
@@ -263,9 +264,7 @@ def _index_blocks(keys: np.ndarray, size: int, n: int):
     count = (n + 1) // 2
     for lo in range(0, len(keys), size):
         block = keys[lo : lo + size]
-        words = np.empty((len(block), count), dtype=np.uint64)
-        for r, gen in zip(range(len(block)), streams):
-            words[r] = gen.bit_generator.random_raw(count)
+        words = np.array([gen.bit_generator.random_raw(count) for _, gen in zip(range(len(block)), streams)])
         values = _halves(words)[:, :n]
         redraw = np.flatnonzero(np.any(_lemire(values, n), axis=1))
         for r, gen in zip(redraw, _streams(block[redraw])):

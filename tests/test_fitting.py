@@ -392,6 +392,28 @@ class TestFitWeighted:
         assert cold.errors == (None,) * 3
         assert 0 < len(evaluations) < fit.iterations
 
+    @pytest.mark.parametrize("ratio, converges", [(1.5, False), (0.5, True)])
+    def test_an_exhausted_line_search_tests_the_step_it_took(self, ratio, converges):
+        # A loss change that rejects every step exhausts each line search,
+        # so every Newton step moves the iterate by 2^-MAX_HALVINGS of its
+        # direction.  An intercept-only poisson fit of mean 0.01 is started
+        # where that move is ``ratio`` * COEF_TOL relative: at 1.5 the row
+        # has not converged (half the move would read 0.75 and stop it),
+        # and each later step is as small, so it fails; at 0.5 it stops at
+        # once.  Its Hessian is 0.01, so the score test passes either way.
+        rejecting = replace(POISSON, loss_change=lambda t, mu, delta, y: np.ones_like(t))
+        y = np.zeros(100)
+        y[0] = 1.0
+        beta_hat = np.log(0.01)
+        start = beta_hat + ratio * fitting.COEF_TOL * 2**fitting.MAX_HALVINGS * abs(beta_hat)
+        fits = fit_weighted(np.ones((100, 1)), y, np.ones((1, 100)), rejecting, start=[start])
+        if converges:
+            assert fits.errors == (None,) and fits.iterations.tolist() == [1]
+            direction = np.expm1(beta_hat - start)  # the Newton step at start
+            assert fits.beta[0, 0] == pytest.approx(start + direction / 2**fitting.MAX_HALVINGS, abs=1e-15)
+        else:
+            assert isinstance(fits.errors[0], ConvergenceError)
+
     @given(
         family=st.sampled_from([BERNOULLI, POISSON]),
         r=st.integers(0, 3),

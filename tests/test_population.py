@@ -105,7 +105,7 @@ class TestPopulationBeta:
         singular = "^population second-moment matrix is singular "
         with pytest.raises(CollinearPopulationError, match=singular):
             population_beta(pop)
-        with mock.patch.object(population, "_draw", side_effect=AssertionError("sampled")):
+        with mock.patch.object(population, "_draws", side_effect=AssertionError("sampled")):
             with pytest.raises(CollinearPopulationError, match=singular):
                 coverage_experiment(pop, n=10, replications=2, methods=["sandwich"])
         with pytest.raises(CollinearPopulationError, match=singular):
@@ -286,6 +286,61 @@ class TestSample:
         assert set(np.unique(ds.response)) <= {0.0, 1.0}
 
 
+class GivenUniforms:
+    """A stand-in generator whose uniforms are the given values."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out[:] = self.u
+
+
+def check_bucket_lookup(probs, seed=0):
+    """The indices a population with ``probs`` draws equal the CDF's binary search at hard uniforms.
+
+    They are every bucket edge b/G and the double below it, every CDF
+    value and its two neighbours, and random draws; returns G.
+    """
+    m = len(probs)
+    pop = make_population(np.arange(m, dtype=float), probs, np.zeros(m))  # no noise draws
+    size = pop._buckets[0].size
+    edges = np.arange(size) / size
+    cdf = pop.cdf
+    u = np.concatenate([
+        edges, np.nextafter(edges, 0.0), cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+        np.random.default_rng(seed).random(2000),
+    ])
+    u = u[u < 1.0]
+    idx, _ = population._draws(pop, u.size, 1, [GivenUniforms(u)])
+    assert np.array_equal(idx[0], cdf.searchsorted(u, side="right"))
+    return size
+
+
+class TestBucketTable:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        # Zero weights repeat a CDF value; weights near 1e-300 put several
+        # CDF values in one bucket, whose draws fall back to the search.
+        weights=st.lists(st.sampled_from([0.0, 1e-300, 3e-300, 1e-17, 0.25, 1.0, 3.0]), min_size=1, max_size=40)
+        .filter(any),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lookup_is_the_binary_search(self, weights, seed):
+        probs = np.array(weights) / sum(weights)
+        assume(abs(float(np.sum(probs)) - 1.0) <= PROB_TOL)
+        assert check_bucket_lookup(probs, seed) == 2**12
+
+    @pytest.mark.parametrize("law, buckets", [
+        (lambda: normal_quadrature_law(31)[1], 2**12),  # tail weights down to 2.6e-22 crowd the end buckets
+        (lambda: normal_quadrature_law(101)[1], 2**13),
+        (lambda: np.ones(1), 2**12),
+        (lambda: np.random.default_rng(1).dirichlet(np.full(20_000, 0.3)), 2**20),  # past the cap
+    ], ids=["quadrature31", "quadrature101", "one_point", "m20000"])
+    def test_lookup_on_laws(self, law, buckets):
+        assert check_bucket_lookup(law()) == buckets
+
+
 class TestRegressorShift:
     def test_quadratic_shift_exact_values(self):
         res = regressor_shift_experiment(
@@ -366,7 +421,7 @@ class TestCoverageExperiment:
 
     def test_one_bootstrap_replicate_rejected_before_sampling(self):
         message = "^bootstrap SE needs at least 2 retained draws, have 1$"
-        with mock.patch("leanreg.population._draw", side_effect=AssertionError):
+        with mock.patch("leanreg.population._draws", side_effect=AssertionError):
             with pytest.raises(InsufficientDrawsError, match=message):
                 coverage_experiment(
                     self.linear_pop(), n=50, replications=5,
@@ -418,8 +473,16 @@ def oracle_seed(seed, *path):
 
 
 def replication_sample(pop, n, seed, r):
-    """Replication r's sample: n draws from the oracle stream (seed, 0, r)."""
-    return population._dataset(pop, *population._draw(pop, n, oracle_stream(seed, 0, r)))
+    """Replication r's sample, as the library draws it: n draws from the oracle stream (seed, 0, r)."""
+    idx, y = population._draws(pop, n, 1, [oracle_stream(seed, 0, r)])
+    return population._dataset(pop, idx[0], y[0])
+
+
+def oracle_draw(pop, n, rng):
+    """Reference: ``(idx, y)`` of n draws from ``rng``, by ``Generator.choice`` and the noise kind's own numpy call."""
+    idx = rng.choice(pop.m, size=n, p=pop.probs)
+    mu = pop.mu_values[idx]
+    return idx, mu + DRAW_ORACLES[pop.noise.kind][1](rng, mu, pop.noise.scale[idx])
 
 
 def support_fit(pop, idx, y):
@@ -450,8 +513,9 @@ def support_ses(pop, n, inverse, ssr, method):
 def replications_one_by_one(pop, n, count, methods, B, seed):
     """Reference: coverage replications evaluated one at a time, with no blocks.
 
-    Each is fitted on the support alone (:func:`support_fit`), as the
-    coverage experiment fits it; its bootstraps resample its sample.
+    Each draws its sample by :func:`oracle_draw`, is fitted on the
+    support alone (:func:`support_fit`), as the coverage experiment fits
+    it, and bootstraps its sample.
     Returns, per replication, ``(beta_hat, SEs per method)`` or the
     error it raised, and the number of warnings it issued.
     """
@@ -459,7 +523,7 @@ def replications_one_by_one(pop, n, count, methods, B, seed):
     for r in range(count):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            idx, y = population._draw(pop, n, oracle_stream(seed, 0, r))
+            idx, y = oracle_draw(pop, n, oracle_stream(seed, 0, r))
             ds = population._dataset(pop, idx, y)
             try:
                 beta, inverse, ssr = support_fit(pop, idx, y)
@@ -539,6 +603,12 @@ def quadratic_pop():
     return make_population(sup, probs, quadratic_mu(), {"kind": "gaussian", "sigma": 1.0})
 
 
+def unit_mu_pop(noise):
+    """The 31-point normal grid with mu(x) = exp(-x^2 / 2), which lies in (0, 1], and ``noise``."""
+    sup, probs = normal_quadrature_law(31)
+    return make_population(sup, probs, np.exp(-sup[:, 0] ** 2 / 2.0), noise)
+
+
 # name: (population, n, methods, B, level, seed, CHUNK_ELEMENTS or None to keep it).
 # A smaller chunk bound makes small blocks, so cases with tiny n or
 # bootstrap methods cross several block edges at a modest cost.
@@ -554,6 +624,15 @@ BLOCK_CASES = {
     "n_equals_k_sandwich": (lambda: two_point_pop(0.5), 2, ["sandwich"], None, 0.9, 5, 20),
     "n_below_k": (lambda: two_point_pop(0.5), 1, ["sandwich"], None, 0.9, 5, 20),
     "boot_first_singular": (lambda: two_point_pop(0.7), 8, ["xy-bootstrap", "sandwich"], 20, 0.9, 13, 64),
+    "two_point_noise": (
+        lambda: unit_mu_pop({"kind": "two_point", "a": 0.5}), 40,
+        ["conventional", "sandwich", "xy-bootstrap"], 20, 0.9, 23, 400,
+    ),
+    "bernoulli_noise": (
+        lambda: unit_mu_pop({"kind": "bernoulli"}), 40,
+        ["sandwich", "residual-bootstrap", "conventional"], 20, 0.9, 24, 400,
+    ),
+    "no_noise": (lambda: unit_mu_pop({"kind": "none"}), 50, ["conventional", "sandwich"], None, 0.95, 25, None),
 }
 
 
@@ -712,7 +791,7 @@ class TestSupportFit:
         noise = {"kind": kind, param: data.draw(st.floats(0.1, 2.0))}
         pop = make_population(points, weights / weights.sum(), mu, noise)
         n = data.draw(st.integers(p + 1, 300), label="n")
-        idx, y = population._draw(pop, n, substream(data.draw(st.integers(0, 2**64 - 1))))
+        idx, y = oracle_draw(pop, n, substream(data.draw(st.integers(0, 2**64 - 1))))
 
         got, got_warned = recorded(lambda: fitted_on_support(pop, n, idx, y))
         want, want_warned = recorded(lambda: fitted_as_sample(pop, idx, y))
