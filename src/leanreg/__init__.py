@@ -55,7 +55,6 @@ from .prediction import (
     calibrate_K,
     cv_calibrate_K,
     future_coverage,
-    interval,
     make_band,
 )
 from .report import MisspecIndicator, misspec_indicator

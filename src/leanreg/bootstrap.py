@@ -28,7 +28,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import Dataset, check_index, check_integer, csv_text, in_float_range
-from .exceptions import DataError, ExcessiveFailureError, InsufficientDrawsError, LeanRegError
+from .exceptions import ExcessiveFailureError, InsufficientDrawsError, LeanRegError
 from .fitting import GAUSSIAN, Family, FitResult, check_support, fit_glm, fit_weighted, outer_rows
 from .rng import resample_indices
 
@@ -118,13 +118,7 @@ def _collect(results, ds: Dataset) -> BootstrapDraws:
     )
 
 
-def xy_bootstrap(
-    ds: Dataset,
-    family: Family,
-    B: int,
-    seed: int,
-    sample_fit: FitResult | None = None,
-) -> BootstrapDraws:
+def xy_bootstrap(ds: Dataset, family: Family, B: int, seed: int) -> BootstrapDraws:
     """Resample observation tuples with replacement and refit, B times.
 
     Replicate b is the sample refitted with weights equal to how often
@@ -132,9 +126,7 @@ def xy_bootstrap(
     replicates of a chunk are solved as one stack by
     :func:`~leanreg.fitting.fit_weighted`.  A GLM's refits start one
     Newton step from the sample fit, or at the usual start value if
-    that fit fails; OLS refits are solved exactly.  ``sample_fit``, the
-    caller's :func:`~leanreg.fitting.fit_glm` of ``ds`` under
-    ``family``, spares fitting the sample again.  Replicates whose resampled
+    that fit fails; OLS refits are solved exactly.  Replicates whose resampled
     design is singular or whose fit fails to converge are excluded and
     counted; more than 10% of them is an error naming the failure
     reasons.  An infeasible base problem (e.g. a singular design that
@@ -144,25 +136,23 @@ def xy_bootstrap(
     """
     check_integer(B, "B", 1)
     check_support(ds.response, family)
-    if sample_fit is not None and (sample_fit.data is not ds or sample_fit.family is not family):
-        raise DataError("sample_fit is not a fit of this dataset under this family")
     x = ds.design
     y = ds.response
     n = ds.n
     outer = outer_rows(x)
-    if not family.closed_form and sample_fit is None:
+    sample_fit = None
+    if not family.closed_form:
         try:
             sample_fit = fit_glm(ds, family)
         except LeanRegError:  # a failed sample fit leaves the refits to start cold
             pass
-    warm = not family.closed_form and sample_fit is not None
     size = chunk_size(n)
     results = []
     for idx in resample_indices(seed, B, size, n):
         # Rows past the last replicate are padding: the sample itself.
         w = np.ones((size, n))
         w[: len(idx)] = cell_sums(idx + n * np.arange(len(idx))[:, None], n)
-        start = _one_step_starts(sample_fit, w) if warm else None
+        start = None if sample_fit is None else _one_step_starts(sample_fit, w)
         fits = fit_weighted(x, y, w, family, outer=outer, start=start)
         results.extend(
             beta if error is None else error

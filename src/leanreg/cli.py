@@ -99,7 +99,7 @@ def _load_dataset(args):
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(args, json, csv, text) -> None:
@@ -126,7 +126,7 @@ def run_fit(args) -> int:
     sand = sandwich_cov(fit)
     boot_se = None
     if args.boot > 0:
-        draws = bt.xy_bootstrap(ds, family, args.boot, args.seed, sample_fit=fit)
+        draws = bt.xy_bootstrap(ds, family, args.boot, args.seed)
         boot_se = bt.bootstrap_se(draws)
     table = coefficient_table(fit, conv, sand, boot_se)
     indicator = misspec_indicator(table, level=args.alpha)
@@ -343,31 +343,37 @@ def run_slopes(args) -> int:
 
 def _boot_count(value: str) -> int:
     """Type of ``--boot``: a non-negative integer (0 skips the bootstrap in fit)."""
-    if not value.isdigit():
+    if not value.isdecimal():  # isdigit() would pass '²', which int() rejects
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
     return int(value)
 
 
 def _seed(value: str) -> int:
     """Type of ``--seed``: a non-negative integer, of any size."""
-    seed = int(value)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
+    try:
+        seed = int(value)
+        if seed < 0:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}") from None
     return seed
 
 
 def _alpha(value: str) -> float:
     """Type of ``--alpha``: a level strictly between 0 and 1."""
-    alpha = float(value)
-    if not 0.0 < alpha < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value!r}")
+    try:
+        alpha = float(value)
+        if not 0.0 < alpha < 1.0:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value!r}") from None
     return alpha
 
 
 def _calibration(value: str) -> str:
     """Type of ``--calibration``: 'train' or 'cv:K' with integer K."""
     kind, _, folds = value.partition(":")
-    if value != "train" and (kind != "cv" or not folds.isdigit()):
+    if value != "train" and (kind != "cv" or not folds.isdecimal()):
         raise argparse.ArgumentTypeError("must be 'train' or 'cv:K' with integer K")
     return value
 

@@ -365,12 +365,11 @@ def fit_weighted(
     the caller's to check (:func:`check_support`).
 
     ``outer`` is :func:`outer_rows` of ``x``, for callers that reuse it.
-    ``start`` is the iterate the rows start from: a k-vector for every
-    row, such as the sample fit, or an (m, k) array of one start per
-    row, such as the one-step starts of refits on resamples; row r's
-    result depends only on its own start.  None starts row r from the
-    usual value, ``family.start`` of its weighted mean response as the
-    intercept and zero slopes.
+    ``start`` is an (m, k) array of one start per row, such as the
+    one-step starts of refits on resamples; row r's result depends only
+    on its own start.  None starts row r from the usual value,
+    ``family.start`` of its weighted mean response as the intercept and
+    zero slopes.
     Every matrix product and elementwise pass takes all rows, so row r's
     result depends only on ``w[r]``, on r and on the number of rows
     (BLAS may round a row differently at another position or row
@@ -386,8 +385,8 @@ def fit_weighted(
         raise DomainError("weights must be finite and nonnegative with a positive sum in every row")
     if start is not None:
         start = finite_array(start, "start")
-        if start.shape not in ((k,), (m, k)):
-            raise DimensionError(f"start has shape {start.shape}, expected ({k},) or ({m}, {k})")
+        if start.shape != (m, k):
+            raise DimensionError(f"start has shape {start.shape}, expected ({m}, {k})")
     if outer is None:
         outer = outer_rows(x)
     # Here and in _newton, one product with the reused outer rows beats gram()'s
@@ -435,7 +434,7 @@ def _newton(x, y, w, wsum, outer, family, active, errors, start):
         beta = np.zeros((m, k))
         beta[:, 0] = family.start(np.sum(w * y, axis=1) / wsum)
     else:
-        beta = np.array(np.broadcast_to(start, (m, k)))
+        beta = np.array(start)
     iterations = np.zeros(m, dtype=int)
     rel_change = np.full(m, np.inf)  # the start value has not converged
 

@@ -462,7 +462,8 @@ def regressor_shift_experiment(mu, noise, law1, law2) -> dict:
 
     Each law is a (support, probs) pair over raw regressor points.
     Under correct specification the two coefficient vectors coincide;
-    under misspecification they generally differ.
+    under misspecification they generally differ.  A largest difference
+    past the float range is a :class:`DomainError`.
     """
     pops = []
     for i, (sup, pr) in enumerate((law1, law2)):
@@ -477,7 +478,8 @@ def regressor_shift_experiment(mu, noise, law1, law2) -> dict:
     return {
         "beta_1": beta1,
         "beta_2": beta2,
-        "max_abs_difference": float(np.max(np.abs(beta1 - beta2))),
+        "max_abs_difference": float(in_float_range("the largest coefficient difference",
+                                                   lambda: np.max(np.abs(beta1 - beta2)))),
     }
 
 

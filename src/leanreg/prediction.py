@@ -37,7 +37,6 @@ from .rng import substream
 
 __all__ = [
     "PredictionBand",
-    "interval",
     "make_band",
     "calibrate_K",
     "cv_calibrate_K",
@@ -78,14 +77,8 @@ class PredictionBand:
         ))
 
 
-def interval(band: PredictionBand, x) -> tuple[float, float]:
-    """[lower, upper] at the design point x (leading 1 included)."""
-    center, half = band.evaluate([x])
-    return (float(center[0] - half[0]), float(center[0] + half[0]))
-
-
-def make_band(fit: FitResult, K: float = 0.0) -> PredictionBand:
-    """Assemble the interval family for an OLS fit (K to be calibrated).
+def make_band(fit: FitResult, K: float) -> PredictionBand:
+    """Assemble the interval family for an OLS fit with multiplier K.
 
     sigma_hat is the residual standard deviation on n - (p+1) degrees
     of freedom, so the fit needs n > p+1 observations.

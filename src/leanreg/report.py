@@ -10,6 +10,7 @@ stated error rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,8 @@ class MisspecIndicator:
 
     def to_json_dict(self) -> dict:
         return {
-            "se_ratios": {l: r for l, r in zip(self.labels, self.ratios)},
+            # JSON has no NaN or infinity: a ratio without a finite value is null.
+            "se_ratios": {l: r if math.isfinite(r) else None for l, r in zip(self.labels, self.ratios)},
             "flagged": list(self.flagged),
             "decision_reversals": list(self.decision_reversals),
             "level": self.level,

@@ -1,4 +1,4 @@
-"""Bundled synthetic data for end-to-end demos.
+"""The seeded recipe behind the bundled ``charges_synthetic.csv``.
 
 The charges-like dataset mimics the schema of an offender-charges
 count regression (age, sex, prior-record measures, age at first
@@ -7,16 +7,17 @@ its numbers are deliberately synthetic and stand in for no real data.
 The response is drawn with a gamma-mixed (overdispersed) count law, so
 a Poisson working model is misspecified and the sandwich/conventional
 SE contrast is visible in the demo output.
+
+``leanreg.core.dataset_to_csv_text(synthetic_charges())`` is the
+bundled file's text, byte for byte; ``test_properties.py`` checks it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, check_integer
-from .rng import substream
-
-__all__ = ["synthetic_charges", "CHARGES_COLUMNS"]
+from leanreg.core import Dataset, check_integer
+from leanreg.rng import substream
 
 CHARGES_COLUMNS = (
     "age",

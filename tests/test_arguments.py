@@ -9,8 +9,8 @@ floats, strings, None, numpy scalars, negatives, non-finite values and
 values just below each floor.  Points, design rows, covariances and
 bootstrap SEs pass ``core.finite_array``: text is a :class:`DataError`,
 and NaN, inf or a result past the float range a :class:`DomainError`.
-So do ``fit_weighted``'s starts, one per refit or one for all; a start
-of another shape is a :class:`DimensionError`.
+So do ``fit_weighted``'s starts, one per refit; a start of another
+shape, one k-vector for all refits among them, is a :class:`DimensionError`.
 A result past the float range passes ``core.in_float_range`` and is
 ``DomainError("<what> passes the float range")``, wherever it arises.
 """
@@ -28,7 +28,6 @@ from leanreg import bootstrap
 from leanreg.bootstrap import bootstrap_se, normality_diagnostic, residual_bootstrap, xy_bootstrap
 from leanreg.core import Dataset
 from leanreg.covariance import coefficient_table, conventional_cov, sandwich_cov, se_and_pvalues
-from leanreg.datasets import synthetic_charges
 from leanreg.exceptions import (
     CoefficientIndexError,
     DataError,
@@ -44,13 +43,16 @@ from leanreg.population import (
     decompose,
     make_population,
     normal_quadrature_law,
+    regressor_shift_experiment,
     sample,
     uniform_grid_law,
 )
-from leanreg.prediction import calibrate_K, cv_calibrate_K, interval, make_band
+from leanreg.prediction import calibrate_K, cv_calibrate_K, make_band
 from leanreg.report import misspec_indicator
 from leanreg.rng import resample_indices, spawn_seeds, substream, substreams
 from leanreg.slopes import adjust_regressor, pair_table_csv, pairwise_slope_multiple, pairwise_slope_simple
+
+from charges_recipe import synthetic_charges
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
 
@@ -287,9 +289,9 @@ CONV, SAND = conventional_cov(OLS_FIT), sandwich_cov(OLS_FIT)
     pytest.param(lambda: BAND.evaluate([["a", "b", "c"]]), DataError, id="evaluate(text)"),
     pytest.param(lambda: BAND.evaluate([[1.0, 2.0], [3.0]]), DataError, id="evaluate(ragged)"),
     pytest.param(lambda: predict_mean(OLS_FIT, ["1", "a", "b"]), DataError, id="predict_mean(text)"),
-    pytest.param(lambda: interval(BAND, [1.0, math.nan, 1.0]), DomainError, id="interval(nan)"),
+    pytest.param(lambda: BAND.evaluate([[1.0, math.nan, 1.0]]), DomainError, id="interval(nan)"),
     pytest.param(lambda: BAND.evaluate([[1.0, math.inf, 1.0]]), DomainError, id="evaluate(inf)"),
-    pytest.param(lambda: interval(BAND, [1.0, 1e200, -1e200]), DomainError, id="interval(1e200)"),
+    pytest.param(lambda: BAND.evaluate([[1.0, 1e200, -1e200]]), DomainError, id="interval(1e200)"),
     pytest.param(lambda: predict_mean(OLS_FIT, [1.0, -math.inf, 0.0]), DomainError,
                  id="predict_mean(-inf)"),
     pytest.param(lambda: se_and_pvalues(OLS_FIT, np.full((3, 3), math.nan)), DomainError,
@@ -303,6 +305,7 @@ CONV, SAND = conventional_cov(OLS_FIT), sandwich_cov(OLS_FIT)
                  id="coefficient_table(-inf)"),
     pytest.param(lambda: coefficient_table(OLS_FIT, CONV, SAND, [1.0, 1.0, -0.5]), DomainError,
                  id="coefficient_table(negative)"),
+    pytest.param(lambda: refit_counts(start=np.zeros(2)), DimensionError, id="fit_weighted(start (2,))"),
     pytest.param(lambda: refit_counts(start=np.zeros((3, 2))), DimensionError, id="fit_weighted(start (3, 2))"),
     pytest.param(lambda: refit_counts(start=np.zeros((2, 3))), DimensionError, id="fit_weighted(start (2, 3))"),
     pytest.param(lambda: refit_counts(start=np.zeros((1, 2, 2))), DimensionError,
@@ -317,7 +320,7 @@ def test_points_covariances_and_ses_are_finite_numbers(call, error):
 
 
 def test_finite_points_and_ses_are_accepted():
-    assert outcome(lambda: interval(BAND, np.array([1, 2, -3]))) is None
+    assert outcome(lambda: BAND.evaluate([np.array([1, 2, -3])])) is None
     assert outcome(lambda: predict_mean(OLS_FIT, [1, 0.5, 0.25])) is None
     assert outcome(lambda: make_band(OLS_FIT, K=1e300).evaluate([[1.0, 2.0, 3.0]])) is None
     assert outcome(lambda: refit_counts(start=[[0.0, 0.0], POISSON_FIT.beta_hat])) is None
@@ -352,13 +355,16 @@ FLOAT_RANGE = [
     ("conventional_cov", lambda: conventional_cov(HUGE_FIT), "the conventional covariance"),
     ("sandwich_cov", lambda: sandwich_cov(HUGE_FIT), "the sandwich covariance"),
     ("bootstrap_se", lambda: bootstrap_se(xy_bootstrap(HUGE, GAUSSIAN, 12, 1)), "a bootstrap standard deviation"),
-    ("PredictionBand.evaluate", lambda: interval(BAND, [1.0, 1e200, -1e200]), "a center or half width of the band"),
+    ("PredictionBand.evaluate", lambda: BAND.evaluate([[1.0, 1e200, -1e200]]), "a center or half width of the band"),
     ("calibrate_K", lambda: calibrate_K(HUGE_FIT, 0.2), "a center or half width of the band"),
     ("decompose", lambda: decompose(POPULATION, beta=[1e200, 0.0]), "a population moment at beta [1e+200, 0.0]"),
     ("coverage_experiment.conventional", lambda: first_coverage_failure("conventional"),
      "the conventional covariance"),
     ("coverage_experiment.sandwich", lambda: first_coverage_failure("sandwich"), "the sandwich covariance"),
     ("normal_quadrature_law", lambda: normal_quadrature_law(5, sd=1e308), "a node of the normal law with sd 1e+308"),
+    ("regressor_shift_experiment", lambda: regressor_shift_experiment(
+        {"kind": "polynomial", "coefficients": [0.0, 0.0, 1.5e308]}, {"kind": "none"},
+        ([[0.0], [1.0]], [0.5, 0.5]), ([[-1.0], [0.0]], [0.5, 0.5])), "the largest coefficient difference"),
     ("predict_mean", lambda: predict_mean(POISSON_FIT, [1.0, 1e6]), "the predicted mean"),
     ("exp_coef", lambda: exp_coef(POISSON_FIT, 1, delta=1e6), f"exp({POISSON_FIT.beta_hat[1]:.6g} * 1000000.0)"),
     ("pairwise_slope_simple", lambda: pairwise_slope_simple([0.0, 1e-160], [0.0, 1e300]), "the pairwise slope"),

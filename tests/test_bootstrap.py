@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from leanreg import bootstrap, cli
+from leanreg import bootstrap
 from leanreg.bootstrap import (
     CHUNK_ELEMENTS,
     FAILURE_THRESHOLD,
@@ -24,11 +24,9 @@ from leanreg.bootstrap import (
 )
 from leanreg.core import Dataset, load_csv
 from leanreg.covariance import sandwich_cov, standard_errors
-from leanreg.datasets import CHARGES_COLUMNS
 from leanreg.exceptions import (
     CoefficientIndexError,
     ConvergenceError,
-    DataError,
     DomainError,
     ExcessiveFailureError,
     FamilyError,
@@ -45,6 +43,7 @@ from leanreg.population import (
     uniform_grid_law,
 )
 
+from charges_recipe import CHARGES_COLUMNS
 from population_oracles import population_conventional_av, population_sandwich_av
 
 
@@ -367,10 +366,11 @@ class TestWarmStart:
                 fit.information_inverse
         else:  # residuals this large overflow the score
             fit = dataclasses.replace(fit, residuals=np.full(ds.n, np.finfo(float).max))
+        monkeypatch.setattr(bootstrap, "fit_glm", lambda ds, family: fit)
         calls = spy_fit_weighted(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            xy_bootstrap(ds, family, B=20, seed=1, sample_fit=fit)
+            xy_bootstrap(ds, family, B=20, seed=1)
         for _, start, _ in calls:
             assert np.array_equal(start, np.tile(fit.beta_hat, (len(start), 1)))  # bit for bit
 
@@ -426,7 +426,6 @@ class TestWarmStart:
             return family.loss_change(*args)
 
         counting = dataclasses.replace(family, loss_change=loss_change)
-        fit = fit_glm(ds, counting)
         calls = spy_fit_weighted(monkeypatch)
         per_chunk, fit_weighted = [], bootstrap.fit_weighted
 
@@ -437,42 +436,12 @@ class TestWarmStart:
             return fits
 
         monkeypatch.setattr(bootstrap, "fit_weighted", count_evaluations)
-        draws = xy_bootstrap(ds, counting, B=1000, seed=11, sample_fit=fit)
+        draws = xy_bootstrap(ds, counting, B=1000, seed=11)
         assert draws.failures == 0
         steps = [int(fits.iterations.max()) for _, _, fits in calls]
         assert len(steps) == len(per_chunk) == 125
         assert sum(steps) <= most_steps
         assert all(e <= s for e, s in zip(per_chunk, steps))
-
-
-class TestCallersSampleFit:
-    """``xy_bootstrap(..., sample_fit=fit)`` starts from the caller's fit instead of fitting the sample again."""
-
-    @pytest.mark.parametrize("name", ["ols", "logit", "poisson"])
-    def test_draws_bit_identical_without_a_second_sample_fit(self, monkeypatch, name):
-        family, response, regressors = CHARGES_FITS[name]
-        ds = charges(response, regressors)
-        expected = xy_bootstrap(ds, family, B=20, seed=1).draws
-        calls = spy_fit_weighted(monkeypatch)
-        draws = xy_bootstrap(ds, family, B=20, seed=1, sample_fit=fit_glm(ds, family)).draws
-        assert [w.shape[0] for w, _, _ in calls] == [CHUNK_ELEMENTS // ds.n] * 3
-        assert np.array_equal(draws, expected)  # bit for bit
-
-    def test_cli_fit_fits_the_sample_once(self, monkeypatch, capsys):
-        calls = spy_fit_weighted(monkeypatch)
-        argv = ["fit", "--input", "charges_synthetic.csv", "--response", "charges",
-                "--regressors", ",".join(CHARGES_COLUMNS), "--family", "poisson", "--boot", "20"]
-        assert cli.main(argv) == 0
-        assert [w.shape[0] for w, _, _ in calls] == [CHUNK_ELEMENTS // charges("charges", CHARGES_COLUMNS).n] * 3
-        assert capsys.readouterr().err == ""
-
-    def test_fit_of_other_data_or_family_rejected(self):
-        family, response, regressors = CHARGES_FITS["poisson"]
-        ds = charges(response, regressors)
-        fit = fit_glm(ds, family)
-        for other_ds, other_family in ((charges(response, regressors), family), (ds, GAUSSIAN)):
-            with pytest.raises(DataError, match="^sample_fit is not a fit of this dataset under this family$"):
-                xy_bootstrap(other_ds, other_family, B=2, seed=1, sample_fit=fit)
 
 
 class TestResidualBootstrap:

@@ -14,7 +14,7 @@ import pytest
 from leanreg.cli import main
 from leanreg.core import csv_text, load_csv
 from leanreg.fitting import GAUSSIAN, fit_glm
-from leanreg.prediction import future_coverage, interval, make_band
+from leanreg.prediction import future_coverage, make_band
 
 NAMES6 = [f"x{j}" for j in range(1, 7)]
 CSV_SMALL = "y,x\n1,0\n2.5,1\n2.9,2\n4.3,3\n5.1,4\n5.8,5\n7.4,6\n8.1,7\n"
@@ -67,6 +67,24 @@ class TestFit:
             assert cells[1] == f"{row['se_conv']:.4f}"
             assert cells[3] == f"{row['se_boot']:.4f}"
             assert cells[4] == f"{row['se_sand']:.4f}"
+
+    def test_json_is_strict_where_a_ratio_has_no_value(self, tmp_path, capsys):
+        # An exact fit has zero SEs, so its sandwich/conventional ratios
+        # are 0/0: null in JSON, which has no NaN, and nan in the text.
+        path = tmp_path / "exact.csv"
+        path.write_text("y,x\n1,0\n3,1\n5,2\n7,3\n", encoding="utf-8")
+        args = ["fit", "--input", str(path), "--response", "y", "--regressors", "x", "--boot", "20"]
+        code, out, err = run_main([*args, "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["diagnostics"]["se_ratios"] == {"(Intercept)": None, "x": None}
+        code, out, _ = run_main(args, capsys)
+        assert code == 0
+        assert "    (Intercept): nan\n    x: nan\n" in out
 
     def test_missing_response_flag_is_usage_error(self, small_csv):
         with pytest.raises(SystemExit) as exc_info:
@@ -201,9 +219,9 @@ class TestPredictSubcommand:
         fit = fit_glm(ds, GAUSSIAN)
         assert np.array_equal(cols["yhat"], fit.fitted)
         band = make_band(fit, K=calib["K_hat"])
-        bounds = np.array([interval(band, row) for row in ds.design])
-        np.testing.assert_allclose(cols["lower"], bounds[:, 0], rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(cols["upper"], bounds[:, 1], rtol=1e-12, atol=0.0)
+        center, half = band.evaluate(ds.design)
+        np.testing.assert_allclose(cols["lower"], center - half, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(cols["upper"], center + half, rtol=1e-12, atol=0.0)
         assert calib["training_coverage"] == future_coverage(band, ds)
 
     def test_bad_calibration_flag_usage_error(self, small_csv):
@@ -473,6 +491,23 @@ class TestFlagSurface:
             main([subcommand, *data, "--alpha", alpha])
         assert exc_info.value.code == 2
         assert f"--alpha: must be in (0, 1), got {alpha!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, flag, value, message", [
+        pytest.param("fit", "--seed", "abc", "must be a non-negative integer, got 'abc'", id="seed"),
+        pytest.param("fit", "--alpha", "x", "must be in (0, 1), got 'x'", id="alpha"),
+        pytest.param("fit", "--boot", "\u00b2", "must be a non-negative integer, got '\u00b2'", id="boot"),
+        pytest.param("predict", "--calibration", "cv:\u00b2", "must be 'train' or 'cv:K' with integer K",
+                     id="calibration"),
+    ])
+    def test_text_that_is_not_a_number_is_a_usage_error(
+        self, small_csv, subcommand, flag, value, message, capsys
+    ):
+        # The flag's own wording, not argparse's "invalid <type function>
+        # value", which would name a private function.
+        with pytest.raises(SystemExit) as exc_info:
+            main([subcommand, "--input", small_csv, "--response", "y", "--regressors", "x", flag, value])
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
 
 
 class TestFileErrors:

@@ -344,10 +344,10 @@ class TestFitWeighted:
     def test_malformed_start_rejected(self):
         x = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
         y = np.array([0.0, 1.0, 1.0])
-        with pytest.raises(DimensionError, match=r"start has shape \(3,\), expected \(2,\)"):
+        with pytest.raises(DimensionError, match=r"start has shape \(3,\), expected \(1, 2\)"):
             fit_weighted(x, y, np.ones((1, 3)), BERNOULLI, start=np.zeros(3))
         with pytest.raises(DomainError):
-            fit_weighted(x, y, np.ones((1, 3)), BERNOULLI, start=[0.0, np.nan])
+            fit_weighted(x, y, np.ones((1, 3)), BERNOULLI, start=[[0.0, np.nan]])
 
     @pytest.mark.parametrize("family", [BERNOULLI, POISSON], ids=["logit", "poisson"])
     def test_every_row_starts_from_start(self, family):
@@ -359,7 +359,7 @@ class TestFitWeighted:
         y = (rng.random(300) < mean) if family is BERNOULLI else rng.poisson(mean)
         fit = fit_glm(data_from(u, y.astype(float)), family)
         x, w = fit.data.design, np.ones((3, 300))
-        warm = fit_weighted(x, fit.data.response, w, family, start=fit.beta_hat)
+        warm = fit_weighted(x, fit.data.response, w, family, start=np.tile(fit.beta_hat, (3, 1)))
         cold = fit_weighted(x, fit.data.response, w, family)
         assert warm.errors == cold.errors == (None,) * 3
         assert warm.iterations.tolist() == [1] * 3
@@ -384,10 +384,11 @@ class TestFitWeighted:
         y = (rng.random(300) < mean) if family is BERNOULLI else rng.poisson(mean)
         fit = fit_glm(data_from(u, y.astype(float)), family)
         x, y, w = fit.data.design, fit.data.response, np.ones((3, 300))
-        warm = fit_weighted(x, y, w, counting, start=fit.beta_hat)
+        start = np.tile(fit.beta_hat, (3, 1))
+        warm = fit_weighted(x, y, w, counting, start=start)
         assert warm.errors == (None,) * 3 and warm.iterations.tolist() == [1] * 3
         assert evaluations == []
-        assert np.array_equal(warm.beta, fit_weighted(x, y, w, family, start=fit.beta_hat).beta)
+        assert np.array_equal(warm.beta, fit_weighted(x, y, w, family, start=start).beta)
         cold = fit_weighted(x, y, w, counting)
         assert cold.errors == (None,) * 3
         assert 0 < len(evaluations) < fit.iterations
@@ -406,7 +407,7 @@ class TestFitWeighted:
         y[0] = 1.0
         beta_hat = np.log(0.01)
         start = beta_hat + ratio * fitting.COEF_TOL * 2**fitting.MAX_HALVINGS * abs(beta_hat)
-        fits = fit_weighted(np.ones((100, 1)), y, np.ones((1, 100)), rejecting, start=[start])
+        fits = fit_weighted(np.ones((100, 1)), y, np.ones((1, 100)), rejecting, start=[[start]])
         if converges:
             assert fits.errors == (None,) and fits.iterations.tolist() == [1]
             direction = np.expm1(beta_hat - start)  # the Newton step at start

@@ -26,7 +26,6 @@ from leanreg.prediction import (
     calibrate_K,
     cv_calibrate_K,
     future_coverage,
-    interval,
     make_band,
 )
 
@@ -81,33 +80,31 @@ class TestInterval:
     def test_zero_K_degenerate(self):
         ds, fit = noisy_fixture()
         band = make_band(fit, K=0.0)
-        lo, hi = interval(band, [1.0, 0.5])
+        (center,), (half,) = band.evaluate([[1.0, 0.5]])
         yhat = fit.beta_hat[0] + 0.5 * fit.beta_hat[1]
-        assert lo == hi == pytest.approx(yhat)
+        assert half == 0.0 and center == pytest.approx(yhat)
 
     def test_intercept_only_leverage(self):
         n = 8
         ds = Dataset(np.arange(float(n)), np.empty((n, 0)), names=())
         fit = fit_glm(ds, GAUSSIAN)
         band = make_band(fit, K=1.0)
-        lo, hi = interval(band, [1.0])
-        half = (hi - lo) / 2.0
+        _, (half,) = band.evaluate([[1.0]])
         assert half == pytest.approx(band.sigma_hat * (1.0 + 1.0 / n), rel=1e-12)
 
     def test_nestedness_in_K(self):
         ds, fit = noisy_fixture()
         b1 = make_band(fit, K=1.0)
         b2 = make_band(fit, K=2.0)
-        for x in ([1.0, -2.0], [1.0, 0.0], [1.0, 3.0]):
-            lo1, hi1 = interval(b1, x)
-            lo2, hi2 = interval(b2, x)
-            assert lo2 < lo1 < hi1 < hi2
+        x = [[1.0, -2.0], [1.0, 0.0], [1.0, 3.0]]
+        (c1, h1), (c2, h2) = b1.evaluate(x), b2.evaluate(x)
+        assert np.all(c2 - h2 < c1 - h1) and np.all(c1 - h1 < c1 + h1) and np.all(c1 + h1 < c2 + h2)
 
     def test_dimension_mismatch(self):
         ds, fit = noisy_fixture()
         band = make_band(fit, K=1.0)
         with pytest.raises(DimensionError):
-            interval(band, [1.0, 2.0, 3.0])
+            band.evaluate([[1.0, 2.0, 3.0]])
 
 
 class TestCalibrateK:

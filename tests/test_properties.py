@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from leanreg import core
 from leanreg.core import Dataset, csv_text, dataset_to_csv_text, load_csv
 from leanreg.covariance import conventional_cov, sandwich_cov, standard_errors
-from leanreg.datasets import synthetic_charges
 from leanreg.exceptions import LeanRegError, ZeroWeightError
 from leanreg.fitting import GAUSSIAN, family_by_name, fit_glm
 from leanreg.prediction import calibrate_K, make_band
 from leanreg.slopes import pair_table_csv, pairwise_slope_simple
+from charges_recipe import synthetic_charges
 from reference_forms import csv_writer_text, dense_pairwise_slope, row_reader_load_csv
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -119,7 +119,7 @@ class TestTiedCalibration:
         ds = Dataset(y, x.reshape(-1, 1), ("x",))
         assume(np.unique(x).size > 1)
         fit = fit_glm(ds, GAUSSIAN)
-        band = make_band(fit)
+        band = make_band(fit, K=1.0)
         assume(band.sigma_hat > 0.0)
         design = fit.data.design
         levs = 1.0 + np.einsum("ij,jk,ik->i", design, band.xtx_inverse, design)

@@ -239,6 +239,16 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_every_module_is_loaded_by_the_package_or_the_cli():
+    # A module neither the package nor the CLI loads has only tests as
+    # callers; it belongs with them.
+    code = "import sys, leanreg, leanreg.cli; print(*sorted(m for m in sys.modules if m.startswith('leanreg.')))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split()
+    modules = [f"leanreg.{p.name[: -len('.py')]}" for p in resources.files("leanreg").iterdir()
+               if p.name.endswith(".py") and p.name != "__init__.py"]
+    assert sorted(set(modules) - set(loaded)) == []
+
+
 def numpy_integer_references(source: str, filename: str) -> list[str]:
     """``file:line`` of each reference to numpy's ``integer`` type, by attribute or import."""
     lines = {
