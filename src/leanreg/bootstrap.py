@@ -165,20 +165,23 @@ def _one_step_starts(fit: FitResult, w: np.ndarray) -> np.ndarray:
     """One-step starts (m, k) of refits of ``fit``'s sample under weight rows ``w`` (m, n).
 
     A row starts at ``beta_hat`` instead where its one-step start is not
-    finite, or puts a used observation's ``|x_i'start|`` past the
-    separation bound (its first iteration would stop there), and every
-    row does if the information matrix does not invert.
+    finite, or where, on a used observation, the start's mean
+    ``inverse_link(x_i'start)`` is not finite (a poisson ``x_i'start``
+    past about 709.78) or ``|x_i'start|`` passes the separation bound
+    (its first iteration would stop there); every row does if the
+    information matrix does not invert.
     """
-    x, beta_hat, bound = fit.data.design, fit.beta_hat, fit.family.separation_bound
+    x, family, beta_hat = fit.data.design, fit.family, fit.beta_hat
     try:
         inverse = fit.information_inverse
     except LeanRegError:
         return np.tile(beta_hat, (w.shape[0], 1))
     with np.errstate(over="ignore", invalid="ignore"):
         one_step = beta_hat + ((w * fit.residuals) @ x) @ inverse
-        usable = np.all(np.isfinite(one_step), axis=1)
-        if bound is not None:
-            usable &= np.max(np.abs(one_step @ x.T) * (w > 0), axis=1) <= bound
+        t = (one_step @ x.T) * (w > 0)
+        usable = np.all(np.isfinite(one_step), axis=1) & np.all(np.isfinite(family.inverse_link(t)), axis=1)
+        if family.separation_bound is not None:
+            usable &= np.max(np.abs(t), axis=1) <= family.separation_bound
     return np.where(usable[:, None], one_step, beta_hat)
 
 

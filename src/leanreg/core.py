@@ -6,7 +6,8 @@ covariance, bootstrap and band reads, whose column 0 is the all-ones
 intercept.  :func:`check_integer`, :func:`check_level`,
 :func:`check_real` and :func:`check_index` hold the domain of every
 count, seed, level, real-valued scalar and coefficient index argument;
-:func:`finite_array` that of a point or design rows to evaluate at;
+:func:`finite_array` that of every array argument (its type, shape and
+finiteness), so only core raises :class:`DimensionError`;
 :func:`in_float_range` makes a result past the float range an error.
 :func:`numerical_rank` is the package's one rank rule and
 :func:`spd_solve_stack` its one Cholesky solve, whose failure is a
@@ -30,6 +31,7 @@ from .exceptions import (
     CoefficientIndexError,
     ColumnError,
     DataError,
+    DimensionError,
     DomainError,
     EmptyInputError,
     ParseError,
@@ -333,14 +335,23 @@ def check_index(j, lo: int, hi: int, what: str) -> None:
         raise CoefficientIndexError(f"{what} index {j} out of range {lo}..{hi}")
 
 
-def finite_array(value, name: str) -> np.ndarray:
-    """``value`` as a float array; not numeric is a :class:`DataError`, a NaN or infinite entry a :class:`DomainError`."""
+def finite_array(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape``, the one check of every array argument.
+
+    Not numeric (text, None, ragged or complex) is a :class:`DataError`;
+    another number of dimensions, or a length other than a non-None entry
+    of ``shape``, a :class:`DimensionError`; a NaN or infinite entry a
+    :class:`DomainError`.  Bools count as 0 and 1.
+    """
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         arr = np.asarray(None)
     if arr.dtype.kind not in "biuf":
         raise DataError(f"{name} must be numeric, not {arr.dtype}")
+    if arr.ndim != len(shape) or any(e not in (None, s) for s, e in zip(arr.shape, shape)):
+        expected = str(tuple(shape)).replace("None", "any")
+        raise DimensionError(f"{name} has shape {arr.shape}, expected {expected}")
     arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite (no NaN or inf)")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import csv_text, finite_array, in_float_range
-from .exceptions import ColumnError, DimensionError, DomainError
+from .exceptions import ColumnError, DomainError
 from .fitting import FitResult
 
 __all__ = [
@@ -86,15 +86,13 @@ def se_and_pvalues(fit: FitResult, cov: np.ndarray) -> tuple[np.ndarray, np.ndar
     """``(se, p)``: SE_j = sqrt(cov_jj); p_j = 2(1 - Phi(|beta_j| / SE_j)).
 
     A zero SE is degenerate: p is 0 for a nonzero coefficient (the
-    degenerate limit) and 1 for a zero coefficient.  A covariance that
-    is not numeric is a :class:`DataError`, and a NaN or infinite entry,
-    or a negative variance, a :class:`DomainError`.
+    degenerate limit) and 1 for a zero coefficient.  ``cov`` (k, k)
+    passes :func:`~leanreg.core.finite_array`; a negative variance is a
+    :class:`DomainError`.
     """
     beta = fit.beta_hat
     k = beta.shape[0]
-    cov = finite_array(cov, "covariance")
-    if cov.shape != (k, k):
-        raise DimensionError("covariance dimension does not match coefficients")
+    cov = finite_array(cov, "covariance", (k, k))
     if (np.diagonal(cov) < 0.0).any():
         raise DomainError("covariance has a negative variance")
     se = standard_errors(cov)
@@ -165,15 +163,14 @@ def coefficient_table(
 ) -> CoefficientTable:
     """Assemble the per-coefficient report from one fit's covariances.
 
-    ``boot_se``, if given, holds one finite, nonnegative bootstrap SE
-    per coefficient (else :class:`DimensionError` or :class:`DomainError`).
+    ``boot_se``, if given, holds one bootstrap SE per coefficient: it
+    passes :func:`~leanreg.core.finite_array`, and a negative SE is a
+    :class:`DomainError`.
     """
     se_conv, p_conv = se_and_pvalues(fit, conv)
     se_sand, p_sand = se_and_pvalues(fit, sand)
     if boot_se is not None:
-        boot_se = finite_array(boot_se, "bootstrap SEs")
-        if boot_se.shape != se_conv.shape:
-            raise DimensionError("bootstrap SE vector does not match the fit")
+        boot_se = finite_array(boot_se, "bootstrap SEs", se_conv.shape)
         if np.any(boot_se < 0):
             raise DomainError("bootstrap SEs must be nonnegative")
     return CoefficientTable(
@@ -191,16 +188,19 @@ def table_from_published(rows: list[dict]) -> CoefficientTable:
     """Build a table from already-published numbers (no fit required).
 
     Every row needs a label and each column but ``se_boot``; a missing
-    or None value is a :class:`ColumnError`, not a NaN.
+    or None value is a :class:`ColumnError`, not a NaN.  Each column
+    passes :func:`~leanreg.core.finite_array`; a row without ``se_boot``
+    has NaN there.
     """
     columns = {key: [r.get(key) for r in rows] for key in ("label", *_COLUMNS)}
     boot = columns.pop("se_boot")
     missing = sorted(key for key, values in columns.items() if None in values)
     if missing:
         raise ColumnError(f"published row missing columns: {missing}")
-    labels = tuple(columns.pop("label"))
+    absent = [v is None for v in boot]
+    boot = finite_array([0.0 if v is None else v for v in boot], "se_boot", (len(rows),))
     return CoefficientTable(
-        labels=labels,
-        se_boot=None if all(v is None for v in boot) else np.asarray(boot, dtype=float),
-        **{key: np.asarray(values, dtype=float) for key, values in columns.items()},
+        labels=tuple(columns.pop("label")),
+        se_boot=None if all(absent) else np.where(absent, np.nan, boot),
+        **{key: finite_array(values, key, (len(rows),)) for key, values in columns.items()},
     )

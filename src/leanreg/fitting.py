@@ -27,7 +27,6 @@ from .core import Dataset, check_index, check_real, finite_array, in_float_range
 from .exceptions import (
     ConvergenceError,
     DegreesOfFreedomError,
-    DimensionError,
     DomainError,
     FamilyError,
     SeparationError,
@@ -362,7 +361,9 @@ def fit_weighted(
     weighted second-moment matrix, then an exact solve (gaussian) or
     Newton iterations with step halving, the logit separation bound and
     the convergence test of :func:`fit_glm`.  The responses' support is
-    the caller's to check (:func:`check_support`).
+    the caller's to check (:func:`check_support`).  ``x`` (n, k), ``y``
+    (n,), ``w`` (m, n) and ``start`` pass :func:`~leanreg.core.finite_array`;
+    a negative weight, or a row without a positive sum, is a :class:`DomainError`.
 
     ``outer`` is :func:`outer_rows` of ``x``, for callers that reuse it.
     ``start`` is an (m, k) array of one start per row, such as the
@@ -376,17 +377,16 @@ def fit_weighted(
     count).  Rows that converge or fail are therefore masked, never
     dropped: they take zero steps until every row has stopped.
     """
-    m, n = w.shape
-    k = x.shape[1]
-    if n != x.shape[0] or y.shape[0] != n:
-        raise DimensionError(f"weights for {n} observations, design has {x.shape[0]} rows")
+    x = finite_array(x, "x", (None, None))
+    n, k = x.shape
+    y = finite_array(y, "y", (n,))
+    w = finite_array(w, "weights", (None, n))
+    m = w.shape[0]
     wsum = np.sum(w, axis=1)
-    if not np.all(np.isfinite(w)) or np.any(w < 0) or np.any(wsum <= 0):
-        raise DomainError("weights must be finite and nonnegative with a positive sum in every row")
+    if np.any(w < 0) or np.any(wsum <= 0):
+        raise DomainError("weights must be nonnegative with a positive sum in every row")
     if start is not None:
-        start = finite_array(start, "start")
-        if start.shape != (m, k):
-            raise DimensionError(f"start has shape {start.shape}, expected ({m}, {k})")
+        start = finite_array(start, "start", (m, k))
     if outer is None:
         outer = outer_rows(x)
     # Here and in _newton, one product with the reused outer rows beats gram()'s
@@ -582,16 +582,11 @@ def fit_glm(ds: Dataset, family: Family) -> FitResult:
 def predict_mean(fit: FitResult, x) -> float:
     """Mean-scale prediction ``inverse_link(beta' x)`` at one point.
 
-    ``x`` must be a (p+1)-vector of finite numbers with the leading 1
-    included (else :class:`DataError`, :class:`DomainError` or
-    :class:`DimensionError`).  A mean that is not finite (a poisson mean
-    past the float range) is a :class:`DomainError`.
+    ``x`` is a (p+1)-vector with the leading 1 included, checked by
+    :func:`~leanreg.core.finite_array`.  A mean that is not finite (a
+    poisson mean past the float range) is a :class:`DomainError`.
     """
-    x = finite_array(x, "point")
-    if x.shape != fit.beta_hat.shape:
-        raise DimensionError(
-            f"point has shape {x.shape}, expected {fit.beta_hat.shape}"
-        )
+    x = finite_array(x, "point", fit.beta_hat.shape)
     return float(in_float_range("the predicted mean", lambda: fit.family.inverse_link(float(x @ fit.beta_hat))))
 
 

@@ -29,11 +29,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bootstrap
-from .core import Dataset, check_integer, check_level, check_real, float_range_error, in_float_range
+from .core import Dataset, check_integer, check_level, check_real, finite_array, float_range_error, in_float_range
 from .covariance import sandwich_stack, standard_errors
 from .exceptions import (
     CollinearPopulationError,
-    DimensionError,
     DomainError,
     LeanRegError,
     PopulationSchemaError,
@@ -336,12 +335,11 @@ def decompose(pop: DiscretePopulation, beta: np.ndarray | None = None) -> Popula
     """Exact decomposition delta = eta + eps at the population.
 
     All reported moments are finite sums over support points; nothing
-    is simulated.  A given ``beta`` must be a vector of finite real
-    numbers (else :class:`DomainError`) with one entry per coefficient
-    (else :class:`DimensionError`); moments past the float range are a
-    :class:`DomainError`.
+    is simulated.  A given ``beta``, one entry per coefficient, passes
+    :func:`~leanreg.core.finite_array`; moments past the float range are
+    a :class:`DomainError`.
     """
-    beta = population_beta(pop) if beta is None else _coefficients(beta, pop.support.shape[1])
+    beta = population_beta(pop) if beta is None else finite_array(beta, "beta", (pop.support.shape[1],))
     w, x = pop.probs, pop.support
     # Every noise law has E[eps | x] = 0, so its moments are exact zeros.
     e_eps, e_x_eps = 0.0, np.zeros(x.shape[1])
@@ -363,21 +361,6 @@ def decompose(pop: DiscretePopulation, beta: np.ndarray | None = None) -> Popula
         "sigma_delta2": float(sigma_delta2),
     }
     return PopulationDecomposition(beta=beta, eta_at=eta, moments=moments)
-
-
-def _coefficients(beta, k: int) -> np.ndarray:
-    """``beta`` as a float vector of length k, or the typed error of :func:`decompose`."""
-    try:
-        arr = np.asarray(beta)
-    except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf":
-        raise DomainError(f"beta must be a vector of real numbers, got {beta!r}")
-    if arr.shape != (k,):
-        raise DimensionError(f"beta has shape {arr.shape}, expected ({k},)")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"beta must be finite, got {beta!r}")
-    return arr.astype(float)
 
 
 @dataclass(frozen=True)

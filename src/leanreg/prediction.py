@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import Dataset, check_integer, check_level, check_real, finite_array, in_float_range
 from .exceptions import (
-    DimensionError,
     DomainError,
     FamilyError,
     FoldError,
@@ -63,14 +62,11 @@ class PredictionBand:
 
         Row i's half width is K * sigma_hat * (1 + x_i' xtx_inverse x_i).
         With K = 1 it is sigma_hat * (1 + leverage_i) bit for bit, the
-        denominator of row i's covering multiplier.  Rows that are not
-        numeric are a :class:`DataError`; a NaN or infinite entry, or a
-        center or half width past the float range, a :class:`DomainError`.
+        denominator of row i's covering multiplier.  ``x`` passes
+        :func:`~leanreg.core.finite_array`; a center or half width past
+        the float range is a :class:`DomainError`.
         """
-        x = finite_array(x, "design rows")
-        k = self.beta_hat.shape[0]
-        if x.ndim != 2 or x.shape[1] != k:
-            raise DimensionError(f"design rows have shape {x.shape}, expected (m, {k})")
+        x = finite_array(x, "design rows", (None, self.beta_hat.shape[0]))
         return in_float_range("a center or half width of the band", lambda: (
             x @ self.beta_hat,
             self.K * self.sigma_hat * (1.0 + np.einsum("ij,jk,ik->i", x, self.xtx_inverse, x)),

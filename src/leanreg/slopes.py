@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import Dataset, check_index, csv_text_from_cells, float_range_error, in_float_range
-from .exceptions import CoefficientIndexError, DataError, DomainError, ZeroWeightError
+from .core import Dataset, check_index, csv_text_from_cells, finite_array, float_range_error, in_float_range
+from .exceptions import CoefficientIndexError, DomainError, ZeroWeightError
 from .fitting import GAUSSIAN, fit_glm
 
 __all__ = [
@@ -49,29 +49,10 @@ class PairwiseSlopeSummary:
     pair_count: int
 
 
-_FINITE = "pairwise slopes need finite x and y"
-_NOT_FINITE = f"{_FINITE} whose pair sums do not overflow"
-
-
 def _pair_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` and ``y`` as float arrays, checked as every pairwise-slope function needs them.
-
-    Non-numeric or ragged values are a :class:`DataError`, as in a
-    ``Dataset``; arrays that are not 1-D, differ in length or hold NaN or
-    infinity are a :class:`DomainError`.
-    """
-    try:
-        x, y = np.asarray(x), np.asarray(y)
-    except ValueError:  # a ragged nesting
-        raise DataError("pairwise slopes need x and y as flat lists of numbers") from None
-    if x.dtype.kind not in "biuf" or y.dtype.kind not in "biuf":
-        raise DataError(f"pairwise slopes need numeric x and y, not {x.dtype} and {y.dtype}")
-    x, y = x.astype(float), y.astype(float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DomainError("x and y must be one-dimensional and equally long")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DomainError(_FINITE)
-    return x, y
+    """``x`` and ``y`` as equally long float vectors, through :func:`~leanreg.core.finite_array`."""
+    x = finite_array(x, "x", (None,))
+    return x, finite_array(y, "y", x.shape)
 
 
 def _scaled_deviations(v: np.ndarray) -> tuple[np.ndarray, int]:
@@ -106,7 +87,7 @@ def pairwise_slope_simple(x, y) -> PairwiseSlopeSummary:
         total = math.ldexp(2.0 * n * sxx, 2 * ex)
         math.ldexp(2.0 * n * sxy, ex + ey)  # nor may the numerator overflow
     except OverflowError:
-        raise DomainError(_NOT_FINITE) from None
+        raise DomainError("pairwise slopes need finite x and y whose pair sums do not overflow") from None
     if total == 0.0:
         raise ZeroWeightError(
             "total pair weight is 0: the x values coincide or their differences underflow"

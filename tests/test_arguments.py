@@ -1,4 +1,4 @@
-"""Hostile arguments at every public entry point taking a count, level, real scalar or index.
+"""Hostile arguments at every public entry point taking a count, level, real scalar, index or array.
 
 Each call either succeeds or raises the typed error that names its
 argument's domain: :class:`DomainError` for a count, a seed, a level
@@ -6,12 +6,14 @@ or a real scalar, :class:`CoefficientIndexError` for an index.  No call
 warns.  The domains are ``core.check_integer``, ``core.check_level``,
 ``core.check_real`` and ``core.check_index``; the inputs are bools,
 floats, strings, None, numpy scalars, negatives, non-finite values and
-values just below each floor.  Points, design rows, covariances and
-bootstrap SEs pass ``core.finite_array``: text is a :class:`DataError`,
-and NaN, inf or a result past the float range a :class:`DomainError`.
-So do ``fit_weighted``'s starts, one per refit; a start of another
-shape, one k-vector for all refits among them, is a :class:`DimensionError`.
-A result past the float range passes ``core.in_float_range`` and is
+values just below each floor.  Every array argument passes the one rule
+``core.finite_array``: points, design rows, covariances, bootstrap SEs,
+``fit_weighted``'s ``x``, ``y``, weights and starts, ``decompose``'s
+``beta``, the pairwise slopes' ``x`` and ``y`` and the published table's
+cells.  Text or a ragged list is a :class:`DataError`; another shape
+(a start that is one k-vector for all refits among them) a
+:class:`DimensionError`; NaN or inf a :class:`DomainError`.  A result
+past the float range passes ``core.in_float_range`` and is
 ``DomainError("<what> passes the float range")``, wherever it arises.
 """
 
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 from leanreg import bootstrap
 from leanreg.bootstrap import bootstrap_se, normality_diagnostic, residual_bootstrap, xy_bootstrap
 from leanreg.core import Dataset
-from leanreg.covariance import coefficient_table, conventional_cov, sandwich_cov, se_and_pvalues
+from leanreg.covariance import coefficient_table, conventional_cov, sandwich_cov, se_and_pvalues, table_from_published
 from leanreg.exceptions import (
     CoefficientIndexError,
     DataError,
@@ -282,6 +284,21 @@ BAND = make_band(OLS_FIT, K=1.0)
 def refit_counts(start):
     """Two poisson refits of COUNTS, from ``start``."""
     return fit_weighted(COUNTS.design, COUNTS.response, np.ones((2, COUNTS.n)), POISSON, start=start)
+
+
+def refit_sample(x=SAMPLE.design, y=SAMPLE.response, w=np.ones((2, SAMPLE.n))):
+    """Two OLS fits of SAMPLE by ``fit_weighted``, with any of its arrays replaced."""
+    return fit_weighted(x, y, w, GAUSSIAN)
+
+
+def nan_at(a, index):
+    """A copy of ``a`` with a NaN at ``index``."""
+    a = np.array(a)
+    a[index] = math.nan
+    return a
+
+
+PUBLISHED_ROW = {"label": "x", "coef": 1.0, "se_conv": 0.1, "p_conv": 0.5, "se_sand": 0.2, "p_sand": 0.6}
 CONV, SAND = conventional_cov(OLS_FIT), sandwich_cov(OLS_FIT)
 
 
@@ -314,6 +331,18 @@ CONV, SAND = conventional_cov(OLS_FIT), sandwich_cov(OLS_FIT)
                  id="fit_weighted(start nan row)"),
     pytest.param(lambda: refit_counts(start=[[math.inf, 0.0], [0.0, 0.0]]), DomainError,
                  id="fit_weighted(start inf row)"),
+    pytest.param(lambda: refit_sample(w=[["a"] * SAMPLE.n] * 2), DataError, id="fit_weighted(weights text)"),
+    pytest.param(lambda: refit_sample(w=np.ones(SAMPLE.n)), DimensionError, id="fit_weighted(weights 1-D)"),
+    pytest.param(lambda: refit_sample(w=np.ones((2, SAMPLE.n - 1))), DimensionError,
+                 id="fit_weighted(weights (2, n-1))"),
+    pytest.param(lambda: refit_sample(y=SAMPLE.response[:-1]), DimensionError, id="fit_weighted(y (n-1,))"),
+    pytest.param(lambda: refit_sample(y=nan_at(SAMPLE.response, 3)), DomainError, id="fit_weighted(y nan)"),
+    pytest.param(lambda: refit_sample(x=nan_at(SAMPLE.design, (3, 1))), DomainError, id="fit_weighted(x nan)"),
+    pytest.param(lambda: decompose(POPULATION, beta=["a", "b"]), DataError, id="decompose(beta text)"),
+    pytest.param(lambda: pairwise_slope_simple([[0.0, 1.0]], [0.0, 1.0]), DimensionError,
+                 id="pairwise_slope_simple(2-D x)"),
+    pytest.param(lambda: table_from_published([{**PUBLISHED_ROW, "coef": "1.0"}]), DataError,
+                 id="table_from_published(text)"),
 ])
 def test_points_covariances_and_ses_are_finite_numbers(call, error):
     assert outcome(call) is error

@@ -301,8 +301,12 @@ def spy_fit_weighted(monkeypatch):
 
 
 def one_step_starts(fit, w):
-    """Each row's start: ``beta_hat + H^-1 sum_i w_i (y_i - mu_i) x_i``, or ``beta_hat`` where that is unusable."""
-    x, beta_hat, bound = fit.data.design, fit.beta_hat, fit.family.separation_bound
+    """Each row's start: ``beta_hat + H^-1 sum_i w_i (y_i - mu_i) x_i``, or ``beta_hat`` where that is unusable.
+
+    Unusable: not finite, or on a used observation a mean that is not
+    finite or a linear predictor past the separation bound.
+    """
+    x, beta_hat, family = fit.data.design, fit.beta_hat, fit.family
     try:
         inverse = fit.information_inverse
     except LeanRegError:
@@ -310,11 +314,14 @@ def one_step_starts(fit, w):
     with np.errstate(over="ignore", invalid="ignore"):
         # The whole chunk in one product: a product's row may round differently in a stack of another height.
         one_step = beta_hat + ((w * fit.residuals) @ x) @ inverse
-        return [
-            start if np.all(np.isfinite(start)) and (bound is None or np.max(np.abs(x[w_r > 0] @ start)) <= bound)
-            else beta_hat
-            for w_r, start in zip(w, one_step)
-        ]
+        starts = []
+        for w_r, start in zip(w, one_step):
+            t = x[w_r > 0] @ start
+            usable = np.all(np.isfinite(start)) and np.all(np.isfinite(family.inverse_link(t)))
+            if family.separation_bound is not None:
+                usable = usable and np.max(np.abs(t)) <= family.separation_bound
+            starts.append(start if usable else beta_hat)
+        return starts
 
 
 def separated_one_step_sample():
@@ -355,7 +362,7 @@ class TestWarmStart:
         # No charges row falls back; 16 of the separated sample's 60 replicates do.
         assert at_beta_hat == (16 if name == "separated_logit" else 0)
 
-    @pytest.mark.parametrize("broken", ["singular_information", "non_finite_step"])
+    @pytest.mark.parametrize("broken", ["singular_information", "non_finite_step", "far_poisson_step"])
     def test_unusable_one_step_starts_fall_back_to_the_sample_fit(self, monkeypatch, broken):
         family, response, regressors = CHARGES_FITS["poisson"]
         ds = charges(response, regressors)
@@ -364,15 +371,18 @@ class TestWarmStart:
             fit = dataclasses.replace(fit, fitted=np.zeros(ds.n))
             with pytest.raises(SingularSystemError):
                 fit.information_inverse
-        else:  # residuals this large overflow the score
+        elif broken == "non_finite_step":  # residuals this large overflow the score
             fit = dataclasses.replace(fit, residuals=np.full(ds.n, np.finfo(float).max))
+        else:  # a finite step whose means exp(x_i'start) overflow: every refit from it fails to converge
+            fit = dataclasses.replace(fit, residuals=np.full(ds.n, 1e300))
         monkeypatch.setattr(bootstrap, "fit_glm", lambda ds, family: fit)
         calls = spy_fit_weighted(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             xy_bootstrap(ds, family, B=20, seed=1)
-        for _, start, _ in calls:
+        for _, start, fits in calls:
             assert np.array_equal(start, np.tile(fit.beta_hat, (len(start), 1)))  # bit for bit
+            assert fits.errors == (None,) * len(start)
 
     @pytest.mark.parametrize("name", ["logit", "poisson"])
     def test_warm_start_saves_newton_iterations(self, monkeypatch, name):

@@ -298,7 +298,7 @@ class TestCoefficientTable:
 
     def test_bootstrap_se_length_mismatch(self):
         _, fit = ols_fixture(2, p=1)
-        with pytest.raises(DimensionError, match="^bootstrap SE vector does not match the fit$"):
+        with pytest.raises(DimensionError, match=r"^bootstrap SEs has shape \(3,\), expected \(2,\)$"):
             coefficient_table(fit, conventional_cov(fit), sandwich_cov(fit), np.ones(3))
 
     def test_dimension_mismatch(self):

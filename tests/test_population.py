@@ -22,6 +22,7 @@ from leanreg.cli import main
 from leanreg.covariance import conventional_cov, sandwich_cov, sandwich_stack, standard_errors
 from leanreg.exceptions import (
     CollinearPopulationError,
+    DataError,
     DimensionError,
     DomainError,
     ExcessiveFailureError,
@@ -159,16 +160,16 @@ class TestDecompose:
         expected = 0.5 * (1.0 * np.outer([1, -1], [1, -1]) + 4.0 * np.outer([1, 1], [1, 1]))
         assert np.allclose(dec.moments["E_delta2_XX"], expected, atol=1e-14)
 
-    # A given beta is a vector of finite reals, one per coefficient; no call warns.
+    # A given beta is a vector of finite numbers, one per coefficient; no call warns.
     @pytest.mark.parametrize("beta, error", [
         ([math.nan, 0.0], DomainError),
         ([math.inf, 0.0], DomainError),
         ([1e200, 0.0], DomainError),  # finite, but its moments are not
-        (["a", "b"], DomainError),
-        ([True, False], DomainError),
-        ([None, 1.0], DomainError),
-        ([1.0, [2.0]], DomainError),
-        ([1j, 0.0], DomainError),
+        (["a", "b"], DataError),
+        ([True, False], None),  # bools count as 0 and 1
+        ([None, 1.0], DataError),
+        ([1.0, [2.0]], DataError),
+        ([1j, 0.0], DataError),
         ([0.0], DimensionError),
         ([0.0, 1.0, 2.0], DimensionError),
         ([[0.0, 1.0]], DimensionError),

@@ -332,6 +332,36 @@ def test_only_core_words_the_float_range_error():
     assert found == []
 
 
+def dimension_error_references(source: str, filename: str) -> list[str]:
+    """``file:line`` of each name, attribute or import in the code that is ``DimensionError``."""
+    lines = {
+        node.lineno
+        for node in ast.walk(ast.parse(source, filename))
+        if (isinstance(node, ast.Name) and node.id == "DimensionError")
+        or (isinstance(node, ast.Attribute) and node.attr == "DimensionError")
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "DimensionError" for a in node.names))
+    }
+    return [f"{filename}:{line}" for line in sorted(lines)]
+
+
+def test_only_core_raises_dimension_errors():
+    # core.finite_array checks the shape of every array argument; a shape
+    # test written by hand elsewhere drifts from its wording and class.
+    spellings = "\n".join([
+        "raise DimensionError('x has shape ()')", "raise exceptions.DimensionError('bad')",
+        "from .exceptions import DimensionError as ShapeError", "errors.append(DimensionError)",
+        "raise DomainError('x')", "'the DimensionError of a shape'", "# DimensionError", "def f():",
+        "    '''Raises DimensionError through core.finite_array.'''",
+    ])
+    assert dimension_error_references(spellings, "s.py") == ["s.py:1", "s.py:2", "s.py:3", "s.py:4"]
+
+    found = []
+    for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
+        if path.name != "core.py":
+            found += dimension_error_references(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
+
+
 def unused_imports(source: str, filename: str) -> list[str]:
     """``file:line name`` of each name a module imports and neither reads nor lists in ``__all__``.
 
