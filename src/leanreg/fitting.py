@@ -76,8 +76,10 @@ class Family:
     given the mean ``mu`` at ``t``; ``start(ybar)`` is the starting
     intercept; ``separation_bound``, if set, caps the largest absolute
     linear predictor ``max_i |x_i'beta|`` of the observations used.
-    No weight needs a floor: within the bernoulli bound every weight
-    ``mu(1 - mu)`` is at least 9.3e-14, so none is zero.
+    Every Newton family's variance must satisfy ``v(t+s) <= v(t) e^|s|`` in
+    the linear predictor t, as logit and poisson do: short steps skip the
+    line search.  No weight needs a floor: within the bernoulli bound every
+    weight ``mu(1 - mu)`` is at least 9.3e-14, so none is zero.
     """
 
     tag: str
@@ -425,6 +427,7 @@ def _newton(x, y, w, wsum, outer, family, active, errors, start):
     # Unused observations get linear predictor 0: a single fit never
     # evaluates them, so they must not overflow or turn 0 * inf into NaN.
     used = (w > 0).astype(float)
+    xmax = np.max(np.abs(x), axis=0)
 
     def linear_predictor(b):
         return (b @ xt) * used
@@ -441,11 +444,17 @@ def _newton(x, y, w, wsum, outer, family, active, errors, start):
     for it in range(MAX_ITER + 1):
         t = linear_predictor(beta)
         mu = family.inverse_link(t)
-        # Whether each row's objective is finite (a poisson mean can overflow).
-        finite = np.all(np.isfinite(mu), axis=1)
         scores = (w * (mu - y)) @ x  # sum_i w_i (mu_i - y_i) x_i
         score_norm = np.max(np.abs(scores), axis=1) / wsum
         iterations[active] = it
+        # A mean past the float range (poisson) leaves no finite score to step on.
+        overflowed = active & ~np.all(np.isfinite(mu), axis=1)
+        for r in np.flatnonzero(overflowed):
+            errors[r] = ConvergenceError(
+                f"IRLS reached a mean that is not finite at iteration {it}",
+                last_beta=beta[r].copy(), score_norm=float(score_norm[r]), iterations=it,
+            )
+        active = active & ~overflowed
         if family.separation_bound is not None:
             # t is zero on unused observations, so this is the largest
             # |x_i'beta| over the observations the row uses.
@@ -471,15 +480,15 @@ def _newton(x, y, w, wsum, outer, family, active, errors, start):
         active = active & _record(errors, failed)
         direction = np.where(active[:, None], -direction, 0.0)
 
-        # A full step below the convergence tolerance is taken whole: it
-        # cannot diverge, and its loss change is rounding noise.  Other
-        # steps are halved row by row: a row keeps its last candidate, and
-        # its step after h rejections is 2^-h.  A step is accepted
-        # when it does not raise the objective, or when the objective at
-        # the current iterate is not finite.
+        # A step d moves no used linear predictor by more than D = |d| @ xmax,
+        # and as v(t+s) <= v(t) e^|s| (see Family) it changes the loss by at
+        # most d'Hd ((e^D - 1 - D) / D^2 - 1).  At D <= 1 that is at most
+        # (e - 3) d'Hd < 0, so the step is taken whole, without evaluating
+        # the loss.  Other steps are halved row by row: a row keeps its last
+        # candidate, and its step after h rejections is 2^-h.  A step is
+        # accepted when it does not raise the objective.
         step = np.ones(m)
-        tolerance = COEF_TOL * np.maximum(1.0, np.max(np.abs(beta), axis=1))
-        whole = active & (np.max(np.abs(direction), axis=1) < tolerance)
+        whole = active & (np.abs(direction) @ xmax <= 1.0)
         candidate = beta.copy()
         candidate[whole] += direction[whole]
         pending = active & ~whole
@@ -491,7 +500,7 @@ def _newton(x, y, w, wsum, outer, family, active, errors, start):
             change = family.loss_change(t, mu, linear_predictor(move), y)
             change = np.sum(w * change, axis=1) / wsum
             candidate[pending] = beta[pending] + move[pending]
-            pending = pending & ~((change <= 0.0) | ~finite)
+            pending = pending & ~(change <= 0.0)
 
         rel_change = np.max(np.abs(step[:, None] * direction), axis=1) / np.maximum(
             1.0, np.max(np.abs(candidate), axis=1)
@@ -531,10 +540,10 @@ def fit_glm(ds: Dataset, family: Family) -> FitResult:
     sample working-model cost by Newton/IRLS.  Convergence requires
     both a relative coefficient change below ``COEF_TOL`` and a
     mean-score norm ``max_j |sum_i (mu_i - y_i) x_ij| / n`` at or below
-    ``SCORE_TOL * max(1, mean|y|)``.  A Newton step whose largest
-    coefficient change is below ``COEF_TOL * max(1, max|beta|)`` is taken
-    whole, without evaluating the objective; any other step that fails to
-    decrease the objective is halved up to ``MAX_HALVINGS`` times.
+    ``SCORE_TOL * max(1, mean|y|)``.  A Newton step d with
+    ``|d| @ max_i |x_i| <= 1`` provably lowers the objective and is taken
+    whole, without evaluating it; any other step that fails to decrease
+    the objective is halved up to ``MAX_HALVINGS`` times.
 
     Raises
     ------
@@ -547,8 +556,8 @@ def fit_glm(ds: Dataset, family: Family) -> FitResult:
         a bernoulli linear predictor ``|x_i'beta|`` diverges past the
         logit saturation bound.
     ConvergenceError
-        no convergence within ``MAX_ITER`` iterations; carries the last
-        iterate and its score norm.
+        no convergence within ``MAX_ITER`` iterations, or a mean past the
+        float range; carries the last iterate and its score norm.
     """
     x, y = ds.design, ds.response
     check_support(y, family)

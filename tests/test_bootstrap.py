@@ -425,8 +425,10 @@ class TestWarmStart:
         # At the sample-fit start a chunk made more evaluations than steps
         # (818 against 607 logit steps, 627 against 567 poisson): the
         # last steps, below the convergence tolerance, were evaluated
-        # and sometimes halved ten times.  Now 374 against 499 and 363
-        # against 488.
+        # and sometimes halved ten times.  One-step starts brought that
+        # to 374 against 499 and 363 against 488.  Now a step d with
+        # |d| @ max_i |x_i| <= 1 is taken whole: of the 125 chunks, only
+        # one logit row's step, whose bound reads 1.0005, is evaluated.
         family, response, regressors = CHARGES_FITS[name]
         ds = charges(response, regressors)
         evaluations = []
@@ -452,6 +454,7 @@ class TestWarmStart:
         assert len(steps) == len(per_chunk) == 125
         assert sum(steps) <= most_steps
         assert all(e <= s for e, s in zip(per_chunk, steps))
+        assert sum(per_chunk) <= {"logit": 1, "poisson": 0}[name]
 
 
 class TestResidualBootstrap:

@@ -2,10 +2,11 @@
 
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leanreg import fitting
@@ -368,8 +369,9 @@ class TestFitWeighted:
     @pytest.mark.parametrize("family", [BERNOULLI, POISSON], ids=["logit", "poisson"])
     def test_steps_below_the_tolerance_evaluate_no_loss(self, family):
         # Started at the sample fit, every row's one Newton step is below
-        # COEF_TOL: it is taken whole, with no loss change evaluated.
-        # Started cold, the larger steps are evaluated.
+        # COEF_TOL, so |d| @ max_i |x_i| is far below 1: it is taken whole,
+        # with no loss change evaluated.  Started cold, the larger steps
+        # are evaluated.
         evaluations = []
 
         def loss_change(*args):
@@ -392,6 +394,18 @@ class TestFitWeighted:
         assert cold.errors == (None,) * 3
         assert 0 < len(evaluations) < fit.iterations
 
+    @pytest.mark.parametrize("start", [1e5, 300.0])
+    def test_a_start_whose_mean_overflows_fails_at_once(self, start):
+        # exp(x_i'start) passes the float range: no score is finite, so the
+        # row fails at iteration 0 instead of taking 50 passes on NaN.
+        x = np.column_stack([np.ones(4), np.arange(4.0)])
+        fits = fit_weighted(x, np.arange(4.0), np.ones((1, 4)), POISSON, start=np.full((1, 2), start))
+        error = fits.errors[0]
+        assert type(error) is ConvergenceError
+        assert str(error) == "IRLS reached a mean that is not finite at iteration 0"
+        assert fits.iterations.tolist() == [0] and error.iterations == 0
+        assert error.last_beta.tolist() == [start, start] and not np.isfinite(error.score_norm)
+
     @pytest.mark.parametrize("ratio, converges", [(1.5, False), (0.5, True)])
     def test_an_exhausted_line_search_tests_the_step_it_took(self, ratio, converges):
         # A loss change that rejects every step exhausts each line search,
@@ -401,18 +415,73 @@ class TestFitWeighted:
         # has not converged (half the move would read 0.75 and stop it),
         # and each later step is as small, so it fails; at 0.5 it stops at
         # once.  Its Hessian is 0.01, so the score test passes either way.
+        # The step moves the linear predictor by about 7e-6, which a step
+        # takes whole when |d| @ max_i |x_i| <= 1; an unused 101st
+        # observation at x = 2^20 raises that bound past 1 without changing
+        # a bit of the fit, so the line search still runs.
         rejecting = replace(POISSON, loss_change=lambda t, mu, delta, y: np.ones_like(t))
-        y = np.zeros(100)
+        y = np.zeros(101)
         y[0] = 1.0
+        x = np.ones((101, 1))
+        x[100] = 2.0**20
+        w = np.ones((1, 101))
+        w[0, 100] = 0.0
         beta_hat = np.log(0.01)
         start = beta_hat + ratio * fitting.COEF_TOL * 2**fitting.MAX_HALVINGS * abs(beta_hat)
-        fits = fit_weighted(np.ones((100, 1)), y, np.ones((1, 100)), rejecting, start=[[start]])
+        fits = fit_weighted(x, y, w, rejecting, start=[[start]])
         if converges:
             assert fits.errors == (None,) and fits.iterations.tolist() == [1]
             direction = np.expm1(beta_hat - start)  # the Newton step at start
             assert fits.beta[0, 0] == pytest.approx(start + direction / 2**fitting.MAX_HALVINGS, abs=1e-15)
         else:
             assert isinstance(fits.errors[0], ConvergenceError)
+
+    @given(
+        family=st.sampled_from([f for f in fitting.FAMILIES.values() if not f.closed_form]),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 3),
+        offset=st.floats(0.0, 2.5),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_a_step_the_curvature_bound_takes_whole_lowers_the_loss(self, family, seed, k, offset):
+        # A Newton step d from beta with D = max_i |x_i'd| over the used
+        # observations changes the loss by at most d'Hd ((e^D-1-D)/D^2 - 1)
+        # when v(t+s) <= v(t) e^|s|: at most (e - 3) d'Hd wherever
+        # |d| @ max_i |x_i| <= 1, since that is at least D.  A family
+        # without the curvature property fails the inequality, and the
+        # first pass of the fit evaluates the loss exactly when the bound
+        # passes 1.  The start lies about ``offset`` from the optimum on
+        # the linear-predictor scale.
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([np.ones(20), rng.standard_normal((20, k - 1))])
+        mean = family.inverse_link(x @ rng.normal(0.0, 0.5, k))
+        y = ((rng.random(20) < mean) if family is BERNOULLI else rng.poisson(mean)).astype(float)
+        w = rng.integers(0, 4, 20).astype(float)
+        fit = fit_weighted(x, y, w[None], family)
+        assume(fit.errors == (None,))
+        beta = fit.beta[0] + offset * rng.standard_normal(k) / np.sqrt(k)
+        used = (w > 0).astype(float)
+        t = (x @ beta) * used
+        mu = family.inverse_link(t)
+        hessian = (w * family.variance_fn(mu) * x.T) @ x
+        direction = -np.linalg.solve(hessian, (w * (mu - y)) @ x)
+        bound = np.abs(direction) @ np.max(np.abs(x), axis=0)
+        assume(abs(bound - 1.0) > 1e-9)
+        evaluations = []
+
+        def loss_change(*args):
+            evaluations.append(None)
+            return family.loss_change(*args)
+
+        with mock.patch.object(fitting, "MAX_ITER", 1):
+            fit_weighted(x, y, w[None], replace(family, loss_change=loss_change), start=beta[None])
+        assert (evaluations == []) == (bound <= 1.0)
+        if bound <= 1.0:
+            delta = (x @ direction) * used
+            change = np.sum(w * family.loss_change(t, mu, delta, y))
+            # Each term is formed from parts of at most |delta_i| (e mu_i + y_i + 1).
+            allowance = 1e-12 * np.sum(w * np.abs(delta) * (np.e * mu + y + 1.0))
+            assert change <= (np.e - 3.0) * (direction @ hessian @ direction) + allowance
 
     @given(
         family=st.sampled_from([BERNOULLI, POISSON]),
