@@ -369,7 +369,7 @@ def fit_weighted(
 
     ``outer`` is :func:`outer_rows` of ``x``, for callers that reuse it.
     ``start`` is an (m, k) array of one start per row, such as the
-    one-step starts of refits on resamples; row r's result depends only
+    two-step starts of refits on resamples; row r's result depends only
     on its own start.  None starts row r from the usual value,
     ``family.start`` of its weighted mean response as the intercept and
     zero slopes.
@@ -447,8 +447,11 @@ def _newton(x, y, w, wsum, outer, family, active, errors, start):
         scores = (w * (mu - y)) @ x  # sum_i w_i (mu_i - y_i) x_i
         score_norm = np.max(np.abs(scores), axis=1) / wsum
         iterations[active] = it
-        # A mean past the float range (poisson) leaves no finite score to step on.
-        overflowed = active & ~np.all(np.isfinite(mu), axis=1)
+        # A mean past the float range (poisson) is on a used observation with x_i != 0
+        # (t = 0 elsewhere), so it leaves the score not finite: only such rows read mu.
+        overflowed = active & ~np.isfinite(score_norm)
+        if overflowed.any():
+            overflowed &= ~np.all(np.isfinite(mu), axis=1)
         for r in np.flatnonzero(overflowed):
             errors[r] = ConvergenceError(
                 f"IRLS reached a mean that is not finite at iteration {it}",

@@ -406,6 +406,22 @@ class TestFitWeighted:
         assert fits.iterations.tolist() == [0] and error.iterations == 0
         assert error.last_beta.tolist() == [start, start] and not np.isfinite(error.score_norm)
 
+    def test_an_overflowing_row_fails_at_once_beside_converging_rows(self):
+        # The means are read only for a row whose score is not finite: here
+        # row 1's, whose exp(x_i'start) passes the float range.
+        rng = np.random.default_rng(8)
+        u = np.linspace(0.0, 3.0, 40)
+        x = np.column_stack([np.ones(40), u])
+        y = rng.poisson(np.exp(0.2 + 0.5 * u)).astype(float)
+        w = np.vstack([np.ones(40), rng.integers(0, 3, 40), rng.integers(0, 2, 40)]).astype(float)
+        start = np.tile([0.2, 0.5], (3, 1))
+        start[1] = [400.0, 400.0]
+        fits = self.assert_rows_independent(x, y, w, POISSON, start)
+        assert [type(e).__name__ if e else None for e in fits.errors] == [None, "ConvergenceError", None]
+        assert str(fits.errors[1]) == "IRLS reached a mean that is not finite at iteration 0"
+        assert fits.iterations[1] == 0 and fits.errors[1].iterations == 0
+        assert np.all(fits.iterations[[0, 2]] > 0)
+
     @pytest.mark.parametrize("ratio, converges", [(1.5, False), (0.5, True)])
     def test_an_exhausted_line_search_tests_the_step_it_took(self, ratio, converges):
         # A loss change that rejects every step exhausts each line search,
@@ -506,14 +522,15 @@ class TestFitWeighted:
         assert type(fits.errors[r]) is type(other.errors[r])
 
     @staticmethod
-    def assert_rows_independent(x, y, w, family):
+    def assert_rows_independent(x, y, w, family, start=None):
         # Row r of the stack has the bits of row r of a same-height stack
-        # in which every row is w[r], whatever the other rows do.  (BLAS
-        # may round a row differently at another position, so the row
-        # is compared at its own.)
-        fits = fit_weighted(x, y, w, family)
+        # in which every row is w[r] (and starts at start[r]), whatever the
+        # other rows do.  (BLAS may round a row differently at another
+        # position, so the row is compared at its own.)
+        fits = fit_weighted(x, y, w, family, start=start)
         for r in range(w.shape[0]):
-            alone = fit_weighted(x, y, np.tile(w[r], (w.shape[0], 1)), family)
+            tiled = None if start is None else np.tile(start[r], (w.shape[0], 1))
+            alone = fit_weighted(x, y, np.tile(w[r], (w.shape[0], 1)), family, start=tiled)
             assert np.array_equal(fits.beta[r], alone.beta[r])
             assert fits.iterations[r] == alone.iterations[r]
             assert np.array_equal(fits.score_norm[r], alone.score_norm[r])
@@ -532,21 +549,35 @@ class TestFitWeighted:
         y_v = (v > 0) ^ np.isin(np.arange(12), [5, 6])
         x = np.column_stack([np.ones(53), np.concatenate([u, s, v, [0.3]])])
         y = np.concatenate([y_u, s > 0, y_v, [0.5]]).astype(float)
-        w = np.zeros((7, 53))
+        w = np.zeros((8, 53))
         w[0, :30] = 1.0                         # converges in 6 iterations
-        w[1, :30] = rng.integers(0, 3, 30)      # halves a step
-        w[2, :12] = 1.0                         # halves a step, converges in 7
+        w[1, :30] = rng.integers(0, 3, 30)      # converges in 6
+        w[2, :12] = 1.0                         # converges in 7
         w[3, 30:40] = 1.0                       # separates at iteration 7
         w[4, 40:52] = 1.0                       # would converge in 8
         w[5, :30] = w[5, 52] = 1.0              # outside the support, fitted all the same
         w[6, 0] = 2.0                           # rank deficient
+        w[7, :30] = 1.0                         # starts far off, halves steps
+        # From the cold start beta = 0 the curvature is the largest it gets,
+        # so no step from there overshoots: a row halves only from a far start.
+        start = np.zeros((8, 2))
+        start[7] = [0.0, 5.0]
         monkeypatch.setattr(fitting, "MAX_ITER", 7)
-        fits = self.assert_rows_independent(x, y, w, BERNOULLI)
+        fits = self.assert_rows_independent(x, y, w, BERNOULLI, start)
         assert [type(e).__name__ if e else None for e in fits.errors] == [
             None, None, None, "SeparationError", "ConvergenceError",
-            None, "SingularSystemError",
+            None, "SingularSystemError", None,
         ]
         assert fits.iterations.tolist()[:5] == [6, 6, 7, 7, 7]
+        rejected = []
+
+        def loss_change(t, mu, delta, y):
+            change = BERNOULLI.loss_change(t, mu, delta, y)
+            rejected.append(np.sum(w * change, axis=1) / np.sum(w, axis=1) > 0.0)
+            return change
+
+        fit_weighted(x, y, w, replace(BERNOULLI, loss_change=loss_change), start=start)
+        assert np.sum(rejected, axis=0).tolist() == [0] * 7 + [2]
 
     def test_poisson_rows_are_bit_independent(self, monkeypatch):
         # Observations: a poisson sample (30), counts exp(8 h) far from
