@@ -152,7 +152,7 @@ def xy_bootstrap(ds: Dataset, family: Family, B: int, seed: int) -> BootstrapDra
         # Rows past the last replicate are padding: the sample itself.
         w = np.ones((size, n))
         w[: len(idx)] = cell_sums(idx + n * np.arange(len(idx))[:, None], n)
-        start = None if sample_fit is None else _one_step_starts(sample_fit, w)
+        start = None if sample_fit is None else _two_step_starts(sample_fit, w)
         fits = fit_weighted(x, y, w, family, outer=outer, start=start)
         results.extend(
             beta if error is None else error
@@ -161,7 +161,7 @@ def xy_bootstrap(ds: Dataset, family: Family, B: int, seed: int) -> BootstrapDra
     return _collect(results, ds)
 
 
-def _one_step_starts(fit: FitResult, w: np.ndarray) -> np.ndarray:
+def _two_step_starts(fit: FitResult, w: np.ndarray) -> np.ndarray:
     """Two-step starts (m, k) of refits of ``fit``'s sample under weight rows ``w`` (m, n).
 
     The map ``b + H^-1 sum_i w_i (y_i - mu_i(b)) x_i``, H the sample's

@@ -365,7 +365,8 @@ def fit_weighted(
     the convergence test of :func:`fit_glm`.  The responses' support is
     the caller's to check (:func:`check_support`).  ``x`` (n, k), ``y``
     (n,), ``w`` (m, n) and ``start`` pass :func:`~leanreg.core.finite_array`;
-    a negative weight, or a row without a positive sum, is a :class:`DomainError`.
+    a negative weight, a row without a positive sum, or one whose sum
+    passes the float range, is a :class:`DomainError`.
 
     ``outer`` is :func:`outer_rows` of ``x``, for callers that reuse it.
     ``start`` is an (m, k) array of one start per row, such as the
@@ -384,7 +385,7 @@ def fit_weighted(
     y = finite_array(y, "y", (n,))
     w = finite_array(w, "weights", (None, n))
     m = w.shape[0]
-    wsum = np.sum(w, axis=1)
+    wsum = in_float_range("the sum of a weight row", lambda: np.sum(w, axis=1))
     if np.any(w < 0) or np.any(wsum <= 0):
         raise DomainError("weights must be nonnegative with a positive sum in every row")
     if start is not None:

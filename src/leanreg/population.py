@@ -168,31 +168,25 @@ def _mu_values(mu, points: np.ndarray) -> np.ndarray:
         return np.polynomial.polynomial.polyval(points[:, 0], values)
 
 
-def _noise_from_spec(noise, m: int, mu: np.ndarray) -> NoiseLaw:
+def _noise_kind(kind) -> NoiseKind:
+    rules = NOISE_KINDS.get(kind) if isinstance(kind, str) else None
+    if rules is None:
+        raise PopulationSchemaError(f"unknown noise kind {kind!r}", field="noise.kind")
+    return rules
+
+
+def _noise_from_spec(noise, m: int) -> NoiseLaw:
+    """The law of a noise spec; :class:`DiscretePopulation` checks its scale against the support."""
     noise = {} if noise is None else noise
     if not isinstance(noise, dict):
         raise PopulationSchemaError("noise must hold a JSON object", field="noise")
     kind = noise.get("kind", "none")
-    rules = NOISE_KINDS.get(kind) if isinstance(kind, str) else None
-    if rules is None:
-        raise PopulationSchemaError(f"unknown noise kind {kind!r}", field="noise.kind")
+    rules = _noise_kind(kind)
     _fields(noise, "noise.", optional=("kind",) if rules.param is None else ("kind", rules.param))
-    scale = np.zeros(m)
-    if rules.param is not None:
-        param = f"noise.{rules.param}"
-        raw = _floats(noise.get(rules.param, 1.0), param, 0, 1)
-        if raw.size not in (1, m):
-            raise PopulationSchemaError(
-                f"noise {rules.param} has {raw.size} entries for {m} support points", field=param
-            )
-        if np.any(raw < 0):
-            raise PopulationSchemaError(f"{param} must be nonnegative", field=param)
-        scale = np.broadcast_to(raw, (m,)).copy()
-    if rules.unit_mu and (np.any(mu < 0.0) or np.any(mu > 1.0)):
-        raise PopulationSchemaError(
-            f"{kind} noise requires mu values in [0, 1]", field="mu"
-        )
-    return NoiseLaw(kind, scale)
+    if rules.param is None:
+        return NoiseLaw(kind, np.zeros(m))
+    scale = _floats(noise.get(rules.param, 1.0), f"noise.{rules.param}", 0, 1)
+    return NoiseLaw(kind, np.broadcast_to(scale, (m,)) if scale.size == 1 else scale)
 
 
 @dataclass(frozen=True)
@@ -201,7 +195,9 @@ class DiscretePopulation:
 
     ``support`` holds the design-space points including the leading 1;
     ``points`` the raw regressor coordinates; ``mu_values`` the true
-    response surface at each point.
+    response surface at each point.  Every field is checked here, the
+    noise law's kind, per-point scale and mu range included, so a
+    population built directly is checked as one from a spec is.
     """
 
     support: np.ndarray      # (m, p+1), column 0 all ones
@@ -243,12 +239,26 @@ class DiscretePopulation:
             raise PopulationSchemaError(
                 "support is too large: its second moment E[x x'] overflows", field="support"
             )
+        rules = _noise_kind(getattr(self.noise, "kind", None))
+        param = rules.param or "scale"
+        name = f"noise.{param}"
+        scale = _floats(getattr(self.noise, "scale", None), name, 1)
+        if scale.shape != mu.shape:
+            raise PopulationSchemaError(
+                f"noise {param} has {scale.size} entries for {mu.size} support points", field=name
+            )
+        if np.any(scale < 0):
+            raise PopulationSchemaError(f"{name} must be nonnegative", field=name)
+        object.__setattr__(self, "noise", NoiseLaw(self.noise.kind, scale))
         with np.errstate(over="ignore"):
             variance = self.noise_variance()
         if not np.all(np.isfinite(variance)):
-            param = NOISE_KINDS[self.noise.kind].param
-            name = "mu" if param is None else f"noise.{param}"  # bernoulli's mu(1 - mu)
+            name = "mu" if rules.param is None else name  # bernoulli's mu(1 - mu)
             raise PopulationSchemaError(f"{name} is too large: the noise variance overflows", field=name)
+        if rules.unit_mu and (np.any(mu < 0.0) or np.any(mu > 1.0)):
+            raise PopulationSchemaError(
+                f"{self.noise.kind} noise requires mu values in [0, 1]", field="mu"
+            )
 
     @property
     def m(self) -> int:
@@ -291,7 +301,7 @@ def make_population(support, probs, mu, noise=None, names=()) -> DiscretePopulat
     m = pts.shape[0]
     design = np.column_stack([np.ones(m), pts])
     mu_vals = _mu_values(mu, pts)
-    law = _noise_from_spec(noise, m, mu_vals)
+    law = _noise_from_spec(noise, m)
     return DiscretePopulation(
         support=design,
         probs=probs,

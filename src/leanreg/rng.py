@@ -8,13 +8,14 @@ derives.  Streams depend only on their address, never on execution
 order, so a replicate's draws depend only on its address: not on how
 many replicates a run makes or how they are grouped for computation.
 
-The key derivation is a port of ``SeedSequence``'s ``mix_entropy`` and
-``generate_state`` on uint32 words.  The same code runs on Python ints,
-for one address, and on uint32 arrays, for the last index of a whole
-range of addresses at once; the tests pin it to ``SeedSequence`` itself.
-Replicate loops draw from :func:`substreams`, which resets one Philox
-generator to each derived key instead of building a generator per
-replicate.
+One address is numpy's own ``Philox(SeedSequence(...))`` generator.
+For a whole range of addresses ``(seed, *path, b)``, the entropy pool
+after ``(seed, *path)`` is SeedSequence's own too; only what numpy has
+no bulk form of is ported, on uint32 arrays: ``mix_entropy``'s mixing
+of the last index b, and ``generate_state``.  The tests pin the keys to
+``SeedSequence`` itself.  Replicate loops draw from :func:`substreams`,
+which resets one Philox generator to each derived key instead of
+building a generator per replicate.
 
 Bootstrap resampling indices come from :func:`resample_indices`, which
 yields replicates 0 .. B-1 in blocks of one size, each drawn at once:
@@ -22,8 +23,8 @@ raw 64-bit Philox words, each split into its low and then its high
 32-bit half, mapped to ``range(n)`` by Lemire's multiply-shift ``(half
 * n) >> 32``.  That is exactly what ``Generator.integers(0, n, size=n)``
 computes, so each row keeps the bits numpy would draw; a row in which
-numpy would reject a half is drawn again on its own, keeping only the
-accepted halves, as numpy does.
+numpy would reject a half is drawn again by ``Generator.integers``
+itself.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ MIX_MULT_L = 0xCA01F9DD
 MIX_MULT_R = 0x4973F715
 XSHIFT = 16
 
-# Every operation below is written so that it is exact on Python ints
-# (masked to 32 bits) and on uint32 arrays (which wrap modulo 2^32, so
-# the mask changes nothing).
+# The mixing below runs on uint32 arrays, which wrap modulo 2^32, with
+# the hash constant a Python int masked to 32 bits.
 
 
 def _hashmix(value, const: int):
@@ -72,40 +72,28 @@ def _absorb(pool: list, const: int, word):
     return const
 
 
-def _words(value) -> list[int]:
-    """A non-negative integer as SeedSequence reads it: little-endian uint32 words."""
-    value = int(value)
-    if value < 0:
-        raise DomainError(f"seeds and stream indices must be non-negative, got {value}")
-    words = [value & MASK32]
-    while value := value >> 32:
-        words.append(value & MASK32)
-    return words
-
-
-def _prefix(seed, path) -> tuple[list[int], int]:
-    """Entropy pool and hash constant after mixing in ``(seed, *path)``."""
+def _address(seed, path) -> np.random.SeedSequence:
+    """``SeedSequence(seed, spawn_key=path)``; a seed that is not an integer
+    >= 0, or a negative path entry, is a :class:`DomainError`."""
     check_integer(seed, "seed", 0)
-    entropy = _words(seed)
-    # SeedSequence pads the seed's words to the pool size with zeros
-    # when a spawn key follows; without one, hashing the missing words
-    # as zeros gives the same pool, so padding is always exact.
-    entropy += [0] * (POOL_SIZE - len(entropy))
-    for k in path:
-        entropy += _words(k)
-    const = INIT_A
-    pool = []
-    for word in entropy[:POOL_SIZE]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src in range(POOL_SIZE):
-        for dst in range(POOL_SIZE):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in entropy[POOL_SIZE:]:
-        const = _absorb(pool, const, word)
-    return pool, const
+    path = tuple(int(k) for k in path)
+    if any(k < 0 for k in path):
+        raise DomainError(f"stream indices must be non-negative, got {min(path)}")
+    return np.random.SeedSequence(int(seed), spawn_key=path)
+
+
+def _prefix(seed, path) -> tuple[np.ndarray, int]:
+    """Entropy pool and hash constant after mixing in ``(seed, *path)``."""
+    seq = _address(seed, path)
+    # The pool is numpy's own; the constant is counted.  Each hashmix of
+    # mix_entropy multiplies it by MULT_A once: POOL_SIZE^2 hashes fill
+    # and cross-mix the pool, and POOL_SIZE absorb each entropy word past
+    # it.  Those are the seed's uint32 words beyond POOL_SIZE (a path
+    # pads the seed to POOL_SIZE words), then each path entry's words,
+    # at least one.
+    words = [max(1, -(-k.bit_length() // 32)) for k in (seq.entropy, *seq.spawn_key)]
+    extra = max(0, words[0] - POOL_SIZE) + sum(words[1:])
+    return seq.pool, INIT_A * pow(MULT_A, POOL_SIZE * (POOL_SIZE + extra), 2**32) & MASK32
 
 
 def _keys(pool: list):
@@ -186,7 +174,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     The same address always yields the same stream; distinct addresses
     yield statistically independent streams.
     """
-    return next(_streams(np.array([_keys(_prefix(seed, path)[0])], dtype=np.uint64)))
+    return np.random.Generator(np.random.Philox(_address(seed, path)))
 
 
 def substreams(seed: int, *path: int, count: int):
@@ -226,16 +214,6 @@ def _lemire(halves: np.ndarray, n: int) -> np.ndarray:
     return rejected
 
 
-def _accepted(gen: np.random.Generator, n: int) -> np.ndarray:
-    """n values of ``gen.integers(0, n, size=n)``, rejections and all."""
-    kept = np.empty(0, dtype=np.uint64)
-    while kept.size < n:
-        values = _halves(gen.bit_generator.random_raw(n // 2 + 1))
-        rejected = _lemire(values, n)
-        kept = np.concatenate([kept, values[~rejected]])
-    return kept[:n]
-
-
 def resample_indices(seed: int, B: int, size: int, n: int):
     """Yield the n draws from ``range(n)`` of replicates 0 .. B-1, ``size`` replicates a block.
 
@@ -245,9 +223,9 @@ def resample_indices(seed: int, B: int, size: int, n: int):
     ``ceil(n / 2)`` raw words in one call, and one multiply-shift maps a
     whole block.  A rejected half makes numpy draw another, which shifts
     the rest of its row; such a row, which has probability below n^2 /
-    2^32, is drawn again from its key.  The keys of all B replicates are
-    derived when this is called; n must lie in 1 .. 2^32, where numpy
-    maps 32-bit halves.  Only the block a caller holds stays in memory.
+    2^32, is drawn again by ``Generator.integers`` from its key.  The
+    keys of all B replicates are derived when this is called; n must lie
+    in 1 .. 2^32, where numpy maps 32-bit halves.  Only the block a caller holds stays in memory.
     """
     check_integer(B, "B", 0)
     check_integer(size, "size", 1)
@@ -268,6 +246,6 @@ def _index_blocks(keys: np.ndarray, size: int, n: int):
         values = _halves(words)[:, :n]
         redraw = np.flatnonzero(np.any(_lemire(values, n), axis=1))
         for r, gen in zip(redraw, _streams(block[redraw])):
-            values[r] = _accepted(gen, n)
+            values[r] = gen.integers(0, n, size=n)
         # Every value is below 2^32, so the signed view reads the same numbers.
         yield values.view(np.int64)

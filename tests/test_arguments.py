@@ -398,6 +398,9 @@ FLOAT_RANGE = [
     ("exp_coef", lambda: exp_coef(POISSON_FIT, 1, delta=1e6), f"exp({POISSON_FIT.beta_hat[1]:.6g} * 1000000.0)"),
     ("pairwise_slope_simple", lambda: pairwise_slope_simple([0.0, 1e-160], [0.0, 1e300]), "the pairwise slope"),
     ("pair_table_csv", lambda: pair_table_csv([1e200, -1e200], [1.0, 2.0]), "a pair's weight or slope"),
+    ("fit_weighted.gaussian", lambda: refit_sample(w=np.full((1, SAMPLE.n), 1e308)), "the sum of a weight row"),
+    ("fit_weighted.poisson", lambda: fit_weighted(COUNTS.design, COUNTS.response, np.full((1, COUNTS.n), 1e308),
+                                                  POISSON), "the sum of a weight row"),
 ]
 
 

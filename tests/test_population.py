@@ -941,6 +941,27 @@ class TestNonFiniteSchema:
             DiscretePopulation(support, probs, np.array([1e200, 0.5]), NoiseLaw("bernoulli", np.zeros(2)))
         assert exc_info.value.field == "mu"
 
+    @pytest.mark.parametrize("mu, noise, field, message", [
+        ([0.2, 0.5, 1.5], NoiseLaw("bernoulli", np.zeros(3)), "mu", "bernoulli noise requires mu values in [0, 1]"),
+        ([0.2, 0.5, 0.9], NoiseLaw("laplace", np.zeros(3)), "noise.kind", "unknown noise kind 'laplace'"),
+        ([0.2, 0.5, 0.9], None, "noise.kind", "unknown noise kind None"),
+        ([0.2, 0.5, 0.9], NoiseLaw("gaussian", np.array([1.0, -1.0, 1.0])), "noise.sigma",
+         "noise.sigma must be nonnegative"),
+        ([0.2, 0.5, 0.9], NoiseLaw("gaussian", np.ones(2)), "noise.sigma",
+         "noise sigma has 2 entries for 3 support points"),
+        ([0.2, 0.5, 0.9], NoiseLaw("two_point", np.array([1.0, np.nan, 1.0])), "noise.a",
+         "noise.a must be finite (no NaN or Infinity)"),
+    ], ids=["bernoulli_mu", "unknown_kind", "no_law", "negative_scale", "short_scale", "nan_scale"])
+    def test_direct_construction_checks_the_noise(self, mu, noise, field, message):
+        # The checks of a noise spec, for a law built without one.
+        support, probs = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), np.full(3, 1 / 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PopulationSchemaError) as exc_info:
+                DiscretePopulation(support, probs, np.array(mu), noise)
+        assert exc_info.value.field == field
+        assert str(exc_info.value) == message
+
     def test_good_population_loads(self, tmp_path):
         pop_path = tmp_path / "pop.json"
         pop_path.write_text(json.dumps(GOOD_POPULATION))

@@ -99,6 +99,36 @@ class TestAddressDomain:
         assert_same_draws(draws(substream(seed, 2)), draws(oracle_stream(seed, 2)))
 
 
+# Seeds of 5 to 8 uint32 words: SeedSequence mixes the words past its
+# four-word pool into it, as it does a path's.
+WIDE_SEEDS = [2**128, 2**160 + 7, 2**192 + 3, 2**256 - 1]
+WIDE_IDS = ["5_words", "6_words", "7_words", "8_words"]
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS, ids=WIDE_IDS)
+@pytest.mark.parametrize("path", [(), (3,), (2**40, 1)])
+class TestWideSeeds:
+    def test_keys_match_seed_sequence(self, seed, path):
+        indices = [0, 1, 2**32 + 5]
+        keys = philox_keys(seed, path, np.array(indices, dtype=np.uint64))
+        for key, b in zip(keys, indices, strict=True):
+            assert np.array_equal(key, oracle(seed, *path, b).generate_state(2, np.uint64))
+
+    def test_streams_match_seed_sequence(self, seed, path):
+        for b, gen in enumerate(substreams(seed, *path, count=3)):
+            assert_same_draws(draws(gen), draws(oracle_stream(seed, *path, b)))
+        assert_same_draws(draws(substream(seed, *path)), draws(oracle_stream(seed, *path)))
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS, ids=WIDE_IDS)
+def test_wide_seed_resampling_matches_generator_integers(seed):
+    n = 98304
+    blocks = list(resample_indices(seed, 3, 2, n))
+    assert [len(block) for block in blocks] == [2, 1]
+    for b, row in enumerate(np.concatenate(blocks)):
+        assert np.array_equal(row, oracle_stream(seed, b).integers(0, n, size=n))
+
+
 # n = 98304 = 3 * 2^15 rejects about 1.5 halves per row of n draws, so
 # most of its rows take the redraw.
 SIZES = st.sampled_from([1, 2, 2000, 98304]) | st.integers(1, 999).map(lambda k: 2 * k + 1)
@@ -146,17 +176,20 @@ class TestResampleIndices:
         assert_blocks_match(list(resample_indices(seed, B, size, n)), seed, B, size, n)
 
     def test_rejected_rows_are_redrawn(self, monkeypatch):
-        redrawn = []
+        # The first call streams every key; each later call streams the
+        # keys of a block's redrawn rows.
+        streamed = []
 
-        def counting(gen, n):
-            redrawn.append(n)
-            return accepted(gen, n)
+        def counting(keys):
+            streamed.append(len(keys))
+            return streams(keys)
 
-        accepted = rng._accepted
-        monkeypatch.setattr(rng, "_accepted", counting)
+        streams = rng._streams
+        monkeypatch.setattr(rng, "_streams", counting)
         seed, n = 2**100 + 5, 98304
         blocks = list(resample_indices(seed, 6, 3, n))
-        assert len(redrawn) >= 2
+        redrawn = sum(streamed[1:])
+        assert redrawn >= 2
         assert_blocks_match(blocks, seed, 6, 3, n)
 
     def test_halves_are_numpys_32_bit_draws(self):
