@@ -233,7 +233,7 @@ def run_simulate(args) -> int:
     loaded = load_population_file(_resolve_input(args.population))
 
     if isinstance(loaded, dict):  # regressor-shift definition
-        ignored = [f for f in _COVERAGE_ONLY if getattr(args, f[2:]) != _FLAGS[f]["default"]]
+        ignored = [f for f in _COVERAGE_ONLY if f in args.given]
         if ignored:
             raise DomainError(
                 f"{args.population} is a regressor-shift definition, which reads none of "
@@ -268,6 +268,8 @@ def run_simulate(args) -> int:
         )
         return 0
 
+    if "--boot" in args.given and not any(p is not None for p in paths):
+        raise DomainError("--boot sets the replicates of a bootstrap method, and --methods names none")
     results = coverage_experiment(
         loaded,
         n=args.n,
@@ -295,7 +297,7 @@ def run_simulate(args) -> int:
 
 
 def run_slopes(args) -> int:
-    if args.pairs_out is None and args.coef != _FLAGS["--coef"]["default"]:
+    if args.pairs_out is None and "--coef" in args.given:
         raise DomainError("--coef selects the coefficient of --pairs-out, which is not given")
     if args.pairs_out is not None:
         check_regressor_index(args.coef, len(_regressors(args)))
@@ -379,7 +381,8 @@ def _calibration(value: str) -> str:
 
 
 # Every flag, by name.  A subcommand registers exactly the flags its
-# run_* function reads, so no flag is accepted and then ignored.
+# run_* function reads, so no flag is accepted and then ignored; a flag
+# that only some runs read is rejected, when given, by the others.
 _FLAGS = {
     "--input": dict(required=True, help="CSV file (or bundled dataset name)"),
     "--response": dict(required=True, help="response column name"),
@@ -455,14 +458,21 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, (func, help_text, flags) in subcommands.items():
         sp = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            sp.add_argument(flag, **_FLAGS[flag])
+        for flag in flags:  # None marks a flag not given; main fills in the default
+            sp.add_argument(flag, **{**_FLAGS[flag], "default": None})
         sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.given = set()
+    for flag, spec in _FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest, None) is not None:
+            args.given.add(flag)
+        elif hasattr(args, dest):
+            setattr(args, dest, spec.get("default"))
     try:
         _check_outputs(args)
         return args.func(args)

@@ -392,7 +392,7 @@ def fit_weighted(
         start = finite_array(start, "start", (m, k))
     if outer is None:
         outer = outer_rows(x)
-    # Here and in _newton, one product with the reused outer rows beats gram()'s
+    # Here and in the Newton loop, one product with the reused outer rows beats gram()'s
     # per-row form: 34 us against 211 us per 8 x 2000 chunk, k = 7, on 2 vCPUs.
     second_moments = (w @ outer).reshape(m, k, k)
     errors = _rank_errors(second_moments)
@@ -403,123 +403,99 @@ def fit_weighted(
 
     active = _ok(errors)
 
+    def stop(rows, error, message):
+        """Record ``error`` for each of ``rows`` with the row's iterate, score norm and
+        iteration count, ``message`` formatted with the latter two; the rows still active."""
+        for r in np.flatnonzero(rows):
+            count, norm = int(iterations[r]), score_norm[r]
+            errors[r] = error(message.format(iteration=count, score_norm=norm),
+                              last_beta=beta[r].copy(), score_norm=float(norm), iterations=count)
+        return active & ~rows
+
+    # Newton/IRLS.  A row of each product and of each elementwise pass
+    # depends only on that row, so a stopped row reproduces its bits when
+    # it is evaluated again: it gets a zero step and keeps its iterate.  An
+    # active row has passed the separation check, so its weights are all
+    # positive (unused observations have t = 0): flooring zero weights could
+    # not change a Hessian that failed to solve.
     with np.errstate(over="ignore", invalid="ignore"):
-        beta, iterations, score_norm = _newton(x, y, w, wsum, outer, family, active, errors, start)
-    return WeightedFits(beta, tuple(errors), iterations, score_norm)
+        xt = np.ascontiguousarray(x.T)
+        # Unused observations get linear predictor 0: a single fit never
+        # evaluates them, so they must not overflow or turn 0 * inf into NaN.
+        used = (w > 0).astype(float)
+        xmax = np.max(np.abs(x), axis=0)
 
+        def linear_predictor(b):
+            return (b @ xt) * used
 
-def _newton(x, y, w, wsum, outer, family, active, errors, start):
-    """Newton/IRLS for every active row of ``w``; records failures in ``errors``.
+        score_scale = np.maximum(1.0, np.sum(w * np.abs(y), axis=1) / wsum)
+        if start is None:
+            beta = np.zeros((m, k))
+            beta[:, 0] = family.start(np.sum(w * y, axis=1) / wsum)
+        else:
+            beta = np.array(start)
+        iterations = np.zeros(m, dtype=int)
+        rel_change = np.full(m, np.inf)  # the start value has not converged
 
-    Every pass takes all m rows.  A row of each product and of each
-    elementwise pass depends only on that row, so a stopped row
-    reproduces its bits when it is evaluated again.  The mask ``active``
-    picks the rows that change: a stopped row gets a zero step and keeps
-    its iterate.
-
-    Each iteration builds one Hessian and solves it once.  An active
-    row has passed the separation check, so its weights are all
-    positive (unused observations have t = 0): flooring zero weights
-    could not change a Hessian that failed to solve.
-    """
-    m = w.shape[0]
-    k = x.shape[1]
-    xt = np.ascontiguousarray(x.T)
-    # Unused observations get linear predictor 0: a single fit never
-    # evaluates them, so they must not overflow or turn 0 * inf into NaN.
-    used = (w > 0).astype(float)
-    xmax = np.max(np.abs(x), axis=0)
-
-    def linear_predictor(b):
-        return (b @ xt) * used
-
-    score_scale = np.maximum(1.0, np.sum(w * np.abs(y), axis=1) / wsum)
-    if start is None:
-        beta = np.zeros((m, k))
-        beta[:, 0] = family.start(np.sum(w * y, axis=1) / wsum)
-    else:
-        beta = np.array(start)
-    iterations = np.zeros(m, dtype=int)
-    rel_change = np.full(m, np.inf)  # the start value has not converged
-
-    for it in range(MAX_ITER + 1):
-        t = linear_predictor(beta)
-        mu = family.inverse_link(t)
-        scores = (w * (mu - y)) @ x  # sum_i w_i (mu_i - y_i) x_i
-        score_norm = np.max(np.abs(scores), axis=1) / wsum
-        iterations[active] = it
-        # A mean past the float range (poisson) is on a used observation with x_i != 0
-        # (t = 0 elsewhere), so it leaves the score not finite: only such rows read mu.
-        overflowed = active & ~np.isfinite(score_norm)
-        if overflowed.any():
-            overflowed &= ~np.all(np.isfinite(mu), axis=1)
-        for r in np.flatnonzero(overflowed):
-            errors[r] = ConvergenceError(
-                f"IRLS reached a mean that is not finite at iteration {it}",
-                last_beta=beta[r].copy(), score_norm=float(score_norm[r]), iterations=it,
-            )
-        active = active & ~overflowed
-        if family.separation_bound is not None:
-            # t is zero on unused observations, so this is the largest
-            # |x_i'beta| over the observations the row uses.
-            separated = active & (np.max(np.abs(t), axis=1) > family.separation_bound)
-            for r in np.flatnonzero(separated):
-                errors[r] = SeparationError(
-                    "quasi-separation detected: a linear predictor |x_i'beta| "
-                    f"exceeded {family.separation_bound} on the logit scale",
-                    last_beta=beta[r].copy(),
-                    score_norm=float(score_norm[r]),
-                    iterations=it,
-                )
-            active = active & ~separated
-        converged = (rel_change < COEF_TOL) & (score_norm <= SCORE_TOL * score_scale)
-        active = active & ~converged
-        if it == MAX_ITER or not active.any():
-            break
-
-        v = family.variance_fn(mu)
-        hessian = ((w * v) @ outer).reshape(m, k, k) / wsum[:, None, None]
-        grad = scores / wsum[:, None]
-        direction, failed = spd_solve_stack(hessian, grad, active, "Newton system")
-        active = active & _record(errors, failed)
-        direction = np.where(active[:, None], -direction, 0.0)
-
-        # A step d moves no used linear predictor by more than D = |d| @ xmax,
-        # and as v(t+s) <= v(t) e^|s| (see Family) it changes the loss by at
-        # most d'Hd ((e^D - 1 - D) / D^2 - 1).  At D <= 1 that is at most
-        # (e - 3) d'Hd < 0, so the step is taken whole, without evaluating
-        # the loss.  Other steps are halved row by row: a row keeps its last
-        # candidate, and its step after h rejections is 2^-h.  A step is
-        # accepted when it does not raise the objective.
-        step = np.ones(m)
-        whole = active & (np.abs(direction) @ xmax <= 1.0)
-        candidate = beta.copy()
-        candidate[whole] += direction[whole]
-        pending = active & ~whole
-        for halvings in range(MAX_HALVINGS + 1):
-            if not pending.any():
+        for it in range(MAX_ITER + 1):
+            t = linear_predictor(beta)
+            mu = family.inverse_link(t)
+            scores = (w * (mu - y)) @ x  # sum_i w_i (mu_i - y_i) x_i
+            score_norm = np.max(np.abs(scores), axis=1) / wsum
+            iterations[active] = it
+            # A mean past the float range (poisson) is on a used observation with x_i != 0
+            # (t = 0 elsewhere), so it leaves the score not finite: only such rows read mu.
+            overflowed = active & ~np.isfinite(score_norm)
+            if overflowed.any():
+                overflowed &= ~np.all(np.isfinite(mu), axis=1)
+            active = stop(overflowed, ConvergenceError, "IRLS reached a mean that is not finite at iteration {iteration}")
+            if family.separation_bound is not None:
+                # t is zero on unused observations, so this is the largest
+                # |x_i'beta| over the observations the row uses.
+                separated = active & (np.max(np.abs(t), axis=1) > family.separation_bound)
+                active = stop(separated, SeparationError, "quasi-separation detected: a linear predictor "
+                              f"|x_i'beta| exceeded {family.separation_bound} on the logit scale")
+            converged = (rel_change < COEF_TOL) & (score_norm <= SCORE_TOL * score_scale)
+            active = active & ~converged
+            if it == MAX_ITER or not active.any():
                 break
-            step[pending] = 0.5**halvings  # a pending row was rejected on every pass so far
-            move = step[:, None] * direction
-            change = family.loss_change(t, mu, linear_predictor(move), y)
-            change = np.sum(w * change, axis=1) / wsum
-            candidate[pending] = beta[pending] + move[pending]
-            pending = pending & ~(change <= 0.0)
 
-        rel_change = np.max(np.abs(step[:, None] * direction), axis=1) / np.maximum(
-            1.0, np.max(np.abs(candidate), axis=1)
-        )
-        beta = candidate
+            v = family.variance_fn(mu)
+            hessian = ((w * v) @ outer).reshape(m, k, k) / wsum[:, None, None]
+            grad = scores / wsum[:, None]
+            direction, failed = spd_solve_stack(hessian, grad, active, "Newton system")
+            active = active & _record(errors, failed)
+            direction = np.where(active[:, None], -direction, 0.0)
 
-    for r in np.flatnonzero(active):
-        errors[r] = ConvergenceError(
-            f"IRLS did not converge in {MAX_ITER} iterations "
-            f"(score norm {score_norm[r]:.3e})",
-            last_beta=beta[r].copy(),
-            score_norm=float(score_norm[r]),
-            iterations=MAX_ITER,
-        )
-    return beta, iterations, score_norm
+            # A step d moves no used linear predictor by more than D = |d| @ xmax,
+            # and as v(t+s) <= v(t) e^|s| (see Family) it changes the loss by at
+            # most d'Hd ((e^D - 1 - D) / D^2 - 1).  At D <= 1 that is at most
+            # (e - 3) d'Hd < 0, so the step is taken whole, without evaluating
+            # the loss.  Other steps are halved row by row: a row keeps its last
+            # candidate, and its step after h rejections is 2^-h.  A step is
+            # accepted when it does not raise the objective.
+            step = np.ones(m)
+            whole = active & (np.abs(direction) @ xmax <= 1.0)
+            candidate = beta.copy()
+            candidate[whole] += direction[whole]
+            pending = active & ~whole
+            for halvings in range(MAX_HALVINGS + 1):
+                if not pending.any():
+                    break
+                step[pending] = 0.5**halvings  # a pending row was rejected on every pass so far
+                move = step[:, None] * direction
+                change = family.loss_change(t, mu, linear_predictor(move), y)
+                change = np.sum(w * change, axis=1) / wsum
+                candidate[pending] = beta[pending] + move[pending]
+                pending = pending & ~(change <= 0.0)
+
+            rel_change = np.max(np.abs(step[:, None] * direction), axis=1) / np.maximum(
+                1.0, np.max(np.abs(candidate), axis=1)
+            )
+            beta = candidate
+
+        stop(active, ConvergenceError, "IRLS did not converge in {iteration} iterations (score norm {score_norm:.3e})")
+    return WeightedFits(beta, tuple(errors), iterations, score_norm)
 
 
 def check_support(y: np.ndarray, family: Family) -> None:

@@ -92,11 +92,11 @@ NOISE_KINDS = {
 
 @dataclass(frozen=True)
 class NoiseLaw:
-    """Mean-zero conditional noise: a kind of :data:`NOISE_KINDS` and its
-    scale at each support point (zeros for a kind without a scale)."""
+    """Mean-zero conditional noise: a kind of :data:`NOISE_KINDS` and its scale,
+    one number for every support point or one per point (0 for a kind without a scale)."""
 
     kind: str
-    scale: np.ndarray
+    scale: np.ndarray | float
 
     def variance(self, mu: np.ndarray) -> np.ndarray:
         """Exact conditional noise variance at each support point."""
@@ -146,9 +146,9 @@ def _fields(obj, where: str, required=(), optional=()) -> list:
 
 
 def _mu_values(mu, points: np.ndarray) -> np.ndarray:
-    """Evaluate a response surface spec at raw regressor points (m, p)."""
+    """Evaluate a response surface spec at raw regressor points (m, p); explicit values pass as given."""
     if not isinstance(mu, dict):
-        return _floats(mu, "mu", 1)
+        return mu
     kind = mu.get("kind")
     numbers = {"polynomial": "coefficients", "table": "values"}  # the key each kind reads
     key = numbers.get(kind) if isinstance(kind, str) else None
@@ -175,18 +175,15 @@ def _noise_kind(kind) -> NoiseKind:
     return rules
 
 
-def _noise_from_spec(noise, m: int) -> NoiseLaw:
-    """The law of a noise spec; :class:`DiscretePopulation` checks its scale against the support."""
+def _noise_from_spec(noise) -> NoiseLaw:
+    """The law of a noise spec, its scale as given; :class:`DiscretePopulation` checks the scale."""
     noise = {} if noise is None else noise
     if not isinstance(noise, dict):
         raise PopulationSchemaError("noise must hold a JSON object", field="noise")
     kind = noise.get("kind", "none")
     rules = _noise_kind(kind)
     _fields(noise, "noise.", optional=("kind",) if rules.param is None else ("kind", rules.param))
-    if rules.param is None:
-        return NoiseLaw(kind, np.zeros(m))
-    scale = _floats(noise.get(rules.param, 1.0), f"noise.{rules.param}", 0, 1)
-    return NoiseLaw(kind, np.broadcast_to(scale, (m,)) if scale.size == 1 else scale)
+    return NoiseLaw(kind, 0.0 if rules.param is None else noise.get(rules.param, 1.0))
 
 
 @dataclass(frozen=True)
@@ -242,7 +239,8 @@ class DiscretePopulation:
         rules = _noise_kind(getattr(self.noise, "kind", None))
         param = rules.param or "scale"
         name = f"noise.{param}"
-        scale = _floats(getattr(self.noise, "scale", None), name, 1)
+        scale = _floats(getattr(self.noise, "scale", None), name, 0, 1)
+        scale = np.full(mu.shape, scale) if scale.ndim == 0 else scale
         if scale.shape != mu.shape:
             raise PopulationSchemaError(
                 f"noise {param} has {scale.size} entries for {mu.size} support points", field=name
@@ -301,7 +299,7 @@ def make_population(support, probs, mu, noise=None, names=()) -> DiscretePopulat
     m = pts.shape[0]
     design = np.column_stack([np.ones(m), pts])
     mu_vals = _mu_values(mu, pts)
-    law = _noise_from_spec(noise, m)
+    law = _noise_from_spec(noise)
     return DiscretePopulation(
         support=design,
         probs=probs,

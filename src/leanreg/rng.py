@@ -73,13 +73,12 @@ def _absorb(pool: list, const: int, word):
 
 
 def _address(seed, path) -> np.random.SeedSequence:
-    """``SeedSequence(seed, spawn_key=path)``; a seed that is not an integer
-    >= 0, or a negative path entry, is a :class:`DomainError`."""
+    """``SeedSequence(seed, spawn_key=path)``; a seed or path entry that is
+    not an integer >= 0 is a :class:`DomainError`."""
     check_integer(seed, "seed", 0)
-    path = tuple(int(k) for k in path)
-    if any(k < 0 for k in path):
-        raise DomainError(f"stream indices must be non-negative, got {min(path)}")
-    return np.random.SeedSequence(int(seed), spawn_key=path)
+    for k in path:
+        check_integer(k, "stream index", 0)
+    return np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in path))
 
 
 def _prefix(seed, path) -> tuple[np.ndarray, int]:

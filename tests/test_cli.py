@@ -417,7 +417,7 @@ class TestSlopesSubcommand:
         cli._write_output("", str(path))
         assert path.read_bytes() == b""
 
-    @pytest.mark.parametrize("coef", ["7", "0"])
+    @pytest.mark.parametrize("coef", ["7", "0", "1"])  # 1 is the default: given all the same
     def test_coef_without_pairs_out_rejected(self, small_csv, coef, capsys):
         code, out, err = run_main(
             ["slopes", "--input", small_csv, "--response", "y",
@@ -427,6 +427,22 @@ class TestSlopesSubcommand:
         assert code == 1
         assert out == ""
         assert err.startswith("leanreg: error: --coef")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "--population", "fig2.json", "--n", "1000"], "--n"),
+        (["simulate", "--population", "quadratic.json", "--n", "50", "--reps", "5",
+          "--methods", "sandwich", "--boot", "50"], "--boot"),
+    ],
+    ids=["shift-n-at-default", "boot-without-bootstrap-method"],
+)
+def test_a_given_flag_the_simulation_does_not_read_fails(capsys, argv, flag):
+    # Whether a flag was given decides, not whether its value is the default.
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("leanreg: error: ") and flag in err and err.count("\n") == 1
 
 
 class TestFlagSurface:

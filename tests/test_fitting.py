@@ -538,7 +538,10 @@ class TestFitWeighted:
             assert str(fits.errors[r]) == str(alone.errors[r])
         return fits
 
-    def test_logit_rows_are_bit_independent(self, monkeypatch):
+    @staticmethod
+    def logit_stack():
+        """``(x, y, w, start)`` of a logit stack whose rows converge, separate, hit
+        ``MAX_ITER = 7``, lie outside the support, are rank deficient or halve steps."""
         # Observations: a logistic sample (30), a separable sample (10),
         # a nearly separated sample (12) and one response outside {0, 1}.
         rng = np.random.default_rng(5)
@@ -562,6 +565,10 @@ class TestFitWeighted:
         # so no step from there overshoots: a row halves only from a far start.
         start = np.zeros((8, 2))
         start[7] = [0.0, 5.0]
+        return x, y, w, start
+
+    def test_logit_rows_are_bit_independent(self, monkeypatch):
+        x, y, w, start = self.logit_stack()
         monkeypatch.setattr(fitting, "MAX_ITER", 7)
         fits = self.assert_rows_independent(x, y, w, BERNOULLI, start)
         assert [type(e).__name__ if e else None for e in fits.errors] == [
@@ -578,6 +585,38 @@ class TestFitWeighted:
 
         fit_weighted(x, y, w, replace(BERNOULLI, loss_change=loss_change), start=start)
         assert np.sum(rejected, axis=0).tolist() == [0] * 7 + [2]
+
+    @pytest.mark.parametrize("case", ["logit", "poisson-overflow"])
+    def test_a_stopped_row_records_its_iterate_score_norm_and_iterations(self, monkeypatch, case):
+        # Each separated, capped or overflowing row's error carries the
+        # row's own result, bit for bit, and its exact message.
+        if case == "logit":
+            x, y, w, start = self.logit_stack()
+            monkeypatch.setattr(fitting, "MAX_ITER", 7)
+            fits = fit_weighted(x, y, w, BERNOULLI, start=start)
+            stopped = {
+                3: (SeparationError, 7, "quasi-separation detected: a linear predictor |x_i'beta| "
+                                        "exceeded 30.0 on the logit scale"),
+                4: (ConvergenceError, 7, "IRLS did not converge in 7 iterations "
+                                         f"(score norm {fits.score_norm[4]:.3e})"),
+            }
+            assert type(fits.errors[6]) is SingularSystemError
+            assert str(fits.errors[6]).startswith("design matrix is rank deficient: smallest ")
+        else:
+            rng = np.random.default_rng(8)
+            u = np.linspace(0.0, 3.0, 40)
+            x = np.column_stack([np.ones(40), u])
+            y = rng.poisson(np.exp(0.2 + 0.5 * u)).astype(float)
+            start = np.tile([0.2, 0.5], (3, 1))
+            start[1] = [400.0, 400.0]
+            fits = fit_weighted(x, y, np.ones((3, 40)), POISSON, start=start)
+            stopped = {1: (ConvergenceError, 0, "IRLS reached a mean that is not finite at iteration 0")}
+        for r, (error, iterations, message) in stopped.items():
+            e = fits.errors[r]
+            assert type(e) is error and str(e) == message
+            assert e.last_beta.tobytes() == fits.beta[r].tobytes()
+            assert np.float64(e.score_norm).tobytes() == fits.score_norm[r].tobytes()
+            assert type(e.iterations) is int and e.iterations == fits.iterations[r] == iterations
 
     def test_poisson_rows_are_bit_independent(self, monkeypatch):
         # Observations: a poisson sample (30), counts exp(8 h) far from

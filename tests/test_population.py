@@ -962,6 +962,14 @@ class TestNonFiniteSchema:
         assert exc_info.value.field == field
         assert str(exc_info.value) == message
 
+    def test_direct_construction_takes_a_number_scale_as_a_spec_does(self):
+        # A number is every point's scale, built directly or from a spec.
+        support, probs = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), np.full(3, 1 / 3)
+        pop = DiscretePopulation(support, probs, np.array([0.2, 0.5, 0.9]), NoiseLaw("gaussian", 2.0))
+        spec = make_population([0.0, 1.0, 2.0], probs, [0.2, 0.5, 0.9], {"kind": "gaussian", "sigma": 2.0})
+        assert pop.noise.scale.tolist() == spec.noise.scale.tolist() == [2.0, 2.0, 2.0]
+        assert pop.noise_variance().tolist() == [4.0, 4.0, 4.0]
+
     def test_good_population_loads(self, tmp_path):
         pop_path = tmp_path / "pop.json"
         pop_path.write_text(json.dumps(GOOD_POPULATION))

@@ -86,13 +86,21 @@ class TestAddressDomain:
             lambda: philox_keys(1, (), [0, -1]),
             lambda: philox_keys(1, (), [2**64]),
             lambda: resample_indices(1, 0, 1, 2**32 + 1),
+            lambda: substream(11, 1.5),
+            lambda: spawn_seeds(11, True, count=1),
+            lambda: substream(11, "3"),
+            lambda: substreams(11, np.float64(2.0), count=1),
         ],
         ids=["seed", "path", "substreams_seed", "substreams_path",
-             "spawn_seeds_path", "index", "index_beyond_64_bits", "resample_n_beyond_32_bits"],
+             "spawn_seeds_path", "index", "index_beyond_64_bits", "resample_n_beyond_32_bits",
+             "path_float", "path_bool", "path_text", "path_numpy_float"],
     )
     def test_rejected_with_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
+
+    def test_numpy_integer_path_entries_pass(self):
+        assert_same_draws(draws(substream(11, np.int64(2), np.uint8(5))), draws(oracle_stream(11, 2, 5)))
 
     def test_seeds_beyond_64_bits_keep_working(self):
         seed = 2**64 + 12345

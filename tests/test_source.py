@@ -396,3 +396,36 @@ def test_every_import_is_used():
         if path.name != "__init__.py":
             found += unused_imports(path.read_text(encoding="utf-8"), path.name)
     assert found == []
+
+
+STOP_ERRORS = {"ConvergenceError", "SeparationError"}
+
+
+def stop_error_names(source: str, filename: str) -> list[str]:
+    """``file:line`` of each name ``ConvergenceError`` or ``SeparationError`` outside ``fitting.fit_weighted``."""
+    tree = ast.parse(source, filename)
+    home = {id(inner) for node in tree.body
+            if filename == "fitting.py" and isinstance(node, ast.FunctionDef) and node.name == "fit_weighted"
+            for inner in ast.walk(node)}
+    lines = {node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in STOP_ERRORS and id(node) not in home}
+    return [f"{filename}:{line}" for line in sorted(lines)]
+
+
+def test_only_fit_weighted_stops_a_newton_row():
+    # The Newton loop of fitting.fit_weighted records every stopped row
+    # through one helper, with its iterate, score norm and iteration
+    # count; an error built elsewhere could leave them out.
+    spellings = "\n".join([
+        "raise ConvergenceError('x')", "e = SeparationError", "def fit_weighted():",
+        "    stop(rows, ConvergenceError, 'm')", "from .exceptions import SeparationError",
+        "'ConvergenceError'", "exceptions.ConvergenceError", "def fit_glm():", "    ConvergenceError('m')",
+    ])
+    assert stop_error_names(spellings, "fitting.py") == ["fitting.py:1", "fitting.py:2", "fitting.py:9"]
+    assert stop_error_names(spellings, "bootstrap.py") == [f"bootstrap.py:{i}" for i in (1, 2, 4, 9)]
+
+    found = []
+    for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
+        if path.name != "exceptions.py":
+            found += stop_error_names(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
