@@ -408,10 +408,10 @@ def spd_solve_stack(a: np.ndarray, b: np.ndarray | None, rows: np.ndarray, what:
     ``a[r]^-1`` is returned.  Returns ``(z, errors)``: ``errors[r]`` is
     a :class:`SingularSystemError` naming ``what`` when row r is
     selected and ``a[r]`` fails LAPACK's Cholesky test, applied matrix
-    by matrix so that no row's verdict depends on another's; otherwise
-    it is None.  Row r of ``z`` has the bits a stack of ``a[r]`` alone
-    gives when row r is selected and has no error; other rows are
-    meaningless.
+    by matrix so that no row's verdict depends on another's (if that
+    ``a[r]`` is not finite, :func:`float_range_error` of ``what``); else
+    None.  Row r of ``z`` has the bits a stack of ``a[r]`` alone gives
+    when row r is selected and has no error; other rows are meaningless.
     """
     eye = np.eye(a.shape[-1])
     errors = [None] * len(rows)
@@ -422,6 +422,9 @@ def spd_solve_stack(a: np.ndarray, b: np.ndarray | None, rows: np.ndarray, what:
             try:
                 np.linalg.cholesky(a[r])
             except np.linalg.LinAlgError:
+                if not np.isfinite(a[r]).all():
+                    errors[r] = float_range_error(what)
+                    continue
                 min_eig = float(numerical_rank(a[r])[1][0])
                 errors[r] = SingularSystemError(
                     f"{what} is not positive definite: "

@@ -317,6 +317,8 @@ def population_beta(pop: DiscretePopulation) -> np.ndarray:
     Mean-zero noise drops out of E[x y], so only the response surface enters.
     """
     fits = fit_weighted(pop.support, pop.mu_values, pop.probs[None], GAUSSIAN)
+    if isinstance(fits.errors[0], DomainError):  # a moment past the float range
+        raise fits.errors[0]
     if fits.errors[0] is not None:
         raise CollinearPopulationError(
             f"population second-moment matrix is singular "

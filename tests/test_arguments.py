@@ -45,6 +45,7 @@ from leanreg.population import (
     decompose,
     make_population,
     normal_quadrature_law,
+    population_beta,
     regressor_shift_experiment,
     sample,
     uniform_grid_law,
@@ -369,6 +370,21 @@ HUGE_NOISE = make_population([[0.0], [1.0], [2.0]], [1 / 3] * 3, [0.0, 1.0, 4.0]
                              {"kind": "gaussian", "sigma": 1e154})
 
 
+# A regressor of about 1e200 squares past the float range in the Gram matrix.
+HUGE_X = Dataset(SAMPLE.response, SAMPLE.regressors * [1e200, 1.0], names=SAMPLE.names)
+HUGE_X_COUNTS = Dataset(COUNTS.response, COUNTS.regressors * 1e200, names=COUNTS.names)
+# Weights of 1e300 on a slope reaching 5e10: only the first weight row's Gram passes the float range.
+WIDE = np.column_stack([np.ones(6), np.arange(6) * 1e10])
+HEAVY = np.array([[1e300] * 6, [1.0] * 6])
+# Responses of 1e300 at regressors of 1e10: X'y passes the float range, X'X does not.
+HUGE_XY = Dataset(np.array([1e300, -1e300, 5e299, 0.0, 3e299]), np.array([1.0, 2.0, 3.0, 4.0, 6.0]) * 1e10, ("a",))
+HUGE_XY_POPULATION = make_population([[1e150], [2e150], [-1e150]], [0.3, 0.3, 0.4], [1e200, -1e200, 3e199])
+
+
+def raise_first_error(fits):
+    raise next(e for e in fits.errors if e is not None)
+
+
 def raise_first_failure(results, what):
     raise next(r for r in results if isinstance(r, Exception))
 
@@ -401,6 +417,14 @@ FLOAT_RANGE = [
     ("fit_weighted.gaussian", lambda: refit_sample(w=np.full((1, SAMPLE.n), 1e308)), "the sum of a weight row"),
     ("fit_weighted.poisson", lambda: fit_weighted(COUNTS.design, COUNTS.response, np.full((1, COUNTS.n), 1e308),
                                                   POISSON), "the sum of a weight row"),
+    ("fit_glm.ols.gram", lambda: fit_glm(HUGE_X, GAUSSIAN), "a weighted second-moment matrix"),
+    ("fit_glm.poisson.gram", lambda: fit_glm(HUGE_X_COUNTS, POISSON), "a weighted second-moment matrix"),
+    ("fit_weighted.gaussian.gram", lambda: raise_first_error(fit_weighted(WIDE, np.arange(6.0), HEAVY, GAUSSIAN)),
+     "a weighted second-moment matrix"),
+    ("fit_weighted.poisson.gram", lambda: raise_first_error(fit_weighted(WIDE, np.arange(6.0), HEAVY, POISSON)),
+     "a weighted second-moment matrix"),
+    ("fit_glm.ols.normal_equations", lambda: fit_glm(HUGE_XY, GAUSSIAN), "the right-hand side of the normal equations"),
+    ("population_beta", lambda: population_beta(HUGE_XY_POPULATION), "the right-hand side of the normal equations"),
 ]
 
 

@@ -584,6 +584,43 @@ class TestInputColumns:
         assert run_main(argv, capsys) == (1, "", f"leanreg: error: {message}\n")
 
 
+GRAM = "a weighted second-moment matrix passes the float range"
+NORMAL_EQUATIONS = "the right-hand side of the normal equations passes the float range"
+# Responses of 1e200 on a support of about 1e150: E[x mu(x)] passes the float range, E[x x'] does not.
+FAR_MU = {"mu": {"kind": "table", "values": [1e200, -1e200, 3e199]}, "noise": {"kind": "none"}}
+FAR_SUPPORT = [[1e150], [2e150], [-1e150]]
+
+
+class TestFloatRange:
+    """A result past the float range is one ``leanreg: error:`` line and exit 1: no traceback, no warning."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit"], GRAM),
+        (["fit", "--family", "poisson", "--boot", "50"], GRAM),
+        (["bootstrap", "--boot", "50"],
+         "50 of 50 bootstrap replicates failed (threshold 10%): DomainError 50"),
+        (["predict"], GRAM),
+        (["slopes"], GRAM),
+    ], ids=["fit-ols", "fit-poisson", "bootstrap", "predict", "slopes"])
+    def test_a_regressor_of_1e200(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "far.csv"
+        path.write_text("y,x\n" + "".join(f"{j % 3},{j}e200\n" for j in range(8)), encoding="utf-8")
+        argv = [*argv, "--input", str(path), "--response", "y", "--regressors", "x"]
+        assert run_main(argv, capsys) == (1, "", f"leanreg: error: {message}\n")
+
+    @pytest.mark.parametrize("population", [
+        {"support": FAR_SUPPORT, "probs": [0.3, 0.3, 0.4], **FAR_MU},
+        {"laws": [{"support": FAR_SUPPORT, "probs": [0.3, 0.3, 0.4]},
+                  {"support": FAR_SUPPORT, "probs": [0.5, 0.25, 0.25]}], **FAR_MU},
+    ], ids=["coverage", "regressor-shift"])
+    def test_a_population_whose_normal_equations_overflow(self, tmp_path, capsys, population):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(population), encoding="utf-8")
+        assert run_main(["simulate", "--population", str(path)], capsys) == (
+            1, "", f"leanreg: error: {NORMAL_EQUATIONS}\n"
+        )
+
+
 def refuse(*args, **kwargs):
     raise AssertionError("work started before the outputs were checked")
 

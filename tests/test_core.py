@@ -18,6 +18,7 @@ from leanreg.core import (
 from leanreg.exceptions import (
     ColumnError,
     DataError,
+    DomainError,
     EmptyInputError,
     ParseError,
     SingularSystemError,
@@ -434,6 +435,17 @@ class TestSpdSolveStack:
         _, errors = spd_solve_stack(a[None], np.ones((1, 2)), np.ones(1, dtype=bool), "Newton system")
         assert isinstance(errors[0], SingularSystemError)
         assert str(errors[0]).startswith("Newton system is not positive definite")
+
+    def test_a_failed_row_past_the_float_range_is_a_domain_error(self):
+        # [[1, inf], [inf, 1]] fails the Cholesky test, and its eigenvalues
+        # would be a numpy error; the SPD row beside it keeps its bits.
+        a = np.array([[[1.0, np.inf], [np.inf, 1.0]], [[2.0, 1.0], [1.0, 2.0]]])
+        b = np.ones((2, 2))
+        z, errors = spd_solve_stack(a, b, np.ones(2, dtype=bool), "Newton system")
+        assert type(errors[0]) is DomainError
+        assert str(errors[0]) == "Newton system passes the float range"
+        assert errors[1] is None
+        assert np.array_equal(z[1], solve_one(a[1], b[1]))
 
     def test_all_spd_selection_has_no_errors(self):
         a, b, rows, spd = self.mixed_stack()

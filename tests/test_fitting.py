@@ -321,6 +321,20 @@ class TestFitWeighted:
         single = fit_glm(data_from(x[:4, 1], y[:4]), POISSON)
         assert np.allclose(fits.beta[0], single.beta_hat, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("family", [GAUSSIAN, POISSON], ids=["closed-form", "newton"])
+    def test_a_gram_past_the_float_range_fails_its_row_alone(self, family):
+        # Weights of 1e300 square the slope of 5e10 past the float range in row 0's Gram
+        # matrix; row 1 keeps the bits of row 1 of an all-ones stack, and nothing warns.
+        x = np.column_stack([np.ones(6), np.arange(6) * 1e10])
+        y = np.array([1.0, 0.0, 2.0, 3.0, 1.0, 4.0])
+        fits = fit_weighted(x, y, np.array([[1e300] * 6, [1.0] * 6]), family)
+        plain = fit_weighted(x, y, np.ones((2, 6)), family)
+        assert type(fits.errors[0]) is DomainError
+        assert str(fits.errors[0]) == "a weighted second-moment matrix passes the float range"
+        assert repr(fits.errors[1]) == repr(plain.errors[1])
+        assert np.array_equal(fits.beta[1], plain.beta[1])
+        assert (fits.iterations[1], fits.score_norm[1]) == (plain.iterations[1], plain.score_norm[1])
+
     def test_malformed_weights_rejected(self):
         x = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
         y = np.array([0.0, 1.0, 1.0])

@@ -429,3 +429,99 @@ def test_only_fit_weighted_stops_a_newton_row():
         if path.name != "exceptions.py":
             found += stop_error_names(path.read_text(encoding="utf-8"), path.name)
     assert found == []
+
+
+LINALG_HOMES = {"numerical_rank", "_cholesky_solve", "spd_solve_stack"}
+
+
+def is_numpy_linalg(node) -> bool:
+    return (
+        (isinstance(node, ast.Attribute) and node.attr == "linalg"
+         and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        or (isinstance(node, ast.Import) and any(a.name.startswith("numpy.linalg") for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (
+            (node.module or "").startswith("numpy.linalg")
+            or (node.module == "numpy" and any(a.name == "linalg" for a in node.names))))
+    )
+
+
+def linalg_references(source: str, filename: str) -> list[str]:
+    """``file:line`` of each reference to ``numpy.linalg`` outside core's rank rule and Cholesky solve."""
+    tree = ast.parse(source, filename)
+    home = {id(inner) for node in tree.body
+            if filename == "core.py" and isinstance(node, ast.FunctionDef) and node.name in LINALG_HOMES
+            for inner in ast.walk(node)}
+    lines = {node.lineno for node in ast.walk(tree) if is_numpy_linalg(node) and id(node) not in home}
+    return [f"{filename}:{line}" for line in sorted(lines)]
+
+
+def test_only_cores_guarded_helpers_call_numpy_linalg():
+    # core.numerical_rank, _cholesky_solve and spd_solve_stack are the one
+    # rank rule and SPD solve: their callers guard what they are given (a
+    # Gram past the float range never reaches eigvalsh), and a linalg call
+    # elsewhere could raise a numpy error past them.
+    spellings = "\n".join([
+        "np.linalg.eigvalsh(a)", "numpy.linalg.solve(a, b)", "from numpy.linalg import cholesky",
+        "from numpy import linalg", "import numpy.linalg as la", "e = np.linalg.LinAlgError",
+        "x.linalg.norm(a)", "'np.linalg'", "from numpy import einsum", "def spd_solve_stack(a):",
+        "    return np.linalg.cholesky(a)", "def numerical_rank(g):", "    return np.linalg.eigvalsh(g)",
+    ])
+    assert linalg_references(spellings, "core.py") == [f"core.py:{i}" for i in range(1, 7)]
+    assert linalg_references(spellings, "fitting.py")[-2:] == ["fitting.py:11", "fitting.py:13"]
+
+    found = []
+    for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
+        found += linalg_references(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
+
+
+def is_outer_operand(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "outer") or (
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "outer_rows")
+
+
+def is_weighted_transpose_of(node, right) -> bool:
+    """Whether ``node`` is ``<x>.T * ...`` and ``right`` is ``<x>``: the left operand of a weighted Gram."""
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and isinstance(node.left, ast.Attribute) and node.left.attr == "T"
+        and isinstance(node.left.value, ast.Name) and isinstance(right, ast.Name)
+        and node.left.value.id == right.id
+    )
+
+
+def gram_products(source: str, filename: str) -> list[str]:
+    """``file:line`` of each matrix product outside ``fitting.gram`` that forms a weighted Gram matrix."""
+    tree = ast.parse(source, filename)
+    home = {id(inner) for node in tree.body
+            if filename == "fitting.py" and isinstance(node, ast.FunctionDef) and node.name == "gram"
+            for inner in ast.walk(node)}
+    lines = {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) and id(node) not in home
+        and (is_outer_operand(node.left) or is_outer_operand(node.right)
+             or is_weighted_transpose_of(node.left, node.right))
+    }
+    return [f"{filename}:{line}" for line in sorted(lines)]
+
+
+def test_only_fitting_gram_forms_a_weighted_gram():
+    # fitting.gram forms every weighted second moment sum_i c_i x_i x_i',
+    # per row or as one product with the outer rows, and holds their
+    # float-range rule; equilibration or row blocks go there alone.
+    # Out of scope: decompose's (x.T * w) @ eta is a first moment, and
+    # covariance.sandwich_cov's unweighted scores.T @ scores stays as it
+    # is, since forming it through gram moves the sandwich's rounding.
+    spellings = "\n".join([
+        "(x.T * c) @ x", "(x.T * c[:, None, :]) @ x", "h = (w @ outer).reshape(m, k, k)", "(w * v) @ outer",
+        "outer @ b", "w @ outer_rows(x)", "(x.T * w) @ eta", "scores.T @ scores", "x.T @ sums", "outer * w",
+        "def gram(x, c, outer=None):", "    return (x.T * c) @ x if outer is None else c @ outer",
+    ])
+    assert gram_products(spellings, "fitting.py") == [f"fitting.py:{i}" for i in range(1, 7)]
+    assert gram_products(spellings, "population.py")[-1] == "population.py:12"
+
+    found = []
+    for path in sorted(p for p in resources.files("leanreg").iterdir() if p.name.endswith(".py")):
+        found += gram_products(path.read_text(encoding="utf-8"), path.name)
+    assert found == []
